@@ -19,7 +19,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .curation import dedup, duplicate_issues, flag_suspicious, review_report
+from .curation import curate, review_report
 from .errors import InternalInvariantError, LexgramError
 from .expansion import PassConfig, run_pipeline
 from .formats import (
@@ -30,10 +30,10 @@ from .formats import (
     parse_records,
     save_lexicon,
 )
-from .lexicon import Origin, generate_base
+from .lexicon import generate_base
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
 from .script import parse_script
-from .stats import compute_stats, render_stats
+from .stats import recompute_stats, render_stats
 from .tables import load_class_matrix, load_table, resolve_features, validate_table
 
 
@@ -101,7 +101,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
         config,
         _load_symbols(args.symbols),
         _load_morpho(args.morpho),
-        max_workers=args.jobs,
     )
     save_lexicon(
         LexiconDocument(result.entries, doc.table_ids, doc.script_source),
@@ -116,10 +115,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
-    survivors, duplicates = dedup(list(doc.entries))
-    issues = duplicate_issues(duplicates, {e.entry_id: e for e in doc.entries})
-    for entry in survivors:
-        issues.extend(flag_suspicious(entry))
+    _, duplicates, issues = curate(doc.entries)
     report = review_report(issues, duplicates)
     if args.output:
         Path(args.output).write_text(report, encoding="utf-8")
@@ -132,23 +128,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
     rows = parse_records(Path(args.records).read_text(encoding="utf-8"))
-    added: dict[Origin, int] = {}
-    duplicates_removed = 0
-    removed_bases = 0
-    for row in rows:
-        if row.status == "duplicate":
-            duplicates_removed += 1
-        if row.kind is Origin.BASE:
-            removed_bases += 1
-            continue
-        added[row.kind] = added.get(row.kind, 0) + 1
-    initial = sum(1 for e in doc.entries if e.is_base) + removed_bases
-    report = compute_stats(initial, added, duplicates_removed)
-    if report.final != len(doc.entries):
-        raise InternalInvariantError(
-            f"stats identity violated: recomputed final is {report.final}, "
-            f"lexicon holds {len(doc.entries)} entries"
-        )
+    report = recompute_stats(doc.entries, rows)
     sys.stdout.write(render_stats(report))
     return 0
 
@@ -203,7 +183,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--passes", help="comma-separated pass list (default: all)")
     p.add_argument("--symbols", help="symbol policy file")
     p.add_argument("--morpho", help="contraction/elision rule file")
-    p.add_argument("--jobs", type=int, help="thread count for per-entry expansion")
     p.add_argument("--records", help="write the expansion record sidecar here")
     p.add_argument("--format", choices=("text", "xml"), help="output format (default: by suffix)")
     p.add_argument("-o", "--output", required=True, help="output lexicon path")

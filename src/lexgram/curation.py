@@ -129,6 +129,21 @@ def flag_suspicious(entry: LexEntry) -> list[ValidationIssue]:
     return issues
 
 
+def curate(
+    entries: list[LexEntry],
+) -> tuple[list[LexEntry], list[DuplicateRecord], list[ValidationIssue]]:
+    """Dedup, then report the removals, then flag the survivors.
+
+    Returns the survivors, the duplicate groups, and the review issues:
+    duplicate issues first, then each survivor's flags in survivor order.
+    """
+    survivors, duplicates = dedup(entries)
+    issues = duplicate_issues(duplicates, {e.entry_id: e for e in entries})
+    for entry in survivors:
+        issues.extend(flag_suspicious(entry))
+    return survivors, duplicates, issues
+
+
 # =============================================================================
 # report
 # =============================================================================

@@ -12,24 +12,16 @@ views of the extension (standalone entries and enriched parents).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .curation import DuplicateRecord, dedup, duplicate_issues, flag_suspicious
-from .errors import InternalInvariantError, LexgramError
+from .curation import DuplicateRecord, curate
+from .errors import LexgramError
 from .issues import ValidationIssue
 from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, SurfaceForm, realize
-from .script import (
-    Action,
-    ExtractionScript,
-    ScriptRule,
-    Template,
-    classify_substructure,
-    expand_alternation,
-)
-from .stats import StatsReport, compute_stats
-from .tables import FeatureKind, parse_structure_label
+from .script import Action, ExtractionScript, ScriptRule, Template, expand_alternation
+from .stats import StatsReport, check_final_count, compute_stats
+from .tables import parse_structure_label
 
 # =============================================================================
 # configuration and records
@@ -85,6 +77,21 @@ class ExpansionRecord:
 # single-entry expansion
 # =============================================================================
 
+def _is_subsequence(sub: tuple, full: tuple) -> bool:
+    it = iter(full)
+    return all(any(s == f for f in it) for s in sub)
+
+
+def classify_substructure(label: str, class_slots: tuple) -> Origin:
+    """Deletion keeps the slot order of the class structure; anything that
+    reorders (with or without dropping slots) is a permutation."""
+    label_syms = tuple(ref.symbol for ref in parse_structure_label(label))
+    class_syms = tuple(ref.symbol for ref in class_slots)
+    if _is_subsequence(label_syms, class_syms):
+        return Origin.DELETION
+    return Origin.PERMUTATION
+
+
 def _pass_of(rule: ScriptRule, class_slots: tuple) -> Origin | None:
     """The pass a rule belongs to, or None when it generates nothing
     (a construction rule without templates only labels the base entry)."""
@@ -96,8 +103,7 @@ def _pass_of(rule: ScriptRule, class_slots: tuple) -> Origin | None:
         return Origin.TRANSFORMATION
     if rule.action is Action.INTENSIFIER:
         return Origin.INTENSIFICATION
-    kind = classify_substructure(rule.label, class_slots)
-    return Origin.DELETION if kind is FeatureKind.DELETION else Origin.PERMUTATION
+    return classify_substructure(rule.label, class_slots)
 
 
 def _make_variant(
@@ -187,32 +193,6 @@ def expand_entry(
     return records
 
 
-def expand_paraphrase_direct(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(entry, script, PassConfig(frozenset({Origin.PARAPHRASE_DIRECT})), symbols, rules)
-
-
-def expand_paraphrase_construction(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(
-        entry, script, PassConfig(frozenset({Origin.PARAPHRASE_CONSTRUCTION})), symbols, rules
-    )
-
-
-def expand_deletion(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(entry, script, PassConfig(frozenset({Origin.DELETION})), symbols, rules)
-
-
-def expand_permutation(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(entry, script, PassConfig(frozenset({Origin.PERMUTATION})), symbols, rules)
-
-
-def expand_transformation(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(entry, script, PassConfig(frozenset({Origin.TRANSFORMATION})), symbols, rules)
-
-
-def expand_intensify(entry, script, symbols=DEFAULT_SYMBOLS, rules=DEFAULT_RULES):
-    return expand_entry(entry, script, PassConfig(frozenset({Origin.INTENSIFICATION})), symbols, rules)
-
-
 # =============================================================================
 # pipeline driver
 # =============================================================================
@@ -232,14 +212,11 @@ def run_pipeline(
     config: PassConfig = PassConfig(),
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
-    max_workers: int | None = None,
 ) -> PipelineResult:
     """Expand every base entry, then dedup, flag, and count.
 
     Output order: base entries first (input order), then surviving variants
-    in generation order.  With ``max_workers`` > 1 the per-entry expansions
-    run on a thread pool; results are merged in input order, so parallel and
-    serial runs produce identical output.
+    in generation order.
     """
     for entry in entries:
         if not entry.is_base:
@@ -248,22 +225,16 @@ def run_pipeline(
             )
     initial = len(entries)
 
-    def expand(entry: LexEntry) -> list[ExpansionRecord]:
-        return expand_entry(entry, script, config, symbols, rules)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            batches = list(pool.map(expand, entries))
-    else:
-        batches = [expand(entry) for entry in entries]
-    records = [record for batch in batches for record in batch]
+    records: list[ExpansionRecord] = []
+    for entry in entries:
+        records.extend(expand_entry(entry, script, config, symbols, rules))
 
     added = dict.fromkeys(PASS_ORDER, 0)
     for record in records:
         added[record.kind] += 1
 
     combined = entries + [record.entry for record in records]
-    survivors, duplicates = dedup(combined)
+    survivors, duplicates, issues = curate(combined)
 
     removed_to_kept: dict[str, str] = {}
     for dup in duplicates:
@@ -282,14 +253,5 @@ def run_pipeline(
             ))
 
     stats = compute_stats(initial, added, duplicates_removed=len(removed_to_kept))
-    if stats.final != len(survivors):
-        raise InternalInvariantError(
-            f"stats identity violated: report says {stats.final} final entries, "
-            f"pipeline produced {len(survivors)}"
-        )
-
-    issues = duplicate_issues(duplicates, {e.entry_id: e for e in combined})
-    for entry in survivors:
-        issues.extend(flag_suspicious(entry))
-
+    check_final_count(stats, len(survivors), "the pipeline output")
     return PipelineResult(survivors, records, stats, duplicates, issues)

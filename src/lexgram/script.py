@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import (
     DuplicateRule,
@@ -29,7 +29,7 @@ from .errors import (
     ScriptSyntaxError,
     UnterminatedGroup,
 )
-from .tables import ENT_PREFIX, FeatureKind, LgTable, parse_structure_label
+from .tables import ENT_PREFIX
 
 # Tokens passed through to the realizer's symbol policy instead of being
 # treated as plain literals.  Closed but configurable list.
@@ -182,21 +182,6 @@ def expand_alternation(template: Template) -> list[Template]:
     return flats
 
 
-@dataclass(frozen=True)
-class ColumnRef:
-    name: str
-    component: bool
-
-
-def template_placeholders(template: Template | str) -> list[ColumnRef]:
-    """Ordered column references of a flat template."""
-    if isinstance(template, str):
-        template = parse_template(template)
-    if not template.is_flat:
-        raise ValueError("template_placeholders expects a flat template")
-    return [ColumnRef(p.name, p.component) for p in template.parts if isinstance(p, Placeholder)]
-
-
 # =============================================================================
 # rules
 # =============================================================================
@@ -230,24 +215,10 @@ class ExtractionScript:
     rules: tuple[ScriptRule, ...]
     symbolic: frozenset[str] = DEFAULT_SYMBOLIC_TOKENS
 
-    def rules_for(self, table_id: str, action: Action | None = None) -> list[ScriptRule]:
-        return [
-            r for r in self.rules
-            if r.applies_to(table_id) and (action is None or r.action is action)
-        ]
-
-    def rule_for(self, table_id: str, feature_id: str) -> ScriptRule | None:
-        """First declared rule matching (table, feature); explicit table sets
-        take precedence over the wildcard."""
-        matches = [r for r in self.rules if r.applies_to(table_id) and r.feature_id == feature_id]
-        if not matches:
-            return None
-        explicit = [r for r in matches if r.tables is not None]
-        return (explicit or matches)[0]
-
     def effective_rules(self, table_id: str, action: Action | None = None) -> list[ScriptRule]:
-        """One rule per feature id (same precedence as :meth:`rule_for`),
-        in declaration order."""
+        """One rule per feature id, in declaration order: a rule naming the
+        table explicitly takes precedence over a wildcard rule, and among
+        rules of equal precedence the first declared wins."""
         chosen: dict[str, ScriptRule] = {}
         for rule in self.rules:
             if not rule.applies_to(table_id):
@@ -356,52 +327,3 @@ def load_script(path) -> ExtractionScript:
     from pathlib import Path
     path = Path(path)
     return parse_script(path.read_text(encoding="utf-8"), source=str(path))
-
-
-# =============================================================================
-# feature kind refinement
-# =============================================================================
-
-def _is_subsequence(sub: tuple, full: tuple) -> bool:
-    it = iter(full)
-    return all(any(s == f for f in it) for s in sub)
-
-
-def classify_substructure(label: str, class_slots: tuple) -> FeatureKind:
-    """Deletion keeps the slot order of the class structure; anything that
-    reorders (with or without dropping slots) is a permutation."""
-    label_syms = tuple(ref.symbol for ref in parse_structure_label(label))
-    class_syms = tuple(ref.symbol for ref in class_slots)
-    if _is_subsequence(label_syms, class_syms):
-        return FeatureKind.DELETION
-    return FeatureKind.PERMUTATION
-
-
-_ACTION_KINDS = {
-    Action.CONSTRUCTION: FeatureKind.CONSTRUCTION,
-    Action.PARAPHRASE: FeatureKind.PARAPHRASE_DIRECT,
-    Action.TRANSFORMATION: FeatureKind.TRANSFORMATION,
-    Action.INTENSIFIER: FeatureKind.INTENSIFIER,
-}
-
-
-def resolve_kinds(table: LgTable, script: ExtractionScript) -> LgTable:
-    """Refine binary feature kinds using the script's rules for this table."""
-    new_features = []
-    changed = False
-    for fdef in table.features:
-        kind = fdef.kind
-        if kind is FeatureKind.BINARY:
-            rule = script.rule_for(table.table_id, fdef.feature_id)
-            if rule is not None:
-                if rule.action is Action.SUBSTRUCTURE:
-                    kind = classify_substructure(rule.label, table.structure)
-                else:
-                    kind = _ACTION_KINDS[rule.action]
-        if kind is not fdef.kind:
-            fdef = replace(fdef, kind=kind)
-            changed = True
-        new_features.append(fdef)
-    if not changed:
-        return table
-    return LgTable(table.table_id, tuple(new_features), table.structure, table.rows)

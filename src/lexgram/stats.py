@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import ZeroInitial
-from .lexicon import PASS_ORDER, Origin
+from .errors import InternalInvariantError, ZeroInitial
+from .lexicon import PASS_ORDER, LexEntry, Origin
+
+if TYPE_CHECKING:
+    from .formats import RecordRow
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,40 @@ def compute_stats(
     total = sum(count for count, _ in per_pass.values())
     final = initial + total - duplicates_removed - rejected
     return StatsReport(initial, per_pass, duplicates_removed, rejected, final)
+
+
+def check_final_count(report: StatsReport, actual: int, holder: str) -> None:
+    """The count identity: the report's final count is the number of entries
+    ``holder`` actually holds.  A mismatch is a bug, not bad input."""
+    if report.final != actual:
+        raise InternalInvariantError(
+            f"stats identity violated: report says {report.final} final entries, "
+            f"{holder} holds {actual}"
+        )
+
+
+def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> StatsReport:
+    """Rebuild an extension run's report from the extended lexicon and its
+    record sidecar, and check it against the lexicon's entry count.
+
+    Every generated row counts as added to its pass; every ``duplicate`` row
+    counts as removed.  A ``base`` row is a base entry removed as a duplicate,
+    so it counts towards the initial size instead.
+    """
+    added: dict[Origin, int] = {}
+    duplicates_removed = 0
+    removed_bases = 0
+    for row in rows:
+        if row.status == "duplicate":
+            duplicates_removed += 1
+        if row.kind is Origin.BASE:
+            removed_bases += 1
+            continue
+        added[row.kind] = added.get(row.kind, 0) + 1
+    initial = sum(1 for e in entries if e.is_base) + removed_bases
+    report = compute_stats(initial, added, duplicates_removed)
+    check_final_count(report, len(entries), "the lexicon")
+    return report
 
 
 # =============================================================================

@@ -27,6 +27,7 @@ from .errors import (
     DuplicateClassId,
     DuplicateFeatureId,
     InconsistentMatrix,
+    MatrixFormatError,
     RowArityMismatch,
     TableFormatError,
     UnknownCellToken,
@@ -90,15 +91,6 @@ class FeatureKind(enum.Enum):
     BINARY = "binary"
     ENTRY_COMPONENT = "entry-component"
     AUX_LEXICAL = "aux-lexical"
-    CONSTRUCTION = "construction"
-    PARAPHRASE_DIRECT = "paraphrase-direct"
-    DELETION = "deletion"
-    PERMUTATION = "permutation"
-    TRANSFORMATION = "transformation"
-    INTENSIFIER = "intensifier"
-
-# Kinds whose cells are Plus/Minus marks rather than lexical material.
-BINARY_VALUED = frozenset(FeatureKind) - {FeatureKind.ENTRY_COMPONENT, FeatureKind.AUX_LEXICAL}
 
 
 @dataclass(frozen=True)

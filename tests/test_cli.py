@@ -62,6 +62,27 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["export", str(tmp_path / "none.lgx"), "--format", "yaml"]) == 1
 
 
+def test_jobs_option_is_gone(tmp_path):
+    base = _compile(tmp_path)
+    out = tmp_path / "out.lgx"
+    assert main(["extend", str(base), "--jobs", "4", "-o", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_compile_rejects_bad_class_matrix(tmp_path, capsys):
+    for name, text in (("empty.lgm", ""), ("no-id.lgm", "class\tfa\n\t+\n")):
+        matrix = tmp_path / name
+        matrix.write_text(text, encoding="utf-8")
+        code = main([
+            "compile", str(FIXTURES / "PC.lgt"),
+            "--classes", str(matrix),
+            "--script", str(FIXTURES / "extract.lgs"),
+            "-o", str(tmp_path / "base.lgx"),
+        ])
+        assert code == 1
+        assert f"{name}:" in capsys.readouterr().err
+
+
 def test_missing_input_is_an_input_error(tmp_path):
     code, _, _ = _extend(tmp_path, tmp_path / "missing.lgx")
     assert code == 1
@@ -111,16 +132,6 @@ def test_extend_pass_subset(tmp_path, capsys):
     deletion_line = next(l for l in captured.out.splitlines() if l.startswith("deletions"))
     assert "+0" in deletion_line
     assert len(load_lexicon(out).entries) == 39
-
-
-def test_extend_parallel_output_is_byte_identical(tmp_path):
-    base = _compile(tmp_path)
-    _, serial, serial_records = _extend(tmp_path, base, name="serial.lgx")
-    _, threaded, threaded_records = _extend(
-        tmp_path, base, extra=("--jobs", "4"), name="threaded.lgx",
-    )
-    assert serial.read_bytes() == threaded.read_bytes()
-    assert serial_records.read_bytes() == threaded_records.read_bytes()
 
 
 def test_extend_symbol_policy_override(tmp_path):

@@ -5,7 +5,6 @@ import collections
 import pytest
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
-from lexgram import export_lexicon, LexiconDocument
 from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, expand_entry, run_pipeline
 from lexgram.lexicon import Origin, PASS_ORDER
@@ -15,12 +14,9 @@ def _by_id(entries):
     return {e.entry_id: e for e in entries}
 
 
-def _fixture_pipeline(max_workers=None, config=PassConfig()):
+def _fixture_pipeline(config=PassConfig()):
     doc = compile_corpus()
-    return run_pipeline(
-        doc.entries, load_fixture_script(),
-        config=config, rules=load_fixture_morpho(), max_workers=max_workers,
-    )
+    return run_pipeline(doc.entries, load_fixture_script(), config=config, rules=load_fixture_morpho())
 
 
 def test_pass_config_parse_accepts_names_and_tags():
@@ -153,12 +149,3 @@ def test_run_pipeline_duplicate_records_mark_the_survivor():
     assert statuses["ADVPS#2#para#1"] == ("duplicate", "PC#2")
     kept = [r for r in result.records if r.status == "kept"]
     assert len(kept) == 32 - 5
-
-
-def test_parallel_run_is_byte_identical_to_serial():
-    serial = _fixture_pipeline()
-    parallel = _fixture_pipeline(max_workers=4)
-    doc_a = LexiconDocument(serial.entries, ("X",), "")
-    doc_b = LexiconDocument(parallel.entries, ("X",), "")
-    assert export_lexicon(doc_a) == export_lexicon(doc_b)
-    assert [r.entry.entry_id for r in serial.records] == [r.entry.entry_id for r in parallel.records]

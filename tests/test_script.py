@@ -10,13 +10,13 @@ from lexgram.script import (
     Literal,
     Placeholder,
     Symbolic,
-    classify_substructure,
     expand_alternation,
     parse_script,
     parse_template,
-    template_placeholders,
 )
-from lexgram.tables import FeatureKind, parse_structure_label
+from lexgram.expansion import classify_substructure
+from lexgram.lexicon import Origin
+from lexgram.tables import parse_structure_label
 
 
 def _one_rule(text: str):
@@ -156,11 +156,6 @@ def test_expand_alternation_on_flat_template_is_identity():
     assert expand_alternation(template) == [template]
 
 
-def test_template_placeholders_lists_column_refs():
-    refs = template_placeholders("@Adj@ et @<ENT>C1@")
-    assert [(r.name, r.component) for r in refs] == [("Adj", False), ("C1", True)]
-
-
 # --- substructure classification ------------------------------------------------
 
 def _slots(label: str):
@@ -169,29 +164,29 @@ def _slots(label: str):
 
 def test_ordered_subset_is_deletion():
     kind = classify_substructure("Prép1 Det1 C1", _slots("Prép1 Det1 C1 Prép2 Det2 C2"))
-    assert kind is FeatureKind.DELETION
+    assert kind is Origin.DELETION
 
 
 def test_full_structure_is_deletion():
     kind = classify_substructure("Prép1 C1", _slots("Prép1 C1"))
-    assert kind is FeatureKind.DELETION
+    assert kind is Origin.DELETION
 
 
 def test_reordered_slots_are_permutation():
     kind = classify_substructure("Prép1 Det1 Adj C1", _slots("Prép1 Det1 C1 Adj"))
-    assert kind is FeatureKind.PERMUTATION
+    assert kind is Origin.PERMUTATION
 
 
 def test_reordering_with_dropped_slot_is_permutation():
     kind = classify_substructure(
         "Prép1 Modif pré-adj Adj C1", _slots("Prép1 Det1 C1 Modif pré-adj Adj")
     )
-    assert kind is FeatureKind.PERMUTATION
+    assert kind is Origin.PERMUTATION
 
 
 def test_unsubscripted_label_does_not_match_subscripted_slots():
     kind = classify_substructure("Prép Det C", _slots("Prép1 Det1 C1"))
-    assert kind is FeatureKind.PERMUTATION
+    assert kind is Origin.PERMUTATION
 
 
 def test_fixture_script_parses_with_expected_rule_count():

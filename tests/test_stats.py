@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from lexgram.errors import ZeroInitial
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from lexgram.errors import InternalInvariantError, ZeroInitial
+from lexgram.expansion import run_pipeline
+from lexgram.formats import export_records, parse_records
 from lexgram.lexicon import Origin
-from lexgram.stats import StatsReport, compute_stats, percentage, render_stats
+from lexgram.stats import StatsReport, compute_stats, percentage, recompute_stats, render_stats
 
 FULL_SCALE = {
     Origin.PARAPHRASE_DIRECT: 2084,
@@ -111,3 +116,21 @@ def test_stats_report_is_immutable():
     with pytest.raises(Exception):
         report.final = 99
     assert isinstance(report, StatsReport)
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fixture", "with-duplicate-base"])
+def test_recompute_stats_matches_the_pipeline_report(twin):
+    entries = compile_corpus().entries
+    if twin:
+        # a second row with the same surface as the first: dedup removes a base entry
+        clone = copy.deepcopy(entries[0])
+        clone.entry_id = f"{clone.table_id}#99"
+        entries.append(clone)
+    result = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
+    rows = parse_records(export_records(result.records))
+    assert any(row.kind is Origin.BASE for row in rows) == twin
+    assert recompute_stats(result.entries, rows) == result.stats
+
+    kept = next(i for i, row in enumerate(rows) if row.status == "kept")
+    with pytest.raises(InternalInvariantError):
+        recompute_stats(result.entries, rows[:kept] + rows[kept + 1:])

@@ -7,6 +7,7 @@ from lexgram.errors import (
     DuplicateClassId,
     DuplicateFeatureId,
     InconsistentMatrix,
+    MatrixFormatError,
     RowArityMismatch,
     TableFormatError,
     UnknownCellToken,
@@ -136,6 +137,12 @@ def test_matrix_rejects_unknown_token():
 def test_matrix_rejects_duplicate_class():
     with pytest.raises(DuplicateClassId):
         parse_class_matrix("class\tfa\nT\t+\nT\t-\n")
+
+
+@pytest.mark.parametrize("text", ["", "class\tfa\n\t+\n"], ids=["empty", "no-class-id"])
+def test_matrix_format_errors(text):
+    with pytest.raises(MatrixFormatError):
+        parse_class_matrix(text)
 
 
 def test_matrix_rejects_overlong_row():
