@@ -9,7 +9,14 @@ for manual review.
 
 from .curation import DuplicateRecord, canonical_key, dedup, flag_suspicious, review_report
 from .errors import InternalInvariantError, LexgramError
-from .expansion import ExpansionRecord, PassConfig, PipelineResult, expand_entry, run_pipeline
+from .expansion import (
+    ExpansionRecord,
+    PassConfig,
+    PipelineResult,
+    build_plan,
+    expand_entry,
+    run_pipeline,
+)
 from .formats import (
     LexiconDocument,
     TOOL_VERSION,
@@ -54,6 +61,7 @@ __all__ = [
     "SurfaceForm",
     "Template",
     "ValidationIssue",
+    "build_plan",
     "canonical_key",
     "compute_stats",
     "dedup",

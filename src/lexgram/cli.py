@@ -80,6 +80,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for table in tables:
         if table.table_id in seen:
             raise LexgramError(f"duplicate table id {table.table_id!r}")
+        if "#" in table.table_id:
+            raise LexgramError(f"table id {table.table_id!r} contains '#', which entry ids reserve")
         seen.add(table.table_id)
         table = resolve_features(table, matrix)
         for issue in validate_table(table):

@@ -5,21 +5,23 @@ so every pass counts against the same initial entry set.  Entries carry
 their component texts and feature values with them, which keeps the
 pipeline independent of the source tables.
 
-Expanding mutates the parent entry: variant surfaces are also recorded in
-the parent's paraphrase / other-structure / intensified lists, giving both
-views of the extension (standalone entries and enriched parents).
+Expansion is a pure function of its inputs.  What depends only on an
+entry's table and component slots is decided once, in a plan; expanding an
+entry walks its plan and returns the variant records together with a copy
+of the entry whose paraphrase / other-structure / intensified lists hold
+the variant surfaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .curation import DuplicateRecord, curate
 from .errors import LexgramError
 from .issues import ValidationIssue
-from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance
-from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, SurfaceForm, realize
-from .script import Action, ExtractionScript, ScriptRule, Template, expand_alternation
+from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
+from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
+from .script import Action, ExtractionScript, Template, expand_alternation
 from .stats import StatsReport, check_final_count, compute_stats
 from .tables import parse_structure_label
 
@@ -29,6 +31,7 @@ from .tables import parse_structure_label
 
 _PASS_BY_NAME = {origin.value: origin for origin in PASS_ORDER}
 _PASS_BY_NAME.update({tag: origin for origin, tag in PASS_TAGS.items()})
+_SUBSTRUCTURES = (Origin.DELETION, Origin.PERMUTATION)
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,7 @@ class PassConfig:
         return cls(frozenset(chosen))
 
 
-@dataclass
+@dataclass(slots=True)
 class ExpansionRecord:
     """One generated entry plus the rule application that produced it.
 
@@ -74,123 +77,117 @@ class ExpansionRecord:
 
 
 # =============================================================================
-# single-entry expansion
+# plans and single-entry expansion
 # =============================================================================
-
-def _is_subsequence(sub: tuple, full: tuple) -> bool:
-    it = iter(full)
-    return all(any(s == f for f in it) for s in sub)
-
 
 def classify_substructure(label: str, class_slots: tuple) -> Origin:
     """Deletion keeps the slot order of the class structure; anything that
     reorders (with or without dropping slots) is a permutation."""
-    label_syms = tuple(ref.symbol for ref in parse_structure_label(label))
-    class_syms = tuple(ref.symbol for ref in class_slots)
-    if _is_subsequence(label_syms, class_syms):
+    remaining = iter(ref.symbol for ref in class_slots)
+    if all(any(ref.symbol == s for s in remaining) for ref in parse_structure_label(label)):
         return Origin.DELETION
     return Origin.PERMUTATION
 
 
-def _pass_of(rule: ScriptRule, class_slots: tuple) -> Origin | None:
-    """The pass a rule belongs to, or None when it generates nothing
-    (a construction rule without templates only labels the base entry)."""
-    if rule.action is Action.PARAPHRASE:
-        return Origin.PARAPHRASE_DIRECT
-    if rule.action is Action.CONSTRUCTION:
-        return Origin.PARAPHRASE_CONSTRUCTION if rule.templates else None
-    if rule.action is Action.TRANSFORMATION:
-        return Origin.TRANSFORMATION
-    if rule.action is Action.INTENSIFIER:
-        return Origin.INTENSIFICATION
-    return classify_substructure(rule.label, class_slots)
+# The pass of each rule action; a substructure's depends on the class slots.
+_ACTION_PASS = {
+    Action.PARAPHRASE: Origin.PARAPHRASE_DIRECT,
+    Action.CONSTRUCTION: Origin.PARAPHRASE_CONSTRUCTION,
+    Action.TRANSFORMATION: Origin.TRANSFORMATION,
+    Action.INTENSIFIER: Origin.INTENSIFICATION,
+}
 
 
-def _make_variant(
-    parent: LexEntry,
-    origin: Origin,
-    rule: ScriptRule,
-    flat: Template,
-    surface: SurfaceForm,
-    ordinal: int,
-) -> LexEntry:
-    components: dict[str, str] = {}
-    internal: list[str] = []
-    constructions: list[str] = []
-    if origin in (Origin.DELETION, Origin.PERMUTATION):
-        # the variant keeps exactly the slots its reduced structure names
-        slots = parse_structure_label(rule.label)
-        components = {ref.symbol: parent.components.get(ref.symbol, "") for ref in slots}
-        internal = [rule.label]
-    elif origin is Origin.PARAPHRASE_CONSTRUCTION:
-        constructions = [rule.feature_id]
-    return LexEntry(
-        entry_id=f"{parent.entry_id}#{PASS_TAGS[origin]}#{ordinal}",
-        table_id=parent.table_id,
-        category=parent.category,
-        surface=surface,
-        components=components,
-        aux={},
-        arguments=list(parent.arguments),
-        construction_ids=constructions,
-        internal_structures=internal,
-        binary_features=dict(parent.binary_features),
-        provenance=Provenance(origin, parent.entry_id, rule.feature_id, flat.text),
-    )
+@dataclass(frozen=True, slots=True)
+class PlanStep:
+    """One generating rule, resolved for one table and component slot set."""
+
+    origin: Origin
+    feature_id: str
+    flats: tuple[Template, ...]  # the rule's templates, alternation flattened
+    label: str                   # the parent's other-structure label
+    kept_slots: tuple[str, ...]  # slots a deletion or permutation variant keeps
 
 
-def _attach_to_parent(parent: LexEntry, origin: Origin, rule: ScriptRule, surface: SurfaceForm) -> None:
-    if origin in (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION):
-        parent.paraphrases.append(surface)
-    elif origin in (Origin.DELETION, Origin.PERMUTATION):
-        parent.other_structures.append((rule.label, surface))
-        if rule.label not in parent.internal_structures:
-            parent.internal_structures.append(rule.label)
-    elif origin is Origin.TRANSFORMATION:
-        parent.other_structures.append((rule.label or rule.feature_id, surface))
-    else:
-        parent.intensified.append(surface)
+def build_plan(
+    script: ExtractionScript,
+    table_id: str,
+    slots: tuple[str, ...],
+    config: PassConfig = PassConfig(),
+) -> tuple[PlanStep, ...]:
+    """The enabled generating rules of a table whose entries have component
+    slots ``slots``, in pass order, then rule declaration order."""
+    class_slots = parse_structure_label(" ".join(slots)) if slots else ()
+    steps = []
+    for rule in script.effective_rules(table_id):
+        origin = _ACTION_PASS.get(rule.action) or classify_substructure(rule.label, class_slots)
+        # a construction rule without templates only labels the base entry
+        if not rule.templates or origin not in config.enabled:
+            continue
+        kept = tuple(ref.symbol for ref in parse_structure_label(rule.label)) if origin in _SUBSTRUCTURES else ()
+        flats = tuple(flat for template in rule.templates for flat in expand_alternation(template))
+        steps.append(PlanStep(origin, rule.feature_id, flats, rule.label or rule.feature_id, kept))
+    steps.sort(key=lambda step: PASS_ORDER.index(step.origin))
+    return tuple(steps)
 
 
 def expand_entry(
     entry: LexEntry,
-    script: ExtractionScript,
-    config: PassConfig = PassConfig(),
+    plan: tuple[PlanStep, ...],
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
-) -> list[ExpansionRecord]:
-    """Apply every enabled pass to one base entry.
+) -> tuple[LexEntry, list[ExpansionRecord]]:
+    """Apply a plan to one base entry; ``entry`` itself is left unchanged.
 
-    Emission order is pass order, then rule declaration order, then template
-    order, then alternation order; variant ordinals count per pass tag.
+    Returns a copy of the entry enriched with its variant surfaces, and one
+    record per variant.  Emission order is plan order, then template order,
+    then alternation order; variant ordinals count per pass.
     """
     if not entry.is_base:
         raise LexgramError(f"cannot expand generated entry {entry.entry_id!r}")
-    class_slots = parse_structure_label(" ".join(entry.components)) if entry.components else ()
-    buckets: dict[Origin, list[ScriptRule]] = {origin: [] for origin in PASS_ORDER}
-    for rule in script.effective_rules(entry.table_id):
-        origin = _pass_of(rule, class_slots)
-        if origin is not None and origin in config.enabled:
-            buckets[origin].append(rule)
-
+    _, row, _, _ = parse_entry_id(entry.entry_id)
+    parent = replace(
+        entry,
+        paraphrases=list(entry.paraphrases),
+        other_structures=list(entry.other_structures),
+        intensified=list(entry.intensified),
+        internal_structures=list(entry.internal_structures),
+        cross_refs=list(entry.cross_refs),
+    )
     records: list[ExpansionRecord] = []
-    ordinals = dict.fromkeys(PASS_TAGS.values(), 0)
+    ordinals = dict.fromkeys(PASS_ORDER, 0)
     bindings = entry.bindings()
-    for origin in PASS_ORDER:
-        tag = PASS_TAGS[origin]
-        for rule in buckets[origin]:
-            if not entry.binary_features.get(rule.feature_id, False):
-                continue
-            for template in rule.templates:
-                for flat in expand_alternation(template):
-                    ordinals[tag] += 1
-                    surface = realize(flat, bindings, symbols, rules)
-                    variant = _make_variant(entry, origin, rule, flat, surface, ordinals[tag])
-                    _attach_to_parent(entry, origin, rule, surface)
-                    records.append(
-                        ExpansionRecord(variant, entry.entry_id, origin, rule.feature_id, flat.text)
-                    )
-    return records
+    for step in plan:
+        if not entry.binary_features.get(step.feature_id, False):
+            continue
+        origin = step.origin
+        if origin in _SUBSTRUCTURES and step.label not in parent.internal_structures:
+            parent.internal_structures.append(step.label)
+        for flat in step.flats:
+            ordinals[origin] += 1
+            surface = realize(flat, bindings, symbols, rules)
+            if origin in (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION):
+                parent.paraphrases.append(surface)
+            elif origin is Origin.INTENSIFICATION:
+                parent.intensified.append(surface)
+            else:
+                parent.other_structures.append((step.label, surface))
+            variant = LexEntry(
+                entry_id=entry_id(entry.table_id, row, PASS_TAGS[origin], ordinals[origin]),
+                table_id=entry.table_id,
+                category=entry.category,
+                surface=surface,
+                # a deletion or permutation keeps exactly the slots its structure names
+                components={slot: entry.components.get(slot, "") for slot in step.kept_slots},
+                aux={},
+                arguments=list(entry.arguments),
+                construction_ids=[step.feature_id] if origin is Origin.PARAPHRASE_CONSTRUCTION else [],
+                internal_structures=[step.label] if origin in _SUBSTRUCTURES else [],
+                binary_features=dict(entry.binary_features),
+                provenance=Provenance(origin, entry.entry_id, step.feature_id, flat.text),
+            )
+            records.append(ExpansionRecord(variant, entry.entry_id, origin, step.feature_id, flat.text))
+    return parent, records
 
 
 # =============================================================================
@@ -215,43 +212,46 @@ def run_pipeline(
 ) -> PipelineResult:
     """Expand every base entry, then dedup, flag, and count.
 
-    Output order: base entries first (input order), then surviving variants
-    in generation order.
+    The input entries are left unchanged: the result holds enriched copies.
+    One plan is built per table and component slot set.  Output order: base
+    entries first (input order), then surviving variants in generation order.
     """
     for entry in entries:
         if not entry.is_base:
-            raise LexgramError(
-                f"input lexicon is already extended ({entry.entry_id!r} is generated)"
-            )
-    initial = len(entries)
+            raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} is generated)")
 
+    plans: dict[tuple[str, tuple[str, ...]], tuple[PlanStep, ...]] = {}
+    parents: list[LexEntry] = []
     records: list[ExpansionRecord] = []
     for entry in entries:
-        records.extend(expand_entry(entry, script, config, symbols, rules))
+        key = (entry.table_id, tuple(entry.components))
+        if key not in plans:
+            plans[key] = build_plan(script, *key, config)
+        parent, produced = expand_entry(entry, plans[key], symbols, rules)
+        parents.append(parent)
+        records.extend(produced)
 
     added = dict.fromkeys(PASS_ORDER, 0)
     for record in records:
         added[record.kind] += 1
 
-    combined = entries + [record.entry for record in records]
+    combined = parents + [record.entry for record in records]
     survivors, duplicates, issues = curate(combined)
 
-    removed_to_kept: dict[str, str] = {}
+    record_by_id = {record.entry.entry_id: record for record in records}
+    parent_by_id = {parent.entry_id: parent for parent in parents}
     for dup in duplicates:
         for removed_id in dup.removed:
-            removed_to_kept[removed_id] = dup.kept
-    record_by_id = {record.entry.entry_id: record for record in records}
-    base_by_id = {entry.entry_id: entry for entry in entries}
-    for removed_id, kept_id in removed_to_kept.items():
-        record = record_by_id.get(removed_id)
-        if record is not None:
-            record.status = "duplicate"
-            record.duplicate_of = kept_id
-        else:
-            records.append(ExpansionRecord(
-                base_by_id[removed_id], "", Origin.BASE, "", "", "duplicate", kept_id,
-            ))
+            record = record_by_id.get(removed_id)
+            if record is not None:
+                record.status = "duplicate"
+                record.duplicate_of = dup.kept
+            else:
+                records.append(ExpansionRecord(
+                    parent_by_id[removed_id], "", Origin.BASE, "", "", "duplicate", dup.kept,
+                ))
 
-    stats = compute_stats(initial, added, duplicates_removed=len(removed_to_kept))
+    removed = sum(len(dup.removed) for dup in duplicates)
+    stats = compute_stats(len(entries), added, duplicates_removed=removed)
     check_final_count(stats, len(survivors), "the pipeline output")
     return PipelineResult(survivors, records, stats, duplicates, issues)

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .errors import SchemaViolation, UnknownFormatVersion
 from .expansion import ExpansionRecord
-from .lexicon import ArgumentSpec, LexEntry, Origin, Provenance, Selection
+from .lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, parse_entry_id
 from .realizer import SurfaceForm
 from .script import ExtractionScript, parse_script
 from .tables import EMPTY_TOKEN
@@ -49,6 +49,24 @@ class LexiconDocument:
 
     def script(self) -> ExtractionScript:
         return parse_script(self.script_source, source="<embedded script>")
+
+
+def _check_entry_ids(entries: list[LexEntry]) -> None:
+    """Every id parses, names its entry's table and pass, and is unique."""
+    seen: set[str] = set()
+    for entry in entries:
+        try:
+            table_id, _, tag, _ = parse_entry_id(entry.entry_id)
+        except ValueError as err:
+            raise SchemaViolation(str(err)) from None
+        if table_id != entry.table_id or tag != PASS_TAGS.get(entry.provenance.kind):
+            raise SchemaViolation(
+                f"entry id {entry.entry_id!r} does not match its table {entry.table_id!r} "
+                f"and provenance {entry.provenance.kind.value!r}"
+            )
+        if entry.entry_id in seen:
+            raise SchemaViolation(f"duplicate entry id {entry.entry_id!r}")
+        seen.add(entry.entry_id)
 
 
 # =============================================================================
@@ -289,6 +307,7 @@ def import_text(text: str) -> LexiconDocument:
             f"entry count mismatch: header says {declared_count}, found {len(entries)} "
             "(truncated file?)"
         )
+    _check_entry_ids(entries)
     return doc
 
 
@@ -363,15 +382,19 @@ def export_xml(doc: LexiconDocument) -> str:
     return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
 
 
+_FEATURE_VALUES = {"+": True, "-": False}
+
+
 def _xml_entry(node: ET.Element) -> LexEntry:
     for attr in ("id", "table"):
         if attr not in node.attrib:
             raise SchemaViolation(f"<entry> element lacks the {attr!r} attribute")
+    entry_id = node.attrib["id"]
     prov_node = node.find("provenance")
     surface_node = node.find("surface")
     lexical = node.find("lexical-information")
     if prov_node is None or surface_node is None or lexical is None:
-        raise SchemaViolation(f"entry {node.attrib['id']!r} is missing a required element")
+        raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
     try:
         provenance = Provenance(
             Origin(prov_node.attrib["kind"]),
@@ -388,25 +411,34 @@ def _xml_entry(node: ET.Element) -> LexEntry:
         ]
     except (KeyError, ValueError) as err:
         raise SchemaViolation(f"bad argument: {err}") from None
+    try:
+        components = {c.attrib["slot"]: c.text or "" for c in lexical.findall("component")}
+        aux = {c.attrib["column"]: c.text or "" for c in lexical.findall("aux")}
+        other_structures = [
+            (s.attrib["label"], _element_surface(s)) for s in lexical.findall("other-structure")
+        ]
+        features = {
+            f.attrib["id"]: _FEATURE_VALUES[f.attrib["value"]]
+            for f in node.findall("features/feature")
+        }
+    except KeyError as err:
+        raise SchemaViolation(
+            f"entry {entry_id!r}: missing attribute or feature value not '+'/'-': {err}"
+        ) from None
     return LexEntry(
-        entry_id=node.attrib["id"],
+        entry_id=entry_id,
         table_id=node.attrib["table"],
         category=lexical.attrib.get("category", ""),
         surface=_element_surface(surface_node),
-        components={c.attrib["slot"]: c.text or "" for c in lexical.findall("component")},
-        aux={c.attrib["column"]: c.text or "" for c in lexical.findall("aux")},
+        components=components,
+        aux=aux,
         paraphrases=[_element_surface(s) for s in lexical.findall("paraphrase")],
-        other_structures=[
-            (s.attrib.get("label", ""), _element_surface(s))
-            for s in lexical.findall("other-structure")
-        ],
+        other_structures=other_structures,
         intensified=[_element_surface(s) for s in lexical.findall("intensified")],
         arguments=arguments,
         construction_ids=[c.text or "" for c in node.findall("constructions/construction")],
         internal_structures=[c.text or "" for c in node.findall("constructions/internal-structure")],
-        binary_features={
-            f.attrib["id"]: f.attrib["value"] == "+" for f in node.findall("features/feature")
-        },
+        binary_features=features,
         provenance=provenance,
         cross_refs=[r.text or "" for r in node.findall("cross-refs/cross-ref")],
     )
@@ -425,7 +457,10 @@ def import_xml(text: str) -> LexiconDocument:
     script_node = root.find("script")
     script_source = script_node.text or "" if script_node is not None else ""
     declared_sha = root.attrib.get("script-sha256")
-    table_ids = tuple(t.attrib["id"] for t in root.findall("tables/table"))
+    try:
+        table_ids = tuple(t.attrib["id"] for t in root.findall("tables/table"))
+    except KeyError:
+        raise SchemaViolation("<table> element lacks the 'id' attribute") from None
     entries = [_xml_entry(node) for node in root.findall("entries/entry")]
     entries_node = root.find("entries")
     if entries_node is not None and "count" in entries_node.attrib:
@@ -442,6 +477,7 @@ def import_xml(text: str) -> LexiconDocument:
     )
     if declared_sha is not None and doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (document edited or corrupted)")
+    _check_entry_ids(entries)
     return doc
 
 

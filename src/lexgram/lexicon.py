@@ -76,6 +76,21 @@ def entry_id(table_id: str, row_index: int, tag: str | None = None, ordinal: int
     return f"{table_id}#{row_index}#{tag}#{ordinal}"
 
 
+_ENTRY_ID_RE = re.compile(
+    r"([^#]+)#([1-9][0-9]*)(?:#(" + "|".join(PASS_TAGS.values()) + r")#([1-9][0-9]*))?"
+)
+
+
+def parse_entry_id(text: str) -> tuple[str, int, str | None, int | None]:
+    """Split an id made by :func:`entry_id` into table, row, tag and ordinal
+    (tag and ordinal are None for a base entry); raises ValueError."""
+    m = _ENTRY_ID_RE.fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
+    table_id, row, tag, ordinal = m.groups()
+    return table_id, int(row), tag, None if ordinal is None else int(ordinal)
+
+
 class Selection(enum.Enum):
     HUMAN = "human"
     NON_HUMAN = "non-human"
@@ -89,7 +104,7 @@ class ArgumentSpec:
     selection: Selection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     kind: Origin
     parent: str | None = None
@@ -101,7 +116,7 @@ class Provenance:
             raise ValueError("base entries have no parent; variants require one")
 
 
-@dataclass
+@dataclass(slots=True)
 class LexEntry:
     entry_id: str
     table_id: str
@@ -133,11 +148,10 @@ class LexEntry:
     def sort_rank(self) -> tuple:
         """Duplicate-resolution rank: base before generated, then table,
         row, pass and ordinal.  Lower wins."""
-        parts = self.entry_id.split("#")
-        row = int(parts[1])
+        _, row, _, ordinal = parse_entry_id(self.entry_id)
         if self.is_base:
             return (0, self.table_id, row, -1, 0)
-        return (1, self.table_id, row, PASS_ORDER.index(self.provenance.kind), int(parts[3]))
+        return (1, self.table_id, row, PASS_ORDER.index(self.provenance.kind), ordinal)
 
 
 # =============================================================================

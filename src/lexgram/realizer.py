@@ -163,7 +163,7 @@ def render(tokens: list[str]) -> str:
 # realization
 # =============================================================================
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceForm:
     """Substituted tokens (pre-contraction) plus the rendered citation form."""
 

@@ -55,6 +55,19 @@ def test_compile_rejects_duplicate_table_ids(tmp_path):
     assert code == 1
 
 
+def test_compile_rejects_hash_in_table_id(tmp_path, capsys):
+    table = tmp_path / "AD#VMP.lgt"
+    table.write_text((FIXTURES / "ADVMP.lgt").read_text(encoding="utf-8"), encoding="utf-8")
+    code = main([
+        "compile", str(table),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(FIXTURES / "extract.lgs"),
+        "-o", str(tmp_path / "base.lgx"),
+    ])
+    assert code == 1
+    assert "contains '#'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(tmp_path):
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
@@ -226,6 +239,30 @@ def test_import_rejects_corrupt_files(tmp_path):
     bad = tmp_path / "bad.lgx"
     bad.write_text("#lgx\t1\n#entries\tnope\n", encoding="utf-8")
     assert main(["import", str(bad)]) == 1
+
+
+def _rename_entry(tmp_path, old, new):
+    base = _compile(tmp_path)
+    text = base.read_text(encoding="utf-8")
+    assert f"entry\t{old}\n" in text
+    base.write_text(text.replace(f"entry\t{old}\n", f"entry\t{new}\n"), encoding="utf-8")
+    return base
+
+
+def test_import_rejects_malformed_entry_id(tmp_path, capsys):
+    base = _rename_entry(tmp_path, "PAC#2", "weird")
+    capsys.readouterr()
+    assert main(["import", str(base)]) == 1
+    assert "malformed entry id 'weird'" in capsys.readouterr().err
+    assert _extend(tmp_path, base)[0] == 1
+
+
+def test_import_rejects_duplicate_entry_id(tmp_path, capsys):
+    base = _rename_entry(tmp_path, "ADVPS#2", "ADVPS#1")
+    capsys.readouterr()
+    assert main(["import", str(base)]) == 1
+    assert "duplicate entry id 'ADVPS#1'" in capsys.readouterr().err
+    assert _extend(tmp_path, base)[0] == 1
 
 
 # =============================================================================

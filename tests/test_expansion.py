@@ -1,17 +1,27 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 
 import pytest
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.errors import LexgramError
-from lexgram.expansion import PassConfig, expand_entry, run_pipeline
-from lexgram.lexicon import Origin, PASS_ORDER
+from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
+from lexgram.formats import LexiconDocument, export_text
+from lexgram.lexicon import Origin, PASS_ORDER, generate_base
+from lexgram.script import parse_script
+from lexgram.tables import parse_table
 
 
 def _by_id(entries):
     return {e.entry_id: e for e in entries}
+
+
+def _expand(entry):
+    """Expand one entry through its own plan; returns (parent, records)."""
+    plan = build_plan(load_fixture_script(), entry.table_id, tuple(entry.components))
+    return expand_entry(entry, plan, rules=load_fixture_morpho())
 
 
 def _fixture_pipeline(config=PassConfig()):
@@ -32,7 +42,7 @@ def test_pass_config_parse_rejects_unknown_names():
 def test_expand_entry_orders_by_pass_then_rule():
     doc = compile_corpus()
     particulierement = _by_id(doc.entries)["ADVMS#2"]
-    records = expand_entry(particulierement, load_fixture_script(), rules=load_fixture_morpho())
+    _, records = _expand(particulierement)
     got = [(r.entry.entry_id, r.entry.surface.rendered) for r in records]
     assert got == [
         ("ADVMS#2#para#1", "en particulier"),
@@ -44,26 +54,30 @@ def test_expand_entry_orders_by_pass_then_rule():
 
 def test_expand_entry_mirrors_records_to_parent():
     doc = compile_corpus()
-    parent = _by_id(doc.entries)["PCDC#1"]
-    records = expand_entry(parent, load_fixture_script(), rules=load_fixture_morpho())
+    base = _by_id(doc.entries)["PCDC#1"]
+    internal_before = list(base.internal_structures)
+    parent, records = _expand(base)
     assert [r.kind for r in records] == [Origin.DELETION]
     label, surface = parent.other_structures[0]
     assert label == "Prép1 Det1 C1"
     assert surface.rendered == "jusqu'à la fin"
     assert "Prép1 Det1 C1" in parent.internal_structures
+    # the input entry is left as it was
+    assert base.other_structures == [] and base.paraphrases == [] and base.intensified == []
+    assert base.internal_structures == internal_before
 
 
 def test_expand_entry_refuses_generated_input():
     doc = compile_corpus()
-    records = expand_entry(doc.entries[0], load_fixture_script(), rules=load_fixture_morpho())
+    _, records = _expand(doc.entries[0])
     with pytest.raises(LexgramError):
-        expand_entry(records[0].entry, load_fixture_script())
+        _expand(records[0].entry)
 
 
 def test_variants_inherit_category_arguments_and_features():
     doc = compile_corpus()
     sincerement = _by_id(doc.entries)["ADVMP#2"]
-    records = expand_entry(sincerement, load_fixture_script(), rules=load_fixture_morpho())
+    _, records = _expand(sincerement)
     for record in records:
         variant = record.entry
         assert variant.category == sincerement.category
@@ -75,7 +89,7 @@ def test_variants_inherit_category_arguments_and_features():
 def test_deletion_tokens_are_a_subsequence_of_the_base():
     doc = compile_corpus()
     parent = _by_id(doc.entries)["PCDC#1"]
-    records = expand_entry(parent, load_fixture_script(), rules=load_fixture_morpho())
+    _, records = _expand(parent)
     base_tokens = list(parent.surface.tokens)
     variant_tokens = list(records[0].entry.surface.tokens)
     it = iter(base_tokens)
@@ -85,7 +99,7 @@ def test_deletion_tokens_are_a_subsequence_of_the_base():
 def test_permutation_keeps_the_token_multiset():
     doc = compile_corpus()
     parent = _by_id(doc.entries)["PCA#7"]
-    records = expand_entry(parent, load_fixture_script(), rules=load_fixture_morpho())
+    _, records = _expand(parent)
     variant = records[0].entry
     assert collections.Counter(variant.surface.tokens) == collections.Counter(parent.surface.tokens)
     assert variant.surface.rendered == "ces derniers temps"
@@ -93,12 +107,13 @@ def test_permutation_keeps_the_token_multiset():
 
 def test_intensification_prefixes_the_base():
     doc = compile_corpus()
-    parent = _by_id(doc.entries)["ADVMS#3"]
-    records = expand_entry(parent, load_fixture_script(), rules=load_fixture_morpho())
+    base = _by_id(doc.entries)["ADVMS#3"]
+    parent, records = _expand(base)
     intensified = [r.entry for r in records if r.kind is Origin.INTENSIFICATION]
     assert len(intensified) == 1
-    assert intensified[0].surface.tokens[1:] == parent.surface.tokens
+    assert intensified[0].surface.tokens[1:] == base.surface.tokens
     assert parent.intensified and parent.intensified[0].rendered == "tout doucement"
+    assert base.intensified == [] and base.paraphrases == []
 
 
 def test_run_pipeline_fixture_counts():
@@ -149,3 +164,30 @@ def test_run_pipeline_duplicate_records_mark_the_survivor():
     assert statuses["ADVPS#2#para#1"] == ("duplicate", "PC#2")
     kept = [r for r in result.records if r.status == "kept"]
     assert len(kept) == 32 - 5
+
+
+def test_run_pipeline_is_pure():
+    doc = compile_corpus()
+    before = export_text(doc)
+    script, morpho = load_fixture_script(), load_fixture_morpho()
+
+    def extended_text():
+        result = run_pipeline(doc.entries, script, rules=morpho)
+        return export_text(LexiconDocument(result.entries, doc.table_ids, doc.script_source))
+
+    first = extended_text()
+    assert extended_text() == first
+    assert len(first) == 30867
+    assert export_text(doc) == before
+
+
+def test_plan_is_per_table_and_component_slots():
+    # One table id, two component slot orders: "C1 Adj" keeps the order of
+    # "Prép1 C1 Adj" (a deletion) but reorders "Prép1 Adj C1" (a permutation).
+    script = parse_script('T : "F" => substructure(C1 Adj) "@<ENT>C1@ @<ENT>Adj@"\n')
+    in_order = parse_table("<ENT>Prép1\t<ENT>C1\t<ENT>Adj\tF\nà\tfin\tbon\t+\n", "T")
+    reordered = parse_table("<ENT>Prép1\t<ENT>Adj\t<ENT>C1\tF\nen\tplein\tjour\t+\n", "T")
+    second = dataclasses.replace(generate_base(reordered, script)[0], entry_id="T#2")
+    result = run_pipeline(generate_base(in_order, script) + [second], script)
+    got = {r.parent_id: (r.kind, r.entry.surface.rendered) for r in result.records}
+    assert got == {"T#1": (Origin.DELETION, "fin bon"), "T#2": (Origin.PERMUTATION, "jour plein")}

@@ -183,6 +183,25 @@ def test_xml_rejects_tampered_script(corpus_doc):
         import_xml(bad)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("<component slot=", "<component sloth="),
+    ("<aux column=", "<aux col="),
+    ("<feature id=", "<feature name="),
+    (' value="+"', ' val="+"'),
+    (' value="+"', ' value="x"'),
+    ("<table id=", "<table name="),
+    ("<other-structure label=", "<other-structure lab="),
+    ('<entry id="PAC#2"', '<entry id="weird"'),
+    ('<entry id="ADVPS#2"', '<entry id="ADVPS#1"'),
+    ('<entry id="ADVMS#2#para#1"', '<entry id="ADVMS#2#int#9"'),
+])
+def test_xml_rejects_missing_attributes_and_bad_values(old, new):
+    text = export_xml(_extended_corpus()[0])
+    assert old in text
+    with pytest.raises(SchemaViolation):
+        import_xml(text.replace(old, new, 1))
+
+
 # =============================================================================
 # front door and file helpers
 # =============================================================================

@@ -13,6 +13,7 @@ from lexgram.lexicon import (
     derive_arguments,
     entry_id,
     generate_base,
+    parse_entry_id,
     structure_template,
 )
 from lexgram.script import parse_script
@@ -22,6 +23,19 @@ from lexgram.tables import parse_table
 def test_entry_id_formats():
     assert entry_id("PCA", 3) == "PCA#3"
     assert entry_id("PCA", 3, "perm", 1) == "PCA#3#perm#1"
+
+
+def test_parse_entry_id_inverts_entry_id():
+    assert parse_entry_id("PCA#3") == ("PCA", 3, None, None)
+    assert parse_entry_id("PCA#3#perm#12") == ("PCA", 3, "perm", 12)
+    assert parse_entry_id(entry_id("PCA", 2, "int", 1)) == ("PCA", 2, "int", 1)
+
+
+@pytest.mark.parametrize("text", ["weird", "PCA", "PCA#", "PCA#0", "PCA#x", "#3", "PCA#3#perm",
+                                  "PCA#3#shuffle#1", "PCA#3#perm#0", "PCA#03", "PCA#3 ", "A#B#1"])
+def test_parse_entry_id_rejects_malformed_ids(text):
+    with pytest.raises(ValueError):
+        parse_entry_id(text)
 
 
 def test_provenance_guards_parent_consistency():
@@ -144,9 +158,10 @@ def test_sort_rank_orders_base_before_variants():
     base = doc.entries[0]
     assert base.sort_rank()[0] == 0
     script = load_fixture_script()
-    from lexgram import expand_entry
+    from lexgram.expansion import build_plan, expand_entry
 
-    records = expand_entry(doc.entries[5], script)  # ADVPF#1 has one paraphrase
+    entry = doc.entries[5]  # ADVPF#1 has one paraphrase
+    _, records = expand_entry(entry, build_plan(script, entry.table_id, tuple(entry.components)))
     assert records
     variant = records[0].entry
     assert variant.sort_rank()[0] == 1
