@@ -8,16 +8,18 @@ ends with the three labeled sections (Lexical information, Arguments,
 Constructions).  ``<E>`` stands for an empty value.
 
 The XML format (``.lgx.xml``) carries the same content; importing either
-format reproduces the document exactly.
+format reproduces the document exactly.  XML export refuses a field holding
+a character XML 1.0 cannot carry.
 """
 
 from __future__ import annotations
 
 import hashlib
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+from xml.parsers import expat
 
 from .errors import SchemaViolation, UnknownFormatVersion
 from .expansion import ExpansionRecord
@@ -314,171 +316,443 @@ def import_text(text: str) -> LexiconDocument:
 # =============================================================================
 # XML format
 # =============================================================================
+#
+# The writer lays the document out one element per line, indented two
+# spaces per level, with ``<tag attrs />`` for an element that has neither
+# children nor text: the layout of ElementTree's ``indent``, so that a
+# lexicon keeps the bytes earlier releases wrote.  The reader is a single
+# expat pass that builds each entry when its ``</entry>`` closes; it never
+# holds an element tree.
 
-def _surface_element(parent: ET.Element, tag: str, surface: SurfaceForm, **attrs: str) -> ET.Element:
-    element = ET.SubElement(parent, tag, {**attrs, "rendered": surface.rendered})
-    for token in surface.tokens:
-        ET.SubElement(element, "token").text = token
-    return element
+_XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
+
+# Characters outside XML 1.0's Char production: no escape can carry them.
+_XML_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
-def _element_surface(element: ET.Element) -> SurfaceForm:
-    if "rendered" not in element.attrib:
-        raise SchemaViolation(f"<{element.tag}> element lacks a rendered attribute")
-    tokens = tuple(token.text or "" for token in element.findall("token"))
-    return SurfaceForm(tokens, element.attrib["rendered"])
+def _xml_text(text: str) -> str:
+    """Escape element text; a raw ``\\r`` would be read back as ``\\n``."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    return text
+
+
+def _xml_attr(text: str) -> str:
+    """Escape an attribute value; raw whitespace other than spaces would be
+    read back as spaces."""
+    text = _xml_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
+def _xml_leaf(indent: str, tag: str, text: str, attrs: str = "") -> str:
+    if text:
+        return f"{indent}<{tag}{attrs}>{_xml_text(text)}</{tag}>"
+    return f"{indent}<{tag}{attrs} />"
+
+
+def _xml_element(lines: list[str], indent: str, tag: str, children: list[str], attrs: str = "") -> None:
+    if children:
+        lines.append(f"{indent}<{tag}{attrs}>")
+        lines.extend(children)
+        lines.append(f"{indent}</{tag}>")
+    else:
+        lines.append(f"{indent}<{tag}{attrs} />")
+
+
+def _xml_surface(lines: list[str], indent: str, tag: str, surface: SurfaceForm, attrs: str = "") -> None:
+    inner = indent + "  "
+    tokens = [_xml_leaf(inner, "token", token) for token in surface.tokens]
+    _xml_element(lines, indent, tag, tokens, f'{attrs} rendered="{_xml_attr(surface.rendered)}"')
+
+
+def _xml_entry(entry: LexEntry) -> str:
+    p = entry.provenance
+    prov = f'kind="{p.kind.value}"'
+    if p.parent is not None:
+        prov += f' parent="{_xml_attr(p.parent)}"'
+    if p.feature_id is not None:
+        prov += f' feature="{_xml_attr(p.feature_id)}"'
+    if p.template is not None:
+        prov += f' template="{_xml_attr(p.template)}"'
+    lines = [
+        f'    <entry id="{_xml_attr(entry.entry_id)}" table="{_xml_attr(entry.table_id)}">',
+        f"      <provenance {prov} />",
+    ]
+    _xml_surface(lines, "      ", "surface", entry.surface)
+    lexical = [
+        _xml_leaf("        ", "component", text, f' slot="{_xml_attr(slot)}"')
+        for slot, text in entry.components.items()
+    ]
+    lexical.extend(
+        _xml_leaf("        ", "aux", text, f' column="{_xml_attr(column)}"')
+        for column, text in entry.aux.items()
+    )
+    for surface in entry.paraphrases:
+        _xml_surface(lexical, "        ", "paraphrase", surface)
+    for label, surface in entry.other_structures:
+        _xml_surface(lexical, "        ", "other-structure", surface, f' label="{_xml_attr(label)}"')
+    for surface in entry.intensified:
+        _xml_surface(lexical, "        ", "intensified", surface)
+    _xml_element(lines, "      ", "lexical-information", lexical, f' category="{_xml_attr(entry.category)}"')
+    _xml_element(lines, "      ", "arguments", [
+        f'        <argument slot="{_xml_attr(a.slot)}" selection="{a.selection.value}" />'
+        for a in entry.arguments
+    ])
+    constructions = [_xml_leaf("        ", "construction", cid) for cid in entry.construction_ids]
+    constructions.extend(
+        _xml_leaf("        ", "internal-structure", label) for label in entry.internal_structures
+    )
+    _xml_element(lines, "      ", "constructions", constructions)
+    _xml_element(lines, "      ", "features", [
+        f'        <feature id="{_xml_attr(fid)}" value="{"+" if value else "-"}" />'
+        for fid, value in entry.binary_features.items()
+    ])
+    refs = [_xml_leaf("        ", "cross-ref", ref) for ref in entry.cross_refs]
+    _xml_element(lines, "      ", "cross-refs", refs)
+    lines.append("    </entry>")
+    return "\n".join(lines)
+
+
+def _xml_writable(block: str, where: str) -> str:
+    bad = _XML_UNWRITABLE.search(block)
+    if bad is not None:
+        raise SchemaViolation(f"{where} holds U+{ord(bad.group()):04X}, which XML 1.0 cannot carry")
+    return block
 
 
 def export_xml(doc: LexiconDocument) -> str:
-    root = ET.Element("lexicon", {
-        "version": str(doc.version),
-        "generator": doc.generator,
-        "script-sha256": doc.script_sha256,
-    })
-    tables = ET.SubElement(root, "tables")
-    for table_id in doc.table_ids:
-        ET.SubElement(tables, "table", {"id": table_id})
-    ET.SubElement(root, "script").text = doc.script_source
-    entries = ET.SubElement(root, "entries", {"count": str(len(doc.entries))})
-    for entry in doc.entries:
-        node = ET.SubElement(entries, "entry", {"id": entry.entry_id, "table": entry.table_id})
-        p = entry.provenance
-        prov_attrs = {"kind": p.kind.value}
-        if p.parent is not None:
-            prov_attrs["parent"] = p.parent
-        if p.feature_id is not None:
-            prov_attrs["feature"] = p.feature_id
-        if p.template is not None:
-            prov_attrs["template"] = p.template
-        ET.SubElement(node, "provenance", prov_attrs)
-        _surface_element(node, "surface", entry.surface)
-        lexical = ET.SubElement(node, "lexical-information", {"category": entry.category})
-        for slot, text in entry.components.items():
-            ET.SubElement(lexical, "component", {"slot": slot}).text = text
-        for column, text in entry.aux.items():
-            ET.SubElement(lexical, "aux", {"column": column}).text = text
-        for surface in entry.paraphrases:
-            _surface_element(lexical, "paraphrase", surface)
-        for label, surface in entry.other_structures:
-            _surface_element(lexical, "other-structure", surface, label=label)
-        for surface in entry.intensified:
-            _surface_element(lexical, "intensified", surface)
-        arguments = ET.SubElement(node, "arguments")
-        for spec in entry.arguments:
-            ET.SubElement(arguments, "argument", {"slot": spec.slot, "selection": spec.selection.value})
-        constructions = ET.SubElement(node, "constructions")
-        for cid in entry.construction_ids:
-            ET.SubElement(constructions, "construction").text = cid
-        for label in entry.internal_structures:
-            ET.SubElement(constructions, "internal-structure").text = label
-        features = ET.SubElement(node, "features")
-        for fid, value in entry.binary_features.items():
-            ET.SubElement(features, "feature", {"id": fid, "value": "+" if value else "-"})
-        refs = ET.SubElement(node, "cross-refs")
-        for ref in entry.cross_refs:
-            ET.SubElement(refs, "cross-ref").text = ref
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True) + "\n"
+    """Serialize *doc*.  Raises SchemaViolation, naming the entry, for a
+    character XML 1.0 cannot carry: a control character other than tab,
+    newline and carriage return, a lone surrogate, U+FFFE or U+FFFF."""
+    script = _xml_writable(_xml_leaf("  ", "script", doc.script_source), "the embedded script")
+    head = [
+        _XML_DECLARATION,
+        f'<lexicon version="{_xml_attr(str(doc.version))}" generator="{_xml_attr(doc.generator)}" '
+        f'script-sha256="{doc.script_sha256}">',
+    ]
+    _xml_element(head, "  ", "tables", [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids])
+    head.append(script)
+    if doc.entries:
+        head.append(f'  <entries count="{len(doc.entries)}">')
+        tail = "  </entries>\n</lexicon>\n"
+    else:
+        tail = '  <entries count="0" />\n</lexicon>\n'
+    blocks = [_xml_writable("\n".join(head), "the document header")]
+    blocks.extend(_xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") for entry in doc.entries)
+    blocks.append(tail)
+    return "\n".join(blocks)
 
 
 _FEATURE_VALUES = {"+": True, "-": False}
 
+# (context of the parent element, tag) -> (context of the element, name of
+# the reader method its start tag calls, name of the one its end tag
+# calls).  An element whose pair is absent is skipped with everything
+# inside it, so only the paths of the schema are read.
+_XML_STEPS = {
+    ("lexicon", "tables"): ("tables", None, None),
+    ("tables", "table"): ("table", "_start_table", None),
+    ("lexicon", "script"): ("script", "_start_script", "_end_script"),
+    ("lexicon", "entries"): ("entries", "_start_entries", None),
+    ("entries", "entry"): ("entry", "_start_entry", "_end_entry"),
+    ("entry", "provenance"): ("provenance", "_start_provenance", None),
+    ("entry", "surface"): ("surface", "_start_surface", "_end_surface"),
+    ("entry", "lexical-information"): ("lexical-information", "_start_lexical", None),
+    ("entry", "arguments"): ("arguments", None, None),
+    ("entry", "constructions"): ("constructions", None, None),
+    ("entry", "features"): ("features", None, None),
+    ("entry", "cross-refs"): ("cross-refs", None, None),
+    ("surface", "token"): ("token", "_capture", "_end_token"),
+    ("lexical-information", "component"): ("component", "_start_component", "_end_component"),
+    ("lexical-information", "aux"): ("aux", "_start_aux", "_end_aux"),
+    ("lexical-information", "paraphrase"): ("paraphrase", "_begin_surface", "_end_paraphrase"),
+    ("lexical-information", "other-structure"): (
+        "other-structure", "_start_other_structure", "_end_other_structure",
+    ),
+    ("lexical-information", "intensified"): ("intensified", "_begin_surface", "_end_intensified"),
+    ("paraphrase", "token"): ("token", "_capture", "_end_token"),
+    ("other-structure", "token"): ("token", "_capture", "_end_token"),
+    ("intensified", "token"): ("token", "_capture", "_end_token"),
+    ("arguments", "argument"): ("argument", "_start_argument", None),
+    ("constructions", "construction"): ("construction", "_capture", "_end_construction"),
+    ("constructions", "internal-structure"): ("internal-structure", "_capture", "_end_internal_structure"),
+    ("features", "feature"): ("feature", "_start_feature", None),
+    ("cross-refs", "cross-ref"): ("cross-ref", "_capture", "_end_cross_ref"),
+}
 
-def _xml_entry(node: ET.Element) -> LexEntry:
-    for attr in ("id", "table"):
-        if attr not in node.attrib:
-            raise SchemaViolation(f"<entry> element lacks the {attr!r} attribute")
-    entry_id = node.attrib["id"]
-    prov_node = node.find("provenance")
-    surface_node = node.find("surface")
-    lexical = node.find("lexical-information")
-    if prov_node is None or surface_node is None or lexical is None:
-        raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
-    try:
-        provenance = Provenance(
-            Origin(prov_node.attrib["kind"]),
-            prov_node.attrib.get("parent"),
-            prov_node.attrib.get("feature"),
-            prov_node.attrib.get("template"),
-        )
-    except (KeyError, ValueError) as err:
-        raise SchemaViolation(f"bad provenance: {err}") from None
-    try:
-        arguments = [
-            ArgumentSpec(a.attrib["slot"], Selection(a.attrib["selection"]))
-            for a in node.findall("arguments/argument")
-        ]
-    except (KeyError, ValueError) as err:
-        raise SchemaViolation(f"bad argument: {err}") from None
-    try:
-        components = {c.attrib["slot"]: c.text or "" for c in lexical.findall("component")}
-        aux = {c.attrib["column"]: c.text or "" for c in lexical.findall("aux")}
-        other_structures = [
-            (s.attrib["label"], _element_surface(s)) for s in lexical.findall("other-structure")
-        ]
-        features = {
-            f.attrib["id"]: _FEATURE_VALUES[f.attrib["value"]]
-            for f in node.findall("features/feature")
+_XML_SKIPPED = (None, None, None)
+
+
+class _XmlReader:
+    """expat handlers that build a :class:`LexiconDocument` in one pass.
+
+    ``_stack`` holds the step of each open element, ``_XML_SKIPPED`` for
+    one that is skipped.  Character data is collected only from the start
+    tag of a text element to its first child or its end tag.  The fields of
+    the open entry collect in ``_fields`` under :class:`LexEntry`'s keyword
+    names.  Where only the first of several elements counts (``script``,
+    and an entry's ``provenance``, ``surface`` and
+    ``lexical-information``), the later ones are skipped.
+    """
+
+    def __init__(self) -> None:
+        parser = expat.ParserCreate(namespace_separator="}")
+        parser.buffer_text = True
+        parser.StartElementHandler = self._start_root
+        parser.EndElementHandler = self._end
+        parser.SkippedEntityHandler = self._skipped_entity
+        self._parser = parser
+        self._steps = {
+            key: (context, start and getattr(self, start), end and getattr(self, end))
+            for key, (context, start, end) in _XML_STEPS.items()
         }
-    except KeyError as err:
-        raise SchemaViolation(
-            f"entry {entry_id!r}: missing attribute or feature value not '+'/'-': {err}"
-        ) from None
-    return LexEntry(
-        entry_id=entry_id,
-        table_id=node.attrib["table"],
-        category=lexical.attrib.get("category", ""),
-        surface=_element_surface(surface_node),
-        components=components,
-        aux=aux,
-        paraphrases=[_element_surface(s) for s in lexical.findall("paraphrase")],
-        other_structures=other_structures,
-        intensified=[_element_surface(s) for s in lexical.findall("intensified")],
-        arguments=arguments,
-        construction_ids=[c.text or "" for c in node.findall("constructions/construction")],
-        internal_structures=[c.text or "" for c in node.findall("constructions/internal-structure")],
-        binary_features=features,
-        provenance=provenance,
-        cross_refs=[r.text or "" for r in node.findall("cross-refs/cross-ref")],
-    )
+        self._stack: list[tuple] = []
+        self._chunks: list[str] = []
+        self._generator = GENERATOR
+        self._declared_sha = ""
+        self._declared_count: int | None = None
+        self._script: str | None = None
+        self._table_ids: list[str] = []
+        self._entries: list[LexEntry] = []
+        self._fields: dict = {}
+        self._key = ""  # slot or column of the open component or aux
+        self._label = ""  # of the open other-structure
+        self._rendered = ""  # of the open surface
+        self._tokens: list[str] = []  # of the open surface
+
+    def read(self, text: str) -> LexiconDocument:
+        try:
+            self._parser.Parse(text, True)
+        except expat.ExpatError as err:
+            raise SchemaViolation(f"not well-formed XML: {err}") from None
+        except UnicodeEncodeError as err:  # a lone surrogate in the text
+            raise SchemaViolation(f"not well-formed XML: {err}") from None
+        entries = self._entries
+        if self._declared_count is None:
+            raise SchemaViolation("document has no <entries count> (truncated file?)")
+        if self._declared_count != len(entries):
+            raise SchemaViolation(
+                f"entry count mismatch: document says {self._declared_count}, found {len(entries)}"
+            )
+        doc = LexiconDocument(
+            entries, tuple(self._table_ids), self._script or "", FORMAT_VERSION, self._generator,
+        )
+        if doc.script_sha256 != self._declared_sha:
+            raise SchemaViolation("script hash mismatch (document edited or corrupted)")
+        _check_entry_ids(entries)
+        return doc
+
+    # --- dispatch --------------------------------------------------------------
+
+    def _start_root(self, tag: str, attrs: dict[str, str]) -> None:
+        if tag != "lexicon":
+            raise SchemaViolation(f"unexpected root element <{tag}>")
+        version = attrs.get("version")
+        if version != str(FORMAT_VERSION):
+            raise UnknownFormatVersion(f"unsupported format version {version!r}")
+        if "script-sha256" not in attrs:
+            raise SchemaViolation("<lexicon> element lacks the 'script-sha256' attribute")
+        self._declared_sha = attrs["script-sha256"]
+        self._generator = attrs.get("generator", GENERATOR)
+        self._stack.append(("lexicon", None, None))
+        self._parser.StartElementHandler = self._start
+
+    def _start(self, tag: str, attrs: dict[str, str]) -> None:
+        stack = self._stack
+        step = self._steps.get((stack[-1][0], tag))
+        if step is None:
+            # An element's text is what precedes its first child, as in
+            # ElementTree: a child ends the capture of a text element.
+            self._parser.CharacterDataHandler = None
+            stack.append(_XML_SKIPPED)
+            return
+        stack.append(step)
+        if step[1] is not None:
+            step[1](attrs)
+
+    def _end(self, tag: str) -> None:
+        on_end = self._stack.pop()[2]
+        if on_end is not None:
+            on_end()
+
+    def _skip(self) -> None:
+        self._stack[-1] = _XML_SKIPPED
+
+    def _capture(self, attrs: dict[str, str] | None = None) -> None:
+        self._parser.CharacterDataHandler = self._chunks.append
+
+    def _text(self) -> str:
+        self._parser.CharacterDataHandler = None
+        text = "".join(self._chunks)
+        self._chunks.clear()
+        return text
+
+    def _skipped_entity(self, name: str, is_parameter_entity: bool) -> None:
+        raise SchemaViolation(f"undefined entity &{name};")
+
+    def _missing(self, name: str) -> SchemaViolation:
+        return SchemaViolation(
+            f"entry {self._fields['entry_id']!r}: "
+            f"<{self._stack[-1][0]}> element lacks the {name!r} attribute"
+        )
+
+    # --- document level ----------------------------------------------------------
+
+    def _start_table(self, attrs: dict[str, str]) -> None:
+        if "id" not in attrs:
+            raise SchemaViolation("<table> element lacks the 'id' attribute")
+        self._table_ids.append(attrs["id"])
+
+    def _start_script(self, attrs: dict[str, str]) -> None:
+        if self._script is not None:
+            return self._skip()
+        self._capture()
+
+    def _end_script(self) -> None:
+        self._script = self._text()
+
+    def _start_entries(self, attrs: dict[str, str]) -> None:
+        if self._declared_count is not None:
+            return
+        if "count" not in attrs:
+            raise SchemaViolation("<entries> element lacks the 'count' attribute")
+        try:
+            self._declared_count = int(attrs["count"])
+        except ValueError:
+            raise SchemaViolation(f"bad entry count {attrs['count']!r}") from None
+
+    # --- entries -----------------------------------------------------------------
+
+    def _start_entry(self, attrs: dict[str, str]) -> None:
+        for name in ("id", "table"):
+            if name not in attrs:
+                raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
+        self._fields = {
+            "entry_id": attrs["id"], "table_id": attrs["table"], "components": {}, "aux": {},
+            "paraphrases": [], "other_structures": [], "intensified": [], "arguments": [],
+            "construction_ids": [], "internal_structures": [], "binary_features": {},
+            "cross_refs": [],
+        }
+
+    def _end_entry(self) -> None:
+        fields = self._fields
+        if "provenance" not in fields or "surface" not in fields or "category" not in fields:
+            raise SchemaViolation(f"entry {fields['entry_id']!r} is missing a required element")
+        self._entries.append(LexEntry(**fields))
+
+    def _start_provenance(self, attrs: dict[str, str]) -> None:
+        if "provenance" in self._fields:
+            return self._skip()
+        try:
+            self._fields["provenance"] = Provenance(
+                Origin(attrs["kind"]), attrs.get("parent"), attrs.get("feature"), attrs.get("template"),
+            )
+        except (KeyError, ValueError) as err:
+            raise SchemaViolation(f"bad provenance: {err}") from None
+
+    def _start_lexical(self, attrs: dict[str, str]) -> None:
+        if "category" in self._fields:
+            return self._skip()
+        self._fields["category"] = attrs.get("category", "")
+
+    def _start_component(self, attrs: dict[str, str]) -> None:
+        if "slot" not in attrs:
+            raise self._missing("slot")
+        self._key = attrs["slot"]
+        self._capture()
+
+    def _end_component(self) -> None:
+        self._fields["components"][self._key] = self._text()
+
+    def _start_aux(self, attrs: dict[str, str]) -> None:
+        if "column" not in attrs:
+            raise self._missing("column")
+        self._key = attrs["column"]
+        self._capture()
+
+    def _end_aux(self) -> None:
+        self._fields["aux"][self._key] = self._text()
+
+    def _start_argument(self, attrs: dict[str, str]) -> None:
+        try:
+            self._fields["arguments"].append(ArgumentSpec(attrs["slot"], Selection(attrs["selection"])))
+        except (KeyError, ValueError) as err:
+            raise SchemaViolation(f"bad argument: {err}") from None
+
+    def _start_feature(self, attrs: dict[str, str]) -> None:
+        for name in ("id", "value"):
+            if name not in attrs:
+                raise self._missing(name)
+        value = attrs["value"]
+        if value not in _FEATURE_VALUES:
+            raise SchemaViolation(
+                f"entry {self._fields['entry_id']!r}: feature value {value!r} is not '+' or '-'"
+            )
+        self._fields["binary_features"][attrs["id"]] = _FEATURE_VALUES[value]
+
+    def _end_construction(self) -> None:
+        self._fields["construction_ids"].append(self._text())
+
+    def _end_internal_structure(self) -> None:
+        self._fields["internal_structures"].append(self._text())
+
+    def _end_cross_ref(self) -> None:
+        self._fields["cross_refs"].append(self._text())
+
+    # --- surfaces: the entry's own, paraphrases, other structures, intensified ---
+
+    def _begin_surface(self, attrs: dict[str, str]) -> None:
+        if "rendered" not in attrs:
+            raise self._missing("rendered")
+        self._rendered = attrs["rendered"]
+        self._tokens = []
+
+    def _surface(self) -> SurfaceForm:
+        return SurfaceForm(tuple(self._tokens), self._rendered)
+
+    def _start_surface(self, attrs: dict[str, str]) -> None:
+        if "surface" in self._fields:
+            return self._skip()
+        self._begin_surface(attrs)
+
+    def _end_surface(self) -> None:
+        self._fields["surface"] = self._surface()
+
+    def _start_other_structure(self, attrs: dict[str, str]) -> None:
+        if "label" not in attrs:
+            raise self._missing("label")
+        self._label = attrs["label"]
+        self._begin_surface(attrs)
+
+    def _end_token(self) -> None:
+        self._tokens.append(self._text())
+
+    def _end_paraphrase(self) -> None:
+        self._fields["paraphrases"].append(self._surface())
+
+    def _end_other_structure(self) -> None:
+        self._fields["other_structures"].append((self._label, self._surface()))
+
+    def _end_intensified(self) -> None:
+        self._fields["intensified"].append(self._surface())
 
 
 def import_xml(text: str) -> LexiconDocument:
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as err:
-        raise SchemaViolation(f"not well-formed XML: {err}") from None
-    if root.tag != "lexicon":
-        raise SchemaViolation(f"unexpected root element <{root.tag}>")
-    version = root.attrib.get("version")
-    if version != str(FORMAT_VERSION):
-        raise UnknownFormatVersion(f"unsupported format version {version!r}")
-    script_node = root.find("script")
-    script_source = script_node.text or "" if script_node is not None else ""
-    declared_sha = root.attrib.get("script-sha256")
-    try:
-        table_ids = tuple(t.attrib["id"] for t in root.findall("tables/table"))
-    except KeyError:
-        raise SchemaViolation("<table> element lacks the 'id' attribute") from None
-    entries = [_xml_entry(node) for node in root.findall("entries/entry")]
-    entries_node = root.find("entries")
-    if entries_node is not None and "count" in entries_node.attrib:
-        try:
-            declared = int(entries_node.attrib["count"])
-        except ValueError:
-            raise SchemaViolation(f"bad entry count {entries_node.attrib['count']!r}") from None
-        if declared != len(entries):
-            raise SchemaViolation(
-                f"entry count mismatch: document says {declared}, found {len(entries)}"
-            )
-    doc = LexiconDocument(
-        entries, table_ids, script_source, FORMAT_VERSION, root.attrib.get("generator", GENERATOR),
-    )
-    if declared_sha is not None and doc.script_sha256 != declared_sha:
-        raise SchemaViolation("script hash mismatch (document edited or corrupted)")
-    _check_entry_ids(entries)
-    return doc
+    """Parse an ``.lgx.xml`` document; raises SchemaViolation (or its
+    subclass UnknownFormatVersion) for any document it cannot read."""
+    return _XmlReader().read(text)
 
 
 # =============================================================================
@@ -506,7 +780,11 @@ def import_lexicon(text: str, format: str | None = None) -> LexiconDocument:
 
 
 def load_lexicon(path: str | Path) -> LexiconDocument:
-    return import_lexicon(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaViolation(f"not UTF-8 text: {err}", source=str(path)) from None
+    return import_lexicon(text)
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:

@@ -3,10 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from lexgram import LexiconDocument, generate_base, load_class_matrix, load_table, resolve_features
 from lexgram.realizer import MorphoRules, load_morpho_rules
 from lexgram.script import ExtractionScript, load_script
+
+# Property tests draw the same examples on every run, and a bounded number
+# of them, so a failure reproduces and the suite stays fast.
+settings.register_profile("lexgram", derandomize=True, deadline=None, max_examples=100, database=None)
+settings.load_profile("lexgram")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

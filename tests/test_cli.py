@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import FIXTURES, TABLE_IDS
 from lexgram.cli import main, parse_symbols
 from lexgram.errors import LexgramError
 from lexgram.formats import load_lexicon, parse_records
+from test_formats import mutate
 
 
 def _table_args():
@@ -239,6 +246,49 @@ def test_import_rejects_corrupt_files(tmp_path):
     bad = tmp_path / "bad.lgx"
     bad.write_text("#lgx\t1\n#entries\tnope\n", encoding="utf-8")
     assert main(["import", str(bad)]) == 1
+
+
+def _run_cli(*args):
+    """Run ``lexgram`` in a fresh interpreter, as a user would."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, "-m", "lexgram.cli", *args], capture_output=True, text=True, env=env,
+    )
+
+
+def _cut_first_multibyte_char(data: bytes) -> bytes:
+    i = next(i for i, byte in enumerate(data) if byte >= 0x80)
+    return data[:i] + data[i + 1:]
+
+
+def _mutate_seeded(data: bytes) -> bytes:
+    return mutate(data, random.Random(4))
+
+
+@pytest.mark.parametrize("damage", [_cut_first_multibyte_char, _mutate_seeded], ids=["bad-utf8", "seeded"])
+def test_import_of_a_mutated_xml_file_exits_cleanly(tmp_path, damage):
+    base = _compile(tmp_path)
+    xml = tmp_path / "base.lgx.xml"
+    assert main(["export", str(base), "--format", "xml", "-o", str(xml)]) == 0
+    xml.write_bytes(damage(xml.read_bytes()))
+    run = _run_cli("import", str(xml))
+    assert run.returncode in (0, 1), run.stderr
+    assert "Traceback" not in run.stderr
+    assert (run.returncode == 1) == run.stderr.startswith("lexgram: error: ")
+
+
+def test_export_refuses_characters_xml_cannot_carry(tmp_path, capsys):
+    base = _compile(tmp_path)
+    text = base.read_text(encoding="utf-8")
+    old = "component\tC1\tavenir\n"
+    assert old in text
+    base.write_text(text.replace(old, "component\tC1\tave\x0cnir\n", 1), encoding="utf-8")
+    target = tmp_path / "out.lgx.xml"
+    capsys.readouterr()
+    assert main(["export", str(base), "--format", "xml", "-o", str(target)]) == 1
+    assert "U+000C" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def _rename_entry(tmp_path, old, new):

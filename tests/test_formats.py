@@ -1,9 +1,16 @@
 from __future__ import annotations
 
-import pytest
+import hashlib
+import random
+import re
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import xml_reference
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
-from lexgram.errors import SchemaViolation, UnknownFormatVersion
+from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
     RECORD_COLUMNS,
@@ -22,6 +29,8 @@ from lexgram.formats import (
     parse_records,
     save_lexicon,
 )
+from lexgram.lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, entry_id
+from lexgram.realizer import SurfaceForm
 
 
 def _extended_corpus():
@@ -37,6 +46,95 @@ def _docs_equal(a: LexiconDocument, b: LexiconDocument) -> bool:
         and a.table_ids == b.table_ids
         and a.script_source == b.script_source
     )
+
+
+# =============================================================================
+# pinned bytes
+# =============================================================================
+
+@pytest.mark.parametrize("build, xml_sha256, text_sha256", [
+    pytest.param(
+        compile_corpus,
+        "d935beff5a9288a0922a14caf3a5803045955c594f3752034fce337e9ae31541",
+        "85f37939ca0138abf0111a43ee1750dceffe3a153d8f2468ab65df5da8dffcaf",
+        id="base",
+    ),
+    pytest.param(
+        lambda: _extended_corpus()[0],
+        "aed0b04abdd23db09627549d08b51b5cf1b3737a3bce865beb55224ac67f3616",
+        "546753791d64794f78f34f6c04c5cdd75882b48b3dd2ff99c2519d98977f76ef",
+        id="extended",
+    ),
+])
+def test_export_bytes_are_pinned(build, xml_sha256, text_sha256):
+    doc = build()
+    assert hashlib.sha256(export_xml(doc).encode("utf-8")).hexdigest() == xml_sha256
+    assert hashlib.sha256(export_text(doc).encode("utf-8")).hexdigest() == text_sha256
+
+
+# =============================================================================
+# generated documents
+# =============================================================================
+
+# Field text for the XML properties.  The safe alphabet holds the
+# characters either escape function treats apart (markup, quotes,
+# whitespace) and letters of one, two, three and four UTF-8 bytes.  The
+# others add what XML cannot carry raw: a carriage return, which a parser
+# reads back as a newline, and characters outside XML 1.0's Char production.
+_XML_SAFE = "&<>\"' \t\n#;aZé€𝄞"
+_XML_SAFE_TEXT = st.text(st.sampled_from(_XML_SAFE), max_size=5)
+_XML_CR_TEXT = st.text(st.sampled_from(_XML_SAFE + "\r"), max_size=5)
+_XML_ANY_TEXT = st.text(st.sampled_from(_XML_SAFE + "\r\x00\x0b\x0c\x1f\ud800\ufffe\uffff"), max_size=5)
+
+
+@st.composite
+def _documents(draw, text):
+    surfaces = st.builds(SurfaceForm, st.lists(text, max_size=3).map(tuple), text)
+    arguments = st.builds(ArgumentSpec, text, st.sampled_from(Selection))
+    entries = []
+    for row in range(1, draw(st.integers(0, 4)) + 1):
+        table_id = draw(text).replace("#", "") or "T"
+        kind = draw(st.sampled_from(Origin))
+        if kind is Origin.BASE:
+            eid, parent = entry_id(table_id, row), None
+        else:
+            eid, parent = entry_id(table_id, row, PASS_TAGS[kind], 1), draw(text)
+        entries.append(LexEntry(
+            entry_id=eid,
+            table_id=table_id,
+            category=draw(text),
+            surface=draw(surfaces),
+            components=draw(st.dictionaries(text, text, max_size=3)),
+            aux=draw(st.dictionaries(text, text, max_size=2)),
+            paraphrases=draw(st.lists(surfaces, max_size=2)),
+            other_structures=draw(st.lists(st.tuples(text, surfaces), max_size=2)),
+            intensified=draw(st.lists(surfaces, max_size=1)),
+            arguments=draw(st.lists(arguments, max_size=2)),
+            construction_ids=draw(st.lists(text, max_size=2)),
+            internal_structures=draw(st.lists(text, max_size=2)),
+            binary_features=draw(st.dictionaries(text, st.booleans(), max_size=3)),
+            provenance=Provenance(kind, parent, draw(st.none() | text), draw(st.none() | text)),
+            cross_refs=draw(st.lists(text, max_size=2)),
+        ))
+    return LexiconDocument(
+        entries, tuple(draw(st.lists(text, max_size=3))), draw(text), generator=draw(text),
+    )
+
+
+@given(_documents(_XML_SAFE_TEXT))
+def test_xml_matches_the_elementtree_reference(doc):
+    text = export_xml(doc)
+    assert text == xml_reference.export_xml(doc)
+    assert import_xml(text) == xml_reference.import_xml(text)
+
+
+@given(st.one_of(_documents(_XML_CR_TEXT), _documents(_XML_ANY_TEXT)))
+def test_xml_export_round_trips_or_refuses(doc):
+    try:
+        text = export_xml(doc)
+    except LexgramError:
+        return
+    assert import_xml(text) == doc
 
 
 # =============================================================================
@@ -169,6 +267,19 @@ def test_xml_rejects_future_version():
         import_xml("<lexicon version='9'><entries count='0'/></lexicon>")
 
 
+def test_xml_rejects_undefined_entities(corpus_doc):
+    # With an external DTD, expat leaves an undeclared entity to the
+    # reader instead of failing the parse.
+    text = export_xml(corpus_doc).replace(
+        "<lexicon ", '<!DOCTYPE lexicon SYSTEM "lexicon.dtd">\n<lexicon ', 1,
+    ).replace("<tables>", "<tables><note>&undeclared;</note>", 1)
+    with pytest.raises(SchemaViolation) as err:
+        import_xml(text)
+    assert "undeclared" in str(err.value)
+    with pytest.raises(SchemaViolation):
+        xml_reference.import_xml(text)
+
+
 def test_xml_rejects_count_mismatch(corpus_doc):
     text = export_xml(corpus_doc)
     bad = text.replace(f'count="{len(corpus_doc.entries)}"', 'count="3"', 1)
@@ -200,6 +311,110 @@ def test_xml_rejects_missing_attributes_and_bad_values(old, new):
     assert old in text
     with pytest.raises(SchemaViolation):
         import_xml(text.replace(old, new, 1))
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x0c", "\x1f", "\ud800", "\uffff"])
+def test_xml_export_refuses_characters_xml_cannot_carry(corpus_doc, char):
+    corpus_doc.entries[3].components["C1"] = f"a{char}b"
+    with pytest.raises(SchemaViolation) as err:
+        export_xml(corpus_doc)
+    assert repr(corpus_doc.entries[3].entry_id) in str(err.value)
+
+
+def test_xml_keeps_carriage_returns(corpus_doc):
+    corpus_doc.entries[3].components["C1"] = "a\rb\r\n"
+    corpus_doc.entries[3].cross_refs.append("\r")
+    text = export_xml(corpus_doc)
+    assert "a&#13;b&#13;\n" in text
+    assert import_xml(text) == corpus_doc
+
+
+@pytest.mark.parametrize("pattern, replacement", [
+    (r' count="\d+"', ""),
+    (r' script-sha256="[0-9a-f]+"', ""),
+    (r' script-sha256="[0-9a-f]+"', ' script-sha256=""'),
+    (r"  <entries count=\"0\" />\n", ""),
+], ids=["count", "hash", "empty-hash", "entries-element"])
+def test_xml_requires_count_and_hash(pattern, replacement):
+    doc = LexiconDocument([], ("T",), "# empty script")
+    text = export_xml(doc)
+    assert import_xml(text) == doc
+    stripped, replaced = re.subn(pattern, replacement, text, count=1)
+    assert replaced == 1
+    with pytest.raises(SchemaViolation):
+        import_xml(stripped)
+
+
+@pytest.mark.parametrize("old, new", [
+    # text is what precedes an element's first child
+    ("<token>linguistiquement</token>", "<token>linguistiquement<b>x</b>tail</token>"),
+    # the first script, provenance, surface and lexical-information count
+    ("</script>", '</script>\n  <script>other</script>'),
+    ('<provenance kind="base" />', '<provenance kind="base" />\n<provenance kind="deletion" parent="X" />'),
+    ("      </surface>", '      </surface>\n<surface rendered="zz"><token>zz</token></surface>'),
+    ("      </lexical-information>",
+     '      </lexical-information>\n<lexical-information category="z"><aux column="Z">z</aux></lexical-information>'),
+    # elements off the schema's paths are skipped with their contents
+    ("<cross-refs />", '<cross-refs /><component slot="C9">z</component><note>z</note>'),
+    ("<token>linguistiquement</token>", '<token>linguistiquement</token><x:token xmlns:x="urn:x">z</x:token>'),
+    ("<token>linguistiquement</token>", '<token>linguistiquement</token><token xmlns="urn:x">z</token>'),
+    ('<entries count="31">', '<note><entries count="1"><entry id="Z#1" table="Z" /></entries></note><entries count="31">'),
+    # entries are read from every <entries>, the count from the first
+    ('    <entry id="ADVMP#2"', '  </entries>\n  <entries count="9">\n    <entry id="ADVMP#2"'),
+])
+def test_xml_reads_the_paths_the_reference_reads(corpus_doc, old, new):
+    text = export_xml(corpus_doc)
+    assert old in text
+    edited = text.replace(old, new, 1)
+    assert import_xml(edited) == xml_reference.import_xml(edited) == corpus_doc
+
+
+def test_xml_applies_attribute_defaults_as_the_reference_does(corpus_doc):
+    text = export_xml(corpus_doc).replace(
+        "<lexicon ", '<!DOCTYPE lexicon [<!ATTLIST provenance template CDATA "T">]>\n<lexicon ', 1,
+    )
+    doc = import_xml(text)
+    assert doc == xml_reference.import_xml(text)
+    assert {entry.provenance.template for entry in doc.entries} == {"T"}
+
+
+_FIXTURE_XML = export_xml(compile_corpus()).encode("utf-8")
+
+# Bytes a mutation writes: markup and entity characters, two control
+# characters and any printable ASCII byte.
+_MUTATION_BYTES = b"<>&;#\"'/=+- \n\x00\x0c" + bytes(range(32, 127))
+
+
+def mutate(data: bytes, rng: random.Random) -> bytes:
+    """Delete, replace or insert one to four bytes of *data* at positions drawn from *rng*."""
+    for _ in range(rng.randint(1, 4)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.choice(("delete", "replace", "insert"))
+        byte = bytes([rng.choice(_MUTATION_BYTES)])
+        if op == "delete":
+            data = data[:i] + data[i + 1:]
+        elif op == "replace":
+            data = data[:i] + byte + data[i + 1:]
+        else:
+            data = data[:i] + byte + data[i:]
+    return data
+
+
+# A seed, not hypothesis's own random, drives the mutations: hypothesis
+# favours small integers, which would put most edits in the header.
+@given(st.integers(0, 2**32))
+def test_xml_import_of_mutated_bytes_reads_or_raises_schema_errors(seed):
+    text = mutate(_FIXTURE_XML, random.Random(seed)).decode("utf-8", errors="surrogateescape")
+    try:
+        doc = import_xml(text)
+    except LexgramError:
+        return
+    assert doc == xml_reference.import_xml(text)
+
+
+def test_xml_import_rejects_unencodable_text():
+    with pytest.raises(SchemaViolation):
+        import_xml(_FIXTURE_XML.decode("utf-8").replace("<tables>", "<tables>\udc80", 1))
 
 
 # =============================================================================
