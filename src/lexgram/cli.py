@@ -16,11 +16,12 @@ violation.  All outputs are byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
 from .curation import curate, review_report
-from .errors import InternalInvariantError, LexgramError
+from .errors import InternalInvariantError, LexgramError, read_text
 from .expansion import PassConfig, run_pipeline
 from .formats import (
     LexiconDocument,
@@ -54,7 +55,7 @@ def parse_symbols(text: str) -> dict[str, str]:
 def _load_symbols(path: str | None):
     if path is None:
         return DEFAULT_SYMBOLS
-    return parse_symbols(Path(path).read_text(encoding="utf-8"))
+    return parse_symbols(read_text(path))
 
 
 def _load_morpho(path: str | None):
@@ -68,7 +69,7 @@ def _load_morpho(path: str | None):
 # =============================================================================
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    script_text = Path(args.script).read_text(encoding="utf-8")
+    script_text = read_text(args.script)
     script = parse_script(script_text, source=str(args.script))
     matrix = load_class_matrix(args.classes)
     morpho = _load_morpho(args.morpho)
@@ -129,7 +130,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
-    rows = parse_records(Path(args.records).read_text(encoding="utf-8"))
+    rows = parse_records(read_text(args.records))
     report = recompute_stats(doc.entries, rows)
     sys.stdout.write(render_stats(report))
     return 0
@@ -216,6 +217,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: list[str] | None = None) -> int:
+    """Run one subcommand with the cyclic garbage collector off.
+
+    A lexicon document is acyclic (slotted dataclasses, tuples, dicts and
+    strings), so reference counting frees all of it; the collector would
+    only traverse the growing lexicon again and again while it is read or
+    built.  The collector's state is restored on the way out, so a caller
+    that runs several commands in one process keeps its own policy.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,9 +5,13 @@ Every error raised while reading user-supplied input derives from
 so the command line tool can print ``file:line: message`` diagnostics.
 :class:`InternalInvariantError` is reserved for bugs: conditions the code
 asserts about its own output (it maps to a distinct process exit code).
+:func:`read_text` is the one reader of user files: bytes that are not UTF-8
+raise a :class:`SchemaViolation` naming the file.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 
 class LexgramError(Exception):
@@ -116,6 +120,14 @@ class SchemaViolation(LexgramError):
 
 class UnknownFormatVersion(SchemaViolation):
     pass
+
+
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file at ``path``, newlines translated."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaViolation(f"not UTF-8 text: {err}", source=str(path)) from None
 
 
 # --- internal ---------------------------------------------------------------

@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .curation import DuplicateRecord, curate
-from .errors import LexgramError
+from .errors import InternalInvariantError, LexgramError
 from .issues import ValidationIssue
 from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
-from .stats import StatsReport, check_final_count, compute_stats
+from .stats import StatsReport, compute_stats
 from .tables import parse_structure_label
 
 # =============================================================================
@@ -253,5 +253,9 @@ def run_pipeline(
 
     removed = sum(len(dup.removed) for dup in duplicates)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)
-    check_final_count(stats, len(survivors), "the pipeline output")
+    if stats.final != len(survivors):  # the count identity; a mismatch is a bug
+        raise InternalInvariantError(
+            f"stats identity violated: report says {stats.final} final entries, "
+            f"the pipeline output holds {len(survivors)}"
+        )
     return PipelineResult(survivors, records, stats, duplicates, issues)

@@ -15,13 +15,14 @@ a character XML 1.0 cannot carry.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 from xml.parsers import expat
 
-from .errors import SchemaViolation, UnknownFormatVersion
+from .errors import SchemaViolation, UnknownFormatVersion, read_text
 from .expansion import ExpansionRecord
 from .lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, parse_entry_id
 from .realizer import SurfaceForm
@@ -87,13 +88,16 @@ def _surface_fields(surface: SurfaceForm) -> str:
     return f"{_sent(surface.rendered)}\t{_sent(' '.join(surface.tokens))}"
 
 
-def _read_surface(fields: list[str]) -> SurfaceForm:
-    if len(fields) != 2:
-        raise SchemaViolation(f"malformed surface fields: {fields!r}")
-    return SurfaceForm(tuple(_unsent(fields[1]).split()), _unsent(fields[0]))
+# What no field can hold: tab and newline separate fields and lines, and a
+# file read with newline translation turns a carriage return into a newline.
+_TEXT_BREAKS = {"\t": "tab", "\n": "newline", "\r": "carriage return"}
 
 
-def _entry_block(entry: LexEntry) -> list[str]:
+def _unwritable(where: str, char: str) -> SchemaViolation:
+    return SchemaViolation(f"{where} holds a {_TEXT_BREAKS[char]}, which the text format cannot carry")
+
+
+def _entry_block(entry: LexEntry) -> str:
     p = entry.provenance
     lines = [
         f"entry\t{entry.entry_id}",
@@ -119,10 +123,38 @@ def _entry_block(entry: LexEntry) -> list[str]:
     lines.append(SECTION_CONSTRUCTIONS)
     lines.extend(f"construction\t{cid}" for cid in entry.construction_ids)
     lines.extend(f"internal-structure\t{label}" for label in entry.internal_structures)
-    return lines
+    block = "\n".join(lines)
+    # The separators the layout writes: 9 on the entry, table, provenance,
+    # surface and category lines, and 1, 2 or 3 on each repeated line.  A
+    # field holding a tab or a newline adds one.
+    tabs = 9 + (
+        len(entry.cross_refs) + len(entry.construction_ids) + len(entry.internal_structures)
+        + 2 * (len(entry.binary_features) + len(entry.components) + len(entry.aux)
+               + len(entry.paraphrases) + len(entry.intensified) + len(entry.arguments))
+        + 3 * len(entry.other_structures)
+    )
+    if "\r" in block:
+        raise _unwritable(f"entry {entry.entry_id!r}", "\r")
+    if block.count("\n") != len(lines) - 1:
+        raise _unwritable(f"entry {entry.entry_id!r}", "\n")
+    if block.count("\t") != tabs:
+        raise _unwritable(f"entry {entry.entry_id!r}", "\t")
+    return block
 
 
 def export_text(doc: LexiconDocument) -> str:
+    """Serialize *doc*.  Raises SchemaViolation, naming the entry, for a
+    field holding a tab, a newline or a carriage return; the embedded
+    script and the generator may hold tabs, and the script newlines."""
+    if "\r" in doc.script_source:
+        raise _unwritable("the embedded script", "\r")
+    for char in "\n\r":
+        if char in doc.generator:
+            raise _unwritable("the generator", char)
+    for table_id in doc.table_ids:
+        for char in _TEXT_BREAKS:
+            if char in table_id:
+                raise _unwritable(f"table id {table_id!r}", char)
     lines = [
         f"#lgx\t{doc.version}",
         f"#generator\t{doc.generator}",
@@ -133,30 +165,54 @@ def export_text(doc: LexiconDocument) -> str:
     lines.extend(f"#|{line}" for line in doc.script_source.split("\n"))
     lines.append("#script-end")
     lines.append(f"#entries\t{len(doc.entries)}")
-    for entry in doc.entries:
-        lines.append("")
-        lines.extend(_entry_block(entry))
-    return "\n".join(lines) + "\n"
+    blocks = ["\n".join(lines)]
+    blocks.extend(_entry_block(entry) for entry in doc.entries)
+    return "\n\n".join(blocks) + "\n"
 
 
-def _parse_provenance(fields: list[str]) -> Provenance:
-    if len(fields) != 4:
-        raise SchemaViolation(f"malformed provenance fields: {fields!r}")
+_ORIGINS = {origin.value: origin for origin in Origin}
+_SELECTIONS = {selection.value: selection for selection in Selection}
+_FEATURE_VALUES = {"+": True, "-": False}
+_SECTIONS = frozenset((SECTION_LEXICAL, SECTION_ARGUMENTS, SECTION_CONSTRUCTIONS))
+
+
+def _malformed(line: str) -> SchemaViolation:
+    return SchemaViolation(f"malformed line: {line!r}")
+
+
+def _read_surface(fields: list[str]) -> SurfaceForm:
+    """The surface on a line split at tabs: keyword or label, rendered form, tokens."""
+    if len(fields) != 3:
+        raise SchemaViolation(f"malformed surface fields: {fields[1:]!r}")
+    return SurfaceForm(tuple(_unsent(fields[2]).split()), _unsent(fields[1]))
+
+
+def _read_provenance(fields: list[str]) -> Provenance:
+    if len(fields) != 5:
+        raise SchemaViolation(f"malformed provenance fields: {fields[1:]!r}")
+    kind = _ORIGINS.get(fields[1])
+    if kind is None:
+        raise SchemaViolation(f"unknown provenance kind {fields[1]!r}")
     try:
-        kind = Origin(fields[0])
-    except ValueError:
-        raise SchemaViolation(f"unknown provenance kind {fields[0]!r}") from None
-    parent, feature_id, template = (_unsent(f) or None for f in fields[1:])
-    try:
-        return Provenance(kind, parent, feature_id, template)
+        return Provenance(
+            kind, _unsent(fields[2]) or None, _unsent(fields[3]) or None, _unsent(fields[4]) or None,
+        )
     except ValueError as err:
         raise SchemaViolation(str(err)) from None
 
 
-def _parse_entry_block(block: list[str]) -> LexEntry:
-    values: dict[str, object] = {
-        "entry": None, "table": None, "category": None, "provenance": None, "surface": None,
-    }
+def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
+    """The entries of a text lexicon's body, read in one pass.
+
+    Each line dispatches on its keyword, the most frequent first.  A blank
+    or whitespace-only line ends the open block, so *lines* must end with
+    one.  Of repeated single-valued lines (entry, table, provenance,
+    surface, category) and of repeated feature, component and aux keys, the
+    last wins.
+    """
+    entries: list[LexEntry] = []
+    in_block = False
+    entry_id = table_id = category = provenance = surface = None
     components: dict[str, str] = {}
     aux: dict[str, str] = {}
     features: dict[str, bool] = {}
@@ -167,75 +223,97 @@ def _parse_entry_block(block: list[str]) -> LexEntry:
     constructions: list[str] = []
     internal: list[str] = []
     cross_refs: list[str] = []
-
-    def need(fields: list[str], count: int, line: str) -> list[str]:
-        if len(fields) != count:
-            raise SchemaViolation(f"malformed line: {line!r}")
-        return fields
-
-    for line in block:
-        if line in (SECTION_LEXICAL, SECTION_ARGUMENTS, SECTION_CONSTRUCTIONS):
-            continue
-        keyword, *fields = line.split("\t")
-        if keyword in ("entry", "table", "category"):
-            values[keyword] = need(fields, 1, line)[0]
-        elif keyword == "provenance":
-            values[keyword] = _parse_provenance(fields)
-        elif keyword == "surface":
-            values[keyword] = _read_surface(fields)
-        elif keyword == "feature":
-            need(fields, 2, line)
-            if fields[1] not in ("+", "-"):
+    for line in lines:
+        fields = line.split("\t")
+        keyword = fields[0]
+        if keyword == "feature":
+            if len(fields) != 3:
+                raise _malformed(line)
+            value = _FEATURE_VALUES.get(fields[2])
+            if value is None:
                 raise SchemaViolation(f"malformed feature line: {line!r}")
-            features[fields[0]] = fields[1] == "+"
+            features[fields[1]] = value
         elif keyword == "component":
-            need(fields, 2, line)
-            components[fields[0]] = _unsent(fields[1])
-        elif keyword == "aux":
-            need(fields, 2, line)
-            aux[fields[0]] = _unsent(fields[1])
+            if len(fields) != 3:
+                raise _malformed(line)
+            text = fields[2]
+            components[fields[1]] = "" if text == EMPTY_TOKEN else text
+        elif keyword == "internal-structure":
+            if len(fields) != 2:
+                raise _malformed(line)
+            internal.append(fields[1])
+        elif keyword == "construction":
+            if len(fields) != 2:
+                raise _malformed(line)
+            constructions.append(fields[1])
+        elif keyword == "entry":
+            if len(fields) != 2:
+                raise _malformed(line)
+            entry_id = fields[1]
+        elif keyword == "table":
+            if len(fields) != 2:
+                raise _malformed(line)
+            table_id = fields[1]
+        elif keyword == "provenance":
+            provenance = _read_provenance(fields)
+        elif keyword == "surface":
+            surface = _read_surface(fields)
+        elif keyword == "category":
+            if len(fields) != 2:
+                raise _malformed(line)
+            category = fields[1]
         elif keyword == "paraphrase":
             paraphrases.append(_read_surface(fields))
         elif keyword == "other-structure":
-            need(fields, 3, line)
-            other_structures.append((fields[0], _read_surface(fields[1:])))
+            if len(fields) != 4:
+                raise _malformed(line)
+            other_structures.append((fields[1], _read_surface(fields[1:])))
+        elif keyword == "argument":
+            if len(fields) != 3:
+                raise _malformed(line)
+            selection = _SELECTIONS.get(fields[2])
+            if selection is None:
+                raise SchemaViolation(f"malformed argument line: {line!r}")
+            arguments.append(ArgumentSpec(fields[1], selection))
+        elif keyword == "aux":
+            if len(fields) != 3:
+                raise _malformed(line)
+            text = fields[2]
+            aux[fields[1]] = "" if text == EMPTY_TOKEN else text
         elif keyword == "intensified":
             intensified.append(_read_surface(fields))
-        elif keyword == "argument":
-            need(fields, 2, line)
-            try:
-                arguments.append(ArgumentSpec(fields[0], Selection(fields[1])))
-            except ValueError:
-                raise SchemaViolation(f"malformed argument line: {line!r}") from None
-        elif keyword == "construction":
-            constructions.append(need(fields, 1, line)[0])
-        elif keyword == "internal-structure":
-            internal.append(need(fields, 1, line)[0])
         elif keyword == "cross-ref":
-            cross_refs.append(need(fields, 1, line)[0])
+            if len(fields) != 2:
+                raise _malformed(line)
+            cross_refs.append(fields[1])
+        elif line in _SECTIONS:
+            pass
+        elif not line or line.isspace():
+            if not in_block:
+                continue
+            if entry_id is None or table_id is None or category is None or provenance is None or surface is None:
+                missing = [
+                    name for name, value in (
+                        ("entry", entry_id), ("table", table_id), ("category", category),
+                        ("provenance", provenance), ("surface", surface),
+                    ) if value is None
+                ]
+                raise SchemaViolation(f"entry block missing {', '.join(missing)}")
+            entries.append(LexEntry(
+                entry_id, table_id, category, surface, components, aux, paraphrases,
+                other_structures, intensified, arguments, constructions, internal, features,
+                provenance, cross_refs,
+            ))
+            in_block = False
+            entry_id = table_id = category = provenance = surface = None
+            components, aux, features = {}, {}, {}
+            paraphrases, other_structures, intensified, arguments = [], [], [], []
+            constructions, internal, cross_refs = [], [], []
+            continue
         else:
             raise SchemaViolation(f"unknown line keyword {keyword!r}")
-
-    missing = [k for k, v in values.items() if v is None]
-    if missing:
-        raise SchemaViolation(f"entry block missing {', '.join(missing)}")
-    return LexEntry(
-        entry_id=values["entry"],
-        table_id=values["table"],
-        category=values["category"],
-        surface=values["surface"],
-        components=components,
-        aux=aux,
-        paraphrases=paraphrases,
-        other_structures=other_structures,
-        intensified=intensified,
-        arguments=arguments,
-        construction_ids=constructions,
-        internal_structures=internal,
-        binary_features=features,
-        provenance=values["provenance"],
-        cross_refs=cross_refs,
-    )
+        in_block = True
+    return entries
 
 
 def import_text(text: str) -> LexiconDocument:
@@ -289,19 +367,10 @@ def import_text(text: str) -> LexiconDocument:
     if script_lines is None or declared_sha is None or declared_count is None:
         raise SchemaViolation("incomplete header (script, hash or entry count missing)")
 
-    script_source = "\n".join(script_lines)
-    entries: list[LexEntry] = []
-    block: list[str] = []
-    for line in lines[i:]:
-        if line.strip():
-            block.append(line)
-        elif block:
-            entries.append(_parse_entry_block(block))
-            block = []
-    if block:
-        entries.append(_parse_entry_block(block))
-
-    doc = LexiconDocument(entries, table_ids, script_source, FORMAT_VERSION, generator)
+    if lines[-1]:
+        lines.append("")  # ends a last block that no blank line follows
+    entries = _read_entries(itertools.islice(lines, i, None))
+    doc = LexiconDocument(entries, table_ids, "\n".join(script_lines), FORMAT_VERSION, generator)
     if doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (file edited or corrupted)")
     if len(entries) != declared_count:
@@ -455,8 +524,6 @@ def export_xml(doc: LexiconDocument) -> str:
     return "\n".join(blocks)
 
 
-_FEATURE_VALUES = {"+": True, "-": False}
-
 # (context of the parent element, tag) -> (context of the element, name of
 # the reader method its start tag calls, name of the one its end tag
 # calls).  An element whose pair is absent is skipped with everything
@@ -515,7 +582,7 @@ class _XmlReader:
         parser.SkippedEntityHandler = self._skipped_entity
         self._parser = parser
         self._steps = {
-            key: (context, start and getattr(self, start), end and getattr(self, end))
+            key: (context, start and getattr(_XmlReader, start), end and getattr(_XmlReader, end))
             for key, (context, start, end) in _XML_STEPS.items()
         }
         self._stack: list[tuple] = []
@@ -539,6 +606,10 @@ class _XmlReader:
             raise SchemaViolation(f"not well-formed XML: {err}") from None
         except UnicodeEncodeError as err:  # a lone surrogate in the text
             raise SchemaViolation(f"not well-formed XML: {err}") from None
+        finally:
+            # The parser holds handlers bound to this reader; dropping it ends
+            # the cycle, so reference counting frees reader and document.
+            self._parser = None
         entries = self._entries
         if self._declared_count is None:
             raise SchemaViolation("document has no <entries count> (truncated file?)")
@@ -580,12 +651,12 @@ class _XmlReader:
             return
         stack.append(step)
         if step[1] is not None:
-            step[1](attrs)
+            step[1](self, attrs)
 
     def _end(self, tag: str) -> None:
         on_end = self._stack.pop()[2]
         if on_end is not None:
-            on_end()
+            on_end(self)
 
     def _skip(self) -> None:
         self._stack[-1] = _XML_SKIPPED
@@ -780,11 +851,7 @@ def import_lexicon(text: str, format: str | None = None) -> LexiconDocument:
 
 
 def load_lexicon(path: str | Path) -> LexiconDocument:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise SchemaViolation(f"not UTF-8 text: {err}", source=str(path)) from None
-    return import_lexicon(text)
+    return import_lexicon(read_text(path))
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:
@@ -799,6 +866,7 @@ def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = No
 # =============================================================================
 
 RECORD_COLUMNS = ("entry", "parent", "pass", "feature", "template", "surface", "status", "duplicate-of")
+RECORD_STATUSES = ("kept", "duplicate")
 
 
 @dataclass(frozen=True)
@@ -840,10 +908,11 @@ def parse_records(text: str) -> list[RecordRow]:
         fields = line.split("\t")
         if len(fields) != len(RECORD_COLUMNS):
             raise SchemaViolation(f"malformed record line: {line!r}")
-        try:
-            kind = Origin(fields[2])
-        except ValueError:
-            raise SchemaViolation(f"unknown pass kind {fields[2]!r}") from None
+        kind = _ORIGINS.get(fields[2])
+        if kind is None:
+            raise SchemaViolation(f"unknown pass kind {fields[2]!r}")
+        if fields[6] not in RECORD_STATUSES:
+            raise SchemaViolation(f"unknown record status {fields[6]!r}")
         rows.append(RecordRow(
             fields[0], _unsent(fields[1]), kind, _unsent(fields[3]),
             _unsent(fields[4]), _unsent(fields[5]), fields[6], _unsent(fields[7]),

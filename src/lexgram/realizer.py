@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken
+from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken, read_text
 from .script import Group, Literal, Placeholder, Symbolic, Template, parse_template
 
 # Symbol policy: how symbolic template tokens render.  Free nominal slots stay
@@ -93,7 +93,7 @@ def parse_morpho_rules(text: str) -> MorphoRules:
 
 
 def load_morpho_rules(path: str | Path) -> MorphoRules:
-    return parse_morpho_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_morpho_rules(read_text(path))
 
 
 # =============================================================================

@@ -28,6 +28,7 @@ from .errors import (
     NestedAlternation,
     ScriptSyntaxError,
     UnterminatedGroup,
+    read_text,
 )
 from .tables import ENT_PREFIX
 
@@ -324,6 +325,4 @@ def parse_script(
 
 
 def load_script(path) -> ExtractionScript:
-    from pathlib import Path
-    path = Path(path)
-    return parse_script(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_script(read_text(path), source=str(path))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .errors import InternalInvariantError, ZeroInitial
+from .errors import SchemaViolation, ZeroInitial
 from .lexicon import PASS_ORDER, LexEntry, Origin
 
 if TYPE_CHECKING:
@@ -55,19 +55,10 @@ def compute_stats(
     return StatsReport(initial, per_pass, duplicates_removed, rejected, final)
 
 
-def check_final_count(report: StatsReport, actual: int, holder: str) -> None:
-    """The count identity: the report's final count is the number of entries
-    ``holder`` actually holds.  A mismatch is a bug, not bad input."""
-    if report.final != actual:
-        raise InternalInvariantError(
-            f"stats identity violated: report says {report.final} final entries, "
-            f"{holder} holds {actual}"
-        )
-
-
 def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> StatsReport:
     """Rebuild an extension run's report from the extended lexicon and its
-    record sidecar, and check it against the lexicon's entry count.
+    record sidecar, and check it against the lexicon's entry count.  Both
+    are user files, so a mismatch is an input error (SchemaViolation).
 
     Every generated row counts as added to its pass; every ``duplicate`` row
     counts as removed.  A ``base`` row is a base entry removed as a duplicate,
@@ -85,7 +76,11 @@ def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> Stats
         added[row.kind] = added.get(row.kind, 0) + 1
     initial = sum(1 for e in entries if e.is_base) + removed_bases
     report = compute_stats(initial, added, duplicates_removed)
-    check_final_count(report, len(entries), "the lexicon")
+    if report.final != len(entries):
+        raise SchemaViolation(
+            f"record sidecar does not match the lexicon: the records give {report.final} "
+            f"final entries, the lexicon holds {len(entries)}"
+        )
     return report
 
 

@@ -33,6 +33,7 @@ from .errors import (
     UnknownCellToken,
     UnknownSlotSymbol,
     UnknownValueToken,
+    read_text,
 )
 from .issues import IssueKind, ValidationIssue
 
@@ -275,7 +276,7 @@ def serialize_table(table: LgTable) -> str:
 
 def load_table(path: str | Path) -> LgTable:
     path = Path(path)
-    return parse_table(path.read_text(encoding="utf-8"), path.stem, source=str(path))
+    return parse_table(read_text(path), path.stem, source=str(path))
 
 
 # =============================================================================
@@ -346,8 +347,7 @@ def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
 
 
 def load_class_matrix(path: str | Path) -> ClassMatrix:
-    path = Path(path)
-    return parse_class_matrix(path.read_text(encoding="utf-8"), source=str(path))
+    return parse_class_matrix(read_text(path), source=str(path))
 
 
 def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:

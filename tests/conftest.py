@@ -31,19 +31,20 @@ def load_fixture_morpho() -> MorphoRules:
     return load_morpho_rules(fixture_path("morpho.rules"))
 
 
-def compile_corpus() -> LexiconDocument:
-    """Build the base lexicon from the bundled corpus, one entry per row."""
-    script = load_fixture_script()
-    matrix = load_class_matrix(fixture_path("classes.lgm"))
+def compile_corpus(directory: Path = FIXTURES, table_ids: tuple[str, ...] = TABLE_IDS) -> LexiconDocument:
+    """Build the base lexicon from a corpus directory (the bundled one by
+    default), one entry per row, with the bundled morpho rules."""
+    script = load_script(directory / "extract.lgs")
+    matrix = load_class_matrix(directory / "classes.lgm")
     morpho = load_fixture_morpho()
     entries = []
-    for table_id in TABLE_IDS:
-        table = resolve_features(load_table(fixture_path(table_id + ".lgt")), matrix)
+    for table_id in table_ids:
+        table = resolve_features(load_table(directory / (table_id + ".lgt")), matrix)
         entries.extend(generate_base(table, script, rules=morpho))
     return LexiconDocument(
         entries=entries,
-        table_ids=TABLE_IDS,
-        script_source=fixture_path("extract.lgs").read_text(encoding="utf-8"),
+        table_ids=table_ids,
+        script_source=(directory / "extract.lgs").read_text(encoding="utf-8"),
     )
 
 

@@ -116,8 +116,9 @@ def _intensifier_template(rng: random.Random, structure: tuple[str, ...]) -> str
     return f"{head} @<ENT>{target}@"
 
 
-def generate(seed: int) -> dict[str, str]:
-    """Return {filename: content} for one synthetic corpus."""
+def generate(seed: int, row_range: tuple[int, int] = (2, 6)) -> dict[str, str]:
+    """Return {filename: content} for one synthetic corpus whose tables
+    hold between ``row_range[0]`` and ``row_range[1]`` rows each."""
     rng = random.Random(seed)
     n_tables = rng.randint(1, 3)
     table_ids = [f"GEN{i + 1}" for i in range(n_tables)]
@@ -138,7 +139,7 @@ def generate(seed: int) -> dict[str, str]:
 
     for tid in table_ids:
         structure = rng.choice(STRUCTURES)
-        n_rows = rng.randint(2, 6)
+        n_rows = rng.randint(*row_range)
         aux_cols = [name for name in AUX_NAMES if rng.random() < 0.5]
         n_feats = rng.randint(1, 4)
         feat_ids = [f"{tid} feat{i + 1}" for i in range(n_feats)]

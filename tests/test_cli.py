@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import random
 import subprocess
@@ -8,10 +9,27 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, TABLE_IDS
+import corpusgen
+import lexgram.cli
+from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho
 from lexgram.cli import main, parse_symbols
-from lexgram.errors import LexgramError
-from lexgram.formats import load_lexicon, parse_records
+from lexgram.curation import curate
+from lexgram.errors import InternalInvariantError, LexgramError
+from lexgram.expansion import run_pipeline
+from lexgram.formats import (
+    LexiconDocument,
+    export_records,
+    export_text,
+    export_xml,
+    import_text,
+    import_xml,
+    load_lexicon,
+    parse_records,
+)
+from lexgram.realizer import load_morpho_rules
+from lexgram.script import load_script
+from lexgram.stats import recompute_stats
+from lexgram.tables import load_class_matrix, load_table
 from test_formats import mutate
 
 
@@ -213,8 +231,19 @@ def test_stats_detects_tampered_sidecar(tmp_path, capsys):
     del lines[victim]
     records.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
-    assert main(["stats", str(out), "--records", str(records)]) == 2
-    assert "internal error" in capsys.readouterr().err
+    assert main(["stats", str(out), "--records", str(records)]) == 1
+    assert capsys.readouterr().err.startswith("lexgram: error: record sidecar does not match the lexicon")
+
+
+def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    text = records.read_text(encoding="utf-8")
+    assert "\tduplicate\t" in text
+    records.write_text(text.replace("\tduplicate\t", "\tdupe\t", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(out), "--records", str(records)]) == 1
+    assert "unknown record status 'dupe'" in capsys.readouterr().err
 
 
 # =============================================================================
@@ -291,6 +320,24 @@ def test_export_refuses_characters_xml_cannot_carry(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["export", "extend"])
+def test_text_output_refuses_field_breaks(tmp_path, capsys, command):
+    base = _compile(tmp_path)
+    xml = tmp_path / "base.lgx.xml"
+    assert main(["export", str(base), "--format", "xml", "-o", str(xml)]) == 0
+    text = xml.read_text(encoding="utf-8")
+    old = '<component slot="C1">avenir</component>'
+    assert old in text
+    xml.write_text(text.replace(old, '<component slot="C1">ave&#13;nir</component>', 1), encoding="utf-8")
+    target = tmp_path / "out.lgx"
+    records = tmp_path / "out.records.tsv"
+    extra = ["--records", str(records)] if command == "extend" else []
+    capsys.readouterr()
+    assert main([command, str(xml), "-o", str(target), *extra]) == 1
+    assert "holds a carriage return, which the text format cannot carry" in capsys.readouterr().err
+    assert not target.exists() and not records.exists()
+
+
 def _rename_entry(tmp_path, old, new):
     base = _compile(tmp_path)
     text = base.read_text(encoding="utf-8")
@@ -329,3 +376,110 @@ def test_parse_symbols_rejects_malformed_lines():
         parse_symbols("Poss2\n")
     with pytest.raises(LexgramError):
         parse_symbols("= leur\n")
+
+
+# =============================================================================
+# files that are not UTF-8
+# =============================================================================
+
+@pytest.mark.parametrize("load", [load_table, load_class_matrix, load_script, load_morpho_rules, load_lexicon])
+def test_loaders_reject_files_that_are_not_utf8(tmp_path, load):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xc3")
+    with pytest.raises(LexgramError, match="bad.txt: not UTF-8 text"):
+        load(bad)
+
+
+@pytest.mark.parametrize("option", ["--classes", "--script", "--morpho", "--symbols", "table"])
+def test_compile_rejects_input_files_that_are_not_utf8(tmp_path, capsys, option):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xc3")
+    options = {"--classes": FIXTURES / "classes.lgm", "--script": FIXTURES / "extract.lgs"}
+    tables = _table_args()
+    if option == "table":
+        tables = [str(bad)]
+    else:
+        options[option] = bad
+    argv = ["compile", *tables, "-o", str(tmp_path / "base.lgx")]
+    for name, path in options.items():
+        argv += [name, str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"lexgram: error: {bad}: not UTF-8 text")
+
+
+def test_stats_rejects_a_sidecar_that_is_not_utf8(tmp_path):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    records.write_bytes(b"\xc3")
+    run = _run_cli("stats", str(out), "--records", str(records))
+    assert run.returncode == 1
+    assert run.stderr == f"lexgram: error: {records}: not UTF-8 text: " \
+        "'utf-8' codec can't decode byte 0xc3 in position 0: unexpected end of data\n"
+
+
+# =============================================================================
+# the cyclic garbage collector
+# =============================================================================
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("case, code", [("ok", 0), ("input-error", 1), ("internal-error", 2), ("usage-error", 1)])
+def test_cli_runs_commands_with_the_collector_off_and_restores_it(tmp_path, monkeypatch, enabled, case, code):
+    base = _compile(tmp_path)
+    bad = tmp_path / "bad.lgx"
+    bad.write_text("#lgx\t1\n#entries\tnope\n", encoding="utf-8")
+    argv = {
+        "ok": ["validate", str(base)],
+        "input-error": ["validate", str(bad)],
+        "internal-error": ["validate", str(base)],
+        "usage-error": ["validate", "--frobnicate"],
+    }[case]
+    seen = []
+
+    def watched_curate(entries):
+        seen.append(gc.isenabled())
+        if case == "internal-error":
+            raise InternalInvariantError("planted")
+        return curate(entries)
+
+    monkeypatch.setattr(lexgram.cli, "curate", watched_curate)
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    assert seen == ([False] if case in ("ok", "internal-error") else [])
+
+
+def _unreachable_after_chain(directory: Path, table_ids: tuple[str, ...]) -> tuple[int, int]:
+    """Run the library chain over a corpus with the collector off: compile,
+    text round trip, extension, curation, stats recomputation, XML round
+    trip.  Return the base entry count and the number of objects in
+    unreachable cycles the chain leaves."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        doc = import_text(export_text(compile_corpus(directory, table_ids)))
+        result = run_pipeline(doc.entries, doc.script(), rules=load_fixture_morpho())
+        curate(result.entries)
+        recompute_stats(result.entries, parse_records(export_records(result.records)))
+        extended = LexiconDocument(result.entries, doc.table_ids, doc.script_source)
+        assert import_xml(export_xml(extended)) == extended
+        base_entries = len(doc.entries)
+        del doc, result, extended
+        return base_entries, gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_the_lexicon_chain_leaves_no_cycles_per_entry(tmp_path):
+    for name, content in corpusgen.generate(0, row_range=(400, 400)).items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    table_ids = tuple(sorted(path.stem for path in tmp_path.glob("*.lgt")))
+    fixture_entries, fixture_garbage = _unreachable_after_chain(FIXTURES, TABLE_IDS)
+    large_entries, large_garbage = _unreachable_after_chain(tmp_path, table_ids)
+    assert large_entries >= 10 * fixture_entries
+    assert large_garbage == fixture_garbage

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import text_reference
 import xml_reference
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
@@ -88,8 +89,13 @@ _XML_ANY_TEXT = st.text(st.sampled_from(_XML_SAFE + "\r\x00\x0b\x0c\x1f\ud800\uf
 
 
 @st.composite
-def _documents(draw, text):
-    surfaces = st.builds(SurfaceForm, st.lists(text, max_size=3).map(tuple), text)
+def _documents(draw, text, token=None, name=None):
+    """Documents whose fields are drawn from *text*, surface tokens from
+    *token* and optional provenance fields and table ids from *name*
+    (both *text* unless given)."""
+    token = text if token is None else token
+    name = text if name is None else name
+    surfaces = st.builds(SurfaceForm, st.lists(token, max_size=3).map(tuple), text)
     arguments = st.builds(ArgumentSpec, text, st.sampled_from(Selection))
     entries = []
     for row in range(1, draw(st.integers(0, 4)) + 1):
@@ -98,7 +104,7 @@ def _documents(draw, text):
         if kind is Origin.BASE:
             eid, parent = entry_id(table_id, row), None
         else:
-            eid, parent = entry_id(table_id, row, PASS_TAGS[kind], 1), draw(text)
+            eid, parent = entry_id(table_id, row, PASS_TAGS[kind], 1), draw(name)
         entries.append(LexEntry(
             entry_id=eid,
             table_id=table_id,
@@ -113,11 +119,11 @@ def _documents(draw, text):
             construction_ids=draw(st.lists(text, max_size=2)),
             internal_structures=draw(st.lists(text, max_size=2)),
             binary_features=draw(st.dictionaries(text, st.booleans(), max_size=3)),
-            provenance=Provenance(kind, parent, draw(st.none() | text), draw(st.none() | text)),
+            provenance=Provenance(kind, parent, draw(st.none() | name), draw(st.none() | name)),
             cross_refs=draw(st.lists(text, max_size=2)),
         ))
     return LexiconDocument(
-        entries, tuple(draw(st.lists(text, max_size=3))), draw(text), generator=draw(text),
+        entries, tuple(draw(st.lists(name, max_size=3))), draw(text), generator=draw(text),
     )
 
 
@@ -232,6 +238,99 @@ def test_text_rejects_malformed_feature_value(corpus_doc):
     bad = text.replace("feature\tN0 V Adv W\t+", "feature\tN0 V Adv W\t?", 1)
     with pytest.raises(SchemaViolation):
         import_text(bad)
+
+
+def _set_component(entry, text):
+    entry.components["C1"] = text
+
+
+def _set_token(entry, text):
+    entry.surface = SurfaceForm((*entry.surface.tokens, text), entry.surface.rendered)
+
+
+def _set_feature(entry, text):
+    entry.binary_features[text] = True
+
+
+def _set_template(entry, text):
+    entry.provenance = Provenance(Origin.DELETION, "PCA#1", "f", text)
+
+
+@pytest.mark.parametrize("edit", [_set_component, _set_token, _set_feature, _set_template])
+@pytest.mark.parametrize("char, name", [("\t", "tab"), ("\n", "newline"), ("\r", "carriage return")])
+def test_text_export_refuses_field_breaks(corpus_doc, edit, char, name):
+    entry = next(e for e in corpus_doc.entries if "C1" in e.components)
+    edit(entry, f"a{char}b")
+    with pytest.raises(SchemaViolation) as err:
+        export_text(corpus_doc)
+    assert str(err.value) == f"entry {entry.entry_id!r} holds a {name}, which the text format cannot carry"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("table_ids", ("PAC", "P\tC"), "table id 'P\\tC' holds a tab"),
+    ("table_ids", ("P\rAC",), "table id 'P\\rAC' holds a carriage return"),
+    ("generator", "lexgram\n0", "the generator holds a newline"),
+    ("script_source", "* : \"f\" => construction\r\n", "the embedded script holds a carriage return"),
+])
+def test_text_export_refuses_header_breaks(corpus_doc, field, value, message):
+    setattr(corpus_doc, field, value)
+    with pytest.raises(SchemaViolation, match=re.escape(message)):
+        export_text(corpus_doc)
+
+
+def test_text_export_keeps_tabs_in_generator_and_script(corpus_doc):
+    corpus_doc.generator = "lexgram\t0"
+    corpus_doc.script_source = "# a\tb\n" + corpus_doc.script_source
+    assert import_text(export_text(corpus_doc)) == corpus_doc
+
+
+# Field text for the text-format properties.  ``_TEXT_SAFE`` holds
+# whitespace other than the refused tab, newline and carriage return, the
+# sentinel ``<E>``'s characters, and letters of one to four UTF-8 bytes.
+_TEXT_SAFE = "<>E#+- \x0baé€𝄞"
+_TEXT_SAFE_TEXT = st.text(st.sampled_from(_TEXT_SAFE), max_size=5)
+
+
+def _read_outcome(reader, text: str):
+    """The document *reader* returns for *text*, or its error's class and message."""
+    try:
+        return reader(text)
+    except LexgramError as err:
+        return type(err), str(err)
+
+
+@given(_documents(_TEXT_SAFE_TEXT))
+def test_text_import_matches_the_reference(doc):
+    text = export_text(doc)
+    assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+
+
+# The text format reads back every document it writes, but for three
+# spellings it defines as the same: a field reading ``<E>`` and an empty
+# one, an empty and an absent provenance parent, feature or template, and
+# surface tokens and their whitespace-split join.  The documents here
+# avoid them (no ``E``, no empty names, tokens without whitespace) and may
+# hold characters the format refuses.
+_TEXT_PLAIN = "<>#+-aé€𝄞"
+_TEXT_BREAKS = "\t\n\r"
+
+
+def _text_documents(alphabet):
+    return _documents(
+        st.text(st.sampled_from(alphabet + " "), max_size=5),
+        token=st.text(st.sampled_from(alphabet), min_size=1, max_size=5),
+        name=st.text(st.sampled_from(alphabet + " "), min_size=1, max_size=5),
+    )
+
+
+@given(st.one_of(_text_documents(_TEXT_PLAIN), _text_documents(_TEXT_PLAIN + _TEXT_BREAKS)))
+def test_text_export_round_trips_or_refuses(doc):
+    try:
+        text = export_text(doc)
+    except LexgramError as err:
+        assert "which the text format cannot carry" in str(err)
+        return
+    assert import_text(text) == doc
 
 
 # =============================================================================
@@ -385,18 +484,20 @@ _FIXTURE_XML = export_xml(compile_corpus()).encode("utf-8")
 _MUTATION_BYTES = b"<>&;#\"'/=+- \n\x00\x0c" + bytes(range(32, 127))
 
 
-def mutate(data: bytes, rng: random.Random) -> bytes:
-    """Delete, replace or insert one to four bytes of *data* at positions drawn from *rng*."""
+def mutate(data, rng: random.Random, alphabet=_MUTATION_BYTES):
+    """Delete, replace or insert one to four bytes (or characters) of *data*
+    at positions drawn from *rng*, writing ones drawn from *alphabet*."""
     for _ in range(rng.randint(1, 4)):
         i = rng.randrange(len(data) + 1)
         op = rng.choice(("delete", "replace", "insert"))
-        byte = bytes([rng.choice(_MUTATION_BYTES)])
+        k = rng.randrange(len(alphabet))
+        piece = alphabet[k:k + 1]
         if op == "delete":
             data = data[:i] + data[i + 1:]
         elif op == "replace":
-            data = data[:i] + byte + data[i + 1:]
+            data = data[:i] + piece + data[i + 1:]
         else:
-            data = data[:i] + byte + data[i:]
+            data = data[:i] + piece + data[i:]
     return data
 
 
@@ -410,6 +511,50 @@ def test_xml_import_of_mutated_bytes_reads_or_raises_schema_errors(seed):
     except LexgramError:
         return
     assert doc == xml_reference.import_xml(text)
+
+
+_FIXTURE_TEXT = export_text(_extended_corpus()[0])
+
+# Characters a text mutation writes: the separators, other whitespace, the
+# header and sentinel characters, and any printable ASCII character.
+_TEXT_MUTATIONS = "\t\n\r\x0b#|<>E+-" + "".join(map(chr, range(32, 127)))
+
+
+@given(st.integers(0, 2**32))
+def test_text_import_of_mutated_text_matches_the_reference(seed):
+    text = mutate(_FIXTURE_TEXT, random.Random(seed), _TEXT_MUTATIONS)
+    assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+
+
+# Edits one- to four-character mutations rarely make.
+@pytest.mark.parametrize("old, new, count", [
+    pytest.param("\n\nentry\t", "\n \x0b\nentry\t", 1, id="whitespace-separator"),
+    pytest.param("\n\nentry\t", "\n\t\nentry\t", 1, id="tab-separator"),
+    pytest.param("\n\nentry\t", "\n\n\n\nentry\t", -1, id="blank-runs"),
+    pytest.param("\n\nentry\t", "\nentry\t", 1, id="merged-blocks"),
+    pytest.param("\nentry\t", "\n entry\t", 1, id="indented-keyword"),
+    pytest.param("\nArguments\n", "\nArguments\t\n", 1, id="section-with-field"),
+    pytest.param("\nArguments\n", "\nArguments\n\nConstructions\n\n", 1, id="section-only-block"),
+    pytest.param("\tN0 V Adv W\t+\n", "\tN0 V Adv W\t+\nfeature\tN0 V Adv W\t-\n", 1, id="repeated-feature"),
+    pytest.param("\tC1\tavenir\n", "\tC1\tavenir\ncomponent\tC1\t<E>\n", 1, id="repeated-component"),
+    pytest.param("\ncategory\tadverb\n", "\ncategory\tadverb\ncategory\tx\n", 1, id="repeated-category"),
+    pytest.param("\nsurface\t", "\nsurface\tx\t<E>\nsurface\t", 1, id="repeated-surface"),
+    pytest.param("\nprovenance\tbase\t", "\nprovenance\tdeletion\t", 1, id="base-without-parent"),
+    pytest.param("\nargument\tN0\t", "\nargument\tN0\t\t", 1, id="argument-arity"),
+    pytest.param("\n", "", -1, id="one-line"),
+])
+def test_text_import_matches_the_reference_on_edited_text(old, new, count):
+    assert old in _FIXTURE_TEXT
+    text = _FIXTURE_TEXT.replace(old, new, count)
+    assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+
+
+def test_text_import_reads_the_last_of_repeated_lines():
+    text = _FIXTURE_TEXT.replace("\ncategory\tadverb\n", "\ncategory\tadverb\ncategory\tx\n", 1)
+    text = text.replace("\tN0 V Adv W\t+\n", "\tN0 V Adv W\t+\nfeature\tN0 V Adv W\t-\n", 1)
+    entry = import_text(text).entries[0]
+    assert entry.category == "x"
+    assert entry.binary_features["N0 V Adv W"] is False
 
 
 def test_xml_import_rejects_unencodable_text():
@@ -487,4 +632,11 @@ def test_records_reject_unknown_pass():
     header = "\t".join(RECORD_COLUMNS)
     line = "A#1#del#1\tA#1\tteleportation\tf\tt\tsurface\tkept\t<E>"
     with pytest.raises(SchemaViolation):
+        parse_records(f"{header}\n{line}\n")
+
+
+def test_records_reject_unknown_status():
+    header = "\t".join(RECORD_COLUMNS)
+    line = "A#1#del#1\tA#1\tdeletion\tf\tt\tsurface\tdupe\tA#2"
+    with pytest.raises(SchemaViolation, match="unknown record status 'dupe'"):
         parse_records(f"{header}\n{line}\n")

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
-from lexgram.errors import InternalInvariantError, ZeroInitial
+from lexgram.errors import SchemaViolation, ZeroInitial
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
 from lexgram.lexicon import Origin
@@ -132,5 +132,5 @@ def test_recompute_stats_matches_the_pipeline_report(twin):
     assert recompute_stats(result.entries, rows) == result.stats
 
     kept = next(i for i, row in enumerate(rows) if row.status == "kept")
-    with pytest.raises(InternalInvariantError):
+    with pytest.raises(SchemaViolation, match="record sidecar does not match the lexicon"):
         recompute_stats(result.entries, rows[:kept] + rows[kept + 1:])
