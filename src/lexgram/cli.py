@@ -38,7 +38,7 @@ from .stats import recompute_stats, render_stats
 from .tables import load_class_matrix, load_table, resolve_features, validate_table
 
 
-def parse_symbols(text: str) -> dict[str, str]:
+def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
     """Symbol policy file: one ``token = rendering`` per line, # comments."""
     symbols: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -47,7 +47,7 @@ def parse_symbols(text: str) -> dict[str, str]:
             continue
         token, sep, value = line.partition("=")
         if not sep or not token.strip() or not value.strip():
-            raise LexgramError(f"bad symbol line: {raw.strip()!r}", line=lineno)
+            raise LexgramError(f"bad symbol line: {raw.strip()!r}", source, lineno)
         symbols[token.strip()] = value.strip()
     return symbols
 
@@ -55,7 +55,7 @@ def parse_symbols(text: str) -> dict[str, str]:
 def _load_symbols(path: str | None):
     if path is None:
         return DEFAULT_SYMBOLS
-    return parse_symbols(read_text(path))
+    return parse_symbols(read_text(path), str(path))
 
 
 def _load_morpho(path: str | None):

@@ -3,14 +3,15 @@
 Curation never deletes suspicious entries: heuristic hits become
 ValidationIssues for manual review.  Only exact surface duplicates (by
 canonical key) are removed, and each removal is logged in a
-DuplicateRecord and in the survivor's cross-reference list.
+DuplicateRecord and in the survivor's cross-reference list.  No function
+here changes the entries it is given.
 """
 
 from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .issues import IssueKind, ValidationIssue
 from .lexicon import LexEntry, Origin
@@ -39,8 +40,9 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
 
     The survivor is the lowest-ranked entry of its group (base before
     generated, then table, row, pass, ordinal), independent of input order.
-    Removed ids are appended to the survivor's cross_refs.  Entries with an
-    empty surface never merge; they are review material, not citation forms.
+    A survivor that removed others is returned as a new entry whose
+    cross_refs end with the removed ids.  Entries with an empty surface
+    never merge; they are review material, not citation forms.
     """
     position = {id(entry): i for i, entry in enumerate(entries)}
     groups: dict[str, list[LexEntry]] = {}
@@ -49,18 +51,19 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
         if key:
             groups.setdefault(key, []).append(entry)
 
-    removed_ids: set[str] = set()
+    removed_objects: set[int] = set()  # id() of each removed entry
+    merged: dict[int, LexEntry] = {}  # id() of a survivor -> the survivor with its cross_refs
     duplicates: list[DuplicateRecord] = []
     for key, group in groups.items():
         if len(group) < 2:
             continue
         survivor = min(group, key=lambda e: (e.sort_rank(), position[id(e)]))
         removed = tuple(e.entry_id for e in group if e is not survivor)
-        survivor.cross_refs.extend(removed)
-        removed_ids.update(removed)
+        merged[id(survivor)] = replace(survivor, cross_refs=survivor.cross_refs + removed)
+        removed_objects.update(id(e) for e in group if e is not survivor)
         duplicates.append(DuplicateRecord(survivor.entry_id, removed, key))
 
-    survivors = [e for e in entries if e.entry_id not in removed_ids]
+    survivors = [merged.get(id(e), e) for e in entries if id(e) not in removed_objects]
     return survivors, duplicates
 
 

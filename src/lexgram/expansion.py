@@ -7,9 +7,10 @@ pipeline independent of the source tables.
 
 Expansion is a pure function of its inputs.  What depends only on an
 entry's table and component slots is decided once, in a plan; expanding an
-entry walks its plan and returns the variant records together with a copy
-of the entry whose paraphrase / other-structure / intensified lists hold
-the variant surfaces.
+entry walks its plan and returns the variants together with a new parent
+entry whose paraphrase / other-structure / intensified tuples hold the
+variant surfaces.  Entries are never changed once built, so variants share
+their parent's arguments and binary features.
 """
 
 from __future__ import annotations
@@ -58,22 +59,22 @@ class PassConfig:
         return cls(frozenset(chosen))
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ExpansionRecord:
-    """One generated entry plus the rule application that produced it.
+    """One generated entry and its fate in curation; the entry's provenance
+    names the parent, feature and template that produced it.
 
-    ``status`` is rewritten to ``duplicate`` when curation removes the entry;
-    a base entry removed as a duplicate gets a synthetic record with kind
-    ``base`` so the record file accounts for every removal.
+    A base entry removed as a duplicate gets a record too (its kind is
+    ``base``), so the record file accounts for every removal.
     """
 
     entry: LexEntry
-    parent_id: str
-    kind: Origin
-    feature_id: str
-    template: str
     status: str = "kept"
     duplicate_of: str | None = None
+
+    @property
+    def kind(self) -> Origin:
+        return self.entry.provenance.kind
 
 
 # =============================================================================
@@ -136,43 +137,38 @@ def expand_entry(
     plan: tuple[PlanStep, ...],
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
-) -> tuple[LexEntry, list[ExpansionRecord]]:
+) -> tuple[LexEntry, list[LexEntry]]:
     """Apply a plan to one base entry; ``entry`` itself is left unchanged.
 
-    Returns a copy of the entry enriched with its variant surfaces, and one
-    record per variant.  Emission order is plan order, then template order,
-    then alternation order; variant ordinals count per pass.
+    Returns the parent, which is a new entry holding the variant surfaces
+    (``entry`` itself when there are none), and the variants.  Emission
+    order is plan order, then template order, then alternation order;
+    variant ordinals count per pass.
     """
     if not entry.is_base:
         raise LexgramError(f"cannot expand generated entry {entry.entry_id!r}")
     _, row, _, _ = parse_entry_id(entry.entry_id)
-    parent = replace(
-        entry,
-        paraphrases=list(entry.paraphrases),
-        other_structures=list(entry.other_structures),
-        intensified=list(entry.intensified),
-        internal_structures=list(entry.internal_structures),
-        cross_refs=list(entry.cross_refs),
-    )
-    records: list[ExpansionRecord] = []
+    variants: list[LexEntry] = []
+    paraphrases, other_structures, intensified = [], [], []
+    structures = list(entry.internal_structures)
     ordinals = dict.fromkeys(PASS_ORDER, 0)
     bindings = entry.bindings()
     for step in plan:
         if not entry.binary_features.get(step.feature_id, False):
             continue
         origin = step.origin
-        if origin in _SUBSTRUCTURES and step.label not in parent.internal_structures:
-            parent.internal_structures.append(step.label)
+        if origin in _SUBSTRUCTURES and step.label not in structures:
+            structures.append(step.label)
         for flat in step.flats:
             ordinals[origin] += 1
             surface = realize(flat, bindings, symbols, rules)
             if origin in (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION):
-                parent.paraphrases.append(surface)
+                paraphrases.append(surface)
             elif origin is Origin.INTENSIFICATION:
-                parent.intensified.append(surface)
+                intensified.append(surface)
             else:
-                parent.other_structures.append((step.label, surface))
-            variant = LexEntry(
+                other_structures.append((step.label, surface))
+            variants.append(LexEntry(
                 entry_id=entry_id(entry.table_id, row, PASS_TAGS[origin], ordinals[origin]),
                 table_id=entry.table_id,
                 category=entry.category,
@@ -180,14 +176,21 @@ def expand_entry(
                 # a deletion or permutation keeps exactly the slots its structure names
                 components={slot: entry.components.get(slot, "") for slot in step.kept_slots},
                 aux={},
-                arguments=list(entry.arguments),
-                construction_ids=[step.feature_id] if origin is Origin.PARAPHRASE_CONSTRUCTION else [],
-                internal_structures=[step.label] if origin in _SUBSTRUCTURES else [],
-                binary_features=dict(entry.binary_features),
+                arguments=entry.arguments,
+                construction_ids=(step.feature_id,) if origin is Origin.PARAPHRASE_CONSTRUCTION else (),
+                internal_structures=(step.label,) if origin in _SUBSTRUCTURES else (),
+                binary_features=entry.binary_features,
                 provenance=Provenance(origin, entry.entry_id, step.feature_id, flat.text),
-            )
-            records.append(ExpansionRecord(variant, entry.entry_id, origin, step.feature_id, flat.text))
-    return parent, records
+            ))
+    if not variants:
+        return entry, variants
+    return replace(
+        entry,
+        paraphrases=entry.paraphrases + tuple(paraphrases),
+        other_structures=entry.other_structures + tuple(other_structures),
+        intensified=entry.intensified + tuple(intensified),
+        internal_structures=tuple(structures),
+    ), variants
 
 
 # =============================================================================
@@ -212,9 +215,10 @@ def run_pipeline(
 ) -> PipelineResult:
     """Expand every base entry, then dedup, flag, and count.
 
-    The input entries are left unchanged: the result holds enriched copies.
-    One plan is built per table and component slot set.  Output order: base
-    entries first (input order), then surviving variants in generation order.
+    The input entries are left unchanged.  One plan is built per table and
+    component slot set.  Output order: base entries first (input order),
+    then surviving variants in generation order.  Records: one per variant
+    in generation order, then one per base entry removed as a duplicate.
     """
     for entry in entries:
         if not entry.is_base:
@@ -222,34 +226,30 @@ def run_pipeline(
 
     plans: dict[tuple[str, tuple[str, ...]], tuple[PlanStep, ...]] = {}
     parents: list[LexEntry] = []
-    records: list[ExpansionRecord] = []
+    variants: list[LexEntry] = []
     for entry in entries:
         key = (entry.table_id, tuple(entry.components))
         if key not in plans:
             plans[key] = build_plan(script, *key, config)
         parent, produced = expand_entry(entry, plans[key], symbols, rules)
         parents.append(parent)
-        records.extend(produced)
+        variants.extend(produced)
 
     added = dict.fromkeys(PASS_ORDER, 0)
-    for record in records:
-        added[record.kind] += 1
+    for variant in variants:
+        added[variant.provenance.kind] += 1
 
-    combined = parents + [record.entry for record in records]
-    survivors, duplicates, issues = curate(combined)
+    survivors, duplicates, issues = curate(parents + variants)
 
-    record_by_id = {record.entry.entry_id: record for record in records}
+    kept_for = {removed_id: dup.kept for dup in duplicates for removed_id in dup.removed}
+
+    def record(entry: LexEntry) -> ExpansionRecord:
+        kept = kept_for.get(entry.entry_id)
+        return ExpansionRecord(entry, "kept" if kept is None else "duplicate", kept)
+
+    records = [record(variant) for variant in variants]
     parent_by_id = {parent.entry_id: parent for parent in parents}
-    for dup in duplicates:
-        for removed_id in dup.removed:
-            record = record_by_id.get(removed_id)
-            if record is not None:
-                record.status = "duplicate"
-                record.duplicate_of = dup.kept
-            else:
-                records.append(ExpansionRecord(
-                    parent_by_id[removed_id], "", Origin.BASE, "", "", "duplicate", dup.kept,
-                ))
+    records.extend(record(parent_by_id[removed_id]) for removed_id in kept_for if removed_id in parent_by_id)
 
     removed = sum(len(dup.removed) for dup in duplicates)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)

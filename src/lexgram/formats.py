@@ -76,7 +76,7 @@ def _check_entry_ids(entries: list[LexEntry]) -> None:
 # text format
 # =============================================================================
 
-def _sent(text: str) -> str:
+def _sent(text: str | None) -> str:
     return text if text else EMPTY_TOKEN
 
 
@@ -103,7 +103,7 @@ def _entry_block(entry: LexEntry) -> str:
         f"entry\t{entry.entry_id}",
         f"table\t{entry.table_id}",
         "provenance\t{}\t{}\t{}\t{}".format(
-            p.kind.value, _sent(p.parent or ""), _sent(p.feature_id or ""), _sent(p.template or ""),
+            p.kind.value, _sent(p.parent), _sent(p.feature_id), _sent(p.template),
         ),
         f"surface\t{_surface_fields(entry.surface)}",
     ]
@@ -300,9 +300,9 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                 ]
                 raise SchemaViolation(f"entry block missing {', '.join(missing)}")
             entries.append(LexEntry(
-                entry_id, table_id, category, surface, components, aux, paraphrases,
-                other_structures, intensified, arguments, constructions, internal, features,
-                provenance, cross_refs,
+                entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
+                tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
+                tuple(internal), features, provenance, tuple(cross_refs),
             ))
             in_block = False
             entry_id = table_id = category = provenance = surface = None
@@ -569,7 +569,8 @@ class _XmlReader:
     one that is skipped.  Character data is collected only from the start
     tag of a text element to its first child or its end tag.  The fields of
     the open entry collect in ``_fields`` under :class:`LexEntry`'s keyword
-    names.  Where only the first of several elements counts (``script``,
+    names, sequences in lists that become tuples when the entry is built.
+    Where only the first of several elements counts (``script``,
     and an entry's ``provenance``, ``surface`` and
     ``lexical-information``), the later ones are skipped.
     """
@@ -721,7 +722,9 @@ class _XmlReader:
         fields = self._fields
         if "provenance" not in fields or "surface" not in fields or "category" not in fields:
             raise SchemaViolation(f"entry {fields['entry_id']!r} is missing a required element")
-        self._entries.append(LexEntry(**fields))
+        self._entries.append(LexEntry(**{
+            name: tuple(value) if type(value) is list else value for name, value in fields.items()
+        }))
 
     def _start_provenance(self, attrs: dict[str, str]) -> None:
         if "provenance" in self._fields:
@@ -886,15 +889,17 @@ class RecordRow:
 def export_records(records: Iterable[ExpansionRecord]) -> str:
     lines = ["\t".join(RECORD_COLUMNS)]
     for record in records:
+        entry = record.entry
+        p = entry.provenance
         lines.append("\t".join((
-            record.entry.entry_id,
-            _sent(record.parent_id),
-            record.kind.value,
-            _sent(record.feature_id),
-            _sent(record.template),
-            _sent(record.entry.surface.rendered),
+            entry.entry_id,
+            _sent(p.parent),
+            p.kind.value,
+            _sent(p.feature_id),
+            _sent(p.template),
+            _sent(entry.surface.rendered),
             record.status,
-            _sent(record.duplicate_of or ""),
+            _sent(record.duplicate_of),
         )))
     return "\n".join(lines) + "\n"
 

@@ -118,21 +118,23 @@ class Provenance:
 
 @dataclass(slots=True)
 class LexEntry:
+    """Built once, never changed: entries may share their tuples and dicts."""
+
     entry_id: str
     table_id: str
     category: str
     surface: SurfaceForm
     components: dict[str, str]            # slot symbol -> cell text ("" = empty)
     aux: dict[str, str]                   # aux column -> cell text ("" = empty)
-    paraphrases: list[SurfaceForm] = field(default_factory=list)
-    other_structures: list[tuple[str, SurfaceForm]] = field(default_factory=list)
-    intensified: list[SurfaceForm] = field(default_factory=list)
-    arguments: list[ArgumentSpec] = field(default_factory=list)
-    construction_ids: list[str] = field(default_factory=list)
-    internal_structures: list[str] = field(default_factory=list)
+    paraphrases: tuple[SurfaceForm, ...] = ()
+    other_structures: tuple[tuple[str, SurfaceForm], ...] = ()
+    intensified: tuple[SurfaceForm, ...] = ()
+    arguments: tuple[ArgumentSpec, ...] = ()
+    construction_ids: tuple[str, ...] = ()
+    internal_structures: tuple[str, ...] = ()
     binary_features: dict[str, bool] = field(default_factory=dict)
-    provenance: Provenance = field(default_factory=lambda: Provenance(Origin.BASE))
-    cross_refs: list[str] = field(default_factory=list)
+    provenance: Provenance = Provenance(Origin.BASE)  # one instance, shared
+    cross_refs: tuple[str, ...] = ()
 
     @property
     def is_base(self) -> bool:
@@ -162,7 +164,7 @@ _ARGUMENT_RE = re.compile(r"^(N0|N1|N2|Poss0|Poss2) =: (Nhum|N-hum)$")
 _ARG_SLOT_ORDER = ("N0", "N1", "N2", "Poss0", "Poss2")
 
 
-def derive_arguments(binary_features: dict[str, bool]) -> list[ArgumentSpec]:
+def derive_arguments(binary_features: dict[str, bool]) -> tuple[ArgumentSpec, ...]:
     """Fold ``X =: Nhum`` / ``X =: N-hum`` feature pairs into argument specs."""
     found: dict[str, dict[str, bool]] = {}
     for fid, value in binary_features.items():
@@ -184,7 +186,7 @@ def derive_arguments(binary_features: dict[str, bool]) -> list[ArgumentSpec]:
         else:
             selection = Selection.UNSPECIFIED
         specs.append(ArgumentSpec(slot, selection))
-    return specs
+    return tuple(specs)
 
 
 def structure_template(table: LgTable) -> Template:
@@ -237,6 +239,7 @@ def generate_base(
     construction_rules = {
         r.feature_id for r in script.effective_rules(table.table_id, Action.CONSTRUCTION)
     }
+    internal_structures = (label,) if label else ()
 
     entries: list[LexEntry] = []
     for i, row in enumerate(table.rows, start=1):
@@ -247,7 +250,7 @@ def generate_base(
             for f in table.features
             if f.kind not in (FeatureKind.ENTRY_COMPONENT, FeatureKind.AUX_LEXICAL)
         }
-        constructions = [fid for fid, value in binary.items() if value and fid in construction_rules]
+        constructions = tuple(fid for fid, value in binary.items() if value and fid in construction_rules)
         surface = realize(template, Bindings(components, aux), symbols, rules)
         entries.append(LexEntry(
             entry_id=entry_id(table.table_id, i),
@@ -258,7 +261,7 @@ def generate_base(
             aux=aux,
             arguments=derive_arguments(binary),
             construction_ids=constructions,
-            internal_structures=[label] if label else [],
+            internal_structures=internal_structures,
             binary_features=binary,
         ))
     return entries

@@ -51,7 +51,7 @@ DEFAULT_RULES = MorphoRules(
 )
 
 
-def parse_morpho_rules(text: str) -> MorphoRules:
+def parse_morpho_rules(text: str, source: str | None = None) -> MorphoRules:
     """Parse the plain-text rule format::
 
         contract de le = du
@@ -72,19 +72,19 @@ def parse_morpho_rules(text: str) -> MorphoRules:
             lhs, sep, result = rest.partition("=")
             pair = lhs.split()
             if not sep or len(pair) != 2 or not result.split():
-                raise RealizationError(f"bad contract rule: {raw.strip()!r}", line=lineno)
+                raise RealizationError(f"bad contract rule: {raw.strip()!r}", source, lineno)
             contractions.append((pair[0], pair[1], result.strip()))
         elif directive == "elide":
             lhs, sep, result = rest.partition("=")
             if not sep or len(lhs.split()) != 1 or not result.strip():
-                raise RealizationError(f"bad elide rule: {raw.strip()!r}", line=lineno)
+                raise RealizationError(f"bad elide rule: {raw.strip()!r}", source, lineno)
             elisions[lhs.strip()] = result.strip()
         elif directive == "vowels":
             vowels.update(ch for ch in rest if not ch.isspace())
         elif directive == "mute-h":
             mute_h.update(rest.split())
         else:
-            raise RealizationError(f"unknown directive {directive!r}", line=lineno)
+            raise RealizationError(f"unknown directive {directive!r}", source, lineno)
     return MorphoRules(
         tuple(contractions), elisions,
         frozenset(vowels) or DEFAULT_RULES.vowels,
@@ -93,7 +93,7 @@ def parse_morpho_rules(text: str) -> MorphoRules:
 
 
 def load_morpho_rules(path: str | Path) -> MorphoRules:
-    return parse_morpho_rules(read_text(path))
+    return parse_morpho_rules(read_text(path), str(path))
 
 
 # =============================================================================

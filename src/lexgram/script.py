@@ -30,7 +30,7 @@ from .errors import (
     UnterminatedGroup,
     read_text,
 )
-from .tables import ENT_PREFIX
+from .tables import ENT_PREFIX, parse_structure_label
 
 # Tokens passed through to the realizer's symbol policy instead of being
 # treated as plain literals.  Closed but configurable list.
@@ -298,8 +298,10 @@ def parse_script(
         label = am.group("label")
         if label is not None:
             label = label.strip()
-        if action is Action.SUBSTRUCTURE and not label:
-            raise ScriptSyntaxError("substructure requires a structure argument", source, lineno)
+        if action is Action.SUBSTRUCTURE:
+            if not label:
+                raise ScriptSyntaxError("substructure requires a structure argument", source, lineno)
+            parse_structure_label(label, source, lineno)
         if label is not None and action not in _LABELLED:
             raise ScriptSyntaxError(f"{action.value} takes no structure argument", source, lineno)
 

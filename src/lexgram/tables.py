@@ -18,9 +18,8 @@ a table as synthetic all-plus / all-minus columns.
 from __future__ import annotations
 
 import enum
-import io
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import (
@@ -64,11 +63,6 @@ class Cell:
             raise ValueError("lexical cell requires non-empty text")
         if self.kind is not CellKind.LEX and self.text is not None:
             raise ValueError(f"{self.kind.name} cell carries no text")
-
-    @property
-    def token(self) -> str:
-        """The cell as written in a table file."""
-        return self.text if self.kind is CellKind.LEX else self.kind.value
 
     @property
     def is_plus(self) -> bool:
@@ -182,9 +176,6 @@ class LgTable:
     def has_feature(self, feature_id: str) -> bool:
         return feature_id in self._index
 
-    def feature(self, feature_id: str) -> FeatureDef:
-        return self.features[self._index[feature_id]]
-
     def cell(self, row: tuple[Cell, ...], feature_id: str) -> Cell:
         return row[self._index[feature_id]]
 
@@ -263,15 +254,6 @@ def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
         rows.append(tuple(parsed))
 
     return LgTable(table_id, features, structure, tuple(rows))
-
-
-def serialize_table(table: LgTable) -> str:
-    """Inverse of :func:`parse_table`; emits normalized tab-delimited text."""
-    out = io.StringIO()
-    out.write("\t".join(f.feature_id for f in table.features) + "\n")
-    for row in table.rows:
-        out.write("\t".join(cell.token for cell in row) + "\n")
-    return out.getvalue()
 
 
 def load_table(path: str | Path) -> LgTable:

@@ -226,7 +226,7 @@ def _check_token_properties(result, by_id) -> list[str]:
     failures = []
     full_permutation_seen = False
     for record in result.records:
-        entry, parent = record.entry, by_id.get(record.parent_id)
+        entry, parent = record.entry, by_id.get(record.entry.provenance.parent)
         if parent is None:
             continue
         got = collections.Counter(entry.surface.tokens)

@@ -107,6 +107,43 @@ def test_jobs_option_is_gone(tmp_path):
     assert not out.exists()
 
 
+def test_compile_rejects_an_unknown_substructure_slot(tmp_path, capsys):
+    script = tmp_path / "extract.lgs"
+    text = (FIXTURES / "extract.lgs").read_text(encoding="utf-8")
+    text = text.replace("substructure(Prép1 Det1 Modif", "substructure(Prép1 Det1 Mdif", 1)
+    script.write_text(text, encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(script),
+        "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"lexgram: error: {script}:28: unknown component symbol 'Mdif'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--symbols", "bad symbol line: 'x'"),
+    ("--morpho", "unknown directive 'x'"),
+])
+def test_compile_names_the_file_of_a_bad_symbol_or_morpho_line(tmp_path, capsys, option, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# rules\nx\n", encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(FIXTURES / "extract.lgs"),
+        option, str(bad),
+        "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexgram: error: {bad}:2: {message}\n"
+    assert not out.exists()
+
+
 def test_compile_rejects_bad_class_matrix(tmp_path, capsys):
     for name, text in (("empty.lgm", ""), ("no-id.lgm", "class\tfa\n\t+\n")):
         matrix = tmp_path / name

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
-from lexgram.curation import canonical_key, dedup, duplicate_issues, flag_suspicious, review_report
+from dataclasses import replace
+
+from conftest import compile_corpus
+from lexgram.curation import canonical_key, curate, dedup, duplicate_issues, flag_suspicious, review_report
+from lexgram.formats import LexiconDocument, export_text
 from lexgram.issues import IssueKind
 from lexgram.lexicon import LexEntry, Origin, Provenance
 from lexgram.realizer import SurfaceForm
@@ -38,7 +42,21 @@ def test_dedup_base_survives_over_variant():
     assert record.kept == "PAC#2"
     assert record.removed == ("PCA#7#perm#1",)
     assert record.key == "ces derniers temps"
-    assert base.cross_refs == ["PCA#7#perm#1"]
+    assert survivors[0].cross_refs == ("PCA#7#perm#1",)
+    assert base.cross_refs == ()
+
+
+def test_curate_leaves_its_input_unchanged():
+    corpus = compile_corpus()
+    copy = replace(corpus.entries[0], entry_id="ADVMP#99")
+    doc = LexiconDocument(corpus.entries + [copy], corpus.table_ids, corpus.script_source)
+    before = export_text(doc)
+    first = curate(doc.entries)
+    second = curate(doc.entries)
+    assert first == second
+    assert review_report(first[2], first[1]) == review_report(second[2], second[1])
+    assert first[0][0].cross_refs == ("ADVMP#99",)
+    assert export_text(doc) == before
 
 
 def test_dedup_earlier_input_position_breaks_ties():
@@ -66,7 +84,16 @@ def test_dedup_conserves_entry_count():
     survivors, duplicates = dedup(entries)
     removed = sum(len(d.removed) for d in duplicates)
     assert len(survivors) + removed == len(entries)
-    assert survivors[0].cross_refs == ["B#1", "D#1"]
+    assert survivors[0].cross_refs == ("B#1", "D#1")
+
+
+def test_dedup_keeps_the_survivor_of_a_repeated_id():
+    # removal goes by entry, not by id: a survivor sharing its id with an
+    # entry it removed stays
+    entries = [_entry("A#1", "en fait"), _entry("A#1", "en fait"), _entry("B#1", "de nuit")]
+    survivors, duplicates = dedup(entries)
+    assert [e.entry_id for e in survivors] == ["A#1", "B#1"]
+    assert duplicates[0].removed == ("A#1",)
 
 
 def test_dedup_never_merges_empty_surfaces():

@@ -8,7 +8,7 @@ import pytest
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
-from lexgram.formats import LexiconDocument, export_text
+from lexgram.formats import LexiconDocument, export_records, export_text
 from lexgram.lexicon import Origin, PASS_ORDER, generate_base
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
@@ -19,7 +19,7 @@ def _by_id(entries):
 
 
 def _expand(entry):
-    """Expand one entry through its own plan; returns (parent, records)."""
+    """Expand one entry through its own plan; returns (parent, variants)."""
     plan = build_plan(load_fixture_script(), entry.table_id, tuple(entry.components))
     return expand_entry(entry, plan, rules=load_fixture_morpho())
 
@@ -42,8 +42,8 @@ def test_pass_config_parse_rejects_unknown_names():
 def test_expand_entry_orders_by_pass_then_rule():
     doc = compile_corpus()
     particulierement = _by_id(doc.entries)["ADVMS#2"]
-    _, records = _expand(particulierement)
-    got = [(r.entry.entry_id, r.entry.surface.rendered) for r in records]
+    _, variants = _expand(particulierement)
+    got = [(v.entry_id, v.surface.rendered) for v in variants]
     assert got == [
         ("ADVMS#2#para#1", "en particulier"),
         ("ADVMS#2#int#1", "tout particulièrement"),
@@ -55,43 +55,58 @@ def test_expand_entry_orders_by_pass_then_rule():
 def test_expand_entry_mirrors_records_to_parent():
     doc = compile_corpus()
     base = _by_id(doc.entries)["PCDC#1"]
-    internal_before = list(base.internal_structures)
-    parent, records = _expand(base)
-    assert [r.kind for r in records] == [Origin.DELETION]
+    internal_before = base.internal_structures
+    parent, variants = _expand(base)
+    assert [v.provenance.kind for v in variants] == [Origin.DELETION]
     label, surface = parent.other_structures[0]
     assert label == "Prép1 Det1 C1"
     assert surface.rendered == "jusqu'à la fin"
     assert "Prép1 Det1 C1" in parent.internal_structures
     # the input entry is left as it was
-    assert base.other_structures == [] and base.paraphrases == [] and base.intensified == []
+    assert base.other_structures == () and base.paraphrases == () and base.intensified == ()
     assert base.internal_structures == internal_before
 
 
 def test_expand_entry_refuses_generated_input():
     doc = compile_corpus()
-    _, records = _expand(doc.entries[0])
+    _, variants = _expand(doc.entries[0])
     with pytest.raises(LexgramError):
-        _expand(records[0].entry)
+        _expand(variants[0])
 
 
 def test_variants_inherit_category_arguments_and_features():
     doc = compile_corpus()
     sincerement = _by_id(doc.entries)["ADVMP#2"]
-    _, records = _expand(sincerement)
-    for record in records:
-        variant = record.entry
+    _, variants = _expand(sincerement)
+    for variant in variants:
         assert variant.category == sincerement.category
         assert variant.arguments == sincerement.arguments
         assert variant.binary_features == sincerement.binary_features
         assert variant.provenance.parent == "ADVMP#2"
 
 
+def test_variants_share_what_they_inherit():
+    doc = compile_corpus()
+    sincerement = _by_id(doc.entries)["ADVMP#2"]
+    _, variants = _expand(sincerement)
+    assert variants
+    for variant in variants:
+        assert variant.arguments is sincerement.arguments
+        assert variant.binary_features is sincerement.binary_features
+
+
+def test_expand_entry_returns_an_entry_that_gains_nothing_unchanged():
+    entry = compile_corpus().entries[0]
+    parent, variants = expand_entry(entry, ())
+    assert parent is entry and variants == []
+
+
 def test_deletion_tokens_are_a_subsequence_of_the_base():
     doc = compile_corpus()
     parent = _by_id(doc.entries)["PCDC#1"]
-    _, records = _expand(parent)
+    _, variants = _expand(parent)
     base_tokens = list(parent.surface.tokens)
-    variant_tokens = list(records[0].entry.surface.tokens)
+    variant_tokens = list(variants[0].surface.tokens)
     it = iter(base_tokens)
     assert all(any(tok == other for other in it) for tok in variant_tokens)
 
@@ -99,8 +114,8 @@ def test_deletion_tokens_are_a_subsequence_of_the_base():
 def test_permutation_keeps_the_token_multiset():
     doc = compile_corpus()
     parent = _by_id(doc.entries)["PCA#7"]
-    _, records = _expand(parent)
-    variant = records[0].entry
+    _, variants = _expand(parent)
+    variant = variants[0]
     assert collections.Counter(variant.surface.tokens) == collections.Counter(parent.surface.tokens)
     assert variant.surface.rendered == "ces derniers temps"
 
@@ -108,12 +123,12 @@ def test_permutation_keeps_the_token_multiset():
 def test_intensification_prefixes_the_base():
     doc = compile_corpus()
     base = _by_id(doc.entries)["ADVMS#3"]
-    parent, records = _expand(base)
-    intensified = [r.entry for r in records if r.kind is Origin.INTENSIFICATION]
+    parent, variants = _expand(base)
+    intensified = [v for v in variants if v.provenance.kind is Origin.INTENSIFICATION]
     assert len(intensified) == 1
     assert intensified[0].surface.tokens[1:] == base.surface.tokens
     assert parent.intensified and parent.intensified[0].rendered == "tout doucement"
-    assert base.intensified == [] and base.paraphrases == []
+    assert base.intensified == () and base.paraphrases == ()
 
 
 def test_run_pipeline_fixture_counts():
@@ -173,11 +188,12 @@ def test_run_pipeline_is_pure():
 
     def extended_text():
         result = run_pipeline(doc.entries, script, rules=morpho)
-        return export_text(LexiconDocument(result.entries, doc.table_ids, doc.script_source))
+        text = export_text(LexiconDocument(result.entries, doc.table_ids, doc.script_source))
+        return text, export_records(result.records)
 
     first = extended_text()
     assert extended_text() == first
-    assert len(first) == 30867
+    assert len(first[0]) == 30867
     assert export_text(doc) == before
 
 
@@ -189,5 +205,5 @@ def test_plan_is_per_table_and_component_slots():
     reordered = parse_table("<ENT>Prép1\t<ENT>Adj\t<ENT>C1\tF\nen\tplein\tjour\t+\n", "T")
     second = dataclasses.replace(generate_base(reordered, script)[0], entry_id="T#2")
     result = run_pipeline(generate_base(in_order, script) + [second], script)
-    got = {r.parent_id: (r.kind, r.entry.surface.rendered) for r in result.records}
+    got = {r.entry.provenance.parent: (r.kind, r.entry.surface.rendered) for r in result.records}
     assert got == {"T#1": (Origin.DELETION, "fin bon"), "T#2": (Origin.PERMUTATION, "jour plein")}

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,18 @@ def test_export_bytes_are_pinned(build, xml_sha256, text_sha256):
     assert hashlib.sha256(export_text(doc).encode("utf-8")).hexdigest() == text_sha256
 
 
+@pytest.mark.parametrize("copies, sha256", [
+    pytest.param(0, "56b04afb037fb8670d871fb59651a6abec8f06ae9d1f810b95482dc9f33adc38", id="fixture"),
+    # one more base row, a copy of ADVMP#1: its record is a removed base entry
+    pytest.param(1, "5496c4f68a22cf47104624bab4e43d63e288fca80661e3d5cfcdc8784f674f82", id="duplicate-base"),
+])
+def test_record_bytes_are_pinned(copies, sha256):
+    entries = compile_corpus().entries
+    entries += [replace(entries[0], entry_id="ADVMP#99")] * copies
+    result = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
+    assert hashlib.sha256(export_records(result.records).encode("utf-8")).hexdigest() == sha256
+
+
 # =============================================================================
 # generated documents
 # =============================================================================
@@ -112,15 +125,15 @@ def _documents(draw, text, token=None, name=None):
             surface=draw(surfaces),
             components=draw(st.dictionaries(text, text, max_size=3)),
             aux=draw(st.dictionaries(text, text, max_size=2)),
-            paraphrases=draw(st.lists(surfaces, max_size=2)),
-            other_structures=draw(st.lists(st.tuples(text, surfaces), max_size=2)),
-            intensified=draw(st.lists(surfaces, max_size=1)),
-            arguments=draw(st.lists(arguments, max_size=2)),
-            construction_ids=draw(st.lists(text, max_size=2)),
-            internal_structures=draw(st.lists(text, max_size=2)),
+            paraphrases=draw(st.lists(surfaces, max_size=2).map(tuple)),
+            other_structures=draw(st.lists(st.tuples(text, surfaces), max_size=2).map(tuple)),
+            intensified=draw(st.lists(surfaces, max_size=1).map(tuple)),
+            arguments=draw(st.lists(arguments, max_size=2).map(tuple)),
+            construction_ids=draw(st.lists(text, max_size=2).map(tuple)),
+            internal_structures=draw(st.lists(text, max_size=2).map(tuple)),
             binary_features=draw(st.dictionaries(text, st.booleans(), max_size=3)),
             provenance=Provenance(kind, parent, draw(st.none() | name), draw(st.none() | name)),
-            cross_refs=draw(st.lists(text, max_size=2)),
+            cross_refs=draw(st.lists(text, max_size=2).map(tuple)),
         ))
     return LexiconDocument(
         entries, tuple(draw(st.lists(name, max_size=3))), draw(text), generator=draw(text),
@@ -422,7 +435,8 @@ def test_xml_export_refuses_characters_xml_cannot_carry(corpus_doc, char):
 
 def test_xml_keeps_carriage_returns(corpus_doc):
     corpus_doc.entries[3].components["C1"] = "a\rb\r\n"
-    corpus_doc.entries[3].cross_refs.append("\r")
+    entry = corpus_doc.entries[3]
+    corpus_doc.entries[3] = replace(entry, cross_refs=entry.cross_refs + ("\r",))
     text = export_xml(corpus_doc)
     assert "a&#13;b&#13;\n" in text
     assert import_xml(text) == corpus_doc
@@ -601,8 +615,8 @@ def test_records_round_trip():
     by_id = {row.entry_id: row for row in rows}
     for record in result.records:
         row = by_id[record.entry.entry_id]
-        assert row.parent_id == record.parent_id
-        assert row.kind is record.kind
+        assert row.parent_id == (record.entry.provenance.parent or "")
+        assert row.kind is record.entry.provenance.kind
         assert row.surface == record.entry.surface.rendered
         assert row.status == record.status
         assert row.duplicate_of == (record.duplicate_of or "")

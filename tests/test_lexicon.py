@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_script
+from dataclasses import fields
+
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.errors import LexgramError
+from lexgram.expansion import run_pipeline
+from lexgram.formats import LexiconDocument, export_text, export_xml, import_text, import_xml
 from lexgram.lexicon import (
+    LexEntry,
     Origin,
     PASS_ORDER,
     Provenance,
@@ -75,7 +80,7 @@ def test_derive_arguments_selection_matrix():
 
 
 def test_derive_arguments_ignores_other_features():
-    assert derive_arguments({"Conjonction": True}) == []
+    assert derive_arguments({"Conjonction": True}) == ()
 
 
 TABLE = (
@@ -118,13 +123,13 @@ def test_generate_base_splits_columns():
 
 def test_generate_base_collects_plus_valued_constructions():
     first, second = _base_entries()
-    assert first.construction_ids == ["feat p"]
-    assert second.construction_ids == []
+    assert first.construction_ids == ("feat p",)
+    assert second.construction_ids == ()
 
 
 def test_generate_base_keeps_class_label():
     first, _ = _base_entries()
-    assert first.internal_structures == ["Prép1 Det1 C1"]
+    assert first.internal_structures == ("Prép1 Det1 C1",)
 
 
 def test_usage_note_concatenates_note_columns():
@@ -161,9 +166,9 @@ def test_sort_rank_orders_base_before_variants():
     from lexgram.expansion import build_plan, expand_entry
 
     entry = doc.entries[5]  # ADVPF#1 has one paraphrase
-    _, records = expand_entry(entry, build_plan(script, entry.table_id, tuple(entry.components)))
-    assert records
-    variant = records[0].entry
+    _, variants = expand_entry(entry, build_plan(script, entry.table_id, tuple(entry.components)))
+    assert variants
+    variant = variants[0]
     assert variant.sort_rank()[0] == 1
     assert base.sort_rank() < variant.sort_rank()
 
@@ -173,3 +178,23 @@ def test_empty_surface_rows_are_still_emitted():
     entries = generate_base(table, parse_script(""))
     assert entries[0].surface.rendered == ""
     assert entries[1].surface.rendered == "de nuit"
+
+
+def test_sequence_fields_are_tuples_wherever_entries_are_built():
+    sequences = [f.name for f in fields(LexEntry) if f.default == ()]
+    assert len(sequences) == 7
+    base = compile_corpus()
+    result = run_pipeline(base.entries, load_fixture_script(), rules=load_fixture_morpho())
+    extended = LexiconDocument(result.entries, base.table_ids, base.script_source)
+    built = {
+        "generate_base": base.entries,
+        "run_pipeline": result.entries,
+        "import_text": import_text(export_text(extended)).entries,
+        "import_xml": import_xml(export_xml(extended)).entries,
+    }
+    for where, entries in built.items():
+        for entry in entries:
+            for name in sequences:
+                assert type(getattr(entry, name)) is tuple, (where, entry.entry_id, name)
+    # the extended lexicon fills every one of them somewhere
+    assert all(any(getattr(e, name) for e in result.entries) for name in sequences)

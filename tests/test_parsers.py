@@ -1,0 +1,55 @@
+"""Every parser of a user input file reads it or raises a LexgramError."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import compile_corpus, fixture_path, load_fixture_morpho, load_fixture_script
+from lexgram.cli import parse_symbols
+from lexgram.errors import LexgramError
+from lexgram.expansion import run_pipeline
+from lexgram.formats import export_records, parse_records
+from lexgram.realizer import DEFAULT_SYMBOLS, parse_morpho_rules
+from lexgram.script import parse_script
+from lexgram.tables import parse_class_matrix, parse_table
+from test_formats import _TEXT_MUTATIONS, mutate
+
+
+def _fixture(name: str) -> str:
+    return fixture_path(name).read_text(encoding="utf-8")
+
+
+def _record_sidecar() -> str:
+    doc = compile_corpus()
+    result = run_pipeline(doc.entries, load_fixture_script(), rules=load_fixture_morpho())
+    return export_records(result.records)
+
+
+# name -> (parser, the unmutated input it reads)
+_PARSERS = {
+    "table": (lambda text: parse_table(text, "PCA", "PCA.lgt"), _fixture("PCA.lgt")),
+    "class-matrix": (lambda text: parse_class_matrix(text, "classes.lgm"), _fixture("classes.lgm")),
+    "script": (lambda text: parse_script(text, "extract.lgs"), _fixture("extract.lgs")),
+    "morpho-rules": (lambda text: parse_morpho_rules(text, "morpho.rules"), _fixture("morpho.rules")),
+    "symbols": (
+        lambda text: parse_symbols(text, "symbols"),
+        "# symbol policy\n" + "".join(f"{token} = {value}\n" for token, value in DEFAULT_SYMBOLS.items()),
+    ),
+    "records": (parse_records, _record_sidecar()),
+}
+
+
+# A seed drives the mutations, as in test_formats.
+@pytest.mark.parametrize("name", list(_PARSERS))
+@given(seed=st.integers(0, 2**32))
+def test_parsers_read_mutated_input_or_raise_input_errors(name, seed):
+    parse, text = _PARSERS[name]
+    parse(text)
+    try:
+        parse(mutate(text, random.Random(seed), _TEXT_MUTATIONS))
+    except LexgramError:
+        pass

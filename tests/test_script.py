@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import load_fixture_script
-from lexgram.errors import DuplicateRule, NestedAlternation, ScriptSyntaxError, UnterminatedGroup
+from conftest import fixture_path, load_fixture_script
+from lexgram.errors import (
+    DuplicateRule,
+    NestedAlternation,
+    ScriptSyntaxError,
+    UnknownSlotSymbol,
+    UnterminatedGroup,
+)
 from lexgram.script import (
     Action,
     Group,
@@ -23,6 +29,17 @@ def _one_rule(text: str):
     script = parse_script(text)
     assert len(script.rules) == 1
     return script.rules[0]
+
+
+def test_substructure_label_with_an_unknown_slot_names_file_and_line():
+    text = fixture_path("extract.lgs").read_text(encoding="utf-8")
+    bad = text.replace("substructure(Prép1 Det1 Modif", "substructure(Prép1 Det1 Mdif", 1)
+    assert bad != text
+    with pytest.raises(UnknownSlotSymbol) as err:
+        parse_script(bad, source="extract.lgs")
+    assert str(err.value) == (
+        "extract.lgs:28: unknown component symbol 'Mdif' in 'Prép1 Det1 Mdif pré-adj Adj C1'"
+    )
 
 
 def test_parse_rule_fields():

@@ -26,7 +26,6 @@ from lexgram.tables import (
     parse_structure_label,
     parse_table,
     resolve_features,
-    serialize_table,
     validate_table,
 )
 
@@ -93,11 +92,6 @@ def test_missing_header_is_rejected():
 def test_unknown_slot_symbol_in_component_header():
     with pytest.raises(UnknownSlotSymbol):
         parse_table("<ENT>Verb\nmange\n", "T")
-
-
-def test_serialize_round_trip():
-    table = _small()
-    assert parse_table(serialize_table(table), "T") == table
 
 
 def test_parse_structure_label_greedy_two_word_symbol():

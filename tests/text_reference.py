@@ -118,15 +118,15 @@ def _parse_entry_block(block: list[str]) -> LexEntry:
         surface=values["surface"],
         components=components,
         aux=aux,
-        paraphrases=paraphrases,
-        other_structures=other_structures,
-        intensified=intensified,
-        arguments=arguments,
-        construction_ids=constructions,
-        internal_structures=internal,
+        paraphrases=tuple(paraphrases),
+        other_structures=tuple(other_structures),
+        intensified=tuple(intensified),
+        arguments=tuple(arguments),
+        construction_ids=tuple(constructions),
+        internal_structures=tuple(internal),
         binary_features=features,
         provenance=values["provenance"],
-        cross_refs=cross_refs,
+        cross_refs=tuple(cross_refs),
     )
 
 

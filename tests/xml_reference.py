@@ -138,15 +138,15 @@ def _xml_entry(node: ET.Element) -> LexEntry:
         surface=_element_surface(surface_node),
         components=components,
         aux=aux,
-        paraphrases=[_element_surface(s) for s in lexical.findall("paraphrase")],
-        other_structures=other_structures,
-        intensified=[_element_surface(s) for s in lexical.findall("intensified")],
-        arguments=arguments,
-        construction_ids=[c.text or "" for c in node.findall("constructions/construction")],
-        internal_structures=[c.text or "" for c in node.findall("constructions/internal-structure")],
+        paraphrases=tuple(_element_surface(s) for s in lexical.findall("paraphrase")),
+        other_structures=tuple(other_structures),
+        intensified=tuple(_element_surface(s) for s in lexical.findall("intensified")),
+        arguments=tuple(arguments),
+        construction_ids=tuple(c.text or "" for c in node.findall("constructions/construction")),
+        internal_structures=tuple(c.text or "" for c in node.findall("constructions/internal-structure")),
         binary_features=features,
         provenance=provenance,
-        cross_refs=[r.text or "" for r in node.findall("cross-refs/cross-ref")],
+        cross_refs=tuple(r.text or "" for r in node.findall("cross-refs/cross-ref")),
     )
 
 
