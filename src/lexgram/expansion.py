@@ -23,7 +23,7 @@ from .issues import ValidationIssue
 from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
-from .stats import StatsReport, compute_stats
+from .stats import StatsReport, compute_stats, tally
 from .tables import parse_structure_label
 
 # =============================================================================
@@ -220,9 +220,13 @@ def run_pipeline(
     then surviving variants in generation order.  Records: one per variant
     in generation order, then one per base entry removed as a duplicate.
     """
+    seen: set[str] = set()
     for entry in entries:
         if not entry.is_base:
             raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} is generated)")
+        if entry.entry_id in seen:  # records name entries by id
+            raise LexgramError(f"duplicate entry id {entry.entry_id!r} in the input lexicon")
+        seen.add(entry.entry_id)
 
     plans: dict[tuple[str, tuple[str, ...]], tuple[PlanStep, ...]] = {}
     parents: list[LexEntry] = []
@@ -234,10 +238,6 @@ def run_pipeline(
         parent, produced = expand_entry(entry, plans[key], symbols, rules)
         parents.append(parent)
         variants.extend(produced)
-
-    added = dict.fromkeys(PASS_ORDER, 0)
-    for variant in variants:
-        added[variant.provenance.kind] += 1
 
     survivors, duplicates, issues = curate(parents + variants)
 
@@ -251,7 +251,7 @@ def run_pipeline(
     parent_by_id = {parent.entry_id: parent for parent in parents}
     records.extend(record(parent_by_id[removed_id]) for removed_id in kept_for if removed_id in parent_by_id)
 
-    removed = sum(len(dup.removed) for dup in duplicates)
+    added, removed, _ = tally(records)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)
     if stats.final != len(survivors):  # the count identity; a mismatch is a bug
         raise InternalInvariantError(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 from xml.parsers import expat
@@ -43,7 +43,6 @@ class LexiconDocument:
     entries: list[LexEntry]
     table_ids: tuple[str, ...]
     script_source: str
-    version: int = FORMAT_VERSION
     generator: str = GENERATOR
 
     @property
@@ -156,7 +155,7 @@ def export_text(doc: LexiconDocument) -> str:
             if char in table_id:
                 raise _unwritable(f"table id {table_id!r}", char)
     lines = [
-        f"#lgx\t{doc.version}",
+        f"#lgx\t{FORMAT_VERSION}",
         f"#generator\t{doc.generator}",
         "#tables\t" + "\t".join(doc.table_ids),
         f"#script-sha256\t{doc.script_sha256}",
@@ -370,7 +369,7 @@ def import_text(text: str) -> LexiconDocument:
     if lines[-1]:
         lines.append("")  # ends a last block that no blank line follows
     entries = _read_entries(itertools.islice(lines, i, None))
-    doc = LexiconDocument(entries, table_ids, "\n".join(script_lines), FORMAT_VERSION, generator)
+    doc = LexiconDocument(entries, table_ids, "\n".join(script_lines), generator)
     if doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (file edited or corrupted)")
     if len(entries) != declared_count:
@@ -390,8 +389,8 @@ def import_text(text: str) -> LexiconDocument:
 # spaces per level, with ``<tag attrs />`` for an element that has neither
 # children nor text: the layout of ElementTree's ``indent``, so that a
 # lexicon keeps the bytes earlier releases wrote.  The reader is a single
-# expat pass that builds each entry when its ``</entry>`` closes; it never
-# holds an element tree.
+# expat pass that holds the nodes of the open elements and builds each entry
+# when its ``</entry>`` closes.
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -508,7 +507,7 @@ def export_xml(doc: LexiconDocument) -> str:
     script = _xml_writable(_xml_leaf("  ", "script", doc.script_source), "the embedded script")
     head = [
         _XML_DECLARATION,
-        f'<lexicon version="{_xml_attr(str(doc.version))}" generator="{_xml_attr(doc.generator)}" '
+        f'<lexicon version="{FORMAT_VERSION}" generator="{_xml_attr(doc.generator)}" '
         f'script-sha256="{doc.script_sha256}">',
     ]
     _xml_element(head, "  ", "tables", [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids])
@@ -524,309 +523,216 @@ def export_xml(doc: LexiconDocument) -> str:
     return "\n".join(blocks)
 
 
-# (context of the parent element, tag) -> (context of the element, name of
-# the reader method its start tag calls, name of the one its end tag
-# calls).  An element whose pair is absent is skipped with everything
-# inside it, so only the paths of the schema are read.
-_XML_STEPS = {
-    ("lexicon", "tables"): ("tables", None, None),
-    ("tables", "table"): ("table", "_start_table", None),
-    ("lexicon", "script"): ("script", "_start_script", "_end_script"),
-    ("lexicon", "entries"): ("entries", "_start_entries", None),
-    ("entries", "entry"): ("entry", "_start_entry", "_end_entry"),
-    ("entry", "provenance"): ("provenance", "_start_provenance", None),
-    ("entry", "surface"): ("surface", "_start_surface", "_end_surface"),
-    ("entry", "lexical-information"): ("lexical-information", "_start_lexical", None),
-    ("entry", "arguments"): ("arguments", None, None),
-    ("entry", "constructions"): ("constructions", None, None),
-    ("entry", "features"): ("features", None, None),
-    ("entry", "cross-refs"): ("cross-refs", None, None),
-    ("surface", "token"): ("token", "_capture", "_end_token"),
-    ("lexical-information", "component"): ("component", "_start_component", "_end_component"),
-    ("lexical-information", "aux"): ("aux", "_start_aux", "_end_aux"),
-    ("lexical-information", "paraphrase"): ("paraphrase", "_begin_surface", "_end_paraphrase"),
-    ("lexical-information", "other-structure"): (
-        "other-structure", "_start_other_structure", "_end_other_structure",
-    ),
-    ("lexical-information", "intensified"): ("intensified", "_begin_surface", "_end_intensified"),
-    ("paraphrase", "token"): ("token", "_capture", "_end_token"),
-    ("other-structure", "token"): ("token", "_capture", "_end_token"),
-    ("intensified", "token"): ("token", "_capture", "_end_token"),
-    ("arguments", "argument"): ("argument", "_start_argument", None),
-    ("constructions", "construction"): ("construction", "_capture", "_end_construction"),
-    ("constructions", "internal-structure"): ("internal-structure", "_capture", "_end_internal_structure"),
-    ("features", "feature"): ("feature", "_start_feature", None),
-    ("cross-refs", "cross-ref"): ("cross-ref", "_capture", "_end_cross_ref"),
-}
-
-_XML_SKIPPED = (None, None, None)
+# Elements whose text the reader keeps.  An element's text is what precedes
+# its first child, as in ElementTree.
+_XML_TEXT_TAGS = frozenset((
+    "token", "component", "aux", "construction", "internal-structure", "cross-ref", "script",
+))
 
 
-class _XmlReader:
-    """expat handlers that build a :class:`LexiconDocument` in one pass.
+def _xml_root(tag: str, attrs: dict[str, str]) -> None:
+    if tag != "lexicon":
+        raise SchemaViolation(f"unexpected root element <{tag}>")
+    version = attrs.get("version")
+    if version != str(FORMAT_VERSION):
+        raise UnknownFormatVersion(f"unsupported format version {version!r}")
+    if "script-sha256" not in attrs:
+        raise SchemaViolation("<lexicon> element lacks the 'script-sha256' attribute")
 
-    ``_stack`` holds the step of each open element, ``_XML_SKIPPED`` for
-    one that is skipped.  Character data is collected only from the start
-    tag of a text element to its first child or its end tag.  The fields of
-    the open entry collect in ``_fields`` under :class:`LexEntry`'s keyword
-    names, sequences in lists that become tuples when the entry is built.
-    Where only the first of several elements counts (``script``,
-    and an entry's ``provenance``, ``surface`` and
-    ``lexical-information``), the later ones are skipped.
-    """
 
-    def __init__(self) -> None:
-        parser = expat.ParserCreate(namespace_separator="}")
-        parser.buffer_text = True
-        parser.StartElementHandler = self._start_root
-        parser.EndElementHandler = self._end
-        parser.SkippedEntityHandler = self._skipped_entity
-        self._parser = parser
-        self._steps = {
-            key: (context, start and getattr(_XmlReader, start), end and getattr(_XmlReader, end))
-            for key, (context, start, end) in _XML_STEPS.items()
-        }
-        self._stack: list[tuple] = []
-        self._chunks: list[str] = []
-        self._generator = GENERATOR
-        self._declared_sha = ""
-        self._declared_count: int | None = None
-        self._script: str | None = None
-        self._table_ids: list[str] = []
-        self._entries: list[LexEntry] = []
-        self._fields: dict = {}
-        self._key = ""  # slot or column of the open component or aux
-        self._label = ""  # of the open other-structure
-        self._rendered = ""  # of the open surface
-        self._tokens: list[str] = []  # of the open surface
+def _xml_count(attrs: dict[str, str]) -> int:
+    if "count" not in attrs:
+        raise SchemaViolation("<entries> element lacks the 'count' attribute")
+    try:
+        return int(attrs["count"])
+    except ValueError:
+        raise SchemaViolation(f"bad entry count {attrs['count']!r}") from None
 
-    def read(self, text: str) -> LexiconDocument:
-        try:
-            self._parser.Parse(text, True)
-        except expat.ExpatError as err:
-            raise SchemaViolation(f"not well-formed XML: {err}") from None
-        except UnicodeEncodeError as err:  # a lone surrogate in the text
-            raise SchemaViolation(f"not well-formed XML: {err}") from None
-        finally:
-            # The parser holds handlers bound to this reader; dropping it ends
-            # the cycle, so reference counting frees reader and document.
-            self._parser = None
-        entries = self._entries
-        if self._declared_count is None:
-            raise SchemaViolation("document has no <entries count> (truncated file?)")
-        if self._declared_count != len(entries):
-            raise SchemaViolation(
-                f"entry count mismatch: document says {self._declared_count}, found {len(entries)}"
-            )
-        doc = LexiconDocument(
-            entries, tuple(self._table_ids), self._script or "", FORMAT_VERSION, self._generator,
-        )
-        if doc.script_sha256 != self._declared_sha:
-            raise SchemaViolation("script hash mismatch (document edited or corrupted)")
-        _check_entry_ids(entries)
-        return doc
 
-    # --- dispatch --------------------------------------------------------------
+def _skipped_entity(name: str, is_parameter_entity: bool) -> None:
+    raise SchemaViolation(f"undefined entity &{name};")
 
-    def _start_root(self, tag: str, attrs: dict[str, str]) -> None:
-        if tag != "lexicon":
-            raise SchemaViolation(f"unexpected root element <{tag}>")
-        version = attrs.get("version")
-        if version != str(FORMAT_VERSION):
-            raise UnknownFormatVersion(f"unsupported format version {version!r}")
-        if "script-sha256" not in attrs:
-            raise SchemaViolation("<lexicon> element lacks the 'script-sha256' attribute")
-        self._declared_sha = attrs["script-sha256"]
-        self._generator = attrs.get("generator", GENERATOR)
-        self._stack.append(("lexicon", None, None))
-        self._parser.StartElementHandler = self._start
 
-    def _start(self, tag: str, attrs: dict[str, str]) -> None:
-        stack = self._stack
-        step = self._steps.get((stack[-1][0], tag))
-        if step is None:
-            # An element's text is what precedes its first child, as in
-            # ElementTree: a child ends the capture of a text element.
-            self._parser.CharacterDataHandler = None
-            stack.append(_XML_SKIPPED)
-            return
-        stack.append(step)
-        if step[1] is not None:
-            step[1](self, attrs)
+def _lacks(entry_id: str, tag: str, name: str) -> SchemaViolation:
+    return SchemaViolation(f"entry {entry_id!r}: <{tag}> element lacks the {name!r} attribute")
 
-    def _end(self, tag: str) -> None:
-        on_end = self._stack.pop()[2]
-        if on_end is not None:
-            on_end(self)
 
-    def _skip(self) -> None:
-        self._stack[-1] = _XML_SKIPPED
+def _node_surface(entry_id: str, node: tuple) -> SurfaceForm:
+    tag, attrs, _, children = node
+    if "rendered" not in attrs:
+        raise _lacks(entry_id, tag, "rendered")
+    return SurfaceForm(tuple("".join(c[2]) for c in children if c[0] == "token"), attrs["rendered"])
 
-    def _capture(self, attrs: dict[str, str] | None = None) -> None:
-        self._parser.CharacterDataHandler = self._chunks.append
 
-    def _text(self) -> str:
-        self._parser.CharacterDataHandler = None
-        text = "".join(self._chunks)
-        self._chunks.clear()
-        return text
-
-    def _skipped_entity(self, name: str, is_parameter_entity: bool) -> None:
-        raise SchemaViolation(f"undefined entity &{name};")
-
-    def _missing(self, name: str) -> SchemaViolation:
-        return SchemaViolation(
-            f"entry {self._fields['entry_id']!r}: "
-            f"<{self._stack[-1][0]}> element lacks the {name!r} attribute"
-        )
-
-    # --- document level ----------------------------------------------------------
-
-    def _start_table(self, attrs: dict[str, str]) -> None:
-        if "id" not in attrs:
-            raise SchemaViolation("<table> element lacks the 'id' attribute")
-        self._table_ids.append(attrs["id"])
-
-    def _start_script(self, attrs: dict[str, str]) -> None:
-        if self._script is not None:
-            return self._skip()
-        self._capture()
-
-    def _end_script(self) -> None:
-        self._script = self._text()
-
-    def _start_entries(self, attrs: dict[str, str]) -> None:
-        if self._declared_count is not None:
-            return
-        if "count" not in attrs:
-            raise SchemaViolation("<entries> element lacks the 'count' attribute")
-        try:
-            self._declared_count = int(attrs["count"])
-        except ValueError:
-            raise SchemaViolation(f"bad entry count {attrs['count']!r}") from None
-
-    # --- entries -----------------------------------------------------------------
-
-    def _start_entry(self, attrs: dict[str, str]) -> None:
-        for name in ("id", "table"):
-            if name not in attrs:
-                raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
-        self._fields = {
-            "entry_id": attrs["id"], "table_id": attrs["table"], "components": {}, "aux": {},
-            "paraphrases": [], "other_structures": [], "intensified": [], "arguments": [],
-            "construction_ids": [], "internal_structures": [], "binary_features": {},
-            "cross_refs": [],
-        }
-
-    def _end_entry(self) -> None:
-        fields = self._fields
-        if "provenance" not in fields or "surface" not in fields or "category" not in fields:
-            raise SchemaViolation(f"entry {fields['entry_id']!r} is missing a required element")
-        self._entries.append(LexEntry(**{
-            name: tuple(value) if type(value) is list else value for name, value in fields.items()
-        }))
-
-    def _start_provenance(self, attrs: dict[str, str]) -> None:
-        if "provenance" in self._fields:
-            return self._skip()
-        try:
-            self._fields["provenance"] = Provenance(
-                Origin(attrs["kind"]), attrs.get("parent"), attrs.get("feature"), attrs.get("template"),
-            )
-        except (KeyError, ValueError) as err:
-            raise SchemaViolation(f"bad provenance: {err}") from None
-
-    def _start_lexical(self, attrs: dict[str, str]) -> None:
-        if "category" in self._fields:
-            return self._skip()
-        self._fields["category"] = attrs.get("category", "")
-
-    def _start_component(self, attrs: dict[str, str]) -> None:
-        if "slot" not in attrs:
-            raise self._missing("slot")
-        self._key = attrs["slot"]
-        self._capture()
-
-    def _end_component(self) -> None:
-        self._fields["components"][self._key] = self._text()
-
-    def _start_aux(self, attrs: dict[str, str]) -> None:
-        if "column" not in attrs:
-            raise self._missing("column")
-        self._key = attrs["column"]
-        self._capture()
-
-    def _end_aux(self) -> None:
-        self._fields["aux"][self._key] = self._text()
-
-    def _start_argument(self, attrs: dict[str, str]) -> None:
-        try:
-            self._fields["arguments"].append(ArgumentSpec(attrs["slot"], Selection(attrs["selection"])))
-        except (KeyError, ValueError) as err:
-            raise SchemaViolation(f"bad argument: {err}") from None
-
-    def _start_feature(self, attrs: dict[str, str]) -> None:
-        for name in ("id", "value"):
-            if name not in attrs:
-                raise self._missing(name)
-        value = attrs["value"]
-        if value not in _FEATURE_VALUES:
-            raise SchemaViolation(
-                f"entry {self._fields['entry_id']!r}: feature value {value!r} is not '+' or '-'"
-            )
-        self._fields["binary_features"][attrs["id"]] = _FEATURE_VALUES[value]
-
-    def _end_construction(self) -> None:
-        self._fields["construction_ids"].append(self._text())
-
-    def _end_internal_structure(self) -> None:
-        self._fields["internal_structures"].append(self._text())
-
-    def _end_cross_ref(self) -> None:
-        self._fields["cross_refs"].append(self._text())
-
-    # --- surfaces: the entry's own, paraphrases, other structures, intensified ---
-
-    def _begin_surface(self, attrs: dict[str, str]) -> None:
-        if "rendered" not in attrs:
-            raise self._missing("rendered")
-        self._rendered = attrs["rendered"]
-        self._tokens = []
-
-    def _surface(self) -> SurfaceForm:
-        return SurfaceForm(tuple(self._tokens), self._rendered)
-
-    def _start_surface(self, attrs: dict[str, str]) -> None:
-        if "surface" in self._fields:
-            return self._skip()
-        self._begin_surface(attrs)
-
-    def _end_surface(self) -> None:
-        self._fields["surface"] = self._surface()
-
-    def _start_other_structure(self, attrs: dict[str, str]) -> None:
-        if "label" not in attrs:
-            raise self._missing("label")
-        self._label = attrs["label"]
-        self._begin_surface(attrs)
-
-    def _end_token(self) -> None:
-        self._tokens.append(self._text())
-
-    def _end_paraphrase(self) -> None:
-        self._fields["paraphrases"].append(self._surface())
-
-    def _end_other_structure(self) -> None:
-        self._fields["other_structures"].append((self._label, self._surface()))
-
-    def _end_intensified(self) -> None:
-        self._fields["intensified"].append(self._surface())
+def _node_entry(node: tuple) -> LexEntry:
+    """The entry an ``<entry>`` node holds.  Each child dispatches on its
+    tag; of ``provenance``, ``surface`` and ``lexical-information`` the
+    first counts, and any other tag is ignored with what it holds."""
+    _, attrs, _, children = node
+    for name in ("id", "table"):
+        if name not in attrs:
+            raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
+    entry_id = attrs["id"]
+    category = provenance = surface = None
+    components: dict[str, str] = {}
+    aux: dict[str, str] = {}
+    features: dict[str, bool] = {}
+    paraphrases: list[SurfaceForm] = []
+    other_structures: list[tuple[str, SurfaceForm]] = []
+    intensified: list[SurfaceForm] = []
+    arguments: list[ArgumentSpec] = []
+    constructions: list[str] = []
+    internal: list[str] = []
+    cross_refs: list[str] = []
+    for child in children:
+        tag, child_attrs, _, grandchildren = child
+        if tag == "lexical-information":
+            if category is not None:
+                continue
+            category = child_attrs.get("category", "")
+            for item in grandchildren:
+                tag, item_attrs, chunks, _ = item
+                if tag == "component":
+                    if "slot" not in item_attrs:
+                        raise _lacks(entry_id, tag, "slot")
+                    components[item_attrs["slot"]] = "".join(chunks)
+                elif tag == "aux":
+                    if "column" not in item_attrs:
+                        raise _lacks(entry_id, tag, "column")
+                    aux[item_attrs["column"]] = "".join(chunks)
+                elif tag == "paraphrase":
+                    paraphrases.append(_node_surface(entry_id, item))
+                elif tag == "other-structure":
+                    if "label" not in item_attrs:
+                        raise _lacks(entry_id, tag, "label")
+                    other_structures.append((item_attrs["label"], _node_surface(entry_id, item)))
+                elif tag == "intensified":
+                    intensified.append(_node_surface(entry_id, item))
+        elif tag == "features":
+            for tag, item_attrs, _, _ in grandchildren:
+                if tag != "feature":
+                    continue
+                for name in ("id", "value"):
+                    if name not in item_attrs:
+                        raise _lacks(entry_id, tag, name)
+                value = _FEATURE_VALUES.get(item_attrs["value"])
+                if value is None:
+                    raise SchemaViolation(
+                        f"entry {entry_id!r}: feature value {item_attrs['value']!r} is not '+' or '-'"
+                    )
+                features[item_attrs["id"]] = value
+        elif tag == "constructions":
+            for tag, _, chunks, _ in grandchildren:
+                if tag == "construction":
+                    constructions.append("".join(chunks))
+                elif tag == "internal-structure":
+                    internal.append("".join(chunks))
+        elif tag == "arguments":
+            for tag, item_attrs, _, _ in grandchildren:
+                if tag != "argument":
+                    continue
+                try:
+                    arguments.append(ArgumentSpec(item_attrs["slot"], Selection(item_attrs["selection"])))
+                except (KeyError, ValueError) as err:
+                    raise SchemaViolation(f"bad argument: {err}") from None
+        elif tag == "surface":
+            if surface is None:
+                surface = _node_surface(entry_id, child)
+        elif tag == "provenance":
+            if provenance is not None:
+                continue
+            try:
+                provenance = Provenance(
+                    Origin(child_attrs["kind"]), child_attrs.get("parent"),
+                    child_attrs.get("feature"), child_attrs.get("template"),
+                )
+            except (KeyError, ValueError) as err:
+                raise SchemaViolation(f"bad provenance: {err}") from None
+        elif tag == "cross-refs":
+            cross_refs.extend("".join(chunks) for tag, _, chunks, _ in grandchildren if tag == "cross-ref")
+    if provenance is None or surface is None or category is None:
+        raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
+    return LexEntry(
+        entry_id, attrs["table"], category, surface, components, aux, tuple(paraphrases),
+        tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
+        tuple(internal), features, provenance, tuple(cross_refs),
+    )
 
 
 def import_xml(text: str) -> LexiconDocument:
     """Parse an ``.lgx.xml`` document; raises SchemaViolation (or its
-    subclass UnknownFormatVersion) for any document it cannot read."""
-    return _XmlReader().read(text)
+    subclass UnknownFormatVersion) for any document it cannot read.
+
+    One expat pass keeps a ``(tag, attrs, text chunks, children)`` node for
+    each open element.  An ``<entry>`` in a root-level ``<entries>`` becomes
+    a :class:`LexEntry` when it closes and its node is dropped, so no more
+    than one entry's nodes are held.  Entries come from every root-level
+    ``<entries>``, the count from the first.
+    """
+    document: tuple = (None, {}, [], [])
+    stack = [document]
+    entries: list[LexEntry] = []
+    declared_count: int | None = None
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal declared_count
+        depth = len(stack)
+        if depth == 1:
+            _xml_root(tag, attrs)
+        elif depth == 2 and tag == "entries" and declared_count is None:
+            declared_count = _xml_count(attrs)
+        node = (tag, attrs, [], [])
+        stack[-1][3].append(node)
+        stack.append(node)
+        parser.CharacterDataHandler = node[2].append if tag in _XML_TEXT_TAGS else None
+
+    def end(tag: str) -> None:
+        node = stack.pop()
+        parser.CharacterDataHandler = None
+        if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
+            entries.append(_node_entry(node))
+            stack[2][3].pop()
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = _skipped_entity
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as err:
+        raise SchemaViolation(f"not well-formed XML: {err}") from None
+    except UnicodeEncodeError as err:  # a lone surrogate in the text
+        raise SchemaViolation(f"not well-formed XML: {err}") from None
+    finally:
+        # The handlers refer to the parser; unsetting them ends the cycle, so
+        # reference counting frees the parser and the nodes.
+        parser.StartElementHandler = parser.EndElementHandler = None
+
+    _, root_attrs, _, root_children = document[3][0]
+    table_ids: list[str] = []
+    script = None
+    for tag, attrs, chunks, children in root_children:
+        if tag == "tables":
+            for child_tag, child_attrs, _, _ in children:
+                if child_tag != "table":
+                    continue
+                if "id" not in child_attrs:
+                    raise SchemaViolation("<table> element lacks the 'id' attribute")
+                table_ids.append(child_attrs["id"])
+        elif tag == "script" and script is None:
+            script = "".join(chunks)
+    if declared_count is None:
+        raise SchemaViolation("document has no <entries count> (truncated file?)")
+    if declared_count != len(entries):
+        raise SchemaViolation(f"entry count mismatch: document says {declared_count}, found {len(entries)}")
+    doc = LexiconDocument(
+        entries, tuple(table_ids), script or "", root_attrs.get("generator", GENERATOR),
+    )
+    if doc.script_sha256 != root_attrs["script-sha256"]:
+        raise SchemaViolation("script hash mismatch (document edited or corrupted)")
+    _check_entry_ids(entries)
+    return doc
 
 
 # =============================================================================

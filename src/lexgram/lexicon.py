@@ -30,10 +30,6 @@ from .script import (
 )
 from .tables import Cell, CellKind, FeatureKind, LgTable
 
-# Auxiliary columns whose cells are reader notes (example verbs, clitics);
-# they surface in the entry's usage note, never in citation forms.
-NOTE_COLUMNS = ("Ppv", "Précat type")
-
 
 class Origin(enum.Enum):
     BASE = "base"
@@ -139,10 +135,6 @@ class LexEntry:
     @property
     def is_base(self) -> bool:
         return self.provenance.kind is Origin.BASE
-
-    @property
-    def usage_note(self) -> str:
-        return " ".join(self.aux[c] for c in NOTE_COLUMNS if self.aux.get(c))
 
     def bindings(self) -> Bindings:
         return Bindings(self.components, self.aux)

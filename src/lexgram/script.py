@@ -33,8 +33,8 @@ from .errors import (
 from .tables import ENT_PREFIX, parse_structure_label
 
 # Tokens passed through to the realizer's symbol policy instead of being
-# treated as plain literals.  Closed but configurable list.
-DEFAULT_SYMBOLIC_TOKENS = frozenset({"Poss2", "Ddef", "N", "Nhum"})
+# treated as plain literals.
+SYMBOLIC_TOKENS = frozenset({"Poss2", "Ddef", "N", "Nhum"})
 
 
 # =============================================================================
@@ -77,10 +77,6 @@ class Template:
     parts: tuple[Part, ...]
 
     @property
-    def is_flat(self) -> bool:
-        return not any(isinstance(p, Group) for p in self.parts)
-
-    @property
     def text(self) -> str:
         chunks = []
         for part in self.parts:
@@ -95,7 +91,7 @@ class Template:
 _SPECIAL = set("@()+")
 
 
-def parse_template(source: str, symbolic: frozenset[str] = DEFAULT_SYMBOLIC_TOKENS) -> Template:
+def parse_template(source: str) -> Template:
     """Tokenize a template string into parts, validating grouping and markers."""
     parts: list[Part] = []
     group_alts: list[tuple[Part, ...]] | None = None  # None = not inside a group
@@ -153,7 +149,7 @@ def parse_template(source: str, symbolic: frozenset[str] = DEFAULT_SYMBOLIC_TOKE
             while j < n and not source[j].isspace() and source[j] not in _SPECIAL:
                 j += 1
             word = source[i:j]
-            current.append(Symbolic(word) if word in symbolic else Literal(word))
+            current.append(Symbolic(word) if word in SYMBOLIC_TOKENS else Literal(word))
             i = j
     if group_alts is not None:
         raise UnterminatedGroup(f"unterminated '(' in {source!r}")
@@ -214,7 +210,6 @@ class ScriptRule:
 @dataclass(frozen=True)
 class ExtractionScript:
     rules: tuple[ScriptRule, ...]
-    symbolic: frozenset[str] = DEFAULT_SYMBOLIC_TOKENS
 
     def effective_rules(self, table_id: str, action: Action | None = None) -> list[ScriptRule]:
         """One rule per feature id, in declaration order: a rule naming the
@@ -249,11 +244,7 @@ _ACTION_RE = re.compile(r"^(?P<action>[a-z]+)\s*(?:\((?P<label>[^()]*)\))?\s*(?P
 _TEMPLATE_LIST_RE = re.compile(r'^\s*(?:"[^"]*"\s*(?:,\s*"[^"]*"\s*)*)?$')
 
 
-def parse_script(
-    text: str,
-    source: str | None = None,
-    symbolic: frozenset[str] = DEFAULT_SYMBOLIC_TOKENS,
-) -> ExtractionScript:
+def parse_script(text: str, source: str | None = None) -> ExtractionScript:
     rules: list[ScriptRule] = []
     seen: set[tuple[str, str]] = set()
 
@@ -310,7 +301,7 @@ def parse_script(
             raise ScriptSyntaxError(f"malformed template list: {template_field!r}", source, lineno)
         try:
             templates = tuple(
-                parse_template(t, symbolic) for t in re.findall(r'"([^"]*)"', template_field)
+                parse_template(t) for t in re.findall(r'"([^"]*)"', template_field)
             )
         except ScriptSyntaxError as err:
             raise type(err)(err.bare_message, source, lineno) from None
@@ -323,7 +314,7 @@ def parse_script(
         seen.add(key)
         rules.append(ScriptRule(feature_id, tables, action, label, templates, lineno))
 
-    return ExtractionScript(tuple(rules), symbolic)
+    return ExtractionScript(tuple(rules))
 
 
 def load_script(path) -> ExtractionScript:

@@ -9,6 +9,7 @@ from .errors import SchemaViolation, ZeroInitial
 from .lexicon import PASS_ORDER, LexEntry, Origin
 
 if TYPE_CHECKING:
+    from .expansion import ExpansionRecord
     from .formats import RecordRow
 
 
@@ -55,25 +56,32 @@ def compute_stats(
     return StatsReport(initial, per_pass, duplicates_removed, rejected, final)
 
 
+def tally(records: Iterable[ExpansionRecord | RecordRow]) -> tuple[dict[Origin, int], int, int]:
+    """Count expansion records or sidecar rows: the entries added by each of
+    the six passes, the entries removed as duplicates, and the base entries
+    among those removed.  The one counting rule behind ``extend``'s report
+    and ``stats``'s, so both print the same lines."""
+    added = dict.fromkeys(PASS_ORDER, 0)
+    duplicates_removed = removed_bases = 0
+    for record in records:
+        if record.status == "duplicate":
+            duplicates_removed += 1
+        if record.kind is Origin.BASE:
+            removed_bases += 1
+        else:
+            added[record.kind] += 1
+    return added, duplicates_removed, removed_bases
+
+
 def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> StatsReport:
     """Rebuild an extension run's report from the extended lexicon and its
     record sidecar, and check it against the lexicon's entry count.  Both
     are user files, so a mismatch is an input error (SchemaViolation).
 
-    Every generated row counts as added to its pass; every ``duplicate`` row
-    counts as removed.  A ``base`` row is a base entry removed as a duplicate,
-    so it counts towards the initial size instead.
+    The rows are counted by :func:`tally`.  A ``base`` row is a base entry
+    removed as a duplicate, so it counts towards the initial size.
     """
-    added: dict[Origin, int] = {}
-    duplicates_removed = 0
-    removed_bases = 0
-    for row in rows:
-        if row.status == "duplicate":
-            duplicates_removed += 1
-        if row.kind is Origin.BASE:
-            removed_bases += 1
-            continue
-        added[row.kind] = added.get(row.kind, 0) + 1
+    added, duplicates_removed, removed_bases = tally(rows)
     initial = sum(1 for e in entries if e.is_base) + removed_bases
     report = compute_stats(initial, added, duplicates_removed)
     if report.final != len(entries):

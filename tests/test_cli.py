@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
 import lexgram.cli
@@ -30,7 +35,7 @@ from lexgram.realizer import load_morpho_rules
 from lexgram.script import load_script
 from lexgram.stats import recompute_stats
 from lexgram.tables import load_class_matrix, load_table
-from test_formats import mutate
+from test_formats import _TEXT_MUTATIONS, _extended_corpus, mutate
 
 
 def _table_args():
@@ -260,6 +265,16 @@ def test_stats_recomputes_from_sidecar(tmp_path, capsys):
     assert capsys.readouterr().out == extend_stdout
 
 
+def test_stats_reprints_the_report_of_a_pass_subset(tmp_path, capsys):
+    base = _compile(tmp_path)
+    capsys.readouterr()
+    _, out, records = _extend(tmp_path, base, extra=("--passes", "para,trans"))
+    extend_stdout = capsys.readouterr().out
+    assert "all other structures" in extend_stdout
+    assert main(["stats", str(out), "--records", str(records)]) == 0
+    assert capsys.readouterr().out == extend_stdout
+
+
 def test_stats_detects_tampered_sidecar(tmp_path, capsys):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
@@ -342,6 +357,42 @@ def test_import_of_a_mutated_xml_file_exits_cleanly(tmp_path, damage):
     assert run.returncode in (0, 1), run.stderr
     assert "Traceback" not in run.stderr
     assert (run.returncode == 1) == run.stderr.startswith("lexgram: error: ")
+
+
+_CHAIN_EXTENDED, _CHAIN_RESULT = _extended_corpus()
+_CHAIN_TEXTS = {"base": export_text(compile_corpus()), "full": export_text(_CHAIN_EXTENDED)}
+_CHAIN_RECORDS = export_records(_CHAIN_RESULT.records)
+
+
+def _cli_exits_cleanly(*argv) -> int:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = lexgram.cli.cli([str(arg) for arg in argv])
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    return code
+
+
+# A seed drives the mutations, as in test_formats.
+@settings(max_examples=50)
+@given(st.sampled_from(sorted(_CHAIN_TEXTS)), st.integers(0, 2**32))
+def test_commands_on_a_mutated_lexicon_exit_cleanly(name, seed):
+    """Every command over a lexicon that imports cleanly exits 0 or 1:
+    ``extend`` over a mutated base lexicon, ``validate`` and ``stats`` over
+    a mutated extended one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        lexicon = tmp / f"{name}.lgx"
+        lexicon.write_text(mutate(_CHAIN_TEXTS[name], random.Random(seed), _TEXT_MUTATIONS), encoding="utf-8")
+        if _cli_exits_cleanly("import", lexicon) != 0:
+            return
+        if name == "base":
+            _cli_exits_cleanly("extend", lexicon, "--records", tmp / "out.tsv", "-o", tmp / "out.lgx")
+        else:
+            records = tmp / "full.lgx.records.tsv"
+            records.write_text(_CHAIN_RECORDS, encoding="utf-8")
+            _cli_exits_cleanly("validate", lexicon)
+            _cli_exits_cleanly("stats", lexicon, "--records", records)
 
 
 def test_export_refuses_characters_xml_cannot_carry(tmp_path, capsys):

@@ -159,6 +159,13 @@ def test_run_pipeline_refuses_extended_input():
         run_pipeline(result.entries, load_fixture_script())
 
 
+def test_run_pipeline_refuses_repeated_ids():
+    # The records, and so the report counted from them, name entries by id.
+    entries = compile_corpus().entries
+    with pytest.raises(LexgramError, match="duplicate entry id 'ADVMP#1'"):
+        run_pipeline(entries + [entries[0]], load_fixture_script(), rules=load_fixture_morpho())
+
+
 def test_run_pipeline_single_pass_still_dedups():
     result = _fixture_pipeline(config=PassConfig.parse("para"))
     added = {kind: count for kind, (count, _) in result.stats.per_pass.items()}

@@ -406,23 +406,30 @@ def test_xml_rejects_tampered_script(corpus_doc):
         import_xml(bad)
 
 
-@pytest.mark.parametrize("old, new", [
-    ("<component slot=", "<component sloth="),
-    ("<aux column=", "<aux col="),
-    ("<feature id=", "<feature name="),
-    (' value="+"', ' val="+"'),
-    (' value="+"', ' value="x"'),
-    ("<table id=", "<table name="),
-    ("<other-structure label=", "<other-structure lab="),
-    ('<entry id="PAC#2"', '<entry id="weird"'),
-    ('<entry id="ADVPS#2"', '<entry id="ADVPS#1"'),
-    ('<entry id="ADVMS#2#para#1"', '<entry id="ADVMS#2#int#9"'),
-])
-def test_xml_rejects_missing_attributes_and_bad_values(old, new):
+_XML_DEFECTS = [
+    ("<component slot=", "<component sloth=", "entry 'ADVMP#1': <component> element lacks the 'slot' attribute"),
+    ("<aux column=", "<aux col=", "entry 'ADVMP#1': <aux> element lacks the 'column' attribute"),
+    ("<feature id=", "<feature name=", "entry 'ADVMP#1': <feature> element lacks the 'id' attribute"),
+    (' value="+"', ' val="+"', "entry 'ADVMP#1': <feature> element lacks the 'value' attribute"),
+    (' value="+"', ' value="x"', "entry 'ADVMP#1': feature value 'x' is not '+' or '-'"),
+    ("<table id=", "<table name=", "<table> element lacks the 'id' attribute"),
+    ("<other-structure label=", "<other-structure lab=",
+     "entry 'PCA#3': <other-structure> element lacks the 'label' attribute"),
+    ('<entry id="PAC#2"', '<entry id="weird"',
+     "malformed entry id 'weird' (expected TABLE#row or TABLE#row#tag#ordinal)"),
+    ('<entry id="ADVPS#2"', '<entry id="ADVPS#1"', "duplicate entry id 'ADVPS#1'"),
+    ('<entry id="ADVMS#2#para#1"', '<entry id="ADVMS#2#int#9"',
+     "entry id 'ADVMS#2#int#9' does not match its table 'ADVMS' and provenance 'paraphrase-direct'"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", _XML_DEFECTS, ids=[f"{old}-{new}" for old, new, _ in _XML_DEFECTS])
+def test_xml_rejects_missing_attributes_and_bad_values(old, new, message):
     text = export_xml(_extended_corpus()[0])
     assert old in text
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation) as err:
         import_xml(text.replace(old, new, 1))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("char", ["\x00", "\x0c", "\x1f", "\ud800", "\uffff"])
@@ -442,20 +449,21 @@ def test_xml_keeps_carriage_returns(corpus_doc):
     assert import_xml(text) == corpus_doc
 
 
-@pytest.mark.parametrize("pattern, replacement", [
-    (r' count="\d+"', ""),
-    (r' script-sha256="[0-9a-f]+"', ""),
-    (r' script-sha256="[0-9a-f]+"', ' script-sha256=""'),
-    (r"  <entries count=\"0\" />\n", ""),
+@pytest.mark.parametrize("pattern, replacement, message", [
+    (r' count="\d+"', "", "<entries> element lacks the 'count' attribute"),
+    (r' script-sha256="[0-9a-f]+"', "", "<lexicon> element lacks the 'script-sha256' attribute"),
+    (r' script-sha256="[0-9a-f]+"', ' script-sha256=""', "script hash mismatch (document edited or corrupted)"),
+    (r"  <entries count=\"0\" />\n", "", "document has no <entries count> (truncated file?)"),
 ], ids=["count", "hash", "empty-hash", "entries-element"])
-def test_xml_requires_count_and_hash(pattern, replacement):
+def test_xml_requires_count_and_hash(pattern, replacement, message):
     doc = LexiconDocument([], ("T",), "# empty script")
     text = export_xml(doc)
     assert import_xml(text) == doc
     stripped, replaced = re.subn(pattern, replacement, text, count=1)
     assert replaced == 1
-    with pytest.raises(SchemaViolation):
+    with pytest.raises(SchemaViolation) as err:
         import_xml(stripped)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("old, new", [

@@ -132,12 +132,6 @@ def test_generate_base_keeps_class_label():
     assert first.internal_structures == ("Prép1 Det1 C1",)
 
 
-def test_usage_note_concatenates_note_columns():
-    first, second = _base_entries()
-    assert first.usage_note == "il arrive"
-    assert second.usage_note == ""
-
-
 def test_structure_template_lists_component_refs():
     table = parse_table(TABLE, "T")
     template = structure_template(table)

@@ -143,7 +143,6 @@ def test_parse_template_group_with_empty_alternative():
     template = parse_template("de (E + une) façon")
     group = template.parts[1]
     assert isinstance(group, Group)
-    assert not template.is_flat
 
 
 def test_nested_group_is_rejected():
@@ -165,7 +164,7 @@ def test_expand_alternation_orders_leftmost_most_significant():
         "de une façon @Adj@",
         "de une manière @Adj@",
     ]
-    assert all(f.is_flat for f in flats)
+    assert not any(isinstance(part, Group) for f in flats for part in f.parts)
 
 
 def test_expand_alternation_on_flat_template_is_identity():

@@ -193,7 +193,7 @@ def import_text(text: str) -> LexiconDocument:
     if block:
         entries.append(_parse_entry_block(block))
 
-    doc = LexiconDocument(entries, table_ids, script_source, FORMAT_VERSION, generator)
+    doc = LexiconDocument(entries, table_ids, script_source, generator)
     if doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (file edited or corrupted)")
     if len(entries) != declared_count:

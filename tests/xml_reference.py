@@ -37,7 +37,7 @@ def _element_surface(element: ET.Element) -> SurfaceForm:
 
 def export_xml(doc: LexiconDocument) -> str:
     root = ET.Element("lexicon", {
-        "version": str(doc.version),
+        "version": str(FORMAT_VERSION),
         "generator": doc.generator,
         "script-sha256": doc.script_sha256,
     })
@@ -179,7 +179,7 @@ def import_xml(text: str) -> LexiconDocument:
                 f"entry count mismatch: document says {declared}, found {len(entries)}"
             )
     doc = LexiconDocument(
-        entries, table_ids, script_source, FORMAT_VERSION, root.attrib.get("generator", GENERATOR),
+        entries, table_ids, script_source, root.attrib.get("generator", GENERATOR),
     )
     if declared_sha is not None and doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (document edited or corrupted)")
