@@ -137,11 +137,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    text = export_lexicon(load_lexicon(args.lexicon), args.format)
+    doc = load_lexicon(args.lexicon)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        save_lexicon(doc, args.output, args.format)
     else:
-        sys.stdout.write(text)
+        # Built whole first, so a refused export writes nothing to stdout.
+        sys.stdout.write(export_lexicon(doc, args.format))
     return 0
 
 

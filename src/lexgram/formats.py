@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TextIO
 from xml.parsers import expat
 
 from .errors import SchemaViolation, UnknownFormatVersion, read_text
@@ -141,10 +142,23 @@ def _entry_block(entry: LexEntry) -> str:
     return block
 
 
-def export_text(doc: LexiconDocument) -> str:
-    """Serialize *doc*.  Raises SchemaViolation, naming the entry, for a
-    field holding a tab, a newline or a carriage return; the embedded
-    script and the generator may hold tabs, and the script newlines."""
+def _write(pieces: Iterable[str], out: TextIO | None) -> str | None:
+    """Join *pieces*, or write each to *out* as it is made."""
+    if out is None:
+        return "".join(pieces)
+    out.writelines(pieces)
+    return None
+
+
+def export_text(doc: LexiconDocument, out: TextIO | None = None) -> str | None:
+    """Serialize *doc*: return the text, or write it to *out* block by block
+    and return None.  Raises SchemaViolation, naming the entry, for a field
+    holding a tab, a newline or a carriage return; the embedded script and
+    the generator may hold tabs, and the script newlines."""
+    return _write(_text_pieces(doc), out)
+
+
+def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
     if "\r" in doc.script_source:
         raise _unwritable("the embedded script", "\r")
     for char in "\n\r":
@@ -164,9 +178,10 @@ def export_text(doc: LexiconDocument) -> str:
     lines.extend(f"#|{line}" for line in doc.script_source.split("\n"))
     lines.append("#script-end")
     lines.append(f"#entries\t{len(doc.entries)}")
-    blocks = ["\n".join(lines)]
-    blocks.extend(_entry_block(entry) for entry in doc.entries)
-    return "\n\n".join(blocks) + "\n"
+    yield "\n".join(lines)
+    for entry in doc.entries:
+        yield "\n\n" + _entry_block(entry)
+    yield "\n"
 
 
 _ORIGINS = {origin.value: origin for origin in Origin}
@@ -186,15 +201,18 @@ def _read_surface(fields: list[str]) -> SurfaceForm:
     return SurfaceForm(tuple(_unsent(fields[2]).split()), _unsent(fields[1]))
 
 
-def _read_provenance(fields: list[str]) -> Provenance:
+def _read_provenance(fields: list[str], share: Callable[[str, str], str]) -> Provenance:
     if len(fields) != 5:
         raise SchemaViolation(f"malformed provenance fields: {fields[1:]!r}")
     kind = _ORIGINS.get(fields[1])
     if kind is None:
         raise SchemaViolation(f"unknown provenance kind {fields[1]!r}")
+    feature_id, template = _unsent(fields[3]), _unsent(fields[4])
     try:
         return Provenance(
-            kind, _unsent(fields[2]) or None, _unsent(fields[3]) or None, _unsent(fields[4]) or None,
+            kind, _unsent(fields[2]) or None,
+            share(feature_id, feature_id) if feature_id else None,
+            share(template, template) if template else None,
         )
     except ValueError as err:
         raise SchemaViolation(str(err)) from None
@@ -208,7 +226,14 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     one.  Of repeated single-valued lines (entry, table, provenance,
     surface, category) and of repeated feature, component and aux keys, the
     last wins.
+
+    Every name (feature id, slot, column, label, construction id, table id,
+    category) goes through one table, so equal names across entries are
+    one string.  A feature line is a name and a sign, and a lexicon repeats
+    each one on many entries, so it is checked once and then looked up.
     """
+    share = {}.setdefault
+    feature_lines: dict[str, tuple[str, bool]] = {}
     entries: list[LexEntry] = []
     in_block = False
     entry_id = table_id = category = provenance = surface = None
@@ -223,6 +248,11 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     internal: list[str] = []
     cross_refs: list[str] = []
     for line in lines:
+        feature = feature_lines.get(line)
+        if feature is not None:
+            features[feature[0]] = feature[1]
+            in_block = True
+            continue
         fields = line.split("\t")
         keyword = fields[0]
         if keyword == "feature":
@@ -231,20 +261,22 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
             value = _FEATURE_VALUES.get(fields[2])
             if value is None:
                 raise SchemaViolation(f"malformed feature line: {line!r}")
-            features[fields[1]] = value
+            feature_id = share(fields[1], fields[1])
+            feature_lines[line] = (feature_id, value)
+            features[feature_id] = value
         elif keyword == "component":
             if len(fields) != 3:
                 raise _malformed(line)
             text = fields[2]
-            components[fields[1]] = "" if text == EMPTY_TOKEN else text
+            components[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
         elif keyword == "internal-structure":
             if len(fields) != 2:
                 raise _malformed(line)
-            internal.append(fields[1])
+            internal.append(share(fields[1], fields[1]))
         elif keyword == "construction":
             if len(fields) != 2:
                 raise _malformed(line)
-            constructions.append(fields[1])
+            constructions.append(share(fields[1], fields[1]))
         elif keyword == "entry":
             if len(fields) != 2:
                 raise _malformed(line)
@@ -252,33 +284,33 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
         elif keyword == "table":
             if len(fields) != 2:
                 raise _malformed(line)
-            table_id = fields[1]
+            table_id = share(fields[1], fields[1])
         elif keyword == "provenance":
-            provenance = _read_provenance(fields)
+            provenance = _read_provenance(fields, share)
         elif keyword == "surface":
             surface = _read_surface(fields)
         elif keyword == "category":
             if len(fields) != 2:
                 raise _malformed(line)
-            category = fields[1]
+            category = share(fields[1], fields[1])
         elif keyword == "paraphrase":
             paraphrases.append(_read_surface(fields))
         elif keyword == "other-structure":
             if len(fields) != 4:
                 raise _malformed(line)
-            other_structures.append((fields[1], _read_surface(fields[1:])))
+            other_structures.append((share(fields[1], fields[1]), _read_surface(fields[1:])))
         elif keyword == "argument":
             if len(fields) != 3:
                 raise _malformed(line)
             selection = _SELECTIONS.get(fields[2])
             if selection is None:
                 raise SchemaViolation(f"malformed argument line: {line!r}")
-            arguments.append(ArgumentSpec(fields[1], selection))
+            arguments.append(ArgumentSpec(share(fields[1], fields[1]), selection))
         elif keyword == "aux":
             if len(fields) != 3:
                 raise _malformed(line)
             text = fields[2]
-            aux[fields[1]] = "" if text == EMPTY_TOKEN else text
+            aux[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
         elif keyword == "intensified":
             intensified.append(_read_surface(fields))
         elif keyword == "cross-ref":
@@ -315,11 +347,29 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     return entries
 
 
+# The reader splits the text into lines this many characters at a time (cut
+# at the next newline), so it never holds the whole text's line list.
+_CHUNK_CHARS = 1 << 20
+
+
+def _line_chunks(text: str) -> Iterator[list[str]]:
+    """``text.split("\\n")``, one bounded run of lines at a time."""
+    start = 0
+    while start + _CHUNK_CHARS < len(text):
+        cut = text.find("\n", start + _CHUNK_CHARS)
+        if cut < 0:
+            break
+        yield text[start:cut].split("\n")
+        start = cut + 1
+    yield text[start:].split("\n")
+
+
 def import_text(text: str) -> LexiconDocument:
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith("#lgx\t"):
+    lines = itertools.chain.from_iterable(_line_chunks(text))
+    first = next(lines)
+    if not first.startswith("#lgx\t"):
         raise SchemaViolation("not a lexicon text file (missing #lgx header)")
-    version_field = lines[0].split("\t", 1)[1]
+    version_field = first.split("\t", 1)[1]
     if version_field != str(FORMAT_VERSION):
         raise UnknownFormatVersion(f"unsupported format version {version_field!r}")
 
@@ -329,9 +379,8 @@ def import_text(text: str) -> LexiconDocument:
     declared_count = None
     script_lines: list[str] | None = None
     in_script = False
-    i = 1
-    while i < len(lines):
-        line = lines[i]
+    body: tuple[str, ...] = ()
+    for line in lines:
         if in_script:
             if line == "#script-end":
                 in_script = False
@@ -339,9 +388,9 @@ def import_text(text: str) -> LexiconDocument:
                 script_lines.append(line[2:])
             else:
                 raise SchemaViolation(f"unexpected line inside script block: {line!r}")
-            i += 1
             continue
         if not line.startswith("#"):
+            body = (line,)
             break
         keyword, _, value = line.partition("\t")
         if keyword == "#generator":
@@ -360,15 +409,13 @@ def import_text(text: str) -> LexiconDocument:
                 raise SchemaViolation(f"bad entry count {value!r}") from None
         else:
             raise SchemaViolation(f"unknown header line {keyword!r}")
-        i += 1
     if in_script:
         raise SchemaViolation("unterminated script block (truncated file?)")
     if script_lines is None or declared_sha is None or declared_count is None:
         raise SchemaViolation("incomplete header (script, hash or entry count missing)")
 
-    if lines[-1]:
-        lines.append("")  # ends a last block that no blank line follows
-    entries = _read_entries(itertools.islice(lines, i, None))
+    # The closing blank line ends a last block that no blank line follows.
+    entries = _read_entries(itertools.chain(body, lines, ("",)))
     doc = LexiconDocument(entries, table_ids, "\n".join(script_lines), generator)
     if doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (file edited or corrupted)")
@@ -500,10 +547,15 @@ def _xml_writable(block: str, where: str) -> str:
     return block
 
 
-def export_xml(doc: LexiconDocument) -> str:
-    """Serialize *doc*.  Raises SchemaViolation, naming the entry, for a
+def export_xml(doc: LexiconDocument, out: TextIO | None = None) -> str | None:
+    """Serialize *doc*: return the document, or write it to *out* entry by
+    entry and return None.  Raises SchemaViolation, naming the entry, for a
     character XML 1.0 cannot carry: a control character other than tab,
     newline and carriage return, a lone surrogate, U+FFFE or U+FFFF."""
+    return _write(_xml_pieces(doc), out)
+
+
+def _xml_pieces(doc: LexiconDocument) -> Iterator[str]:
     script = _xml_writable(_xml_leaf("  ", "script", doc.script_source), "the embedded script")
     head = [
         _XML_DECLARATION,
@@ -517,10 +569,10 @@ def export_xml(doc: LexiconDocument) -> str:
         tail = "  </entries>\n</lexicon>\n"
     else:
         tail = '  <entries count="0" />\n</lexicon>\n'
-    blocks = [_xml_writable("\n".join(head), "the document header")]
-    blocks.extend(_xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") for entry in doc.entries)
-    blocks.append(tail)
-    return "\n".join(blocks)
+    yield _xml_writable("\n".join(head), "the document header") + "\n"
+    for entry in doc.entries:
+        yield _xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") + "\n"
+    yield tail
 
 
 # Elements whose text the reader keeps.  An element's text is what precedes
@@ -564,10 +616,11 @@ def _node_surface(entry_id: str, node: tuple) -> SurfaceForm:
     return SurfaceForm(tuple("".join(c[2]) for c in children if c[0] == "token"), attrs["rendered"])
 
 
-def _node_entry(node: tuple) -> LexEntry:
+def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
     """The entry an ``<entry>`` node holds.  Each child dispatches on its
     tag; of ``provenance``, ``surface`` and ``lexical-information`` the
-    first counts, and any other tag is ignored with what it holds."""
+    first counts, and any other tag is ignored with what it holds.  Every
+    name goes through *share*, the reader's table of shared names."""
     _, attrs, _, children = node
     for name in ("id", "table"):
         if name not in attrs:
@@ -590,22 +643,26 @@ def _node_entry(node: tuple) -> LexEntry:
             if category is not None:
                 continue
             category = child_attrs.get("category", "")
+            category = share(category, category)
             for item in grandchildren:
                 tag, item_attrs, chunks, _ = item
                 if tag == "component":
                     if "slot" not in item_attrs:
                         raise _lacks(entry_id, tag, "slot")
-                    components[item_attrs["slot"]] = "".join(chunks)
+                    slot = item_attrs["slot"]
+                    components[share(slot, slot)] = "".join(chunks)
                 elif tag == "aux":
                     if "column" not in item_attrs:
                         raise _lacks(entry_id, tag, "column")
-                    aux[item_attrs["column"]] = "".join(chunks)
+                    column = item_attrs["column"]
+                    aux[share(column, column)] = "".join(chunks)
                 elif tag == "paraphrase":
                     paraphrases.append(_node_surface(entry_id, item))
                 elif tag == "other-structure":
                     if "label" not in item_attrs:
                         raise _lacks(entry_id, tag, "label")
-                    other_structures.append((item_attrs["label"], _node_surface(entry_id, item)))
+                    label = item_attrs["label"]
+                    other_structures.append((share(label, label), _node_surface(entry_id, item)))
                 elif tag == "intensified":
                     intensified.append(_node_surface(entry_id, item))
         elif tag == "features":
@@ -620,19 +677,23 @@ def _node_entry(node: tuple) -> LexEntry:
                     raise SchemaViolation(
                         f"entry {entry_id!r}: feature value {item_attrs['value']!r} is not '+' or '-'"
                     )
-                features[item_attrs["id"]] = value
+                feature_id = item_attrs["id"]
+                features[share(feature_id, feature_id)] = value
         elif tag == "constructions":
             for tag, _, chunks, _ in grandchildren:
                 if tag == "construction":
-                    constructions.append("".join(chunks))
+                    label = "".join(chunks)
+                    constructions.append(share(label, label))
                 elif tag == "internal-structure":
-                    internal.append("".join(chunks))
+                    label = "".join(chunks)
+                    internal.append(share(label, label))
         elif tag == "arguments":
             for tag, item_attrs, _, _ in grandchildren:
                 if tag != "argument":
                     continue
                 try:
-                    arguments.append(ArgumentSpec(item_attrs["slot"], Selection(item_attrs["selection"])))
+                    slot = item_attrs["slot"]
+                    arguments.append(ArgumentSpec(share(slot, slot), Selection(item_attrs["selection"])))
                 except (KeyError, ValueError) as err:
                     raise SchemaViolation(f"bad argument: {err}") from None
         elif tag == "surface":
@@ -641,10 +702,12 @@ def _node_entry(node: tuple) -> LexEntry:
         elif tag == "provenance":
             if provenance is not None:
                 continue
+            feature_id, template = child_attrs.get("feature"), child_attrs.get("template")
             try:
                 provenance = Provenance(
                     Origin(child_attrs["kind"]), child_attrs.get("parent"),
-                    child_attrs.get("feature"), child_attrs.get("template"),
+                    None if feature_id is None else share(feature_id, feature_id),
+                    None if template is None else share(template, template),
                 )
             except (KeyError, ValueError) as err:
                 raise SchemaViolation(f"bad provenance: {err}") from None
@@ -652,8 +715,9 @@ def _node_entry(node: tuple) -> LexEntry:
             cross_refs.extend("".join(chunks) for tag, _, chunks, _ in grandchildren if tag == "cross-ref")
     if provenance is None or surface is None or category is None:
         raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
+    table_id = attrs["table"]
     return LexEntry(
-        entry_id, attrs["table"], category, surface, components, aux, tuple(paraphrases),
+        entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
         tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
         tuple(internal), features, provenance, tuple(cross_refs),
     )
@@ -672,6 +736,7 @@ def import_xml(text: str) -> LexiconDocument:
     document: tuple = (None, {}, [], [])
     stack = [document]
     entries: list[LexEntry] = []
+    share = {}.setdefault
     declared_count: int | None = None
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
@@ -692,7 +757,7 @@ def import_xml(text: str) -> LexiconDocument:
         node = stack.pop()
         parser.CharacterDataHandler = None
         if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
-            entries.append(_node_entry(node))
+            entries.append(_node_entry(node, share))
             stack[2][3].pop()
 
     parser.StartElementHandler = start
@@ -739,11 +804,12 @@ def import_xml(text: str) -> LexiconDocument:
 # front door
 # =============================================================================
 
-def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
+def export_lexicon(doc: LexiconDocument, format: str = "text", out: TextIO | None = None) -> str | None:
+    """Serialize *doc* in either format: return it, or write it to *out*."""
     if format == "text":
-        return export_text(doc)
+        return export_text(doc, out)
     if format == "xml":
-        return export_xml(doc)
+        return export_xml(doc, out)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -764,10 +830,20 @@ def load_lexicon(path: str | Path) -> LexiconDocument:
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:
+    """Write *doc* to *path*, entry by entry, through a temporary file beside
+    it that replaces *path* once complete.  A failed export leaves *path* as
+    it was; a symlink at *path* is replaced, not followed."""
     path = Path(path)
     if format is None:
         format = "xml" if path.suffix == ".xml" else "text"
-    path.write_text(export_lexicon(doc, format), encoding="utf-8")
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as out:
+            export_lexicon(doc, format, out)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 # =============================================================================

@@ -28,7 +28,10 @@ class StatsReport:
 
 def percentage(added: int, initial: int) -> int:
     """Integer percentage of ``added`` against ``initial``, rounded half
-    away from zero (14.49 -> 14, 2.75 -> 3)."""
+    away from zero (14.49 -> 14, 2.75 -> 3).  Nothing added is 0%, even
+    against an empty lexicon."""
+    if added == 0:
+        return 0
     if initial == 0:
         raise ZeroInitial("cannot compute a percentage against an empty lexicon")
     return (200 * added + initial) // (2 * initial)

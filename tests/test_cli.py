@@ -30,6 +30,7 @@ from lexgram.formats import (
     import_xml,
     load_lexicon,
     parse_records,
+    save_lexicon,
 )
 from lexgram.realizer import load_morpho_rules
 from lexgram.script import load_script
@@ -275,6 +276,19 @@ def test_stats_reprints_the_report_of_a_pass_subset(tmp_path, capsys):
     assert capsys.readouterr().out == extend_stdout
 
 
+def test_extend_and_stats_accept_an_empty_lexicon(tmp_path, capsys):
+    base = tmp_path / "empty.lgx"
+    script = (FIXTURES / "extract.lgs").read_text(encoding="utf-8")
+    save_lexicon(LexiconDocument([], ("T",), script), base)
+    capsys.readouterr()
+    code, out, records = _extend(tmp_path, base)
+    assert code == 0
+    extend_stdout = capsys.readouterr().out
+    assert "total generated                   +0  (+0%)" in extend_stdout
+    assert main(["stats", str(out), "--records", str(records)]) == 0
+    assert capsys.readouterr().out == extend_stdout
+
+
 def test_stats_detects_tampered_sidecar(tmp_path, capsys):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
@@ -402,10 +416,17 @@ def test_export_refuses_characters_xml_cannot_carry(tmp_path, capsys):
     assert old in text
     base.write_text(text.replace(old, "component\tC1\tave\x0cnir\n", 1), encoding="utf-8")
     target = tmp_path / "out.lgx.xml"
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert main(["export", str(base), "--format", "xml", "-o", str(target)]) == 1
     assert "U+000C" in capsys.readouterr().err
-    assert not target.exists()
+    assert sorted(tmp_path.iterdir()) == before
+    # A refused export leaves an existing target as it was.
+    target.write_bytes(b"old lexicon\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(base), "--format", "xml", "-o", str(target)]) == 1
+    assert target.read_bytes() == b"old lexicon\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["export", "extend"])
@@ -420,10 +441,17 @@ def test_text_output_refuses_field_breaks(tmp_path, capsys, command):
     target = tmp_path / "out.lgx"
     records = tmp_path / "out.records.tsv"
     extra = ["--records", str(records)] if command == "extend" else []
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     assert main([command, str(xml), "-o", str(target), *extra]) == 1
     assert "holds a carriage return, which the text format cannot carry" in capsys.readouterr().err
-    assert not target.exists() and not records.exists()
+    assert sorted(tmp_path.iterdir()) == before
+    # A refused write leaves an existing target as it was.
+    target.write_bytes(b"old lexicon\n")
+    before = sorted(tmp_path.iterdir())
+    assert main([command, str(xml), "-o", str(target), *extra]) == 1
+    assert target.read_bytes() == b"old lexicon\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def _rename_entry(tmp_path, old, new):

@@ -1,17 +1,23 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import random
 import re
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpusgen
 import text_reference
 import xml_reference
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script
+from lexgram import formats
 from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
@@ -585,6 +591,91 @@ def test_xml_import_rejects_unencodable_text():
 
 
 # =============================================================================
+# chunked reading and shared names
+# =============================================================================
+
+_CHUNK_SIZES = (1, 2, 17, 4096)
+
+
+def _chunk_edge_texts() -> list[str]:
+    header_only = export_text(LexiconDocument([], TABLE_IDS, "* : \"f\" => construction"))
+    texts = [export_text(compile_corpus()), _FIXTURE_TEXT, header_only]
+    return [*texts, *(text[:-1] for text in texts), ""]
+
+
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
+def test_text_import_reads_across_chunk_boundaries(monkeypatch, chunk):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+    for text in _chunk_edge_texts():
+        assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+
+
+@given(_documents(_TEXT_SAFE_TEXT))
+def test_text_import_matches_the_reference_at_any_chunk_size(doc):
+    text = export_text(doc)
+    expected = _read_outcome(text_reference.import_text, text)
+    for chunk in _CHUNK_SIZES:
+        with mock.patch.object(formats, "_CHUNK_CHARS", chunk):
+            assert _read_outcome(import_text, text) == expected
+
+
+def _names(entry: LexEntry) -> list[str]:
+    """The names an entry holds, which readers share across entries."""
+    p = entry.provenance
+    return [
+        entry.table_id, entry.category, *entry.binary_features, *entry.components, *entry.aux,
+        *entry.construction_ids, *entry.internal_structures,
+        *(label for label, _ in entry.other_structures), *(a.slot for a in entry.arguments),
+        *(name for name in (p.feature_id, p.template) if name is not None),
+    ]
+
+
+@pytest.mark.parametrize("export, reader", [
+    pytest.param(export_text, import_text, id="text"),
+    pytest.param(export_xml, import_xml, id="xml"),
+])
+def test_readers_share_equal_names(export, reader):
+    doc = reader(export(_extended_corpus()[0]))
+    first: dict[str, str] = {}
+    repeats = 0
+    for entry in doc.entries:
+        for name in _names(entry):
+            repeats += name in first
+            assert first.setdefault(name, name) is name, name
+    assert repeats > 10 * len(doc.entries)
+
+
+def _corpus_text(directory, rows: int) -> str:
+    directory.mkdir()
+    files = corpusgen.generate(7, (rows, rows))
+    for name, content in files.items():
+        (directory / name).write_text(content, encoding="utf-8")
+    table_ids = tuple(sorted(name[:-4] for name in files if name.endswith(".lgt")))
+    return export_text(compile_corpus(directory, table_ids))
+
+
+def _transient_bytes(text: str) -> int:
+    """What reading *text* allocates at its peak beyond the document it keeps."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        doc = import_text(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert doc.entries
+    return peak - retained
+
+
+def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1 << 16)
+    small = _corpus_text(tmp_path / "small", 75)
+    large = _corpus_text(tmp_path / "large", 800)
+    assert len(small) < formats._CHUNK_CHARS < len(large) // 8
+    assert _transient_bytes(large) < 2 * _transient_bytes(small)
+
+
+# =============================================================================
 # front door and file helpers
 # =============================================================================
 
@@ -609,6 +700,29 @@ def test_save_load_infers_format_from_suffix(tmp_path, corpus_doc):
     assert xml_path.read_text(encoding="utf-8").startswith("<?xml")
     assert _docs_equal(load_lexicon(text_path), corpus_doc)
     assert _docs_equal(load_lexicon(xml_path), corpus_doc)
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "full.lgx"), ("xml", "full.lgx.xml")])
+def test_save_lexicon_writes_the_export_bytes(tmp_path, fmt, name):
+    doc = _extended_corpus()[0]
+    text = export_lexicon(doc, fmt)
+    buffer = io.StringIO()
+    assert export_lexicon(doc, fmt, buffer) is None
+    assert buffer.getvalue() == text
+    save_lexicon(doc, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+    assert [path.name for path in tmp_path.iterdir()] == [name]
+
+
+def test_save_lexicon_replaces_a_symlink_not_its_target(tmp_path, corpus_doc):
+    real = tmp_path / "real.lgx"
+    real.write_bytes(b"old lexicon\n")
+    link = tmp_path / "link.lgx"
+    link.symlink_to(real)
+    save_lexicon(corpus_doc, link)
+    assert not link.is_symlink()
+    assert link.read_text(encoding="utf-8") == export_text(corpus_doc)
+    assert real.read_bytes() == b"old lexicon\n"
 
 
 # =============================================================================
