@@ -18,6 +18,7 @@ import hashlib
 import itertools
 import os
 import re
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -229,11 +230,9 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
 
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
-    one string.  A feature line is a name and a sign, and a lexicon repeats
-    each one on many entries, so it is checked once and then looked up.
+    one string.
     """
     share = {}.setdefault
-    feature_lines: dict[str, tuple[str, bool]] = {}
     entries: list[LexEntry] = []
     in_block = False
     entry_id = table_id = category = provenance = surface = None
@@ -248,11 +247,6 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     internal: list[str] = []
     cross_refs: list[str] = []
     for line in lines:
-        feature = feature_lines.get(line)
-        if feature is not None:
-            features[feature[0]] = feature[1]
-            in_block = True
-            continue
         fields = line.split("\t")
         keyword = fields[0]
         if keyword == "feature":
@@ -261,9 +255,7 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
             value = _FEATURE_VALUES.get(fields[2])
             if value is None:
                 raise SchemaViolation(f"malformed feature line: {line!r}")
-            feature_id = share(fields[1], fields[1])
-            feature_lines[line] = (feature_id, value)
-            features[feature_id] = value
+            features[share(fields[1], fields[1])] = value
         elif keyword == "component":
             if len(fields) != 3:
                 raise _malformed(line)
@@ -804,12 +796,11 @@ def import_xml(text: str) -> LexiconDocument:
 # front door
 # =============================================================================
 
-def export_lexicon(doc: LexiconDocument, format: str = "text", out: TextIO | None = None) -> str | None:
-    """Serialize *doc* in either format: return it, or write it to *out*."""
+def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
     if format == "text":
-        return export_text(doc, out)
+        return export_text(doc)
     if format == "xml":
-        return export_xml(doc, out)
+        return export_xml(doc)
     raise ValueError(f"unknown format {format!r}")
 
 
@@ -830,16 +821,39 @@ def load_lexicon(path: str | Path) -> LexiconDocument:
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:
-    """Write *doc* to *path*, entry by entry, through a temporary file beside
-    it that replaces *path* once complete.  A failed export leaves *path* as
-    it was; a symlink at *path* is replaced, not followed."""
+    """Write *doc* to *path*, entry by entry.
+
+    A new file, or an existing regular file of the writer's own that it may
+    write, that is not a symlink and has no other hard link, is written to
+    a temporary file beside it which then replaces it, with its mode; a
+    failed export leaves *path* as it was.  Any other target (a symlink, a
+    device such as /dev/null, a FIFO, a file in a directory that takes no
+    new files) is written in place, as opening it for writing does.
+    """
     path = Path(path)
     if format is None:
         format = "xml" if path.suffix == ".xml" else "text"
+    if format not in ("text", "xml"):
+        raise ValueError(f"unknown format {format!r}")
+    export = export_xml if format == "xml" else export_text
+    try:
+        old = path.lstat()
+    except FileNotFoundError:
+        old = None
+    replaceable = os.access(path.parent, os.W_OK | os.X_OK) and (old is None or (
+        stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+        and old.st_uid == os.geteuid() and os.access(path, os.W_OK)
+    ))
+    if not replaceable:
+        with open(path, "w", encoding="utf-8") as out:
+            export(doc, out)
+        return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as out:
-            export_lexicon(doc, format, out)
+            export(doc, out)
+        if old is not None:
+            os.chmod(temporary, stat.S_IMODE(old.st_mode))
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

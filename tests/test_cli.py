@@ -5,9 +5,11 @@ import gc
 import io
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -287,6 +289,22 @@ def test_extend_and_stats_accept_an_empty_lexicon(tmp_path, capsys):
     assert "total generated                   +0  (+0%)" in extend_stdout
     assert main(["stats", str(out), "--records", str(records)]) == 0
     assert capsys.readouterr().out == extend_stdout
+
+
+def test_extend_writes_through_a_fifo_target(tmp_path):
+    base = _compile(tmp_path)
+    code, out, _ = _extend(tmp_path, base)
+    assert code == 0
+    fifo = tmp_path / "pipe.lgx"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = _extend(tmp_path, base, name="pipe.lgx")
+    reader.join(timeout=60)
+    assert code == 0
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [out.read_bytes()]
 
 
 def test_stats_detects_tampered_sidecar(tmp_path, capsys):

@@ -3,8 +3,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import io
+import os
 import random
 import re
+import stat
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -702,27 +704,39 @@ def test_save_load_infers_format_from_suffix(tmp_path, corpus_doc):
     assert _docs_equal(load_lexicon(xml_path), corpus_doc)
 
 
-@pytest.mark.parametrize("fmt, name", [("text", "full.lgx"), ("xml", "full.lgx.xml")])
-def test_save_lexicon_writes_the_export_bytes(tmp_path, fmt, name):
+@pytest.mark.parametrize("fmt, name, export", [
+    ("text", "full.lgx", export_text), ("xml", "full.lgx.xml", export_xml),
+])
+def test_save_lexicon_writes_the_export_bytes(tmp_path, fmt, name, export):
     doc = _extended_corpus()[0]
     text = export_lexicon(doc, fmt)
     buffer = io.StringIO()
-    assert export_lexicon(doc, fmt, buffer) is None
+    assert export(doc, buffer) is None
     assert buffer.getvalue() == text
     save_lexicon(doc, tmp_path / name)
     assert (tmp_path / name).read_bytes() == text.encode("utf-8")
     assert [path.name for path in tmp_path.iterdir()] == [name]
 
 
-def test_save_lexicon_replaces_a_symlink_not_its_target(tmp_path, corpus_doc):
+def test_save_lexicon_keeps_the_mode_of_a_replaced_file(tmp_path, corpus_doc):
+    target = tmp_path / "out.lgx"
+    target.write_bytes(b"old lexicon\n")
+    target.chmod(0o600)
+    save_lexicon(corpus_doc, target)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert target.read_text(encoding="utf-8") == export_text(corpus_doc)
+
+
+@pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
+def test_save_lexicon_writes_through_a_link(tmp_path, corpus_doc, link):
     real = tmp_path / "real.lgx"
     real.write_bytes(b"old lexicon\n")
-    link = tmp_path / "link.lgx"
-    link.symlink_to(real)
-    save_lexicon(corpus_doc, link)
-    assert not link.is_symlink()
-    assert link.read_text(encoding="utf-8") == export_text(corpus_doc)
-    assert real.read_bytes() == b"old lexicon\n"
+    alias = tmp_path / "alias.lgx"
+    link(real, alias)
+    save_lexicon(corpus_doc, alias)
+    assert alias.is_symlink() == (link is os.symlink)
+    assert real.read_text(encoding="utf-8") == export_text(corpus_doc)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["alias.lgx", "real.lgx"]
 
 
 # =============================================================================
