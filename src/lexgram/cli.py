@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .curation import curate, review_report
-from .errors import InternalInvariantError, LexgramError, read_text
+from .errors import InternalInvariantError, LexgramError, parse_file, read_text
 from .expansion import PassConfig, run_pipeline
 from .formats import (
     LexiconDocument,
@@ -30,6 +30,7 @@ from .formats import (
     load_lexicon,
     parse_records,
     save_lexicon,
+    saving_lexicon,
 )
 from .lexicon import generate_base
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
@@ -105,13 +106,15 @@ def cmd_extend(args: argparse.Namespace) -> int:
         _load_symbols(args.symbols),
         _load_morpho(args.morpho),
     )
-    save_lexicon(
+    # The sidecar is written before the lexicon replaces its target, so a
+    # failed sidecar write leaves the target as it was.
+    with saving_lexicon(
         LexiconDocument(result.entries, doc.table_ids, doc.script_source),
         args.output,
         args.format,
-    )
-    if args.records:
-        Path(args.records).write_text(export_records(result.records), encoding="utf-8")
+    ):
+        if args.records:
+            Path(args.records).write_text(export_records(result.records), encoding="utf-8")
     sys.stdout.write(render_stats(result.stats))
     return 0
 
@@ -130,7 +133,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
-    rows = parse_records(read_text(args.records))
+    rows = parse_file(args.records, parse_records)
     report = recompute_stats(doc.entries, rows)
     sys.stdout.write(render_stats(report))
     return 0

@@ -14,6 +14,7 @@ a character XML 1.0 cannot carry.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import os
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 from xml.parsers import expat
 
-from .errors import SchemaViolation, UnknownFormatVersion, read_text
+from .errors import SchemaViolation, UnknownFormatVersion, parse_file
 from .expansion import ExpansionRecord
 from .lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, parse_entry_id
 from .realizer import SurfaceForm
@@ -85,8 +86,36 @@ def _unsent(text: str) -> str:
     return "" if text == EMPTY_TOKEN else text
 
 
+class _Unreadable(Exception):
+    """What an entry holds that the text reader would read back as another value."""
+
+
+def _field(text: str) -> str:
+    """A field where ``<E>`` stands for empty, so cannot be itself."""
+    if not text:
+        return EMPTY_TOKEN
+    if text == EMPTY_TOKEN:
+        raise _Unreadable(f"a field reading {EMPTY_TOKEN!r}")
+    return text
+
+
+def _name(text: str | None) -> str:
+    """A provenance parent, feature or template, where ``<E>`` stands for
+    none, so cannot be empty."""
+    if text is None:
+        return EMPTY_TOKEN
+    if not text:
+        raise _Unreadable("an empty provenance parent, feature or template")
+    return _field(text)
+
+
 def _surface_fields(surface: SurfaceForm) -> str:
-    return f"{_sent(surface.rendered)}\t{_sent(' '.join(surface.tokens))}"
+    tokens = " ".join(surface.tokens)
+    # The reader splits the token field at whitespace.  A tab, newline or
+    # carriage return is left to the check of the whole block.
+    if tokens.split() != list(surface.tokens) and not any(char in tokens for char in _TEXT_BREAKS):
+        raise _Unreadable("a surface token that is empty or holds whitespace")
+    return f"{_field(surface.rendered)}\t{_field(tokens)}"
 
 
 # What no field can hold: tab and newline separate fields and lines, and a
@@ -104,7 +133,7 @@ def _entry_block(entry: LexEntry) -> str:
         f"entry\t{entry.entry_id}",
         f"table\t{entry.table_id}",
         "provenance\t{}\t{}\t{}\t{}".format(
-            p.kind.value, _sent(p.parent), _sent(p.feature_id), _sent(p.template),
+            p.kind.value, _name(p.parent), _name(p.feature_id), _name(p.template),
         ),
         f"surface\t{_surface_fields(entry.surface)}",
     ]
@@ -112,8 +141,8 @@ def _entry_block(entry: LexEntry) -> str:
     lines.extend(f"cross-ref\t{ref}" for ref in entry.cross_refs)
     lines.append(SECTION_LEXICAL)
     lines.append(f"category\t{entry.category}")
-    lines.extend(f"component\t{slot}\t{_sent(text)}" for slot, text in entry.components.items())
-    lines.extend(f"aux\t{column}\t{_sent(text)}" for column, text in entry.aux.items())
+    lines.extend(f"component\t{slot}\t{_field(text)}" for slot, text in entry.components.items())
+    lines.extend(f"aux\t{column}\t{_field(text)}" for column, text in entry.aux.items())
     lines.extend(f"paraphrase\t{_surface_fields(s)}" for s in entry.paraphrases)
     lines.extend(
         f"other-structure\t{label}\t{_surface_fields(s)}" for label, s in entry.other_structures
@@ -154,8 +183,11 @@ def _write(pieces: Iterable[str], out: TextIO | None) -> str | None:
 def export_text(doc: LexiconDocument, out: TextIO | None = None) -> str | None:
     """Serialize *doc*: return the text, or write it to *out* block by block
     and return None.  Raises SchemaViolation, naming the entry, for a field
-    holding a tab, a newline or a carriage return; the embedded script and
-    the generator may hold tabs, and the script newlines."""
+    holding a tab, a newline or a carriage return, and for what would read
+    back as something else: a field reading ``<E>`` where that stands for
+    empty, an empty provenance parent, feature or template, a surface token
+    that is empty or holds whitespace, and an empty table id.  The embedded
+    script and the generator may hold tabs, and the script newlines."""
     return _write(_text_pieces(doc), out)
 
 
@@ -166,6 +198,8 @@ def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
         if char in doc.generator:
             raise _unwritable("the generator", char)
     for table_id in doc.table_ids:
+        if not table_id:
+            raise SchemaViolation("table id '' is empty, which the text format cannot carry")
         for char in _TEXT_BREAKS:
             if char in table_id:
                 raise _unwritable(f"table id {table_id!r}", char)
@@ -181,7 +215,13 @@ def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
     lines.append(f"#entries\t{len(doc.entries)}")
     yield "\n".join(lines)
     for entry in doc.entries:
-        yield "\n\n" + _entry_block(entry)
+        try:
+            block = _entry_block(entry)
+        except _Unreadable as err:
+            raise SchemaViolation(
+                f"entry {entry.entry_id!r} holds {err}, which the text format cannot carry"
+            ) from None
+        yield "\n\n" + block
     yield "\n"
 
 
@@ -339,25 +379,41 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     return entries
 
 
-# The reader splits the text into lines this many characters at a time (cut
-# at the next newline), so it never holds the whole text's line list.
+# The readers cut a text they are given whole into pieces of this many
+# characters, so they never hold the whole text's line list.
 _CHUNK_CHARS = 1 << 20
 
 
-def _line_chunks(text: str) -> Iterator[list[str]]:
-    """``text.split("\\n")``, one bounded run of lines at a time."""
-    start = 0
-    while start + _CHUNK_CHARS < len(text):
-        cut = text.find("\n", start + _CHUNK_CHARS)
-        if cut < 0:
-            break
-        yield text[start:cut].split("\n")
-        start = cut + 1
-    yield text[start:].split("\n")
+def _pieces(source: str | Iterable[str]) -> Iterable[str]:
+    """*source* if it is an iterable of pieces; a text cut into pieces."""
+    if isinstance(source, str):
+        return (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
+    return source
 
 
-def import_text(text: str) -> LexiconDocument:
-    lines = itertools.chain.from_iterable(_line_chunks(text))
+def _line_chunks(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """``"".join(pieces).split("\\n")``, one piece's lines at a time: the
+    partial last line of a piece is carried over into the next."""
+    tail = ""
+    for piece in pieces:
+        lines = piece.split("\n")
+        del piece
+        lines[0] = tail + lines[0]
+        tail = lines.pop()
+        yield lines
+        del lines
+    yield [tail]
+
+
+def _lines(source: str | Iterable[str]) -> Iterator[str]:
+    return itertools.chain.from_iterable(_line_chunks(_pieces(source)))
+
+
+def import_text(source: str | Iterable[str]) -> LexiconDocument:
+    """Parse an ``.lgx`` document, given whole or as an iterable of its
+    pieces; raises SchemaViolation (or its subclass UnknownFormatVersion)
+    for any document it cannot read."""
+    lines = _lines(source)
     first = next(lines)
     if not first.startswith("#lgx\t"):
         raise SchemaViolation("not a lexicon text file (missing #lgx header)")
@@ -715,15 +771,18 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
     )
 
 
-def import_xml(text: str) -> LexiconDocument:
-    """Parse an ``.lgx.xml`` document; raises SchemaViolation (or its
-    subclass UnknownFormatVersion) for any document it cannot read.
+def import_xml(source: str | Iterable[str]) -> LexiconDocument:
+    """Parse an ``.lgx.xml`` document, given whole or as an iterable of its
+    pieces; raises SchemaViolation (or its subclass UnknownFormatVersion)
+    for any document it cannot read.
 
     One expat pass keeps a ``(tag, attrs, text chunks, children)`` node for
     each open element.  An ``<entry>`` in a root-level ``<entries>`` becomes
     a :class:`LexEntry` when it closes and its node is dropped, so no more
     than one entry's nodes are held.  Entries come from every root-level
-    ``<entries>``, the count from the first.
+    ``<entries>``, the count from the first.  Expat takes each piece as it
+    comes, and a text given whole as one piece, so that the position an
+    encoding error names is the text's own.
     """
     document: tuple = (None, {}, [], [])
     stack = [document]
@@ -756,7 +815,10 @@ def import_xml(text: str) -> LexiconDocument:
     parser.EndElementHandler = end
     parser.SkippedEntityHandler = _skipped_entity
     try:
-        parser.Parse(text, True)
+        for piece in (source,) if isinstance(source, str) else source:
+            parser.Parse(piece, False)
+            del piece
+        parser.Parse("", True)
     except expat.ExpatError as err:
         raise SchemaViolation(f"not well-formed XML: {err}") from None
     except UnicodeEncodeError as err:  # a lone surrogate in the text
@@ -805,7 +867,8 @@ def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
 
 
 def import_lexicon(text: str, format: str | None = None) -> LexiconDocument:
-    """Parse either format; sniffs the first line when format is None."""
+    """Parse either format; when format is None, a text whose first
+    non-whitespace character is ``<`` is XML."""
     if format is None:
         head = text.lstrip()[:64]
         format = "xml" if head.startswith("<") else "text"
@@ -817,18 +880,40 @@ def import_lexicon(text: str, format: str | None = None) -> LexiconDocument:
 
 
 def load_lexicon(path: str | Path) -> LexiconDocument:
-    return import_lexicon(read_text(path))
+    """Read the lexicon file at *path* a chunk at a time, in the format
+    :func:`import_lexicon` sniffs from its first non-whitespace character."""
+    return parse_file(path, _import_pieces)
+
+
+def _import_pieces(pieces: Iterator[str]) -> LexiconDocument:
+    head = []
+    for piece in pieces:
+        head.append(piece)
+        if not piece.isspace():
+            break
+    stream = itertools.chain(head, pieces)
+    if head and head[-1].lstrip().startswith("<"):
+        return import_xml(stream)
+    return import_text(stream)
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:
-    """Write *doc* to *path*, entry by entry.
+    """Write *doc* to *path*, entry by entry, as :func:`saving_lexicon` does."""
+    with saving_lexicon(doc, path, format):
+        pass
+
+
+@contextlib.contextmanager
+def saving_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> Iterator[None]:
+    """Write *doc* to *path*, entry by entry, around the with block.
 
     A new file, or an existing regular file of the writer's own that it may
     write, that is not a symlink and has no other hard link, is written to
-    a temporary file beside it which then replaces it, with its mode; a
-    failed export leaves *path* as it was.  Any other target (a symlink, a
-    device such as /dev/null, a FIFO, a file in a directory that takes no
-    new files) is written in place, as opening it for writing does.
+    a temporary file beside it, which replaces it, with its mode, once the
+    block ends without an error; a failed export or an error in the block
+    leaves *path* as it was.  Any other target (a symlink, a device such as
+    /dev/null, a FIFO, a file in a directory that takes no new files) is
+    written in place before the block runs, as opening it for writing does.
     """
     path = Path(path)
     if format is None:
@@ -847,11 +932,13 @@ def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = No
     if not replaceable:
         with open(path, "w", encoding="utf-8") as out:
             export(doc, out)
+        yield
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as out:
             export(doc, out)
+        yield
         if old is not None:
             os.chmod(temporary, stat.S_IMODE(old.st_mode))
         os.replace(temporary, path)
@@ -868,7 +955,7 @@ RECORD_COLUMNS = ("entry", "parent", "pass", "feature", "template", "surface", "
 RECORD_STATUSES = ("kept", "duplicate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecordRow:
     """One parsed sidecar line; enough to recompute statistics."""
 
@@ -900,22 +987,28 @@ def export_records(records: Iterable[ExpansionRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_records(text: str) -> list[RecordRow]:
-    lines = [line for line in text.split("\n") if line]
-    if not lines or lines[0] != "\t".join(RECORD_COLUMNS):
+def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
+    """The rows of a record sidecar, given whole or as an iterable of its
+    pieces; blank lines are skipped.  The repeated names (parent, feature,
+    template, status) go through one table, so equal ones are one string."""
+    lines = (line for line in _lines(source) if line)
+    if next(lines, None) != "\t".join(RECORD_COLUMNS):
         raise SchemaViolation("not a record sidecar (bad or missing header line)")
+    share = {}.setdefault
     rows = []
-    for line in lines[1:]:
+    for line in lines:
         fields = line.split("\t")
         if len(fields) != len(RECORD_COLUMNS):
             raise SchemaViolation(f"malformed record line: {line!r}")
         kind = _ORIGINS.get(fields[2])
         if kind is None:
             raise SchemaViolation(f"unknown pass kind {fields[2]!r}")
-        if fields[6] not in RECORD_STATUSES:
-            raise SchemaViolation(f"unknown record status {fields[6]!r}")
+        entry_id, parent, _, feature_id, template, surface, status, duplicate_of = fields
+        if status not in RECORD_STATUSES:
+            raise SchemaViolation(f"unknown record status {status!r}")
+        parent, feature_id, template = _unsent(parent), _unsent(feature_id), _unsent(template)
         rows.append(RecordRow(
-            fields[0], _unsent(fields[1]), kind, _unsent(fields[3]),
-            _unsent(fields[4]), _unsent(fields[5]), fields[6], _unsent(fields[7]),
+            entry_id, share(parent, parent), kind, share(feature_id, feature_id),
+            share(template, template), _unsent(surface), share(status, status), _unsent(duplicate_of),
         ))
     return rows

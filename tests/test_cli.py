@@ -291,6 +291,23 @@ def test_extend_and_stats_accept_an_empty_lexicon(tmp_path, capsys):
     assert capsys.readouterr().out == extend_stdout
 
 
+def test_extend_leaves_the_target_when_the_sidecar_cannot_be_written(tmp_path, capsys):
+    base = _compile(tmp_path)
+    target = tmp_path / "out.lgx"
+    argv = ["extend", str(base), "-o", str(target), "--records", str(tmp_path / "nodir" / "r.tsv")]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert "No such file or directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+    # An existing target keeps its bytes.
+    target.write_bytes(b"old lexicon\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert target.read_bytes() == b"old lexicon\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_extend_writes_through_a_fifo_target(tmp_path):
     base = _compile(tmp_path)
     code, out, _ = _extend(tmp_path, base)

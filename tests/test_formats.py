@@ -19,8 +19,8 @@ import corpusgen
 import text_reference
 import xml_reference
 from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script
-from lexgram import formats
-from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
+from lexgram import errors, formats
+from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion, parse_file, read_chunks, read_text
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
     RECORD_COLUMNS,
@@ -41,6 +41,7 @@ from lexgram.formats import (
 )
 from lexgram.lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, entry_id
 from lexgram.realizer import SurfaceForm
+from lexgram.tables import EMPTY_TOKEN
 
 
 def _extended_corpus():
@@ -292,11 +293,48 @@ def test_text_export_refuses_field_breaks(corpus_doc, edit, char, name):
     ("table_ids", ("P\rAC",), "table id 'P\\rAC' holds a carriage return"),
     ("generator", "lexgram\n0", "the generator holds a newline"),
     ("script_source", "* : \"f\" => construction\r\n", "the embedded script holds a carriage return"),
+    ("table_ids", ("PAC", ""), "table id '' is empty, which the text format cannot carry"),
 ])
 def test_text_export_refuses_header_breaks(corpus_doc, field, value, message):
     setattr(corpus_doc, field, value)
     with pytest.raises(SchemaViolation, match=re.escape(message)):
         export_text(corpus_doc)
+
+
+def _set_rendered(entry, text):
+    entry.surface = SurfaceForm(entry.surface.tokens, text)
+
+
+def _set_parent(entry, text):
+    entry.provenance = Provenance(Origin.DELETION, text, "f", "t")
+
+
+_EMPTY_NAME = "an empty provenance parent, feature or template"
+_SPLIT_TOKEN = "a surface token that is empty or holds whitespace"
+
+
+@pytest.mark.parametrize("edit, text, what", [
+    (_set_component, "<E>", "a field reading '<E>'"),
+    (_set_rendered, "<E>", "a field reading '<E>'"),
+    (_set_template, "<E>", "a field reading '<E>'"),
+    (_set_parent, "", _EMPTY_NAME),
+    (_set_template, "", _EMPTY_NAME),
+    (_set_token, "", _SPLIT_TOKEN),
+    (_set_token, "a b", _SPLIT_TOKEN),
+    (_set_token, "a\x0bb", _SPLIT_TOKEN),
+])
+def test_text_export_refuses_what_reads_back_as_another(corpus_doc, edit, text, what):
+    entry = next(e for e in corpus_doc.entries if "C1" in e.components)
+    edit(entry, text)
+    with pytest.raises(SchemaViolation) as err:
+        export_text(corpus_doc)
+    assert str(err.value) == f"entry {entry.entry_id!r} holds {what}, which the text format cannot carry"
+
+
+def test_text_export_keeps_a_sentinel_token_among_others(corpus_doc):
+    entry = next(e for e in corpus_doc.entries if "C1" in e.components)
+    _set_token(entry, EMPTY_TOKEN)
+    assert import_text(export_text(corpus_doc)) == corpus_doc
 
 
 def test_text_export_keeps_tabs_in_generator_and_script(corpus_doc):
@@ -309,7 +347,17 @@ def test_text_export_keeps_tabs_in_generator_and_script(corpus_doc):
 # whitespace other than the refused tab, newline and carriage return, the
 # sentinel ``<E>``'s characters, and letters of one to four UTF-8 bytes.
 _TEXT_SAFE = "<>E#+- \x0baé€𝄞"
-_TEXT_SAFE_TEXT = st.text(st.sampled_from(_TEXT_SAFE), max_size=5)
+_TEXT_SAFE_TEXT = st.text(st.sampled_from(_TEXT_SAFE), max_size=5).filter(lambda text: text != EMPTY_TOKEN)
+
+# Documents the text format carries: no field reads ``<E>``, no provenance
+# name or table id is empty, and surface tokens are neither empty nor hold
+# whitespace.
+_READABLE_DOCUMENTS = _documents(
+    _TEXT_SAFE_TEXT,
+    token=st.text(st.sampled_from(_TEXT_SAFE.replace(" ", "").replace("\x0b", "")), min_size=1, max_size=5)
+    .filter(lambda text: text != EMPTY_TOKEN),
+    name=_TEXT_SAFE_TEXT.filter(bool),
+)
 
 
 def _read_outcome(reader, text: str):
@@ -320,31 +368,28 @@ def _read_outcome(reader, text: str):
         return type(err), str(err)
 
 
-@given(_documents(_TEXT_SAFE_TEXT))
+@given(_READABLE_DOCUMENTS)
 def test_text_import_matches_the_reference(doc):
     text = export_text(doc)
     assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
 
 
-# The text format reads back every document it writes, but for three
-# spellings it defines as the same: a field reading ``<E>`` and an empty
-# one, an empty and an absent provenance parent, feature or template, and
-# surface tokens and their whitespace-split join.  The documents here
-# avoid them (no ``E``, no empty names, tokens without whitespace) and may
-# hold characters the format refuses.
-_TEXT_PLAIN = "<>#+-aé€𝄞"
+# The text format reads four spellings as others: a field reading ``<E>``
+# as an empty one, an empty provenance parent, feature or template as an
+# absent one, surface tokens that are empty or hold whitespace as their
+# whitespace-split join, and an empty table id as none.  The documents here
+# hold all four, and characters the format refuses, in every field.
+_TEXT_PLAIN = "<>#+-Eaé€𝄞 \x0b"
 _TEXT_BREAKS = "\t\n\r"
 
 
 def _text_documents(alphabet):
-    return _documents(
-        st.text(st.sampled_from(alphabet + " "), max_size=5),
-        token=st.text(st.sampled_from(alphabet), min_size=1, max_size=5),
-        name=st.text(st.sampled_from(alphabet + " "), min_size=1, max_size=5),
-    )
+    return _documents(st.text(st.sampled_from(alphabet), max_size=5) | st.just(EMPTY_TOKEN))
 
 
-@given(st.one_of(_text_documents(_TEXT_PLAIN), _text_documents(_TEXT_PLAIN + _TEXT_BREAKS)))
+@given(st.one_of(
+    _READABLE_DOCUMENTS, _text_documents(_TEXT_PLAIN), _text_documents(_TEXT_PLAIN + _TEXT_BREAKS),
+))
 def test_text_export_round_trips_or_refuses(doc):
     try:
         text = export_text(doc)
@@ -612,7 +657,7 @@ def test_text_import_reads_across_chunk_boundaries(monkeypatch, chunk):
         assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
 
 
-@given(_documents(_TEXT_SAFE_TEXT))
+@given(_READABLE_DOCUMENTS)
 def test_text_import_matches_the_reference_at_any_chunk_size(doc):
     text = export_text(doc)
     expected = _read_outcome(text_reference.import_text, text)
@@ -647,13 +692,17 @@ def test_readers_share_equal_names(export, reader):
     assert repeats > 10 * len(doc.entries)
 
 
-def _corpus_text(directory, rows: int) -> str:
+def _corpus_doc(directory, rows: int) -> LexiconDocument:
     directory.mkdir()
     files = corpusgen.generate(7, (rows, rows))
     for name, content in files.items():
         (directory / name).write_text(content, encoding="utf-8")
     table_ids = tuple(sorted(name[:-4] for name in files if name.endswith(".lgt")))
-    return export_text(compile_corpus(directory, table_ids))
+    return compile_corpus(directory, table_ids)
+
+
+def _corpus_text(directory, rows: int) -> str:
+    return export_text(_corpus_doc(directory, rows))
 
 
 def _transient_bytes(text: str) -> int:
@@ -675,6 +724,148 @@ def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path, 
     large = _corpus_text(tmp_path / "large", 800)
     assert len(small) < formats._CHUNK_CHARS < len(large) // 8
     assert _transient_bytes(large) < 2 * _transient_bytes(small)
+
+
+# =============================================================================
+# reading from the file
+# =============================================================================
+
+_FIXTURE_FILES = {
+    "base.lgx": export_text(compile_corpus()),
+    "full.lgx": _FIXTURE_TEXT,
+    "full-crlf.lgx": _FIXTURE_TEXT.replace("\n", "\r\n"),
+    "base.lgx.xml": _FIXTURE_XML.decode("utf-8"),
+    "full.lgx.xml": export_xml(_extended_corpus()[0]),
+}
+
+
+@pytest.mark.parametrize("chunk", (1, 5, 4096))
+@pytest.mark.parametrize("name", sorted(_FIXTURE_FILES))
+def test_load_lexicon_reads_what_the_whole_text_reads(tmp_path, monkeypatch, name, chunk):
+    path = tmp_path / name
+    path.write_text(_FIXTURE_FILES[name], encoding="utf-8")
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    assert load_lexicon(path) == import_lexicon(read_text(path))
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 4096))
+@pytest.mark.parametrize("data", [
+    pytest.param(b"a\r\nb\rc\n\r\n\r", id="newlines"),
+    pytest.param("é€𝄞\r\n".encode("utf-8") * 3, id="multibyte"),
+    pytest.param(b"\r" * 5 + b"\n" * 3, id="runs"),
+    pytest.param(b"", id="empty"),
+])
+def test_read_chunks_reads_what_a_text_mode_read_reads(tmp_path, monkeypatch, data, chunk):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    pieces = list(read_chunks(path))
+    assert "" not in pieces
+    assert "".join(pieces) == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("chunk", (1, 3, 4))
+@pytest.mark.parametrize("data", [
+    pytest.param(b"abcdefgh\xffij", id="invalid-byte"),
+    pytest.param(b"abcdefg\xe2\x82z", id="cut-sequence"),
+    pytest.param(b"abcdefghi\xf0\x9d", id="truncated-end"),
+    pytest.param("é€".encode("utf-8") + b"\xed\xa0\x80", id="surrogate"),
+])
+def test_a_byte_that_is_not_utf8_is_named_at_the_position_a_whole_decode_names(tmp_path, monkeypatch, data, chunk):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    with pytest.raises(SchemaViolation) as err:
+        load_lexicon(path)
+    assert str(err.value) == f"{path}: not UTF-8 text: {whole.value}"
+
+
+@pytest.mark.parametrize("read, text", [
+    pytest.param(load_lexicon, _FIXTURE_TEXT.replace("#lgx", "#lgy", 1), id="text"),
+    pytest.param(load_lexicon, _FIXTURE_XML.decode("utf-8").replace("<lexicon ", "<lexikon ", 1), id="xml"),
+    pytest.param(lambda path: parse_file(path, parse_records), "entry\tsurface\n" * 100, id="records"),
+])
+def test_a_byte_that_is_not_utf8_is_reported_before_an_earlier_fault(tmp_path, monkeypatch, read, text):
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("utf-8") + b"\xff")
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", 64)
+    with pytest.raises(SchemaViolation, match="not UTF-8 text: .* in position"):
+        read(path)
+
+
+_XML_BODY = _FIXTURE_XML.decode("utf-8").split("\n", 1)[1]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(" \n\t" * 6 + _FIXTURE_XML.decode("utf-8"), id="declaration-after-whitespace"),
+    pytest.param(" \n\t" * 6 + _XML_BODY, id="xml-after-whitespace"),
+    pytest.param("\r\n" * 6 + _FIXTURE_TEXT, id="text-after-whitespace"),
+    pytest.param("", id="empty"),
+    pytest.param(" \n\t\r\n " * 6, id="whitespace-only"),
+])
+def test_load_lexicon_sniffs_past_chunks_of_whitespace(tmp_path, monkeypatch, text):
+    path = tmp_path / "lexicon"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", 4)
+    assert _read_outcome(load_lexicon, path) == _read_outcome(import_lexicon, read_text(path))
+
+
+def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, monkeypatch):
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", 64)
+    path = tmp_path / "base.lgx.xml"
+    messages = []
+    for seed in range(40):
+        text = mutate(_FIXTURE_XML.decode("utf-8"), random.Random(seed), _MUTATION_BYTES.decode("ascii"))
+        path.write_text(text, encoding="utf-8")
+        outcome = _read_outcome(load_lexicon, path)
+        assert outcome == _read_outcome(import_lexicon, text)
+        messages.append(outcome[1] if isinstance(outcome, tuple) else "")
+    assert sum(message.startswith("not well-formed XML: ") for message in messages) >= 10
+
+
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
+def test_parse_records_reads_pieces_as_the_whole_text(chunk):
+    text = export_records(_extended_corpus()[1].records)
+    for sidecar in (text, text[:-1], "\n" + text.replace("\n", "\n\n"), text.replace("\tkept\t", "\tkeep\t", 1), ""):
+        pieces = [sidecar[start:start + chunk] for start in range(0, len(sidecar), chunk)]
+        assert _read_outcome(parse_records, pieces) == _read_outcome(parse_records, sidecar)
+
+
+def test_parse_records_shares_repeated_names():
+    rows = parse_records(export_records(_extended_corpus()[1].records))
+    first: dict[str, str] = {}
+    repeats = 0
+    for row in rows:
+        for name in (row.parent_id, row.feature_id, row.template, row.status):
+            repeats += name in first
+            assert first.setdefault(name, name) is name, name
+    assert repeats > len(rows)
+
+
+@pytest.fixture(scope="module")
+def large_doc(tmp_path_factory) -> LexiconDocument:
+    return _corpus_doc(tmp_path_factory.mktemp("large") / "corpus", 800)
+
+
+@pytest.mark.parametrize("name", ["large.lgx", "large.lgx.xml"])
+def test_loading_from_disk_holds_a_few_chunks_beyond_the_document(tmp_path, monkeypatch, large_doc, name):
+    monkeypatch.setattr(errors, "_CHUNK_BYTES", 1 << 16)
+    path = tmp_path / name
+    save_lexicon(large_doc, path)
+    assert path.stat().st_size > 10 * errors._CHUNK_BYTES
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_lexicon(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded == large_doc
+    # A chunk's lines take about three times its bytes, and expat's buffer
+    # up to twice a chunk.
+    assert peak - retained < 8 * errors._CHUNK_BYTES
 
 
 # =============================================================================
