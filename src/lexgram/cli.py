@@ -16,7 +16,9 @@ violation.  All outputs are byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from .formats import (
     load_lexicon,
     parse_records,
     save_lexicon,
-    saving_lexicon,
+    writing,
 )
 from .lexicon import generate_base
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
@@ -97,6 +99,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
+    if args.records and _same_file(args.records, args.output):
+        raise LexgramError(f"--records and -o name the same file: {args.records}")
     doc = load_lexicon(args.lexicon)
     config = PassConfig.parse(args.passes) if args.passes else PassConfig()
     result = run_pipeline(
@@ -106,17 +110,24 @@ def cmd_extend(args: argparse.Namespace) -> int:
         _load_symbols(args.symbols),
         _load_morpho(args.morpho),
     )
-    # The sidecar is written before the lexicon replaces its target, so a
-    # failed sidecar write leaves the target as it was.
-    with saving_lexicon(
-        LexiconDocument(result.entries, doc.table_ids, doc.script_source),
-        args.output,
-        args.format,
-    ):
+    # The sidecar is written first but replaces its file last, after the
+    # lexicon has replaced its target, so a refused or failed write of
+    # either file replaces neither.
+    with contextlib.ExitStack() as stack:
         if args.records:
-            Path(args.records).write_text(export_records(result.records), encoding="utf-8")
+            export_records(result.records, stack.enter_context(writing(args.records)))
+        extended = LexiconDocument(result.entries, doc.table_ids, doc.script_source)
+        save_lexicon(extended, args.output, args.format)
     sys.stdout.write(render_stats(result.stats))
     return 0
+
+
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths resolve alike or, when both exist, are one file."""
+    try:
+        return Path(first).resolve() == Path(second).resolve() or os.path.samefile(first, second)
+    except OSError:  # one of them does not exist
+        return False
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -124,7 +135,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     _, duplicates, issues = curate(doc.entries)
     report = review_report(issues, duplicates)
     if args.output:
-        Path(args.output).write_text(report, encoding="utf-8")
+        with writing(args.output) as out:
+            out.write(report)
         print(f"{len(issues)} issues, {len(duplicates)} duplicate groups -> {args.output}")
     else:
         sys.stdout.write(report)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import itertools
 import os
 import re
@@ -172,26 +173,14 @@ def _entry_block(entry: LexEntry) -> str:
     return block
 
 
-def _write(pieces: Iterable[str], out: TextIO | None) -> str | None:
-    """Join *pieces*, or write each to *out* as it is made."""
-    if out is None:
-        return "".join(pieces)
-    out.writelines(pieces)
-    return None
-
-
-def export_text(doc: LexiconDocument, out: TextIO | None = None) -> str | None:
-    """Serialize *doc*: return the text, or write it to *out* block by block
-    and return None.  Raises SchemaViolation, naming the entry, for a field
-    holding a tab, a newline or a carriage return, and for what would read
-    back as something else: a field reading ``<E>`` where that stands for
-    empty, an empty provenance parent, feature or template, a surface token
-    that is empty or holds whitespace, and an empty table id.  The embedded
-    script and the generator may hold tabs, and the script newlines."""
-    return _write(_text_pieces(doc), out)
-
-
-def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
+def export_text(doc: LexiconDocument, out: TextIO) -> None:
+    """Write *doc* to *out*, the header and then one block per entry.
+    Raises SchemaViolation, naming the entry, for a field holding a tab, a
+    newline or a carriage return, and for what would read back as
+    something else: a field reading ``<E>`` where that stands for empty, an
+    empty provenance parent, feature or template, a surface token that is
+    empty or holds whitespace, and an empty table id.  The embedded script
+    and the generator may hold tabs, and the script newlines."""
     if "\r" in doc.script_source:
         raise _unwritable("the embedded script", "\r")
     for char in "\n\r":
@@ -213,7 +202,7 @@ def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
     lines.extend(f"#|{line}" for line in doc.script_source.split("\n"))
     lines.append("#script-end")
     lines.append(f"#entries\t{len(doc.entries)}")
-    yield "\n".join(lines)
+    out.write("\n".join(lines))
     for entry in doc.entries:
         try:
             block = _entry_block(entry)
@@ -221,8 +210,8 @@ def _text_pieces(doc: LexiconDocument) -> Iterator[str]:
             raise SchemaViolation(
                 f"entry {entry.entry_id!r} holds {err}, which the text format cannot carry"
             ) from None
-        yield "\n\n" + block
-    yield "\n"
+        out.write("\n\n" + block)
+    out.write("\n")
 
 
 _ORIGINS = {origin.value: origin for origin in Origin}
@@ -595,15 +584,11 @@ def _xml_writable(block: str, where: str) -> str:
     return block
 
 
-def export_xml(doc: LexiconDocument, out: TextIO | None = None) -> str | None:
-    """Serialize *doc*: return the document, or write it to *out* entry by
-    entry and return None.  Raises SchemaViolation, naming the entry, for a
-    character XML 1.0 cannot carry: a control character other than tab,
-    newline and carriage return, a lone surrogate, U+FFFE or U+FFFF."""
-    return _write(_xml_pieces(doc), out)
-
-
-def _xml_pieces(doc: LexiconDocument) -> Iterator[str]:
+def export_xml(doc: LexiconDocument, out: TextIO) -> None:
+    """Write *doc* to *out*, the header and then one entry at a time.
+    Raises SchemaViolation, naming the entry, for a character XML 1.0
+    cannot carry: a control character other than tab, newline and carriage
+    return, a lone surrogate, U+FFFE or U+FFFF."""
     script = _xml_writable(_xml_leaf("  ", "script", doc.script_source), "the embedded script")
     head = [
         _XML_DECLARATION,
@@ -617,10 +602,10 @@ def _xml_pieces(doc: LexiconDocument) -> Iterator[str]:
         tail = "  </entries>\n</lexicon>\n"
     else:
         tail = '  <entries count="0" />\n</lexicon>\n'
-    yield _xml_writable("\n".join(head), "the document header") + "\n"
+    out.write(_xml_writable("\n".join(head), "the document header") + "\n")
     for entry in doc.entries:
-        yield _xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") + "\n"
-    yield tail
+        out.write(_xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") + "\n")
+    out.write(tail)
 
 
 # Elements whose text the reader keeps.  An element's text is what precedes
@@ -858,69 +843,72 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
 # front door
 # =============================================================================
 
+def _exporter(format: str) -> Callable[[LexiconDocument, TextIO], None]:
+    """The exporter of *format*, ``"text"`` or ``"xml"``."""
+    if format == "text":
+        return export_text
+    if format == "xml":
+        return export_xml
+    raise ValueError(f"unknown format {format!r}")
+
+
 def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
-    if format == "text":
-        return export_text(doc)
-    if format == "xml":
-        return export_xml(doc)
-    raise ValueError(f"unknown format {format!r}")
+    """The text of *doc* in *format*, ``"text"`` or ``"xml"``."""
+    out = io.StringIO()
+    _exporter(format)(doc, out)
+    return out.getvalue()
 
 
-def import_lexicon(text: str, format: str | None = None) -> LexiconDocument:
-    """Parse either format; when format is None, a text whose first
-    non-whitespace character is ``<`` is XML."""
-    if format is None:
-        head = text.lstrip()[:64]
-        format = "xml" if head.startswith("<") else "text"
-    if format == "xml":
-        return import_xml(text)
-    if format == "text":
-        return import_text(text)
-    raise ValueError(f"unknown format {format!r}")
+_XML_START = re.compile(r"\s*<")
+
+
+def import_lexicon(source: str | Iterable[str]) -> LexiconDocument:
+    """Parse either format, given whole or as an iterable of its pieces: a
+    document whose first non-whitespace character is ``<`` is XML, any
+    other is text."""
+    first = source
+    if not isinstance(source, str):
+        pieces, head, first = iter(source), [], ""
+        for first in pieces:
+            head.append(first)
+            if not first.isspace():
+                break
+        source = itertools.chain(head, pieces)
+    if _XML_START.match(first):
+        return import_xml(source)
+    return import_text(source)
 
 
 def load_lexicon(path: str | Path) -> LexiconDocument:
     """Read the lexicon file at *path* a chunk at a time, in the format
-    :func:`import_lexicon` sniffs from its first non-whitespace character."""
-    return parse_file(path, _import_pieces)
-
-
-def _import_pieces(pieces: Iterator[str]) -> LexiconDocument:
-    head = []
-    for piece in pieces:
-        head.append(piece)
-        if not piece.isspace():
-            break
-    stream = itertools.chain(head, pieces)
-    if head and head[-1].lstrip().startswith("<"):
-        return import_xml(stream)
-    return import_text(stream)
+    :func:`import_lexicon` takes from its first non-whitespace character."""
+    return parse_file(path, import_lexicon)
 
 
 def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> None:
-    """Write *doc* to *path*, entry by entry, as :func:`saving_lexicon` does."""
-    with saving_lexicon(doc, path, format):
-        pass
+    """Write *doc* to *path* through :func:`writing`, entry by entry, as
+    *format*, by default XML for a ``.xml`` suffix and text otherwise."""
+    if format is None:
+        format = "xml" if Path(path).suffix == ".xml" else "text"
+    export = _exporter(format)
+    with writing(path) as out:
+        export(doc, out)
 
 
 @contextlib.contextmanager
-def saving_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = None) -> Iterator[None]:
-    """Write *doc* to *path*, entry by entry, around the with block.
+def writing(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text stream onto the file at *path*: the one writer of the
+    files lexgram writes.
 
     A new file, or an existing regular file of the writer's own that it may
     write, that is not a symlink and has no other hard link, is written to
     a temporary file beside it, which replaces it, with its mode, once the
-    block ends without an error; a failed export or an error in the block
-    leaves *path* as it was.  Any other target (a symlink, a device such as
-    /dev/null, a FIFO, a file in a directory that takes no new files) is
-    written in place before the block runs, as opening it for writing does.
+    block ends without an error; an error in the block deletes the
+    temporary file and leaves *path* as it was.  Any other target (a
+    symlink, a device such as /dev/null, a FIFO, a file in a directory that
+    takes no new files) is written in place, as opening it for writing does.
     """
     path = Path(path)
-    if format is None:
-        format = "xml" if path.suffix == ".xml" else "text"
-    if format not in ("text", "xml"):
-        raise ValueError(f"unknown format {format!r}")
-    export = export_xml if format == "xml" else export_text
     try:
         old = path.lstat()
     except FileNotFoundError:
@@ -931,14 +919,12 @@ def saving_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = 
     ))
     if not replaceable:
         with open(path, "w", encoding="utf-8") as out:
-            export(doc, out)
-        yield
+            yield out
         return
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temporary, "w", encoding="utf-8") as out:
-            export(doc, out)
-        yield
+            yield out
         if old is not None:
             os.chmod(temporary, stat.S_IMODE(old.st_mode))
         os.replace(temporary, path)
@@ -969,12 +955,14 @@ class RecordRow:
     duplicate_of: str
 
 
-def export_records(records: Iterable[ExpansionRecord]) -> str:
-    lines = ["\t".join(RECORD_COLUMNS)]
+def export_records(records: Iterable[ExpansionRecord], out: TextIO) -> None:
+    """Write the record sidecar to *out*: the header line, then one line per
+    record."""
+    out.write("\t".join(RECORD_COLUMNS) + "\n")
     for record in records:
         entry = record.entry
         p = entry.provenance
-        lines.append("\t".join((
+        out.write("\t".join((
             entry.entry_id,
             _sent(p.parent),
             p.kind.value,
@@ -983,8 +971,7 @@ def export_records(records: Iterable[ExpansionRecord]) -> str:
             _sent(entry.surface.rendered),
             record.status,
             _sent(record.duplicate_of),
-        )))
-    return "\n".join(lines) + "\n"
+        )) + "\n")
 
 
 def parse_records(source: str | Iterable[str]) -> list[RecordRow]:

@@ -18,7 +18,6 @@ class StatsReport:
     initial: int
     per_pass: dict[Origin, tuple[int, int]]  # pass -> (added, percentage)
     duplicates_removed: int
-    rejected: int
     final: int
 
     @property
@@ -37,14 +36,9 @@ def percentage(added: int, initial: int) -> int:
     return (200 * added + initial) // (2 * initial)
 
 
-def compute_stats(
-    initial: int,
-    added: Mapping[Origin, int],
-    duplicates_removed: int = 0,
-    rejected: int = 0,
-) -> StatsReport:
-    """Assemble the report; final = initial + total added - removed - rejected."""
-    counts = [initial, duplicates_removed, rejected, *added.values()]
+def compute_stats(initial: int, added: Mapping[Origin, int], duplicates_removed: int = 0) -> StatsReport:
+    """Assemble the report; final = initial + total added - removed."""
+    counts = [initial, duplicates_removed, *added.values()]
     if any(count < 0 for count in counts):
         raise ValueError("counts are non-negative")
     if any(origin not in PASS_ORDER for origin in added):
@@ -55,8 +49,8 @@ def compute_stats(
         if origin in added
     }
     total = sum(count for count, _ in per_pass.values())
-    final = initial + total - duplicates_removed - rejected
-    return StatsReport(initial, per_pass, duplicates_removed, rejected, final)
+    final = initial + total - duplicates_removed
+    return StatsReport(initial, per_pass, duplicates_removed, final)
 
 
 def tally(records: Iterable[ExpansionRecord | RecordRow]) -> tuple[dict[Origin, int], int, int]:
@@ -137,6 +131,8 @@ def render_stats(report: StatsReport) -> str:
         total = report.total_added
         lines.append(_line("total generated", f"+{total:,}", f"(+{percentage(total, report.initial)}%)"))
     lines.append(_line("duplicates removed", f"-{report.duplicates_removed:,}"))
-    lines.append(_line("rejected", f"-{report.rejected:,}"))
+    # Curation flags entries for review and never deletes them, so none is
+    # rejected; the line keeps the report's layout.
+    lines.append(_line("rejected", "-0"))
     lines.append(_line("final entries", f"{report.final:,}"))
     return "\n".join(lines) + "\n"

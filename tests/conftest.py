@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import pytest
@@ -46,6 +47,14 @@ def compile_corpus(directory: Path = FIXTURES, table_ids: tuple[str, ...] = TABL
         table_ids=table_ids,
         script_source=(directory / "extract.lgs").read_text(encoding="utf-8"),
     )
+
+
+def written(export, *args) -> str:
+    """What an exporter writing to a stream (``export_records``,
+    ``export_text``, ``export_xml``) writes, as a string."""
+    out = io.StringIO()
+    export(*args, out)
+    return out.getvalue()
 
 
 @pytest.fixture()

@@ -18,16 +18,15 @@ from hypothesis import strategies as st
 
 import corpusgen
 import lexgram.cli
-from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho
+from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho, written
 from lexgram.cli import main, parse_symbols
 from lexgram.curation import curate
 from lexgram.errors import InternalInvariantError, LexgramError
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
     LexiconDocument,
+    export_lexicon,
     export_records,
-    export_text,
-    export_xml,
     import_text,
     import_xml,
     load_lexicon,
@@ -308,6 +307,53 @@ def test_extend_leaves_the_target_when_the_sidecar_cannot_be_written(tmp_path, c
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_extend_leaves_the_sidecar_when_its_write_fails_midway(tmp_path, monkeypatch, capsys):
+    base = _compile(tmp_path)
+    code, out, records = _extend(tmp_path, base)
+    assert code == 0
+    old_lexicon, old_records = out.read_bytes(), records.read_bytes()
+    before = sorted(tmp_path.iterdir())
+
+    def export_one_line_then_fail(rows, stream):
+        stream.write("entry\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(lexgram.cli, "export_records", export_one_line_then_fail)
+    capsys.readouterr()
+    code, _, _ = _extend(tmp_path, base, extra=("--passes", "para"))
+    assert code == 1
+    assert capsys.readouterr().err == "lexgram: error: disk full\n"
+    assert records.read_bytes() == old_records
+    assert out.read_bytes() == old_lexicon
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def _linked(link):
+    def alias(path):
+        link(path, path.with_name("link.tsv"))
+        return path.with_name("link.tsv")
+    return alias
+
+
+@pytest.mark.parametrize("alias", [
+    pytest.param(lambda path: path, id="same-path"),
+    pytest.param(lambda path: path.parent / ".." / path.parent.name / path.name, id="dotdot-path"),
+    pytest.param(_linked(os.symlink), id="symlink"),
+    pytest.param(_linked(os.link), id="hard-link"),
+])
+def test_extend_refuses_one_file_for_sidecar_and_lexicon(tmp_path, capsys, alias):
+    base = _compile(tmp_path)
+    records = tmp_path / "records.tsv"
+    records.write_bytes(b"old sidecar\n")
+    output = alias(records)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(["extend", str(base), "--records", str(records), "-o", str(output)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: --records and -o name the same file: {records}\n"
+    assert records.read_bytes() == b"old sidecar\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_extend_writes_through_a_fifo_target(tmp_path):
     base = _compile(tmp_path)
     code, out, _ = _extend(tmp_path, base)
@@ -409,8 +455,8 @@ def test_import_of_a_mutated_xml_file_exits_cleanly(tmp_path, damage):
 
 
 _CHAIN_EXTENDED, _CHAIN_RESULT = _extended_corpus()
-_CHAIN_TEXTS = {"base": export_text(compile_corpus()), "full": export_text(_CHAIN_EXTENDED)}
-_CHAIN_RECORDS = export_records(_CHAIN_RESULT.records)
+_CHAIN_TEXTS = {"base": export_lexicon(compile_corpus()), "full": export_lexicon(_CHAIN_EXTENDED)}
+_CHAIN_RECORDS = written(export_records, _CHAIN_RESULT.records)
 
 
 def _cli_exits_cleanly(*argv) -> int:
@@ -612,12 +658,12 @@ def _unreachable_after_chain(directory: Path, table_ids: tuple[str, ...]) -> tup
     gc.collect()
     gc.disable()
     try:
-        doc = import_text(export_text(compile_corpus(directory, table_ids)))
+        doc = import_text(export_lexicon(compile_corpus(directory, table_ids)))
         result = run_pipeline(doc.entries, doc.script(), rules=load_fixture_morpho())
         curate(result.entries)
-        recompute_stats(result.entries, parse_records(export_records(result.records)))
+        recompute_stats(result.entries, parse_records(written(export_records, result.records)))
         extended = LexiconDocument(result.entries, doc.table_ids, doc.script_source)
-        assert import_xml(export_xml(extended)) == extended
+        assert import_xml(export_lexicon(extended, "xml")) == extended
         base_entries = len(doc.entries)
         del doc, result, extended
         return base_entries, gc.collect()

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from conftest import compile_corpus
 from lexgram.curation import canonical_key, curate, dedup, duplicate_issues, flag_suspicious, review_report
-from lexgram.formats import LexiconDocument, export_text
+from lexgram.formats import LexiconDocument, export_lexicon
 from lexgram.issues import IssueKind
 from lexgram.lexicon import LexEntry, Origin, Provenance
 from lexgram.realizer import SurfaceForm
@@ -50,13 +50,13 @@ def test_curate_leaves_its_input_unchanged():
     corpus = compile_corpus()
     copy = replace(corpus.entries[0], entry_id="ADVMP#99")
     doc = LexiconDocument(corpus.entries + [copy], corpus.table_ids, corpus.script_source)
-    before = export_text(doc)
+    before = export_lexicon(doc)
     first = curate(doc.entries)
     second = curate(doc.entries)
     assert first == second
     assert review_report(first[2], first[1]) == review_report(second[2], second[1])
     assert first[0][0].cross_refs == ("ADVMP#99",)
-    assert export_text(doc) == before
+    assert export_lexicon(doc) == before
 
 
 def test_dedup_earlier_input_position_breaks_ties():

@@ -5,10 +5,10 @@ import dataclasses
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
-from lexgram.formats import LexiconDocument, export_records, export_text
+from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import Origin, PASS_ORDER, generate_base
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
@@ -190,18 +190,18 @@ def test_run_pipeline_duplicate_records_mark_the_survivor():
 
 def test_run_pipeline_is_pure():
     doc = compile_corpus()
-    before = export_text(doc)
+    before = export_lexicon(doc)
     script, morpho = load_fixture_script(), load_fixture_morpho()
 
     def extended_text():
         result = run_pipeline(doc.entries, script, rules=morpho)
-        text = export_text(LexiconDocument(result.entries, doc.table_ids, doc.script_source))
-        return text, export_records(result.records)
+        text = export_lexicon(LexiconDocument(result.entries, doc.table_ids, doc.script_source))
+        return text, written(export_records, result.records)
 
     first = extended_text()
     assert extended_text() == first
     assert len(first[0]) == 30867
-    assert export_text(doc) == before
+    assert export_lexicon(doc) == before
 
 
 def test_plan_is_per_table_and_component_slots():

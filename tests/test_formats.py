@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import corpusgen
 import text_reference
 import xml_reference
-from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram import errors, formats
 from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion, parse_file, read_chunks, read_text
 from lexgram.expansion import run_pipeline
@@ -38,6 +38,7 @@ from lexgram.formats import (
     load_lexicon,
     parse_records,
     save_lexicon,
+    writing,
 )
 from lexgram.lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, entry_id
 from lexgram.realizer import SurfaceForm
@@ -79,8 +80,8 @@ def _docs_equal(a: LexiconDocument, b: LexiconDocument) -> bool:
 ])
 def test_export_bytes_are_pinned(build, xml_sha256, text_sha256):
     doc = build()
-    assert hashlib.sha256(export_xml(doc).encode("utf-8")).hexdigest() == xml_sha256
-    assert hashlib.sha256(export_text(doc).encode("utf-8")).hexdigest() == text_sha256
+    assert hashlib.sha256(export_lexicon(doc, "xml").encode("utf-8")).hexdigest() == xml_sha256
+    assert hashlib.sha256(export_lexicon(doc).encode("utf-8")).hexdigest() == text_sha256
 
 
 @pytest.mark.parametrize("copies, sha256", [
@@ -92,7 +93,7 @@ def test_record_bytes_are_pinned(copies, sha256):
     entries = compile_corpus().entries
     entries += [replace(entries[0], entry_id="ADVMP#99")] * copies
     result = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
-    assert hashlib.sha256(export_records(result.records).encode("utf-8")).hexdigest() == sha256
+    assert hashlib.sha256(written(export_records, result.records).encode("utf-8")).hexdigest() == sha256
 
 
 # =============================================================================
@@ -151,7 +152,7 @@ def _documents(draw, text, token=None, name=None):
 
 @given(_documents(_XML_SAFE_TEXT))
 def test_xml_matches_the_elementtree_reference(doc):
-    text = export_xml(doc)
+    text = export_lexicon(doc, "xml")
     assert text == xml_reference.export_xml(doc)
     assert import_xml(text) == xml_reference.import_xml(text)
 
@@ -159,7 +160,7 @@ def test_xml_matches_the_elementtree_reference(doc):
 @given(st.one_of(_documents(_XML_CR_TEXT), _documents(_XML_ANY_TEXT)))
 def test_xml_export_round_trips_or_refuses(doc):
     try:
-        text = export_xml(doc)
+        text = export_lexicon(doc, "xml")
     except LexgramError:
         return
     assert import_xml(text) == doc
@@ -170,20 +171,20 @@ def test_xml_export_round_trips_or_refuses(doc):
 # =============================================================================
 
 def test_text_round_trip_preserves_document(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     assert _docs_equal(import_text(text), corpus_doc)
 
 
 def test_text_round_trip_extended_document():
     extended, _ = _extended_corpus()
-    text = export_text(extended)
+    text = export_lexicon(extended)
     again = import_text(text)
     assert _docs_equal(again, extended)
-    assert export_text(again) == text
+    assert export_lexicon(again) == text
 
 
 def test_text_header_layout(corpus_doc):
-    lines = export_text(corpus_doc).split("\n")
+    lines = export_lexicon(corpus_doc).split("\n")
     assert lines[0] == "#lgx\t1"
     assert lines[1].startswith("#generator\tlexgram ")
     assert lines[2] == "#tables\t" + "\t".join(corpus_doc.table_ids)
@@ -198,7 +199,7 @@ def test_text_header_layout(corpus_doc):
 def test_text_empty_values_use_sentinel(corpus_doc):
     pac2 = next(e for e in corpus_doc.entries if e.entry_id == "PAC#2")
     assert pac2.components["Prép1"] == ""
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     assert "component\tPrép1\t<E>" in text
     again = import_text(text)
     restored = next(e for e in again.entries if e.entry_id == "PAC#2")
@@ -211,13 +212,13 @@ def test_text_rejects_missing_magic():
 
 
 def test_text_rejects_future_version(corpus_doc):
-    text = export_text(corpus_doc).replace("#lgx\t1", "#lgx\t2", 1)
+    text = export_lexicon(corpus_doc).replace("#lgx\t1", "#lgx\t2", 1)
     with pytest.raises(UnknownFormatVersion):
         import_text(text)
 
 
 def test_text_rejects_tampered_script(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     tampered = text.replace("#|#", "#|# edited", 1)
     assert tampered != text
     with pytest.raises(SchemaViolation) as err:
@@ -226,7 +227,7 @@ def test_text_rejects_tampered_script(corpus_doc):
 
 
 def test_text_rejects_truncation(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     blocks = text.split("\n\n")
     with pytest.raises(SchemaViolation) as err:
         import_text("\n\n".join(blocks[:-1]) + "\n")
@@ -234,21 +235,21 @@ def test_text_rejects_truncation(corpus_doc):
 
 
 def test_text_rejects_bad_entry_count(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     bad = text.replace(f"#entries\t{len(corpus_doc.entries)}", "#entries\tmany", 1)
     with pytest.raises(SchemaViolation):
         import_text(bad)
 
 
 def test_text_rejects_unterminated_script(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     head = text.split("#script-end")[0]
     with pytest.raises(SchemaViolation):
         import_text(head)
 
 
 def test_text_rejects_unknown_keywords(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     with pytest.raises(SchemaViolation):
         import_text(text.replace("#generator", "#creator", 1))
     with pytest.raises(SchemaViolation):
@@ -256,7 +257,7 @@ def test_text_rejects_unknown_keywords(corpus_doc):
 
 
 def test_text_rejects_malformed_feature_value(corpus_doc):
-    text = export_text(corpus_doc)
+    text = export_lexicon(corpus_doc)
     bad = text.replace("feature\tN0 V Adv W\t+", "feature\tN0 V Adv W\t?", 1)
     with pytest.raises(SchemaViolation):
         import_text(bad)
@@ -284,7 +285,7 @@ def test_text_export_refuses_field_breaks(corpus_doc, edit, char, name):
     entry = next(e for e in corpus_doc.entries if "C1" in e.components)
     edit(entry, f"a{char}b")
     with pytest.raises(SchemaViolation) as err:
-        export_text(corpus_doc)
+        export_lexicon(corpus_doc)
     assert str(err.value) == f"entry {entry.entry_id!r} holds a {name}, which the text format cannot carry"
 
 
@@ -298,7 +299,7 @@ def test_text_export_refuses_field_breaks(corpus_doc, edit, char, name):
 def test_text_export_refuses_header_breaks(corpus_doc, field, value, message):
     setattr(corpus_doc, field, value)
     with pytest.raises(SchemaViolation, match=re.escape(message)):
-        export_text(corpus_doc)
+        export_lexicon(corpus_doc)
 
 
 def _set_rendered(entry, text):
@@ -327,20 +328,20 @@ def test_text_export_refuses_what_reads_back_as_another(corpus_doc, edit, text, 
     entry = next(e for e in corpus_doc.entries if "C1" in e.components)
     edit(entry, text)
     with pytest.raises(SchemaViolation) as err:
-        export_text(corpus_doc)
+        export_lexicon(corpus_doc)
     assert str(err.value) == f"entry {entry.entry_id!r} holds {what}, which the text format cannot carry"
 
 
 def test_text_export_keeps_a_sentinel_token_among_others(corpus_doc):
     entry = next(e for e in corpus_doc.entries if "C1" in e.components)
     _set_token(entry, EMPTY_TOKEN)
-    assert import_text(export_text(corpus_doc)) == corpus_doc
+    assert import_text(export_lexicon(corpus_doc)) == corpus_doc
 
 
 def test_text_export_keeps_tabs_in_generator_and_script(corpus_doc):
     corpus_doc.generator = "lexgram\t0"
     corpus_doc.script_source = "# a\tb\n" + corpus_doc.script_source
-    assert import_text(export_text(corpus_doc)) == corpus_doc
+    assert import_text(export_lexicon(corpus_doc)) == corpus_doc
 
 
 # Field text for the text-format properties.  ``_TEXT_SAFE`` holds
@@ -370,7 +371,7 @@ def _read_outcome(reader, text: str):
 
 @given(_READABLE_DOCUMENTS)
 def test_text_import_matches_the_reference(doc):
-    text = export_text(doc)
+    text = export_lexicon(doc)
     assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
 
 
@@ -392,7 +393,7 @@ def _text_documents(alphabet):
 ))
 def test_text_export_round_trips_or_refuses(doc):
     try:
-        text = export_text(doc)
+        text = export_lexicon(doc)
     except LexgramError as err:
         assert "which the text format cannot carry" in str(err)
         return
@@ -405,14 +406,14 @@ def test_text_export_round_trips_or_refuses(doc):
 
 def test_xml_round_trip_preserves_document():
     extended, _ = _extended_corpus()
-    text = export_xml(extended)
+    text = export_lexicon(extended, "xml")
     again = import_xml(text)
     assert _docs_equal(again, extended)
-    assert export_xml(again) == text
+    assert export_lexicon(again, "xml") == text
 
 
 def test_xml_declaration_and_root(corpus_doc):
-    text = export_xml(corpus_doc)
+    text = export_lexicon(corpus_doc, "xml")
     assert text.startswith("<?xml")
     assert "<lexicon " in text
 
@@ -435,7 +436,7 @@ def test_xml_rejects_future_version():
 def test_xml_rejects_undefined_entities(corpus_doc):
     # With an external DTD, expat leaves an undeclared entity to the
     # reader instead of failing the parse.
-    text = export_xml(corpus_doc).replace(
+    text = export_lexicon(corpus_doc, "xml").replace(
         "<lexicon ", '<!DOCTYPE lexicon SYSTEM "lexicon.dtd">\n<lexicon ', 1,
     ).replace("<tables>", "<tables><note>&undeclared;</note>", 1)
     with pytest.raises(SchemaViolation) as err:
@@ -446,14 +447,14 @@ def test_xml_rejects_undefined_entities(corpus_doc):
 
 
 def test_xml_rejects_count_mismatch(corpus_doc):
-    text = export_xml(corpus_doc)
+    text = export_lexicon(corpus_doc, "xml")
     bad = text.replace(f'count="{len(corpus_doc.entries)}"', 'count="3"', 1)
     with pytest.raises(SchemaViolation):
         import_xml(bad)
 
 
 def test_xml_rejects_tampered_script(corpus_doc):
-    text = export_xml(corpus_doc)
+    text = export_lexicon(corpus_doc, "xml")
     bad = text.replace("construction", "konstruction", 1)
     with pytest.raises(SchemaViolation):
         import_xml(bad)
@@ -478,7 +479,7 @@ _XML_DEFECTS = [
 
 @pytest.mark.parametrize("old, new, message", _XML_DEFECTS, ids=[f"{old}-{new}" for old, new, _ in _XML_DEFECTS])
 def test_xml_rejects_missing_attributes_and_bad_values(old, new, message):
-    text = export_xml(_extended_corpus()[0])
+    text = export_lexicon(_extended_corpus()[0], "xml")
     assert old in text
     with pytest.raises(SchemaViolation) as err:
         import_xml(text.replace(old, new, 1))
@@ -489,7 +490,7 @@ def test_xml_rejects_missing_attributes_and_bad_values(old, new, message):
 def test_xml_export_refuses_characters_xml_cannot_carry(corpus_doc, char):
     corpus_doc.entries[3].components["C1"] = f"a{char}b"
     with pytest.raises(SchemaViolation) as err:
-        export_xml(corpus_doc)
+        export_lexicon(corpus_doc, "xml")
     assert repr(corpus_doc.entries[3].entry_id) in str(err.value)
 
 
@@ -497,7 +498,7 @@ def test_xml_keeps_carriage_returns(corpus_doc):
     corpus_doc.entries[3].components["C1"] = "a\rb\r\n"
     entry = corpus_doc.entries[3]
     corpus_doc.entries[3] = replace(entry, cross_refs=entry.cross_refs + ("\r",))
-    text = export_xml(corpus_doc)
+    text = export_lexicon(corpus_doc, "xml")
     assert "a&#13;b&#13;\n" in text
     assert import_xml(text) == corpus_doc
 
@@ -510,7 +511,7 @@ def test_xml_keeps_carriage_returns(corpus_doc):
 ], ids=["count", "hash", "empty-hash", "entries-element"])
 def test_xml_requires_count_and_hash(pattern, replacement, message):
     doc = LexiconDocument([], ("T",), "# empty script")
-    text = export_xml(doc)
+    text = export_lexicon(doc, "xml")
     assert import_xml(text) == doc
     stripped, replaced = re.subn(pattern, replacement, text, count=1)
     assert replaced == 1
@@ -537,14 +538,14 @@ def test_xml_requires_count_and_hash(pattern, replacement, message):
     ('    <entry id="ADVMP#2"', '  </entries>\n  <entries count="9">\n    <entry id="ADVMP#2"'),
 ])
 def test_xml_reads_the_paths_the_reference_reads(corpus_doc, old, new):
-    text = export_xml(corpus_doc)
+    text = export_lexicon(corpus_doc, "xml")
     assert old in text
     edited = text.replace(old, new, 1)
     assert import_xml(edited) == xml_reference.import_xml(edited) == corpus_doc
 
 
 def test_xml_applies_attribute_defaults_as_the_reference_does(corpus_doc):
-    text = export_xml(corpus_doc).replace(
+    text = export_lexicon(corpus_doc, "xml").replace(
         "<lexicon ", '<!DOCTYPE lexicon [<!ATTLIST provenance template CDATA "T">]>\n<lexicon ', 1,
     )
     doc = import_xml(text)
@@ -552,7 +553,7 @@ def test_xml_applies_attribute_defaults_as_the_reference_does(corpus_doc):
     assert {entry.provenance.template for entry in doc.entries} == {"T"}
 
 
-_FIXTURE_XML = export_xml(compile_corpus()).encode("utf-8")
+_FIXTURE_XML = export_lexicon(compile_corpus(), "xml").encode("utf-8")
 
 # Bytes a mutation writes: markup and entity characters, two control
 # characters and any printable ASCII byte.
@@ -588,7 +589,7 @@ def test_xml_import_of_mutated_bytes_reads_or_raises_schema_errors(seed):
     assert doc == xml_reference.import_xml(text)
 
 
-_FIXTURE_TEXT = export_text(_extended_corpus()[0])
+_FIXTURE_TEXT = export_lexicon(_extended_corpus()[0])
 
 # Characters a text mutation writes: the separators, other whitespace, the
 # header and sentinel characters, and any printable ASCII character.
@@ -645,8 +646,8 @@ _CHUNK_SIZES = (1, 2, 17, 4096)
 
 
 def _chunk_edge_texts() -> list[str]:
-    header_only = export_text(LexiconDocument([], TABLE_IDS, "* : \"f\" => construction"))
-    texts = [export_text(compile_corpus()), _FIXTURE_TEXT, header_only]
+    header_only = export_lexicon(LexiconDocument([], TABLE_IDS, "* : \"f\" => construction"))
+    texts = [export_lexicon(compile_corpus()), _FIXTURE_TEXT, header_only]
     return [*texts, *(text[:-1] for text in texts), ""]
 
 
@@ -659,7 +660,7 @@ def test_text_import_reads_across_chunk_boundaries(monkeypatch, chunk):
 
 @given(_READABLE_DOCUMENTS)
 def test_text_import_matches_the_reference_at_any_chunk_size(doc):
-    text = export_text(doc)
+    text = export_lexicon(doc)
     expected = _read_outcome(text_reference.import_text, text)
     for chunk in _CHUNK_SIZES:
         with mock.patch.object(formats, "_CHUNK_CHARS", chunk):
@@ -677,12 +678,12 @@ def _names(entry: LexEntry) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("export, reader", [
-    pytest.param(export_text, import_text, id="text"),
-    pytest.param(export_xml, import_xml, id="xml"),
+@pytest.mark.parametrize("fmt, reader", [
+    pytest.param("text", import_text, id="text"),
+    pytest.param("xml", import_xml, id="xml"),
 ])
-def test_readers_share_equal_names(export, reader):
-    doc = reader(export(_extended_corpus()[0]))
+def test_readers_share_equal_names(fmt, reader):
+    doc = reader(export_lexicon(_extended_corpus()[0], fmt))
     first: dict[str, str] = {}
     repeats = 0
     for entry in doc.entries:
@@ -702,7 +703,7 @@ def _corpus_doc(directory, rows: int) -> LexiconDocument:
 
 
 def _corpus_text(directory, rows: int) -> str:
-    return export_text(_corpus_doc(directory, rows))
+    return export_lexicon(_corpus_doc(directory, rows))
 
 
 def _transient_bytes(text: str) -> int:
@@ -731,11 +732,11 @@ def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path, 
 # =============================================================================
 
 _FIXTURE_FILES = {
-    "base.lgx": export_text(compile_corpus()),
+    "base.lgx": export_lexicon(compile_corpus()),
     "full.lgx": _FIXTURE_TEXT,
     "full-crlf.lgx": _FIXTURE_TEXT.replace("\n", "\r\n"),
     "base.lgx.xml": _FIXTURE_XML.decode("utf-8"),
-    "full.lgx.xml": export_xml(_extended_corpus()[0]),
+    "full.lgx.xml": export_lexicon(_extended_corpus()[0], "xml"),
 }
 
 
@@ -827,14 +828,14 @@ def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, m
 
 @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
 def test_parse_records_reads_pieces_as_the_whole_text(chunk):
-    text = export_records(_extended_corpus()[1].records)
+    text = written(export_records, _extended_corpus()[1].records)
     for sidecar in (text, text[:-1], "\n" + text.replace("\n", "\n\n"), text.replace("\tkept\t", "\tkeep\t", 1), ""):
         pieces = [sidecar[start:start + chunk] for start in range(0, len(sidecar), chunk)]
         assert _read_outcome(parse_records, pieces) == _read_outcome(parse_records, sidecar)
 
 
 def test_parse_records_shares_repeated_names():
-    rows = parse_records(export_records(_extended_corpus()[1].records))
+    rows = parse_records(written(export_records, _extended_corpus()[1].records))
     first: dict[str, str] = {}
     repeats = 0
     for row in rows:
@@ -873,15 +874,16 @@ def test_loading_from_disk_holds_a_few_chunks_beyond_the_document(tmp_path, monk
 # =============================================================================
 
 def test_sniffing_dispatches_by_leading_character(corpus_doc):
-    assert _docs_equal(import_lexicon(export_text(corpus_doc)), corpus_doc)
-    assert _docs_equal(import_lexicon(export_xml(corpus_doc)), corpus_doc)
+    assert _docs_equal(import_lexicon(export_lexicon(corpus_doc)), corpus_doc)
+    assert _docs_equal(import_lexicon(export_lexicon(corpus_doc, "xml")), corpus_doc)
 
 
-def test_export_unknown_format_rejected(corpus_doc):
+def test_export_unknown_format_rejected(tmp_path, corpus_doc):
     with pytest.raises(ValueError):
         export_lexicon(corpus_doc, format="yaml")
     with pytest.raises(ValueError):
-        import_lexicon("#lgx\t1\n", format="yaml")
+        save_lexicon(corpus_doc, tmp_path / "out.lgx", format="yaml")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_save_load_infers_format_from_suffix(tmp_path, corpus_doc):
@@ -909,25 +911,46 @@ def test_save_lexicon_writes_the_export_bytes(tmp_path, fmt, name, export):
     assert [path.name for path in tmp_path.iterdir()] == [name]
 
 
-def test_save_lexicon_keeps_the_mode_of_a_replaced_file(tmp_path, corpus_doc):
+def _write_with_writing(doc, path):
+    with writing(path) as out:
+        export_text(doc, out)
+
+
+_WRITERS = [pytest.param(save_lexicon, id="save_lexicon"), pytest.param(_write_with_writing, id="writing")]
+
+
+@pytest.mark.parametrize("write", _WRITERS)
+def test_save_lexicon_keeps_the_mode_of_a_replaced_file(tmp_path, corpus_doc, write):
     target = tmp_path / "out.lgx"
     target.write_bytes(b"old lexicon\n")
     target.chmod(0o600)
-    save_lexicon(corpus_doc, target)
+    write(corpus_doc, target)
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
-    assert target.read_text(encoding="utf-8") == export_text(corpus_doc)
+    assert target.read_text(encoding="utf-8") == export_lexicon(corpus_doc)
 
 
+@pytest.mark.parametrize("write", _WRITERS)
 @pytest.mark.parametrize("link", [os.symlink, os.link], ids=["symlink", "hard-link"])
-def test_save_lexicon_writes_through_a_link(tmp_path, corpus_doc, link):
+def test_save_lexicon_writes_through_a_link(tmp_path, corpus_doc, link, write):
     real = tmp_path / "real.lgx"
     real.write_bytes(b"old lexicon\n")
     alias = tmp_path / "alias.lgx"
     link(real, alias)
-    save_lexicon(corpus_doc, alias)
+    write(corpus_doc, alias)
     assert alias.is_symlink() == (link is os.symlink)
-    assert real.read_text(encoding="utf-8") == export_text(corpus_doc)
+    assert real.read_text(encoding="utf-8") == export_lexicon(corpus_doc)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["alias.lgx", "real.lgx"]
+
+
+def test_writing_deletes_its_temporary_file_on_an_error(tmp_path):
+    target = tmp_path / "records.tsv"
+    target.write_bytes(b"old sidecar\n")
+    with pytest.raises(OSError, match="disk full"):
+        with writing(target) as out:
+            out.write("entry\n")
+            raise OSError("disk full")
+    assert target.read_bytes() == b"old sidecar\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["records.tsv"]
 
 
 # =============================================================================
@@ -936,7 +959,7 @@ def test_save_lexicon_writes_through_a_link(tmp_path, corpus_doc, link):
 
 def test_records_round_trip():
     _, result = _extended_corpus()
-    text = export_records(result.records)
+    text = written(export_records, result.records)
     rows = parse_records(text)
     assert len(rows) == len(result.records)
     by_id = {row.entry_id: row for row in rows}
@@ -949,9 +972,26 @@ def test_records_round_trip():
         assert row.duplicate_of == (record.duplicate_of or "")
 
 
+def test_writing_a_large_sidecar_holds_no_whole_text(tmp_path):
+    records = _extended_corpus()[1].records * 2000
+    path = tmp_path / "records.tsv"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with writing(path) as out:
+            export_records(records, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == written(export_records, records)
+    assert path.stat().st_size > 4 << 20
+    # The stream's buffer and one line, not the file's text or its lines.
+    assert peak < 64 << 10
+
+
 def test_records_header_line():
     _, result = _extended_corpus()
-    first = export_records(result.records).split("\n", 1)[0]
+    first = written(export_records, result.records).split("\n", 1)[0]
     assert first == "\t".join(RECORD_COLUMNS)
 
 
@@ -962,7 +1002,7 @@ def test_records_reject_bad_header():
 
 def test_records_reject_short_line():
     _, result = _extended_corpus()
-    text = export_records(result.records)
+    text = written(export_records, result.records)
     lines = text.rstrip("\n").split("\n")
     lines[1] = lines[1].rsplit("\t", 1)[0]
     with pytest.raises(SchemaViolation):

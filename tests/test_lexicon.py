@@ -7,7 +7,7 @@ from dataclasses import fields
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.errors import LexgramError
 from lexgram.expansion import run_pipeline
-from lexgram.formats import LexiconDocument, export_text, export_xml, import_text, import_xml
+from lexgram.formats import LexiconDocument, export_lexicon, import_text, import_xml
 from lexgram.lexicon import (
     LexEntry,
     Origin,
@@ -183,8 +183,8 @@ def test_sequence_fields_are_tuples_wherever_entries_are_built():
     built = {
         "generate_base": base.entries,
         "run_pipeline": result.entries,
-        "import_text": import_text(export_text(extended)).entries,
-        "import_xml": import_xml(export_xml(extended)).entries,
+        "import_text": import_text(export_lexicon(extended)).entries,
+        "import_xml": import_xml(export_lexicon(extended, "xml")).entries,
     }
     for where, entries in built.items():
         for entry in entries:

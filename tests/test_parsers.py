@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import compile_corpus, fixture_path, load_fixture_morpho, load_fixture_script
+from conftest import compile_corpus, fixture_path, load_fixture_morpho, load_fixture_script, written
 from lexgram.cli import parse_symbols
 from lexgram.errors import LexgramError
 from lexgram.expansion import run_pipeline
@@ -26,7 +26,7 @@ def _fixture(name: str) -> str:
 def _record_sidecar() -> str:
     doc = compile_corpus()
     result = run_pipeline(doc.entries, load_fixture_script(), rules=load_fixture_morpho())
-    return export_records(result.records)
+    return written(export_records, result.records)
 
 
 # name -> (parser, the unmutated input it reads)

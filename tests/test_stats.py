@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram.errors import SchemaViolation, ZeroInitial
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
@@ -127,7 +127,7 @@ def test_recompute_stats_matches_the_pipeline_report(twin):
         clone.entry_id = f"{clone.table_id}#99"
         entries.append(clone)
     result = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
-    rows = parse_records(export_records(result.records))
+    rows = parse_records(written(export_records, result.records))
     assert any(row.kind is Origin.BASE for row in rows) == twin
     assert recompute_stats(result.entries, rows) == result.stats
 
