@@ -128,47 +128,62 @@ def _unwritable(where: str, char: str) -> SchemaViolation:
     return SchemaViolation(f"{where} holds a {_TEXT_BREAKS[char]}, which the text format cannot carry")
 
 
-def _entry_block(entry: LexEntry) -> str:
+class _FeatureLines(dict):
+    """The two ``feature`` lines of each feature id, value ``-`` then ``+``,
+    each after a newline, built the first time the id is written."""
+
+    def __missing__(self, fid: str) -> tuple[str, str]:
+        lines = self[fid] = (f"\nfeature\t{fid}\t-", f"\nfeature\t{fid}\t+")
+        return lines
+
+
+def _entry_block(entry: LexEntry, feature_lines: _FeatureLines) -> str:
+    """The lines of *entry*, each after a newline."""
     p = entry.provenance
-    lines = [
-        f"entry\t{entry.entry_id}",
-        f"table\t{entry.table_id}",
-        "provenance\t{}\t{}\t{}\t{}".format(
-            p.kind.value, _name(p.parent), _name(p.feature_id), _name(p.template),
-        ),
-        f"surface\t{_surface_fields(entry.surface)}",
+    parts = [
+        f"\nentry\t{entry.entry_id}\ntable\t{entry.table_id}"
+        f"\nprovenance\t{p.kind.value}\t{_name(p.parent)}\t{_name(p.feature_id)}\t{_name(p.template)}"
+        f"\nsurface\t{_surface_fields(entry.surface)}"
     ]
-    lines.extend(f"feature\t{fid}\t{'+' if value else '-'}" for fid, value in entry.binary_features.items())
-    lines.extend(f"cross-ref\t{ref}" for ref in entry.cross_refs)
-    lines.append(SECTION_LEXICAL)
-    lines.append(f"category\t{entry.category}")
-    lines.extend(f"component\t{slot}\t{_field(text)}" for slot, text in entry.components.items())
-    lines.extend(f"aux\t{column}\t{_field(text)}" for column, text in entry.aux.items())
-    lines.extend(f"paraphrase\t{_surface_fields(s)}" for s in entry.paraphrases)
-    lines.extend(
-        f"other-structure\t{label}\t{_surface_fields(s)}" for label, s in entry.other_structures
+    for fid, value in entry.binary_features.items():
+        parts.append(feature_lines[fid][1 if value else 0])
+    for ref in entry.cross_refs:
+        parts.append(f"\ncross-ref\t{ref}")
+    parts.append(f"\n{SECTION_LEXICAL}\ncategory\t{entry.category}")
+    for slot, text in entry.components.items():
+        parts.append(f"\ncomponent\t{slot}\t{_field(text)}")
+    for column, text in entry.aux.items():
+        parts.append(f"\naux\t{column}\t{_field(text)}")
+    for surface in entry.paraphrases:
+        parts.append(f"\nparaphrase\t{_surface_fields(surface)}")
+    for label, surface in entry.other_structures:
+        parts.append(f"\nother-structure\t{label}\t{_surface_fields(surface)}")
+    for surface in entry.intensified:
+        parts.append(f"\nintensified\t{_surface_fields(surface)}")
+    parts.append(f"\n{SECTION_ARGUMENTS}")
+    for a in entry.arguments:
+        parts.append(f"\nargument\t{a.slot}\t{a.selection.value}")
+    parts.append(f"\n{SECTION_CONSTRUCTIONS}")
+    for cid in entry.construction_ids:
+        parts.append(f"\nconstruction\t{cid}")
+    for label in entry.internal_structures:
+        parts.append(f"\ninternal-structure\t{label}")
+    block = "".join(parts)
+    # The separators the layout writes: 8 lines and 9 tabs on the entry,
+    # table, provenance, surface, section and category lines, and one line
+    # with 1, 2 or 3 tabs for each repeated value.  A field holding a tab or
+    # a newline adds one.
+    ones = len(entry.cross_refs) + len(entry.construction_ids) + len(entry.internal_structures)
+    twos = (
+        len(entry.binary_features) + len(entry.components) + len(entry.aux)
+        + len(entry.paraphrases) + len(entry.intensified) + len(entry.arguments)
     )
-    lines.extend(f"intensified\t{_surface_fields(s)}" for s in entry.intensified)
-    lines.append(SECTION_ARGUMENTS)
-    lines.extend(f"argument\t{a.slot}\t{a.selection.value}" for a in entry.arguments)
-    lines.append(SECTION_CONSTRUCTIONS)
-    lines.extend(f"construction\t{cid}" for cid in entry.construction_ids)
-    lines.extend(f"internal-structure\t{label}" for label in entry.internal_structures)
-    block = "\n".join(lines)
-    # The separators the layout writes: 9 on the entry, table, provenance,
-    # surface and category lines, and 1, 2 or 3 on each repeated line.  A
-    # field holding a tab or a newline adds one.
-    tabs = 9 + (
-        len(entry.cross_refs) + len(entry.construction_ids) + len(entry.internal_structures)
-        + 2 * (len(entry.binary_features) + len(entry.components) + len(entry.aux)
-               + len(entry.paraphrases) + len(entry.intensified) + len(entry.arguments))
-        + 3 * len(entry.other_structures)
-    )
+    threes = len(entry.other_structures)
     if "\r" in block:
         raise _unwritable(f"entry {entry.entry_id!r}", "\r")
-    if block.count("\n") != len(lines) - 1:
+    if block.count("\n") != 8 + ones + twos + threes:
         raise _unwritable(f"entry {entry.entry_id!r}", "\n")
-    if block.count("\t") != tabs:
+    if block.count("\t") != 9 + ones + 2 * twos + 3 * threes:
         raise _unwritable(f"entry {entry.entry_id!r}", "\t")
     return block
 
@@ -203,14 +218,15 @@ def export_text(doc: LexiconDocument, out: TextIO) -> None:
     lines.append("#script-end")
     lines.append(f"#entries\t{len(doc.entries)}")
     out.write("\n".join(lines))
+    feature_lines = _FeatureLines()
     for entry in doc.entries:
         try:
-            block = _entry_block(entry)
+            block = _entry_block(entry, feature_lines)
         except _Unreadable as err:
             raise SchemaViolation(
                 f"entry {entry.entry_id!r} holds {err}, which the text format cannot carry"
             ) from None
-        out.write("\n\n" + block)
+        out.write("\n" + block)
     out.write("\n")
 
 
@@ -218,6 +234,13 @@ _ORIGINS = {origin.value: origin for origin in Origin}
 _SELECTIONS = {selection.value: selection for selection in Selection}
 _FEATURE_VALUES = {"+": True, "-": False}
 _SECTIONS = frozenset((SECTION_LEXICAL, SECTION_ARGUMENTS, SECTION_CONSTRUCTIONS))
+
+# What a line does that the text reader memoizes, and the code of each
+# keyword whose lines hold one name.
+_FEATURE, _ARGUMENT, _PROVENANCE, _SECTION, _INTERNAL, _CONSTRUCTION, _TABLE, _CATEGORY = range(8)
+_ONE_NAME_LINES = {
+    "internal-structure": _INTERNAL, "construction": _CONSTRUCTION, "table": _TABLE, "category": _CATEGORY,
+}
 
 
 def _malformed(line: str) -> SchemaViolation:
@@ -251,17 +274,23 @@ def _read_provenance(fields: list[str], share: Callable[[str, str], str]) -> Pro
 def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     """The entries of a text lexicon's body, read in one pass.
 
-    Each line dispatches on its keyword, the most frequent first.  A blank
-    or whitespace-only line ends the open block, so *lines* must end with
-    one.  Of repeated single-valued lines (entry, table, provenance,
-    surface, category) and of repeated feature, component and aux keys, the
-    last wins.
+    A blank or whitespace-only line ends the open block, so *lines* must
+    end with one.  Of repeated single-valued lines (entry, table,
+    provenance, surface, category) and of repeated feature, component and
+    aux keys, the last wins.
+
+    A line that holds only names (a section header, or a feature, table,
+    category, internal-structure, construction, argument or base
+    provenance line) means the same wherever it stands: once read without
+    error, its result is kept with the line as key.  Every other line is
+    split and dispatched on its keyword each time.
 
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
     one string.
     """
     share = {}.setdefault
+    memo: dict[str, tuple] = {}
     entries: list[LexEntry] = []
     in_block = False
     entry_id = table_id = category = provenance = surface = None
@@ -276,94 +305,104 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     internal: list[str] = []
     cross_refs: list[str] = []
     for line in lines:
-        fields = line.split("\t")
-        keyword = fields[0]
-        if keyword == "feature":
-            if len(fields) != 3:
-                raise _malformed(line)
-            value = _FEATURE_VALUES.get(fields[2])
-            if value is None:
-                raise SchemaViolation(f"malformed feature line: {line!r}")
-            features[share(fields[1], fields[1])] = value
-        elif keyword == "component":
-            if len(fields) != 3:
-                raise _malformed(line)
-            text = fields[2]
-            components[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
-        elif keyword == "internal-structure":
-            if len(fields) != 2:
-                raise _malformed(line)
-            internal.append(share(fields[1], fields[1]))
-        elif keyword == "construction":
-            if len(fields) != 2:
-                raise _malformed(line)
-            constructions.append(share(fields[1], fields[1]))
-        elif keyword == "entry":
-            if len(fields) != 2:
-                raise _malformed(line)
-            entry_id = fields[1]
-        elif keyword == "table":
-            if len(fields) != 2:
-                raise _malformed(line)
-            table_id = share(fields[1], fields[1])
-        elif keyword == "provenance":
-            provenance = _read_provenance(fields, share)
-        elif keyword == "surface":
-            surface = _read_surface(fields)
-        elif keyword == "category":
-            if len(fields) != 2:
-                raise _malformed(line)
-            category = share(fields[1], fields[1])
-        elif keyword == "paraphrase":
-            paraphrases.append(_read_surface(fields))
-        elif keyword == "other-structure":
-            if len(fields) != 4:
-                raise _malformed(line)
-            other_structures.append((share(fields[1], fields[1]), _read_surface(fields[1:])))
-        elif keyword == "argument":
-            if len(fields) != 3:
-                raise _malformed(line)
-            selection = _SELECTIONS.get(fields[2])
-            if selection is None:
-                raise SchemaViolation(f"malformed argument line: {line!r}")
-            arguments.append(ArgumentSpec(share(fields[1], fields[1]), selection))
-        elif keyword == "aux":
-            if len(fields) != 3:
-                raise _malformed(line)
-            text = fields[2]
-            aux[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
-        elif keyword == "intensified":
-            intensified.append(_read_surface(fields))
-        elif keyword == "cross-ref":
-            if len(fields) != 2:
-                raise _malformed(line)
-            cross_refs.append(fields[1])
-        elif line in _SECTIONS:
-            pass
-        elif not line or line.isspace():
-            if not in_block:
+        hit = memo.get(line)
+        if hit is None:
+            if not line or line.isspace():
+                if not in_block:
+                    continue
+                if entry_id is None or table_id is None or category is None or provenance is None or surface is None:
+                    missing = [
+                        name for name, value in (
+                            ("entry", entry_id), ("table", table_id), ("category", category),
+                            ("provenance", provenance), ("surface", surface),
+                        ) if value is None
+                    ]
+                    raise SchemaViolation(f"entry block missing {', '.join(missing)}")
+                entries.append(LexEntry(
+                    entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
+                    tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
+                    tuple(internal), features, provenance, tuple(cross_refs),
+                ))
+                in_block = False
+                entry_id = table_id = category = provenance = surface = None
+                components, aux, features = {}, {}, {}
+                paraphrases, other_structures, intensified, arguments = [], [], [], []
+                constructions, internal, cross_refs = [], [], []
                 continue
-            if entry_id is None or table_id is None or category is None or provenance is None or surface is None:
-                missing = [
-                    name for name, value in (
-                        ("entry", entry_id), ("table", table_id), ("category", category),
-                        ("provenance", provenance), ("surface", surface),
-                    ) if value is None
-                ]
-                raise SchemaViolation(f"entry block missing {', '.join(missing)}")
-            entries.append(LexEntry(
-                entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
-                tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
-                tuple(internal), features, provenance, tuple(cross_refs),
-            ))
-            in_block = False
-            entry_id = table_id = category = provenance = surface = None
-            components, aux, features = {}, {}, {}
-            paraphrases, other_structures, intensified, arguments = [], [], [], []
-            constructions, internal, cross_refs = [], [], []
-            continue
-        else:
-            raise SchemaViolation(f"unknown line keyword {keyword!r}")
+            fields = line.split("\t")
+            keyword = fields[0]
+            if keyword == "component":
+                if len(fields) != 3:
+                    raise _malformed(line)
+                text = fields[2]
+                components[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
+            elif keyword == "entry":
+                if len(fields) != 2:
+                    raise _malformed(line)
+                entry_id = fields[1]
+            elif keyword == "provenance":
+                provenance = _read_provenance(fields, share)
+                if provenance.parent is None:
+                    memo[line] = _PROVENANCE, None, provenance
+            elif keyword == "surface":
+                surface = _read_surface(fields)
+            elif keyword == "paraphrase":
+                paraphrases.append(_read_surface(fields))
+            elif keyword == "other-structure":
+                if len(fields) != 4:
+                    raise _malformed(line)
+                other_structures.append((share(fields[1], fields[1]), _read_surface(fields[1:])))
+            elif keyword == "aux":
+                if len(fields) != 3:
+                    raise _malformed(line)
+                text = fields[2]
+                aux[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
+            elif keyword == "intensified":
+                intensified.append(_read_surface(fields))
+            elif keyword == "cross-ref":
+                if len(fields) != 2:
+                    raise _malformed(line)
+                cross_refs.append(fields[1])
+            elif keyword in _ONE_NAME_LINES:
+                if len(fields) != 2:
+                    raise _malformed(line)
+                hit = memo[line] = _ONE_NAME_LINES[keyword], share(fields[1], fields[1]), None
+            elif keyword == "feature":
+                if len(fields) != 3:
+                    raise _malformed(line)
+                value = _FEATURE_VALUES.get(fields[2])
+                if value is None:
+                    raise SchemaViolation(f"malformed feature line: {line!r}")
+                hit = memo[line] = _FEATURE, share(fields[1], fields[1]), value
+            elif keyword == "argument":
+                if len(fields) != 3:
+                    raise _malformed(line)
+                selection = _SELECTIONS.get(fields[2])
+                if selection is None:
+                    raise SchemaViolation(f"malformed argument line: {line!r}")
+                hit = memo[line] = _ARGUMENT, None, ArgumentSpec(share(fields[1], fields[1]), selection)
+            elif line in _SECTIONS:
+                hit = memo[line] = _SECTION, None, None
+            else:
+                raise SchemaViolation(f"unknown line keyword {keyword!r}")
+            if hit is None:
+                in_block = True
+                continue
+        code, name, value = hit
+        if code == _FEATURE:
+            features[name] = value
+        elif code == _INTERNAL:
+            internal.append(name)
+        elif code == _CONSTRUCTION:
+            constructions.append(name)
+        elif code == _ARGUMENT:
+            arguments.append(value)
+        elif code == _TABLE:
+            table_id = name
+        elif code == _CATEGORY:
+            category = name
+        elif code == _PROVENANCE:
+            provenance = value
         in_block = True
     return entries
 
@@ -862,19 +901,31 @@ def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
 _XML_START = re.compile(r"\s*<")
 
 
+def _handed_on(head: list[str], pieces: Iterator[str]) -> Iterator[str]:
+    """The pieces of *head*, each dropped from it as it is handed on, then
+    those of *pieces*: no piece read ahead is held once the parser is past it."""
+    head.reverse()
+    while head:
+        yield head.pop()
+    yield from pieces
+
+
 def import_lexicon(source: str | Iterable[str]) -> LexiconDocument:
     """Parse either format, given whole or as an iterable of its pieces: a
     document whose first non-whitespace character is ``<`` is XML, any
     other is text."""
-    first = source
-    if not isinstance(source, str):
+    if isinstance(source, str):
+        is_xml = _XML_START.match(source) is not None
+    else:
         pieces, head, first = iter(source), [], ""
         for first in pieces:
             head.append(first)
             if not first.isspace():
                 break
-        source = itertools.chain(head, pieces)
-    if _XML_START.match(first):
+        is_xml = _XML_START.match(first) is not None
+        del first
+        source = _handed_on(head, pieces)
+    if is_xml:
         return import_xml(source)
     return import_text(source)
 

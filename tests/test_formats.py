@@ -400,6 +400,26 @@ def test_text_export_round_trips_or_refuses(doc):
     assert import_text(text) == doc
 
 
+def _write_outcome(export, doc: LexiconDocument):
+    """The text *export* writes for *doc*, or its error's class and message."""
+    out = io.StringIO()
+    try:
+        export(doc, out)
+    except SchemaViolation as err:
+        return SchemaViolation, str(err)
+    return out.getvalue()
+
+
+# The last alphabet is small, so that feature ids, labels and cell texts
+# repeat across entries, with and without a separator in them.
+@given(st.one_of(
+    _READABLE_DOCUMENTS, _text_documents(_TEXT_PLAIN), _text_documents(_TEXT_PLAIN + _TEXT_BREAKS),
+    _text_documents("a<" + _TEXT_BREAKS),
+))
+def test_text_export_matches_the_reference(doc):
+    assert _write_outcome(export_text, doc) == _write_outcome(text_reference.export_text, doc)
+
+
 # =============================================================================
 # XML format
 # =============================================================================
@@ -618,10 +638,28 @@ def test_text_import_of_mutated_text_matches_the_reference(seed):
     pytest.param("\nprovenance\tbase\t", "\nprovenance\tdeletion\t", 1, id="base-without-parent"),
     pytest.param("\nargument\tN0\t", "\nargument\tN0\t\t", 1, id="argument-arity"),
     pytest.param("\n", "", -1, id="one-line"),
+    # The reader memoizes the lines that hold only names: an edited copy of
+    # a line read before, or a copy in another place, is read as the
+    # reference reads it.
+    pytest.param("\nConstructions\n", "\nConstructions\t\n", "last", id="last-section-with-field"),
+    pytest.param("\nfeature\tConjonction\t-\n", "\nfeature\tConjonction\t+\n", "last", id="later-feature-value"),
+    pytest.param(
+        "\nprovenance\tdeletion\t", "\nprovenance\tbase\t<E>\t<E>\t<E>\nprovenance\tdeletion\t", 1,
+        id="base-provenance-in-variant",
+    ),
+    pytest.param(
+        "\nsurface\tà cette heure-\t", "\nprovenance\tbase\t<E>\t<E>\t<E>\nsurface\tà cette heure-\t", 1,
+        id="base-provenance-last-in-variant",
+    ),
+    pytest.param("\ntable\tPCDN\n", "\ntable\tPCDN\tx\n", "last", id="later-table-with-field"),
 ])
 def test_text_import_matches_the_reference_on_edited_text(old, new, count):
     assert old in _FIXTURE_TEXT
-    text = _FIXTURE_TEXT.replace(old, new, count)
+    if count == "last":
+        before, _, after = _FIXTURE_TEXT.rpartition(old)
+        text = before + new + after
+    else:
+        text = _FIXTURE_TEXT.replace(old, new, count)
     assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
 
 
@@ -706,12 +744,12 @@ def _corpus_text(directory, rows: int) -> str:
     return export_lexicon(_corpus_doc(directory, rows))
 
 
-def _transient_bytes(text: str) -> int:
-    """What reading *text* allocates at its peak beyond the document it keeps."""
+def _transient_bytes(source, read=import_text) -> int:
+    """What ``read(source)`` allocates at its peak beyond the document it keeps."""
     gc.collect()
     tracemalloc.start()
     try:
-        doc = import_text(text)
+        doc = read(source)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -725,6 +763,40 @@ def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path, 
     large = _corpus_text(tmp_path / "large", 800)
     assert len(small) < formats._CHUNK_CHARS < len(large) // 8
     assert _transient_bytes(large) < 2 * _transient_bytes(small)
+
+
+def _own_texts(doc: LexiconDocument) -> LexiconDocument:
+    """*doc* with long texts no other entry holds on every entry: its
+    surface, component and aux texts, a cross-ref and, on every second one,
+    the provenance of a variant of the entry before it."""
+    entries = []
+    for i, entry in enumerate(doc.entries, 1):
+        own = f"{i:0100}"
+        entry = replace(
+            entry,
+            surface=SurfaceForm((*entry.surface.tokens, own), f"{entry.surface.rendered} {own}"),
+            components={slot: text + own for slot, text in entry.components.items()},
+            aux={column: text + own for column, text in entry.aux.items()},
+            cross_refs=(own,),
+        )
+        if i % 2 == 0:
+            entry = replace(
+                entry, entry_id=entry_id(entry.table_id, i, PASS_TAGS[Origin.DELETION], 1),
+                provenance=Provenance(Origin.DELETION, entries[-1].entry_id, "f", own),
+            )
+        entries.append(entry)
+    return replace(doc, entries=entries)
+
+
+# The reader memoizes the lines that hold only names, which real tables
+# repeat from row to row.  A memo of the lines that differ from entry to
+# entry would grow with the document.
+def test_text_import_memoizes_no_line_an_entry_holds_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1 << 16)
+    doc = _corpus_doc(tmp_path / "corpus", 800)
+    shared = _transient_bytes(export_lexicon(doc))
+    own = _transient_bytes(export_lexicon(_own_texts(doc)))
+    assert own < shared + formats._CHUNK_CHARS // 4
 
 
 # =============================================================================
@@ -850,23 +922,22 @@ def large_doc(tmp_path_factory) -> LexiconDocument:
     return _corpus_doc(tmp_path_factory.mktemp("large") / "corpus", 800)
 
 
-@pytest.mark.parametrize("name", ["large.lgx", "large.lgx.xml"])
-def test_loading_from_disk_holds_a_few_chunks_beyond_the_document(tmp_path, monkeypatch, large_doc, name):
+@pytest.mark.parametrize("name, reader", [
+    pytest.param("large.lgx", import_text, id="large.lgx"),
+    pytest.param("large.lgx.xml", import_xml, id="large.lgx.xml"),
+])
+def test_loading_from_disk_holds_a_few_chunks_beyond_the_document(tmp_path, monkeypatch, large_doc, name, reader):
     monkeypatch.setattr(errors, "_CHUNK_BYTES", 1 << 16)
     path = tmp_path / name
     save_lexicon(large_doc, path)
     assert path.stat().st_size > 10 * errors._CHUNK_BYTES
-    gc.collect()
-    tracemalloc.start()
-    try:
-        loaded = load_lexicon(path)
-        retained, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert loaded == large_doc
+    assert load_lexicon(path) == large_doc
+    transient = _transient_bytes(path, load_lexicon)
     # A chunk's lines take about three times its bytes, and expat's buffer
     # up to twice a chunk.
-    assert peak - retained < 8 * errors._CHUNK_BYTES
+    assert transient < 8 * errors._CHUNK_BYTES
+    # Sniffing the format holds no piece it read ahead through the parse.
+    assert transient <= _transient_bytes(path, lambda path: parse_file(path, reader)) + errors._CHUNK_BYTES // 4
 
 
 # =============================================================================
