@@ -9,16 +9,10 @@ for manual review.
 
 from .curation import DuplicateRecord, canonical_key, dedup, flag_suspicious, review_report
 from .errors import InternalInvariantError, LexgramError
-from .expansion import (
-    ExpansionRecord,
-    PassConfig,
-    PipelineResult,
-    build_plan,
-    expand_entry,
-    run_pipeline,
-)
+from .expansion import PassConfig, PipelineResult, build_plan, expand_entry, run_pipeline
 from .formats import (
     LexiconDocument,
+    RecordRow,
     TOOL_VERSION,
     export_lexicon,
     export_records,
@@ -42,7 +36,6 @@ __all__ = [
     "Bindings",
     "ClassMatrix",
     "DuplicateRecord",
-    "ExpansionRecord",
     "ExtractionScript",
     "InternalInvariantError",
     "IssueKind",
@@ -55,6 +48,7 @@ __all__ = [
     "PassConfig",
     "PipelineResult",
     "Provenance",
+    "RecordRow",
     "ScriptRule",
     "Selection",
     "StatsReport",

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .curation import DuplicateRecord, curate
+from .curation import dedup
 from .errors import InternalInvariantError, LexgramError
-from .issues import ValidationIssue
+from .formats import RecordRow
 from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
@@ -27,7 +27,7 @@ from .stats import StatsReport, compute_stats, tally
 from .tables import parse_structure_label
 
 # =============================================================================
-# configuration and records
+# configuration
 # =============================================================================
 
 _PASS_BY_NAME = {origin.value: origin for origin in PASS_ORDER}
@@ -57,24 +57,6 @@ class PassConfig:
                 raise LexgramError(f"unknown pass {name!r} (expected one of: {known})")
             chosen.add(origin)
         return cls(frozenset(chosen))
-
-
-@dataclass(frozen=True, slots=True)
-class ExpansionRecord:
-    """One generated entry and its fate in curation; the entry's provenance
-    names the parent, feature and template that produced it.
-
-    A base entry removed as a duplicate gets a record too (its kind is
-    ``base``), so the record file accounts for every removal.
-    """
-
-    entry: LexEntry
-    status: str = "kept"
-    duplicate_of: str | None = None
-
-    @property
-    def kind(self) -> Origin:
-        return self.entry.provenance.kind
 
 
 # =============================================================================
@@ -200,10 +182,8 @@ def expand_entry(
 @dataclass
 class PipelineResult:
     entries: list[LexEntry]
-    records: list[ExpansionRecord]
+    records: list[RecordRow]
     stats: StatsReport
-    duplicates: list[DuplicateRecord]
-    issues: list[ValidationIssue]
 
 
 def run_pipeline(
@@ -213,12 +193,13 @@ def run_pipeline(
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
 ) -> PipelineResult:
-    """Expand every base entry, then dedup, flag, and count.
+    """Expand every base entry, then dedup and count.
 
     The input entries are left unchanged.  One plan is built per table and
     component slot set.  Output order: base entries first (input order),
     then surviving variants in generation order.  Records: one per variant
-    in generation order, then one per base entry removed as a duplicate.
+    in generation order, then one per base entry removed as a duplicate, so
+    the records account for every removal.
     """
     seen: set[str] = set()
     for entry in entries:
@@ -239,13 +220,17 @@ def run_pipeline(
         parents.append(parent)
         variants.extend(produced)
 
-    survivors, duplicates, issues = curate(parents + variants)
+    survivors, duplicates = dedup(parents + variants)
 
     kept_for = {removed_id: dup.kept for dup in duplicates for removed_id in dup.removed}
 
-    def record(entry: LexEntry) -> ExpansionRecord:
+    def record(entry: LexEntry) -> RecordRow:
+        p = entry.provenance
         kept = kept_for.get(entry.entry_id)
-        return ExpansionRecord(entry, "kept" if kept is None else "duplicate", kept)
+        return RecordRow(
+            entry.entry_id, p.parent or "", p.kind, p.feature_id or "", p.template or "",
+            entry.surface.rendered, "kept" if kept is None else "duplicate", kept or "",
+        )
 
     records = [record(variant) for variant in variants]
     parent_by_id = {parent.entry_id: parent for parent in parents}
@@ -258,4 +243,4 @@ def run_pipeline(
             f"stats identity violated: report says {stats.final} final entries, "
             f"the pipeline output holds {len(survivors)}"
         )
-    return PipelineResult(survivors, records, stats, duplicates, issues)
+    return PipelineResult(survivors, records, stats)

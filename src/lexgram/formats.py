@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, TextIO
 from xml.parsers import expat
 
 from .errors import SchemaViolation, UnknownFormatVersion, parse_file
-from .expansion import ExpansionRecord
 from .lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, parse_entry_id
 from .realizer import SurfaceForm
 from .script import ExtractionScript, parse_script
@@ -78,10 +77,6 @@ def _check_entry_ids(entries: list[LexEntry]) -> None:
 # =============================================================================
 # text format
 # =============================================================================
-
-def _sent(text: str | None) -> str:
-    return text if text else EMPTY_TOKEN
-
 
 def _unsent(text: str) -> str:
     return "" if text == EMPTY_TOKEN else text
@@ -994,7 +989,9 @@ RECORD_STATUSES = ("kept", "duplicate")
 
 @dataclass(frozen=True, slots=True)
 class RecordRow:
-    """One parsed sidecar line; enough to recompute statistics."""
+    """One sidecar line: a generated entry, or a base entry removed as a
+    duplicate (its kind is ``base``), and its fate in curation.  A field
+    with no value is ``""``."""
 
     entry_id: str
     parent_id: str
@@ -1006,23 +1003,31 @@ class RecordRow:
     duplicate_of: str
 
 
-def export_records(records: Iterable[ExpansionRecord], out: TextIO) -> None:
+def export_records(rows: Iterable[RecordRow], out: TextIO) -> None:
     """Write the record sidecar to *out*: the header line, then one line per
-    record."""
+    row.  Raises SchemaViolation, naming the entry, for a field holding a
+    tab, a newline or a carriage return, and for a field reading ``<E>``,
+    which stands for empty."""
     out.write("\t".join(RECORD_COLUMNS) + "\n")
-    for record in records:
-        entry = record.entry
-        p = entry.provenance
-        out.write("\t".join((
-            entry.entry_id,
-            _sent(p.parent),
-            p.kind.value,
-            _sent(p.feature_id),
-            _sent(p.template),
-            _sent(entry.surface.rendered),
-            record.status,
-            _sent(record.duplicate_of),
-        )) + "\n")
+    for row in rows:
+        try:
+            fields = (
+                row.entry_id,
+                _field(row.parent_id),
+                row.kind.value,
+                _field(row.feature_id),
+                _field(row.template),
+                _field(row.surface),
+                row.status,
+                _field(row.duplicate_of),
+            )
+            line = "\t".join(fields)
+            if line.count("\t") != 7 or "\n" in line or "\r" in line:
+                breaks = [name for char, name in _TEXT_BREAKS.items() if char in "".join(fields)]
+                raise _Unreadable(f"a {breaks[0]}")
+        except _Unreadable as err:
+            raise SchemaViolation(f"record of entry {row.entry_id!r} holds {err}, which the sidecar cannot carry") from None
+        out.write(line + "\n")
 
 
 def parse_records(source: str | Iterable[str]) -> list[RecordRow]:

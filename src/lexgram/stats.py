@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import SchemaViolation, ZeroInitial
+from .formats import RecordRow
 from .lexicon import PASS_ORDER, LexEntry, Origin
-
-if TYPE_CHECKING:
-    from .expansion import ExpansionRecord
-    from .formats import RecordRow
 
 
 @dataclass(frozen=True)
@@ -53,20 +50,20 @@ def compute_stats(initial: int, added: Mapping[Origin, int], duplicates_removed:
     return StatsReport(initial, per_pass, duplicates_removed, final)
 
 
-def tally(records: Iterable[ExpansionRecord | RecordRow]) -> tuple[dict[Origin, int], int, int]:
-    """Count expansion records or sidecar rows: the entries added by each of
-    the six passes, the entries removed as duplicates, and the base entries
-    among those removed.  The one counting rule behind ``extend``'s report
-    and ``stats``'s, so both print the same lines."""
+def tally(rows: Iterable[RecordRow]) -> tuple[dict[Origin, int], int, int]:
+    """Count record rows: the entries added by each of the six passes, the
+    entries removed as duplicates, and the base entries among those removed.
+    The one counting rule behind ``extend``'s report and ``stats``'s, so
+    both print the same lines."""
     added = dict.fromkeys(PASS_ORDER, 0)
     duplicates_removed = removed_bases = 0
-    for record in records:
-        if record.status == "duplicate":
+    for row in rows:
+        if row.status == "duplicate":
             duplicates_removed += 1
-        if record.kind is Origin.BASE:
+        if row.kind is Origin.BASE:
             removed_bases += 1
         else:
-            added[record.kind] += 1
+            added[row.kind] += 1
     return added, duplicates_removed, removed_bases
 
 

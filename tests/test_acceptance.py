@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import corpusgen
 import oracle
 from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script
-from lexgram.curation import dedup
-from lexgram.expansion import run_pipeline
+from lexgram.curation import canonical_key, curate, dedup
+from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_lexicon
 from lexgram.issues import IssueKind
 from lexgram.lexicon import Origin, generate_base
@@ -87,21 +87,22 @@ def test_criterion_2_curation_suite(capsys):
     _, result = _extended_result()
     failures: list[str] = []
 
-    flagged = {(i.kind, i.entry_id) for i in result.issues}
-    residue = next((i for i in result.issues if i.kind is IssueKind.SINGLE_TOKEN_RESIDUE), None)
+    _, _, issues = curate(result.entries)  # what validate runs
+    flagged = {(i.kind, i.entry_id) for i in issues}
+    residue = next((i for i in issues if i.kind is IssueKind.SINGLE_TOKEN_RESIDUE), None)
     if residue is None or residue.entry_id != "PCA#9#del#1" or "pourboire" not in residue.detail:
         failures.append("deletion residue 'pourboire' not flagged as single-token")
     if (IssueKind.AMALGAM_SUSPECT, "PCA#8#del#1") not in flagged:
         failures.append("'à cette heure-' amalgam not flagged")
 
-    by_key = {dup.key: dup for dup in result.duplicates}
-    pair = by_key.get("ces derniers temps")
-    if pair is None or pair.kept != "PAC#2" or pair.removed != ("PCA#7#perm#1",):
+    # canonical key -> {(survivor, removed entry)}
+    by_key = collections.defaultdict(set)
+    for row in result.records:
+        if row.status == "duplicate":
+            by_key[canonical_key(row.surface)].add((row.duplicate_of, row.entry_id))
+    if by_key.get("ces derniers temps") != {("PAC#2", "PCA#7#perm#1")}:
         failures.append("'ces derniers temps' pair did not keep exactly one survivor")
-    double = by_key.get("en l'état actuel")
-    if double is None or double.kept != "PCDN#3" or set(double.removed) != {
-        "PCDC#2#del#1", "PCDC#3#del#1",
-    }:
+    if by_key.get("en l'état actuel") != {("PCDN#3", "PCDC#2#del#1"), ("PCDN#3", "PCDC#3#del#1")}:
         failures.append("double deletion 'en l'état actuel' did not collapse onto the base entry")
     for key in ("ces derniers temps", "en l'état actuel"):
         survivors = [e for e in result.entries if e.surface.rendered == key]
@@ -126,7 +127,7 @@ def _package_counts(directory: Path):
     variants = {name: collections.Counter() for name in oracle.PASS_NAMES}
     for record in result.records:
         if record.kind is not Origin.BASE:
-            variants[record.kind.value][record.entry.surface.rendered] += 1
+            variants[record.kind.value][record.surface] += 1
     return bases, variants
 
 
@@ -222,25 +223,34 @@ def _fuzz_realize_hygiene(cells):
     assert rendered == rendered.strip()
 
 
-def _check_token_properties(result, by_id) -> list[str]:
+def _expanded(entries, script, morpho) -> list[tuple]:
+    """(base entry, variant) for every variant ``expand_entry`` returns,
+    those that dedup later removes included."""
+    pairs = []
+    for entry in entries:
+        plan = build_plan(script, entry.table_id, tuple(entry.components))
+        _, variants = expand_entry(entry, plan, rules=morpho)
+        pairs.extend((entry, variant) for variant in variants)
+    return pairs
+
+
+def _check_token_properties(pairs) -> list[str]:
     failures = []
     full_permutation_seen = False
-    for record in result.records:
-        entry, parent = record.entry, by_id.get(record.entry.provenance.parent)
-        if parent is None:
-            continue
+    for parent, entry in pairs:
+        kind = entry.provenance.kind
         got = collections.Counter(entry.surface.tokens)
         have = collections.Counter(parent.surface.tokens)
-        if record.kind is Origin.DELETION:
+        if kind is Origin.DELETION:
             it = iter(parent.surface.tokens)
             if not all(any(tok == kept for kept in it) for tok in entry.surface.tokens):
                 failures.append(f"{entry.entry_id}: deletion is not a subsequence")
-        elif record.kind is Origin.PERMUTATION:
+        elif kind is Origin.PERMUTATION:
             if got - have:
                 failures.append(f"{entry.entry_id}: permutation invented tokens")
             if got == have and entry.surface.tokens != parent.surface.tokens:
                 full_permutation_seen = True
-        elif record.kind is Origin.INTENSIFICATION:
+        elif kind is Origin.INTENSIFICATION:
             size = len(parent.surface.tokens)
             if entry.surface.tokens[-size:] != parent.surface.tokens:
                 failures.append(f"{entry.entry_id}: intensifier did not prefix its base")
@@ -259,11 +269,14 @@ def test_criterion_5_invariants(capsys):
         failures.append("dedup is not idempotent on curated output")
     base_count = len(doc.entries)
     generated = sum(1 for r in result.records if r.kind is not Origin.BASE)
-    removed = sum(len(d.removed) for d in result.duplicates)
+    removed = sum(1 for r in result.records if r.status == "duplicate")
     if base_count + generated - removed != len(result.entries):
         failures.append("dedup does not conserve counts")
 
-    failures.extend(_check_token_properties(result, {e.entry_id: e for e in result.entries}))
+    pairs = _expanded(doc.entries, load_fixture_script(), load_fixture_morpho())
+    if len(pairs) != generated:
+        failures.append(f"expand_entry returned {len(pairs)} variants, the records hold {generated}")
+    failures.extend(_check_token_properties(pairs))
 
     try:
         _fuzz_realize_hygiene()

@@ -5,6 +5,7 @@ import gc
 import io
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -532,6 +533,33 @@ def test_text_output_refuses_field_breaks(tmp_path, capsys, command):
     before = sorted(tmp_path.iterdir())
     assert main([command, str(xml), "-o", str(target), *extra]) == 1
     assert target.read_bytes() == b"old lexicon\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_extend_refuses_a_tab_in_a_record_field(tmp_path, capsys):
+    # An XML lexicon carries a tab in a table id, and so in the entry ids
+    # the records name; the sidecar cannot.
+    base = _compile(tmp_path)
+    xml = tmp_path / "base.lgx.xml"
+    assert main(["export", str(base), "--format", "xml", "-o", str(xml)]) == 0
+    text = xml.read_text(encoding="utf-8")
+    assert '<table id="PC" />' in text
+    xml.write_text(re.sub(r'"PC\b', '"P&#09;C', text), encoding="utf-8")
+    argv = ["extend", str(xml), "--records", str(tmp_path / "r.tsv"), "-o", str(tmp_path / "full.lgx.xml")]
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "lexgram: error: record of entry 'ADVPS#2#para#1' holds a tab, which the sidecar cannot carry\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before
+    # Existing targets keep their bytes.
+    (tmp_path / "r.tsv").write_bytes(b"old sidecar\n")
+    (tmp_path / "full.lgx.xml").write_bytes(b"old lexicon\n")
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert (tmp_path / "r.tsv").read_bytes() == b"old sidecar\n"
+    assert (tmp_path / "full.lgx.xml").read_bytes() == b"old lexicon\n"
     assert sorted(tmp_path.iterdir()) == before
 
 

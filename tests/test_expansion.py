@@ -178,7 +178,7 @@ def test_run_pipeline_single_pass_still_dedups():
 
 def test_run_pipeline_duplicate_records_mark_the_survivor():
     result = _fixture_pipeline()
-    statuses = {r.entry.entry_id: (r.status, r.duplicate_of) for r in result.records}
+    statuses = {r.entry_id: (r.status, r.duplicate_of) for r in result.records}
     assert statuses["PCA#7#perm#1"] == ("duplicate", "PAC#2")
     assert statuses["PCDC#2#del#1"] == ("duplicate", "PCDN#3")
     assert statuses["PCDC#3#del#1"] == ("duplicate", "PCDN#3")
@@ -212,5 +212,5 @@ def test_plan_is_per_table_and_component_slots():
     reordered = parse_table("<ENT>Prép1\t<ENT>Adj\t<ENT>C1\tF\nen\tplein\tjour\t+\n", "T")
     second = dataclasses.replace(generate_base(reordered, script)[0], entry_id="T#2")
     result = run_pipeline(generate_base(in_order, script) + [second], script)
-    got = {r.entry.provenance.parent: (r.kind, r.entry.surface.rendered) for r in result.records}
+    got = {r.parent_id: (r.kind, r.surface) for r in result.records}
     assert got == {"T#1": (Origin.DELETION, "fin bon"), "T#2": (Origin.PERMUTATION, "jour plein")}

@@ -7,8 +7,10 @@ import os
 import random
 import re
 import stat
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,10 +26,12 @@ from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion, 
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
     RECORD_COLUMNS,
+    RECORD_STATUSES,
     SECTION_ARGUMENTS,
     SECTION_CONSTRUCTIONS,
     SECTION_LEXICAL,
     LexiconDocument,
+    RecordRow,
     export_lexicon,
     export_records,
     export_text,
@@ -1028,19 +1032,57 @@ def test_writing_deletes_its_temporary_file_on_an_error(tmp_path):
 # expansion record sidecar
 # =============================================================================
 
-def test_records_round_trip():
-    _, result = _extended_corpus()
-    text = written(export_records, result.records)
-    rows = parse_records(text)
-    assert len(rows) == len(result.records)
-    by_id = {row.entry_id: row for row in rows}
-    for record in result.records:
-        row = by_id[record.entry.entry_id]
-        assert row.parent_id == (record.entry.provenance.parent or "")
-        assert row.kind is record.entry.provenance.kind
-        assert row.surface == record.entry.surface.rendered
-        assert row.status == record.status
-        assert row.duplicate_of == (record.duplicate_of or "")
+@pytest.mark.parametrize("corpus", ["fixture", "corpusgen"])
+def test_records_round_trip(tmp_path, corpus):
+    if corpus == "fixture":
+        rows = _extended_corpus()[1].records
+    else:
+        doc = _corpus_doc(tmp_path / "corpus", 20)
+        rows = run_pipeline(doc.entries, doc.script(), rules=load_fixture_morpho()).records
+    assert any(row.status == "duplicate" for row in rows)
+    assert parse_records(written(export_records, rows)) == rows
+
+
+# Record fields: letters, the sentinel ``<E>``'s characters and whitespace
+# other than the sidecar's separators; then with one separator added, and
+# with the sentinel itself.
+_RECORD_SAFE = "<>E#a é\x0b"
+_RECORD_SAFE_TEXT = st.text(st.sampled_from(_RECORD_SAFE), max_size=5).filter(lambda text: text != EMPTY_TOKEN)
+_RECORD_TEXTS = (
+    _RECORD_SAFE_TEXT,
+    *(st.text(st.sampled_from(_RECORD_SAFE + char), max_size=5) for char in "\t\n\r"),
+    _RECORD_SAFE_TEXT | st.just(EMPTY_TOKEN),
+)
+
+
+def _record_rows(text):
+    row = st.builds(
+        RecordRow, text, text, st.sampled_from(Origin), text, text, text, st.sampled_from(RECORD_STATUSES), text,
+    )
+    return st.lists(row, max_size=4)
+
+
+@given(st.one_of(*map(_record_rows, _RECORD_TEXTS)))
+def test_records_round_trip_or_refuse(rows):
+    # Through a file, as stats reads what extend writes: the reader takes a
+    # carriage return for a newline.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "records.tsv"
+        try:
+            with writing(path) as out:
+                export_records(rows, out)
+        except SchemaViolation as err:
+            assert "which the sidecar cannot carry" in str(err)
+            return
+        assert parse_file(path, parse_records) == rows
+
+
+@pytest.mark.parametrize("field", ["parent_id", "feature_id", "template", "surface", "duplicate_of"])
+def test_records_refuse_a_field_reading_the_sentinel(field):
+    row = replace(_extended_corpus()[1].records[0], **{field: EMPTY_TOKEN})
+    message = f"record of entry {row.entry_id!r} holds a field reading '<E>', which the sidecar cannot carry"
+    with pytest.raises(SchemaViolation, match=re.escape(message)):
+        written(export_records, [row])
 
 
 def test_writing_a_large_sidecar_holds_no_whole_text(tmp_path):
