@@ -34,7 +34,7 @@ from .formats import (
     save_lexicon,
     writing,
 )
-from .lexicon import generate_base
+from .lexicon import check_table_id, generate_base
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
 from .script import parse_script
 from .stats import recompute_stats, render_stats
@@ -84,8 +84,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     for table in tables:
         if table.table_id in seen:
             raise LexgramError(f"duplicate table id {table.table_id!r}")
-        if "#" in table.table_id:
-            raise LexgramError(f"table id {table.table_id!r} contains '#', which entry ids reserve")
+        check_table_id(table.table_id)  # before the class matrix is asked for the id
         seen.add(table.table_id)
         table = resolve_features(table, matrix)
         for issue in validate_table(table):

@@ -63,11 +63,11 @@ class PassConfig:
 # plans and single-entry expansion
 # =============================================================================
 
-def classify_substructure(label: str, class_slots: tuple) -> Origin:
+def classify_substructure(label: str, class_slots: tuple[str, ...]) -> Origin:
     """Deletion keeps the slot order of the class structure; anything that
     reorders (with or without dropping slots) is a permutation."""
-    remaining = iter(ref.symbol for ref in class_slots)
-    if all(any(ref.symbol == s for s in remaining) for ref in parse_structure_label(label)):
+    remaining = iter(class_slots)
+    if all(symbol in remaining for symbol in parse_structure_label(label)):
         return Origin.DELETION
     return Origin.PERMUTATION
 
@@ -107,7 +107,7 @@ def build_plan(
         # a construction rule without templates only labels the base entry
         if not rule.templates or origin not in config.enabled:
             continue
-        kept = tuple(ref.symbol for ref in parse_structure_label(rule.label)) if origin in _SUBSTRUCTURES else ()
+        kept = parse_structure_label(rule.label) if origin in _SUBSTRUCTURES else ()
         flats = tuple(flat for template in rule.templates for flat in expand_alternation(template))
         steps.append(PlanStep(origin, rule.feature_id, flats, rule.label or rule.feature_id, kept))
     steps.sort(key=lambda step: PASS_ORDER.index(step.origin))

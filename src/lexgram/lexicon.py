@@ -12,7 +12,7 @@ import enum
 import re
 from dataclasses import dataclass, field
 
-from .errors import UnboundPlaceholder
+from .errors import LexgramError, UnboundPlaceholder
 from .realizer import (
     DEFAULT_RULES,
     DEFAULT_SYMBOLS,
@@ -28,7 +28,7 @@ from .script import (
     Template,
     expand_alternation,
 )
-from .tables import Cell, CellKind, FeatureKind, LgTable
+from .tables import FeatureKind, LgTable
 
 
 class Origin(enum.Enum):
@@ -183,17 +183,19 @@ def derive_arguments(binary_features: dict[str, bool]) -> tuple[ArgumentSpec, ..
 
 def structure_template(table: LgTable) -> Template:
     """The class structure as a flat template of component placeholders."""
-    return Template(tuple(Placeholder(ref.symbol, True) for ref in table.structure))
+    return Template(tuple(Placeholder(symbol, True) for symbol in table.structure))
 
 
-def _cell_text(cell: Cell) -> str:
-    return cell.text if cell.kind is CellKind.LEX else ""
+def check_table_id(table_id: str) -> None:
+    """Refuse a table id that entry ids cannot carry."""
+    if "#" in table_id:
+        raise LexgramError(f"table id {table_id!r} contains '#', which entry ids reserve")
 
 
 def check_script_bindings(table: LgTable, script: ExtractionScript) -> None:
     """Eagerly verify every placeholder of every applicable rule binds to a
     column of ``table``; raises UnboundPlaceholder otherwise."""
-    slot_names = {ref.symbol for ref in table.structure}
+    slot_names = set(table.structure)
     aux_names = {
         f.slot_name for f in table.features if f.kind is FeatureKind.AUX_LEXICAL
     }
@@ -223,29 +225,28 @@ def generate_base(
     Rows realizing to an empty surface are still emitted; curation flags
     them rather than dropping data.
     """
+    check_table_id(table.table_id)
     check_script_bindings(table, script)
     template = structure_template(table)
     label = table.structure_label()
-    component_cols = table.columns_of_kind(FeatureKind.ENTRY_COMPONENT)
-    aux_cols = table.columns_of_kind(FeatureKind.AUX_LEXICAL)
+    # Each column's name is read once, so all entries share one string per key.
+    slot_cols = [(i, f.slot_name) for i, f in table.columns(FeatureKind.ENTRY_COMPONENT)]
+    aux_cols = [(i, f.feature_id) for i, f in table.columns(FeatureKind.AUX_LEXICAL)]
+    binary_cols = [(i, f.feature_id) for i, f in table.columns(FeatureKind.BINARY)]
     construction_rules = {
         r.feature_id for r in script.effective_rules(table.table_id, Action.CONSTRUCTION)
     }
     internal_structures = (label,) if label else ()
 
     entries: list[LexEntry] = []
-    for i, row in enumerate(table.rows, start=1):
-        components = {f.slot_name: _cell_text(table.cell(row, f.feature_id)) for f in component_cols}
-        aux = {f.feature_id: _cell_text(table.cell(row, f.feature_id)) for f in aux_cols}
-        binary = {
-            f.feature_id: table.cell(row, f.feature_id).is_plus
-            for f in table.features
-            if f.kind not in (FeatureKind.ENTRY_COMPONENT, FeatureKind.AUX_LEXICAL)
-        }
+    for n, row in enumerate(table.rows, start=1):
+        components = {name: row[i] for i, name in slot_cols}
+        aux = {name: row[i] for i, name in aux_cols}
+        binary = {name: row[i] == "+" for i, name in binary_cols}
         constructions = tuple(fid for fid, value in binary.items() if value and fid in construction_rules)
         surface = realize(template, Bindings(components, aux), symbols, rules)
         entries.append(LexEntry(
-            entry_id=entry_id(table.table_id, i),
+            entry_id=entry_id(table.table_id, n),
             table_id=table.table_id,
             category=category,
             surface=surface,

@@ -173,7 +173,7 @@ class SurfaceForm:
 
 @dataclass(frozen=True)
 class Bindings:
-    """Cell texts available to a template.
+    """The cell texts available to a template.
 
     ``components`` maps structure slot symbols, ``aux`` maps auxiliary
     lexical columns; values are cell texts, "" standing for the empty

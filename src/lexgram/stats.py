@@ -67,13 +67,15 @@ def tally(rows: Iterable[RecordRow]) -> tuple[dict[Origin, int], int, int]:
     return added, duplicates_removed, removed_bases
 
 
-def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> StatsReport:
+def recompute_stats(entries: list[LexEntry], rows: list[RecordRow]) -> StatsReport:
     """Rebuild an extension run's report from the extended lexicon and its
-    record sidecar, and check it against the lexicon's entry count.  Both
-    are user files, so a mismatch is an input error (SchemaViolation).
+    record sidecar, and check it against the lexicon's entry count and ids.
+    Both are user files, so a mismatch is an input error (SchemaViolation).
 
     The rows are counted by :func:`tally`.  A ``base`` row is a base entry
-    removed as a duplicate, so it counts towards the initial size.
+    removed as a duplicate, so it counts towards the initial size.  Every
+    kept entry and every survivor a duplicate names must be in the lexicon;
+    no entry removed as a duplicate may be.
     """
     added, duplicates_removed, removed_bases = tally(rows)
     initial = sum(1 for e in entries if e.is_base) + removed_bases
@@ -82,6 +84,20 @@ def recompute_stats(entries: list[LexEntry], rows: Iterable[RecordRow]) -> Stats
         raise SchemaViolation(
             f"record sidecar does not match the lexicon: the records give {report.final} "
             f"final entries, the lexicon holds {len(entries)}"
+        )
+    held = dict.fromkeys(row.duplicate_of if row.status == "duplicate" else row.entry_id for row in rows)
+    removed = {row.entry_id for row in rows if row.status == "duplicate"}
+    for entry in entries:
+        if entry.entry_id in removed:
+            raise SchemaViolation(
+                f"record sidecar does not match the lexicon: the records remove {entry.entry_id!r} "
+                "as a duplicate, the lexicon holds it"
+            )
+        held.pop(entry.entry_id, None)
+    if held:
+        raise SchemaViolation(
+            f"record sidecar does not match the lexicon: the records keep {next(iter(held))!r}, "
+            "the lexicon does not hold it"
         )
     return report
 

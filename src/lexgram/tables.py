@@ -41,44 +41,6 @@ EMPTY_TOKEN = "<E>"
 
 
 # =============================================================================
-# cell values
-# =============================================================================
-
-class CellKind(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-    EMPTY = "<E>"
-    LEX = "lex"
-
-
-@dataclass(frozen=True)
-class Cell:
-    """One table cell: an acceptability mark, the empty symbol, or text."""
-
-    kind: CellKind
-    text: str | None = None
-
-    def __post_init__(self):
-        if self.kind is CellKind.LEX and not self.text:
-            raise ValueError("lexical cell requires non-empty text")
-        if self.kind is not CellKind.LEX and self.text is not None:
-            raise ValueError(f"{self.kind.name} cell carries no text")
-
-    @property
-    def is_plus(self) -> bool:
-        return self.kind is CellKind.PLUS
-
-
-PLUS = Cell(CellKind.PLUS)
-MINUS = Cell(CellKind.MINUS)
-EMPTY = Cell(CellKind.EMPTY)
-
-
-def lex(text: str) -> Cell:
-    return Cell(CellKind.LEX, text)
-
-
-# =============================================================================
 # features and slots
 # =============================================================================
 
@@ -101,59 +63,33 @@ class FeatureDef:
         return self.feature_id
 
 
-@dataclass(frozen=True)
-class SlotRef:
-    """A component slot of a class structure, e.g. ``Prép1`` or ``Modif pré-adj``."""
-
-    name: str
-    subscript: str | None = None
-
-    @property
-    def symbol(self) -> str:
-        return self.name + (self.subscript or "")
-
-
-def _build_slot_symbols() -> dict[str, SlotRef]:
-    table: dict[str, SlotRef] = {}
-    for base, subs in (("Prép", "12v"), ("Det", "12v"), ("C", "12v"), ("N", "12")):
-        table[base] = SlotRef(base)
-        for sub in subs:
-            table[base + sub] = SlotRef(base, sub)
-    for atom in ("Modif pré-adj", "Adj", "V", "Conjc", "ConjS", "Adv"):
-        table[atom] = SlotRef(atom)
-    return table
-
-
 # Closed set of component symbols; anything else in an <ENT> header is an error.
-SLOT_SYMBOLS = _build_slot_symbols()
+SLOT_SYMBOLS = frozenset(
+    [base + sub for base, subs in (("Prép", "12v"), ("Det", "12v"), ("C", "12v"), ("N", "12"))
+     for sub in ("", *subs)]
+    + ["Modif pré-adj", "Adj", "V", "Conjc", "ConjS", "Adv"]
+)
 
 
-def parse_slot(symbol: str, source: str | None = None, line: int | None = None) -> SlotRef:
-    ref = SLOT_SYMBOLS.get(symbol.strip())
-    if ref is None:
-        raise UnknownSlotSymbol(f"unknown component symbol {symbol!r}", source, line)
-    return ref
-
-
-def parse_structure_label(label: str, source: str | None = None, line: int | None = None) -> tuple[SlotRef, ...]:
+def parse_structure_label(label: str, source: str | None = None, line: int | None = None) -> tuple[str, ...]:
     """Parse a space-joined structure label such as ``Prép Det Modif pré-adj Adj C``.
 
     Multi-word symbols are matched greedily (``Modif pré-adj`` is one slot).
     """
     words = label.split()
-    refs: list[SlotRef] = []
+    symbols: list[str] = []
     i = 0
     while i < len(words):
         two = " ".join(words[i:i + 2])
         if two in SLOT_SYMBOLS:
-            refs.append(SLOT_SYMBOLS[two])
+            symbols.append(two)
             i += 2
         elif words[i] in SLOT_SYMBOLS:
-            refs.append(SLOT_SYMBOLS[words[i]])
+            symbols.append(words[i])
             i += 1
         else:
             raise UnknownSlotSymbol(f"unknown component symbol {words[i]!r} in {label!r}", source, line)
-    return tuple(refs)
+    return tuple(symbols)
 
 
 # =============================================================================
@@ -162,12 +98,17 @@ def parse_structure_label(label: str, source: str | None = None, line: int | Non
 
 @dataclass
 class LgTable:
-    """A parsed class table.  Treated as immutable after construction."""
+    """A parsed class table.  Treated as immutable after construction.
+
+    A row holds one string per column: ``"+"`` or ``"-"`` in a binary
+    column, the cell text in a lexical one (``""`` for ``<E>``).  The
+    structure holds the slot symbols of the ``<ENT>`` columns, in order.
+    """
 
     table_id: str
     features: tuple[FeatureDef, ...]
-    structure: tuple[SlotRef, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    structure: tuple[str, ...]
+    rows: tuple[tuple[str, ...], ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -176,15 +117,15 @@ class LgTable:
     def has_feature(self, feature_id: str) -> bool:
         return feature_id in self._index
 
-    def cell(self, row: tuple[Cell, ...], feature_id: str) -> Cell:
+    def cell(self, row: tuple[str, ...], feature_id: str) -> str:
         return row[self._index[feature_id]]
 
     def structure_label(self) -> str:
-        return " ".join(ref.symbol for ref in self.structure)
+        return " ".join(self.structure)
 
-    def columns_of_kind(self, *kinds: FeatureKind) -> list[FeatureDef]:
-        wanted = set(kinds)
-        return [f for f in self.features if f.kind in wanted]
+    def columns(self, kind: FeatureKind) -> list[tuple[int, FeatureDef]]:
+        """The columns of one kind, with their positions in a row."""
+        return [(i, f) for i, f in enumerate(self.features) if f.kind is kind]
 
 
 def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
@@ -231,27 +172,21 @@ def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
             kinds.append(FeatureKind.AUX_LEXICAL)
 
     features = tuple(FeatureDef(fid, kind) for fid, kind in zip(header, kinds))
-    structure = tuple(
-        parse_slot(f.slot_name, source, 1) for f in features if f.kind is FeatureKind.ENTRY_COMPONENT
-    )
+    structure = tuple(f.slot_name for f in features if f.kind is FeatureKind.ENTRY_COMPONENT)
+    for symbol in structure:
+        if symbol not in SLOT_SYMBOLS:
+            raise UnknownSlotSymbol(f"unknown component symbol {symbol!r}", source, 1)
 
-    # Second pass: classify cells against the column kind.
-    rows: list[tuple[Cell, ...]] = []
+    # Second pass: check the lexical cells; a binary column holds only +/-.
+    lexical = [(col, f.feature_id) for col, f in enumerate(features) if f.kind is not FeatureKind.BINARY]
+    rows: list[tuple[str, ...]] = []
     for lineno, cells in raw_rows:
-        parsed: list[Cell] = []
-        for fdef, token in zip(features, cells):
-            if fdef.kind is FeatureKind.BINARY:
-                parsed.append(PLUS if token == "+" else MINUS)
-            elif token == EMPTY_TOKEN:
-                parsed.append(EMPTY)
-            elif token in ("+", "-", ""):
+        for col, fid in lexical:
+            if cells[col] in ("+", "-", ""):
                 raise UnknownCellToken(
-                    f"cell {token!r} not allowed in lexical column {fdef.feature_id!r}",
-                    source, lineno,
+                    f"cell {cells[col]!r} not allowed in lexical column {fid!r}", source, lineno
                 )
-            else:
-                parsed.append(lex(token))
-        rows.append(tuple(parsed))
+        rows.append(tuple("" if token == EMPTY_TOKEN else token for token in cells))
 
     return LgTable(table_id, features, structure, tuple(rows))
 
@@ -343,7 +278,7 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
         raise InconsistentMatrix(f"class {table.table_id!r} not found in the class matrix")
 
     new_features = list(table.features)
-    new_cells: list[Cell] = []
+    new_cells: list[str] = []
     for fid in matrix.features:
         validity = matrix.validity(table.table_id, fid)
         if validity is Validity.UNDEFINED:
@@ -356,7 +291,7 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
                 "but the table has no such column"
             )
         new_features.append(FeatureDef(fid, FeatureKind.BINARY))
-        new_cells.append(PLUS if validity is Validity.ALWAYS_VALID else MINUS)
+        new_cells.append("+" if validity is Validity.ALWAYS_VALID else "-")
 
     if not new_cells:
         return table
@@ -374,18 +309,15 @@ _TRAILING_HYPHEN = re.compile(r"-\s*$")
 def validate_table(table: LgTable) -> list[ValidationIssue]:
     """Heuristic checks over rows.  Issues are data, not errors."""
     issues: list[ValidationIssue] = []
-    component_cols = table.columns_of_kind(FeatureKind.ENTRY_COMPONENT)
-    for i, row in enumerate(table.rows, start=1):
-        row_id = f"{table.table_id}#{i}"
-        comp_cells = [table.cell(row, f.feature_id) for f in component_cols]
-        if comp_cells and all(c.kind is CellKind.EMPTY for c in comp_cells):
+    component_cols = table.columns(FeatureKind.ENTRY_COMPONENT)
+    for n, row in enumerate(table.rows, start=1):
+        row_id = f"{table.table_id}#{n}"
+        if component_cols and not any(row[i] for i, _ in component_cols):
             issues.append(ValidationIssue(IssueKind.EMPTY_ENTRY, row_id, "all components empty"))
-        for fdef, cell in zip(component_cols, comp_cells):
-            if cell.kind is CellKind.LEX and (
-                _TRAILING_HYPHEN.search(cell.text) or cell.text.startswith("-")
-            ):
+        for i, fdef in component_cols:
+            if _TRAILING_HYPHEN.search(row[i]) or row[i].startswith("-"):
                 issues.append(ValidationIssue(
                     IssueKind.AMALGAM_SUSPECT, row_id,
-                    f"component {fdef.slot_name} is {cell.text!r}",
+                    f"component {fdef.slot_name} is {row[i]!r}",
                 ))
     return issues

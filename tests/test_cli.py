@@ -383,6 +383,19 @@ def test_stats_detects_tampered_sidecar(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("lexgram: error: record sidecar does not match the lexicon")
 
 
+def test_stats_rejects_a_sidecar_of_other_entries(tmp_path):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    header, *lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    renamed = [f"nowhere#{n}\t{line.split(chr(9), 1)[1]}" for n, line in enumerate(lines, start=1)]
+    records.write_text("\n".join([header, *renamed]) + "\n", encoding="utf-8")
+    run = _run_cli("stats", str(out), "--records", str(records))
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("lexgram: error: record sidecar does not match the lexicon: ")
+    assert "'nowhere#" in run.stderr and "Traceback" not in run.stderr
+
+
 def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)

@@ -127,6 +127,19 @@ def test_generate_base_collects_plus_valued_constructions():
     assert second.construction_ids == ()
 
 
+def test_generate_base_refuses_a_table_id_holding_a_hash():
+    with pytest.raises(LexgramError, match="table id 'A#B' contains '#', which entry ids reserve"):
+        generate_base(parse_table(TABLE, "A#B"), parse_script(SCRIPT))
+
+
+def test_base_entries_of_a_table_share_one_string_per_key():
+    entries = [e for e in compile_corpus().entries if e.table_id == "PCA"]
+    assert len(entries) > 1 and entries[0].components
+    for name in ("components", "aux", "binary_features"):
+        key_objects = {tuple(map(id, getattr(entry, name))) for entry in entries}
+        assert len(key_objects) == 1, name
+
+
 def test_generate_base_keeps_class_label():
     first, _ = _base_entries()
     assert first.internal_structures == ("Prép1 Det1 C1",)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import pytest
 
@@ -134,3 +135,23 @@ def test_recompute_stats_matches_the_pipeline_report(twin):
     kept = next(i for i, row in enumerate(rows) if row.status == "kept")
     with pytest.raises(SchemaViolation, match="record sidecar does not match the lexicon"):
         recompute_stats(result.entries, rows[:kept] + rows[kept + 1:])
+
+
+@pytest.mark.parametrize("case, message", [
+    ("kept-elsewhere", "the records keep 'nowhere#1', the lexicon does not hold it"),
+    ("survivor-elsewhere", "the records keep 'nowhere#1', the lexicon does not hold it"),
+    ("removed-but-held", "as a duplicate, the lexicon holds it"),
+], ids=["kept-elsewhere", "survivor-elsewhere", "removed-but-held"])
+def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case, message):
+    result = run_pipeline(compile_corpus().entries, load_fixture_script(), rules=load_fixture_morpho())
+    rows = list(result.records)
+    kept = next(i for i, row in enumerate(rows) if row.status == "kept")
+    duplicate = next(i for i, row in enumerate(rows) if row.status == "duplicate")
+    if case == "kept-elsewhere":
+        rows[kept] = replace(rows[kept], entry_id="nowhere#1")
+    elif case == "survivor-elsewhere":
+        rows[duplicate] = replace(rows[duplicate], duplicate_of="nowhere#1")
+    else:
+        rows[duplicate] = replace(rows[duplicate], entry_id=result.entries[0].entry_id)
+    with pytest.raises(SchemaViolation, match="^record sidecar does not match the lexicon: .*" + message):
+        recompute_stats(result.entries, rows)

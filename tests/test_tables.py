@@ -16,7 +16,6 @@ from lexgram.errors import (
 )
 from lexgram.issues import IssueKind
 from lexgram.tables import (
-    CellKind,
     FeatureKind,
     LgTable,
     Validity,
@@ -55,10 +54,10 @@ def test_structure_label_joins_component_slots():
 
 def test_cell_kinds():
     table = _small()
-    assert table.cell(table.rows[0], "<ENT>C1").kind is CellKind.LEX
-    assert table.cell(table.rows[1], "<ENT>Det1").kind is CellKind.EMPTY
-    assert table.cell(table.rows[0], "feat A").kind is CellKind.PLUS
-    assert table.cell(table.rows[1], "feat A").kind is CellKind.MINUS
+    assert table.cell(table.rows[0], "<ENT>C1") == "minute"
+    assert table.cell(table.rows[1], "<ENT>Det1") == ""
+    assert table.cell(table.rows[0], "feat A") == "+"
+    assert table.cell(table.rows[1], "feat A") == "-"
 
 
 def test_empty_token_allowed_only_in_lexical_columns():
@@ -97,7 +96,7 @@ def test_unknown_slot_symbol_in_component_header():
 def test_parse_structure_label_greedy_two_word_symbol():
     label = "Prép1 Det1 C1 Modif pré-adj Adj"
     slots = parse_structure_label(label)
-    assert [s.symbol for s in slots] == ["Prép1", "Det1", "C1", "Modif pré-adj", "Adj"]
+    assert slots == ("Prép1", "Det1", "C1", "Modif pré-adj", "Adj")
 
 
 def test_parse_structure_label_rejects_unknown_word():
@@ -152,10 +151,10 @@ def test_resolve_features_appends_synthetic_columns():
     assert kinds["fa"] is FeatureKind.BINARY
     assert kinds["fc"] is FeatureKind.BINARY
     row = resolved.rows[0]
-    assert resolved.cell(row, "fa").kind is CellKind.PLUS
-    assert resolved.cell(row, "fc").kind is CellKind.MINUS
+    assert resolved.cell(row, "fa") == "+"
+    assert resolved.cell(row, "fc") == "-"
     # the per-entry column keeps its original value
-    assert resolved.cell(row, "fb").kind is CellKind.PLUS
+    assert resolved.cell(row, "fb") == "+"
 
 
 def test_resolve_features_is_idempotent():
@@ -195,4 +194,4 @@ def test_fixture_tables_load_and_resolve():
     assert pca.structure_label() == "Prép1 Det1 C1 Modif pré-adj Adj"
     assert len(pca.rows) == 10
     # the class-constant feature is appended as an all-plus column
-    assert all(pca.cell(row, "N0 V Adv W").kind is CellKind.PLUS for row in pca.rows)
+    assert all(pca.cell(row, "N0 V Adv W") == "+" for row in pca.rows)
