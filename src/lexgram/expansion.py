@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .curation import dedup
-from .errors import InternalInvariantError, LexgramError
+from .errors import InternalInvariantError, LexgramError, UnknownSlotSymbol
 from .formats import RecordRow
 from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
@@ -215,7 +215,10 @@ def run_pipeline(
     for entry in entries:
         key = (entry.table_id, tuple(entry.components))
         if key not in plans:
-            plans[key] = build_plan(script, *key, config)
+            try:
+                plans[key] = build_plan(script, *key, config)
+            except UnknownSlotSymbol as err:  # an imported lexicon's component slot
+                raise LexgramError(f"entry {entry.entry_id!r}: {err.bare_message}") from None
         parent, produced = expand_entry(entry, plans[key], symbols, rules)
         parents.append(parent)
         variants.extend(produced)

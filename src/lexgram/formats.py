@@ -123,17 +123,21 @@ def _unwritable(where: str, char: str) -> SchemaViolation:
     return SchemaViolation(f"{where} holds a {_TEXT_BREAKS[char]}, which the text format cannot carry")
 
 
-class _FeatureLines(dict):
-    """The two ``feature`` lines of each feature id, value ``-`` then ``+``,
-    each after a newline, built the first time the id is written."""
+class _Memo(dict):
+    """A dict that makes the value of a missing key with *make*, once: the
+    writers keep what they build from a name for the rest of one export."""
 
-    def __missing__(self, fid: str) -> tuple[str, str]:
-        lines = self[fid] = (f"\nfeature\t{fid}\t-", f"\nfeature\t{fid}\t+")
-        return lines
+    def __init__(self, make: Callable[[str], object]):
+        self.make = make
+
+    def __missing__(self, key: str):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _entry_block(entry: LexEntry, feature_lines: _FeatureLines) -> str:
-    """The lines of *entry*, each after a newline."""
+def _entry_block(entry: LexEntry, feature_lines: _Memo) -> str:
+    """The lines of *entry*, each after a newline; *feature_lines* holds the
+    two ``feature`` lines of each feature id, value ``-`` then ``+``."""
     p = entry.provenance
     parts = [
         f"\nentry\t{entry.entry_id}\ntable\t{entry.table_id}"
@@ -213,7 +217,7 @@ def export_text(doc: LexiconDocument, out: TextIO) -> None:
     lines.append("#script-end")
     lines.append(f"#entries\t{len(doc.entries)}")
     out.write("\n".join(lines))
-    feature_lines = _FeatureLines()
+    feature_lines = _Memo(lambda fid: (f"\nfeature\t{fid}\t-", f"\nfeature\t{fid}\t+"))
     for entry in doc.entries:
         try:
             block = _entry_block(entry, feature_lines)
@@ -506,9 +510,14 @@ def import_text(source: str | Iterable[str]) -> LexiconDocument:
 # The writer lays the document out one element per line, indented two
 # spaces per level, with ``<tag attrs />`` for an element that has neither
 # children nor text: the layout of ElementTree's ``indent``, so that a
-# lexicon keeps the bytes earlier releases wrote.  The reader is a single
-# expat pass that holds the nodes of the open elements and builds each entry
-# when its ``</entry>`` closes.
+# lexicon keeps the bytes earlier releases wrote.  Each entry's lines are
+# f-strings joined once and checked once for what XML cannot carry.  Names
+# repeat across entries, so each export escapes each name (slot, column,
+# label, feature id, category, table id, provenance feature and template)
+# once and builds the two ``<feature>`` lines of a feature id once; values
+# are escaped where they stand.  The reader is a single expat pass that
+# holds the nodes of the open elements, keeps text only for the elements
+# whose text it reads, and builds each entry when its ``</entry>`` closes.
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -542,80 +551,88 @@ def _xml_attr(text: str) -> str:
     return text
 
 
-def _xml_leaf(indent: str, tag: str, text: str, attrs: str = "") -> str:
-    if text:
-        return f"{indent}<{tag}{attrs}>{_xml_text(text)}</{tag}>"
-    return f"{indent}<{tag}{attrs} />"
+def _add_xml_surface(parts: list[str], indent: str, tag: str, surface: SurfaceForm, attrs: str = "") -> None:
+    """Append the lines of the surface element *tag*."""
+    head = f'{indent}<{tag}{attrs} rendered="{_xml_attr(surface.rendered)}"'
+    if not surface.tokens:
+        parts.append(head + " />")
+        return
+    parts.append(head + ">")
+    for token in surface.tokens:
+        parts.append(f"{indent}  <token>{_xml_text(token)}</token>" if token else f"{indent}  <token />")
+    parts.append(f"{indent}</{tag}>")
 
 
-def _xml_element(lines: list[str], indent: str, tag: str, children: list[str], attrs: str = "") -> None:
-    if children:
-        lines.append(f"{indent}<{tag}{attrs}>")
-        lines.extend(children)
-        lines.append(f"{indent}</{tag}>")
-    else:
-        lines.append(f"{indent}<{tag}{attrs} />")
-
-
-def _xml_surface(lines: list[str], indent: str, tag: str, surface: SurfaceForm, attrs: str = "") -> None:
-    inner = indent + "  "
-    tokens = [_xml_leaf(inner, "token", token) for token in surface.tokens]
-    _xml_element(lines, indent, tag, tokens, f'{attrs} rendered="{_xml_attr(surface.rendered)}"')
-
-
-def _xml_entry(entry: LexEntry) -> str:
+def _xml_entry(entry: LexEntry, names: _Memo, feature_lines: _Memo) -> str:
+    """The lines of *entry*, each ending with a newline; *names* holds the
+    escaped form of each name, *feature_lines* the two ``<feature>`` lines
+    of each feature id."""
     p = entry.provenance
-    prov = f'kind="{p.kind.value}"'
+    provenance = f'      <provenance kind="{p.kind.value}"'
     if p.parent is not None:
-        prov += f' parent="{_xml_attr(p.parent)}"'
+        provenance += f' parent="{_xml_attr(p.parent)}"'
     if p.feature_id is not None:
-        prov += f' feature="{_xml_attr(p.feature_id)}"'
+        provenance += f' feature="{names[p.feature_id]}"'
     if p.template is not None:
-        prov += f' template="{_xml_attr(p.template)}"'
-    lines = [
-        f'    <entry id="{_xml_attr(entry.entry_id)}" table="{_xml_attr(entry.table_id)}">',
-        f"      <provenance {prov} />",
-    ]
-    _xml_surface(lines, "      ", "surface", entry.surface)
-    lexical = [
-        _xml_leaf("        ", "component", text, f' slot="{_xml_attr(slot)}"')
-        for slot, text in entry.components.items()
-    ]
-    lexical.extend(
-        _xml_leaf("        ", "aux", text, f' column="{_xml_attr(column)}"')
-        for column, text in entry.aux.items()
-    )
-    for surface in entry.paraphrases:
-        _xml_surface(lexical, "        ", "paraphrase", surface)
-    for label, surface in entry.other_structures:
-        _xml_surface(lexical, "        ", "other-structure", surface, f' label="{_xml_attr(label)}"')
-    for surface in entry.intensified:
-        _xml_surface(lexical, "        ", "intensified", surface)
-    _xml_element(lines, "      ", "lexical-information", lexical, f' category="{_xml_attr(entry.category)}"')
-    _xml_element(lines, "      ", "arguments", [
-        f'        <argument slot="{_xml_attr(a.slot)}" selection="{a.selection.value}" />'
-        for a in entry.arguments
-    ])
-    constructions = [_xml_leaf("        ", "construction", cid) for cid in entry.construction_ids]
-    constructions.extend(
-        _xml_leaf("        ", "internal-structure", label) for label in entry.internal_structures
-    )
-    _xml_element(lines, "      ", "constructions", constructions)
-    _xml_element(lines, "      ", "features", [
-        f'        <feature id="{_xml_attr(fid)}" value="{"+" if value else "-"}" />'
-        for fid, value in entry.binary_features.items()
-    ])
-    refs = [_xml_leaf("        ", "cross-ref", ref) for ref in entry.cross_refs]
-    _xml_element(lines, "      ", "cross-refs", refs)
-    lines.append("    </entry>")
-    return "\n".join(lines)
+        provenance += f' template="{names[p.template]}"'
+    parts = [f'    <entry id="{_xml_attr(entry.entry_id)}" table="{names[entry.table_id]}">', provenance + " />"]
+    _add_xml_surface(parts, "      ", "surface", entry.surface)
+    lexical = f'      <lexical-information category="{names[entry.category]}"'
+    if entry.components or entry.aux or entry.paraphrases or entry.other_structures or entry.intensified:
+        parts.append(lexical + ">")
+        for slot, text in entry.components.items():
+            slot = names[slot]
+            parts.append(f'        <component slot="{slot}">{_xml_text(text)}</component>' if text
+                         else f'        <component slot="{slot}" />')
+        for column, text in entry.aux.items():
+            column = names[column]
+            parts.append(f'        <aux column="{column}">{_xml_text(text)}</aux>' if text
+                         else f'        <aux column="{column}" />')
+        for surface in entry.paraphrases:
+            _add_xml_surface(parts, "        ", "paraphrase", surface)
+        for label, surface in entry.other_structures:
+            _add_xml_surface(parts, "        ", "other-structure", surface, f' label="{names[label]}"')
+        for surface in entry.intensified:
+            _add_xml_surface(parts, "        ", "intensified", surface)
+        parts.append("      </lexical-information>")
+    else:
+        parts.append(lexical + " />")
+    if entry.arguments:
+        parts.append("      <arguments>")
+        for a in entry.arguments:
+            parts.append(f'        <argument slot="{names[a.slot]}" selection="{a.selection.value}" />')
+        parts.append("      </arguments>")
+    else:
+        parts.append("      <arguments />")
+    if entry.construction_ids or entry.internal_structures:
+        parts.append("      <constructions>")
+        for cid in entry.construction_ids:
+            parts.append(f"        <construction>{_xml_text(cid)}</construction>" if cid else "        <construction />")
+        for label in entry.internal_structures:
+            parts.append(f"        <internal-structure>{_xml_text(label)}</internal-structure>" if label
+                         else "        <internal-structure />")
+        parts.append("      </constructions>")
+    else:
+        parts.append("      <constructions />")
+    if entry.binary_features:
+        parts.append("      <features>")
+        for fid, value in entry.binary_features.items():
+            parts.append(feature_lines[fid][1 if value else 0])
+        parts.append("      </features>")
+    else:
+        parts.append("      <features />")
+    if entry.cross_refs:
+        parts.append("      <cross-refs>")
+        for ref in entry.cross_refs:
+            parts.append(f"        <cross-ref>{_xml_text(ref)}</cross-ref>" if ref else "        <cross-ref />")
+        parts.append("      </cross-refs>\n    </entry>\n")
+    else:
+        parts.append("      <cross-refs />\n    </entry>\n")
+    return "\n".join(parts)
 
 
-def _xml_writable(block: str, where: str) -> str:
-    bad = _XML_UNWRITABLE.search(block)
-    if bad is not None:
-        raise SchemaViolation(f"{where} holds U+{ord(bad.group()):04X}, which XML 1.0 cannot carry")
-    return block
+def _xml_unwritable(where: str, bad: re.Match) -> SchemaViolation:
+    return SchemaViolation(f"{where} holds U+{ord(bad.group()):04X}, which XML 1.0 cannot carry")
 
 
 def export_xml(doc: LexiconDocument, out: TextIO) -> None:
@@ -623,23 +640,35 @@ def export_xml(doc: LexiconDocument, out: TextIO) -> None:
     Raises SchemaViolation, naming the entry, for a character XML 1.0
     cannot carry: a control character other than tab, newline and carriage
     return, a lone surrogate, U+FFFE or U+FFFF."""
-    script = _xml_writable(_xml_leaf("  ", "script", doc.script_source), "the embedded script")
+    bad = _XML_UNWRITABLE.search(doc.script_source)
+    if bad is not None:
+        raise _xml_unwritable("the embedded script", bad)
+    tables = [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids]
     head = [
         _XML_DECLARATION,
         f'<lexicon version="{FORMAT_VERSION}" generator="{_xml_attr(doc.generator)}" '
         f'script-sha256="{doc.script_sha256}">',
+        *(["  <tables>", *tables, "  </tables>"] if tables else ["  <tables />"]),
+        f"  <script>{_xml_text(doc.script_source)}</script>" if doc.script_source else "  <script />",
+        f'  <entries count="{len(doc.entries)}">\n' if doc.entries else '  <entries count="0" />\n</lexicon>\n',
     ]
-    _xml_element(head, "  ", "tables", [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids])
-    head.append(script)
-    if doc.entries:
-        head.append(f'  <entries count="{len(doc.entries)}">')
-        tail = "  </entries>\n</lexicon>\n"
-    else:
-        tail = '  <entries count="0" />\n</lexicon>\n'
-    out.write(_xml_writable("\n".join(head), "the document header") + "\n")
+    text = "\n".join(head)
+    bad = _XML_UNWRITABLE.search(text)
+    if bad is not None:
+        raise _xml_unwritable("the document header", bad)
+    out.write(text)
+    names = _Memo(_xml_attr)
+    feature_lines = _Memo(lambda fid: (
+        f'        <feature id="{names[fid]}" value="-" />', f'        <feature id="{names[fid]}" value="+" />',
+    ))
     for entry in doc.entries:
-        out.write(_xml_writable(_xml_entry(entry), f"entry {entry.entry_id!r}") + "\n")
-    out.write(tail)
+        block = _xml_entry(entry, names, feature_lines)
+        bad = _XML_UNWRITABLE.search(block)
+        if bad is not None:
+            raise _xml_unwritable(f"entry {entry.entry_id!r}", bad)
+        out.write(block)
+    if doc.entries:
+        out.write("  </entries>\n</lexicon>\n")
 
 
 # Elements whose text the reader keeps.  An element's text is what precedes
@@ -678,21 +707,27 @@ def _lacks(entry_id: str, tag: str, name: str) -> SchemaViolation:
 
 def _node_surface(entry_id: str, node: tuple) -> SurfaceForm:
     tag, attrs, _, children = node
-    if "rendered" not in attrs:
+    rendered = attrs.get("rendered")
+    if rendered is None:
         raise _lacks(entry_id, tag, "rendered")
-    return SurfaceForm(tuple("".join(c[2]) for c in children if c[0] == "token"), attrs["rendered"])
+    return SurfaceForm(tuple(["".join(chunks) for tag, _, chunks, _ in children if tag == "token"]), rendered)
 
 
 def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
     """The entry an ``<entry>`` node holds.  Each child dispatches on its
     tag; of ``provenance``, ``surface`` and ``lexical-information`` the
     first counts, and any other tag is ignored with what it holds.  Every
-    name goes through *share*, the reader's table of shared names."""
+    name goes through *share*, the reader's table of shared names.
+
+    Valid input takes the fast path (``.get`` and the ``_ORIGINS`` and
+    ``_SELECTIONS`` tables); on a failure the full check runs and raises
+    its message."""
     _, attrs, _, children = node
-    for name in ("id", "table"):
-        if name not in attrs:
-            raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
-    entry_id = attrs["id"]
+    entry_id, table_id = attrs.get("id"), attrs.get("table")
+    if entry_id is None or table_id is None:
+        for name in ("id", "table"):
+            if name not in attrs:
+                raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
     category = provenance = surface = None
     components: dict[str, str] = {}
     aux: dict[str, str] = {}
@@ -714,21 +749,21 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             for item in grandchildren:
                 tag, item_attrs, chunks, _ = item
                 if tag == "component":
-                    if "slot" not in item_attrs:
+                    slot = item_attrs.get("slot")
+                    if slot is None:
                         raise _lacks(entry_id, tag, "slot")
-                    slot = item_attrs["slot"]
                     components[share(slot, slot)] = "".join(chunks)
                 elif tag == "aux":
-                    if "column" not in item_attrs:
+                    column = item_attrs.get("column")
+                    if column is None:
                         raise _lacks(entry_id, tag, "column")
-                    column = item_attrs["column"]
                     aux[share(column, column)] = "".join(chunks)
                 elif tag == "paraphrase":
                     paraphrases.append(_node_surface(entry_id, item))
                 elif tag == "other-structure":
-                    if "label" not in item_attrs:
+                    label = item_attrs.get("label")
+                    if label is None:
                         raise _lacks(entry_id, tag, "label")
-                    label = item_attrs["label"]
                     other_structures.append((share(label, label), _node_surface(entry_id, item)))
                 elif tag == "intensified":
                     intensified.append(_node_surface(entry_id, item))
@@ -736,15 +771,14 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             for tag, item_attrs, _, _ in grandchildren:
                 if tag != "feature":
                     continue
-                for name in ("id", "value"):
-                    if name not in item_attrs:
-                        raise _lacks(entry_id, tag, name)
-                value = _FEATURE_VALUES.get(item_attrs["value"])
-                if value is None:
+                feature_id, value = item_attrs.get("id"), _FEATURE_VALUES.get(item_attrs.get("value"))
+                if feature_id is None or value is None:
+                    for name in ("id", "value"):
+                        if name not in item_attrs:
+                            raise _lacks(entry_id, tag, name)
                     raise SchemaViolation(
                         f"entry {entry_id!r}: feature value {item_attrs['value']!r} is not '+' or '-'"
                     )
-                feature_id = item_attrs["id"]
                 features[share(feature_id, feature_id)] = value
         elif tag == "constructions":
             for tag, _, chunks, _ in grandchildren:
@@ -760,7 +794,8 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
                     continue
                 try:
                     slot = item_attrs["slot"]
-                    arguments.append(ArgumentSpec(share(slot, slot), Selection(item_attrs["selection"])))
+                    selection = _SELECTIONS.get(item_attrs.get("selection")) or Selection(item_attrs["selection"])
+                    arguments.append(ArgumentSpec(share(slot, slot), selection))
                 except (KeyError, ValueError) as err:
                     raise SchemaViolation(f"bad argument: {err}") from None
         elif tag == "surface":
@@ -772,7 +807,7 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             feature_id, template = child_attrs.get("feature"), child_attrs.get("template")
             try:
                 provenance = Provenance(
-                    Origin(child_attrs["kind"]), child_attrs.get("parent"),
+                    _ORIGINS.get(child_attrs.get("kind")) or Origin(child_attrs["kind"]), child_attrs.get("parent"),
                     None if feature_id is None else share(feature_id, feature_id),
                     None if template is None else share(template, template),
                 )
@@ -782,7 +817,6 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             cross_refs.extend("".join(chunks) for tag, _, chunks, _ in grandchildren if tag == "cross-ref")
     if provenance is None or surface is None or category is None:
         raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
-    table_id = attrs["table"]
     return LexEntry(
         entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
         tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
@@ -796,7 +830,8 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     for any document it cannot read.
 
     One expat pass keeps a ``(tag, attrs, text chunks, children)`` node for
-    each open element.  An ``<entry>`` in a root-level ``<entries>`` becomes
+    each open element, with a list of text chunks only on the elements of
+    ``_XML_TEXT_TAGS`` and ``()`` on the others.  An ``<entry>`` in a root-level ``<entries>`` becomes
     a :class:`LexEntry` when it closes and its node is dropped, so no more
     than one entry's nodes are held.  Entries come from every root-level
     ``<entries>``, the count from the first.  Expat takes each piece as it
@@ -813,19 +848,26 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
 
     def start(tag: str, attrs: dict[str, str]) -> None:
         nonlocal declared_count
-        depth = len(stack)
-        if depth == 1:
-            _xml_root(tag, attrs)
-        elif depth == 2 and tag == "entries" and declared_count is None:
-            declared_count = _xml_count(attrs)
-        node = (tag, attrs, [], [])
-        stack[-1][3].append(node)
+        if len(stack) < 3:
+            if len(stack) == 1:
+                _xml_root(tag, attrs)
+            elif tag == "entries" and declared_count is None:
+                declared_count = _xml_count(attrs)
+        parent = stack[-1]
+        if tag in _XML_TEXT_TAGS:
+            node = (tag, attrs, [], [])
+            parser.CharacterDataHandler = node[2].append
+        else:
+            node = (tag, attrs, (), [])
+            if parent[0] in _XML_TEXT_TAGS:  # the parent's text ends at its first child
+                parser.CharacterDataHandler = None
+        parent[3].append(node)
         stack.append(node)
-        parser.CharacterDataHandler = node[2].append if tag in _XML_TEXT_TAGS else None
 
     def end(tag: str) -> None:
         node = stack.pop()
-        parser.CharacterDataHandler = None
+        if tag in _XML_TEXT_TAGS:
+            parser.CharacterDataHandler = None
         if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
             entries.append(_node_entry(node, share))
             stack[2][3].pop()

@@ -199,6 +199,21 @@ def test_extend_refuses_already_extended_input(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_extend_names_the_entry_of_an_unknown_component_slot(tmp_path, capsys):
+    base = _compile(tmp_path)
+    bad = tmp_path / "bad.lgx"
+    text = base.read_text(encoding="utf-8")
+    bad.write_text(text.replace("\ncomponent\tC1\t", "\ncomponent\tFoo\t"), encoding="utf-8")
+    entry = next(e for e in load_lexicon(bad).entries if "Foo" in e.components)
+    capsys.readouterr()
+    code, out, _ = _extend(tmp_path, bad)
+    assert code == 1 and not out.exists()
+    label = " ".join(entry.components)
+    assert capsys.readouterr().err == (
+        f"lexgram: error: entry {entry.entry_id!r}: unknown component symbol 'Foo' in {label!r}\n"
+    )
+
+
 def test_extend_unknown_pass_is_an_input_error(tmp_path):
     base = _compile(tmp_path)
     code, _, _ = _extend(tmp_path, base, extra=("--passes", "teleportation"))

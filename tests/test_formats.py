@@ -154,7 +154,9 @@ def _documents(draw, text, token=None, name=None):
     )
 
 
-@given(_documents(_XML_SAFE_TEXT))
+# The small alphabet makes names repeat across entries, so that the
+# writer's per-export name caches are hit.
+@given(st.one_of(_documents(_XML_SAFE_TEXT), _documents(st.text(st.sampled_from('a&"\t'), max_size=2))))
 def test_xml_matches_the_elementtree_reference(doc):
     text = export_lexicon(doc, "xml")
     assert text == xml_reference.export_xml(doc)
@@ -498,6 +500,19 @@ _XML_DEFECTS = [
     ('<entry id="ADVPS#2"', '<entry id="ADVPS#1"', "duplicate entry id 'ADVPS#1'"),
     ('<entry id="ADVMS#2#para#1"', '<entry id="ADVMS#2#int#9"',
      "entry id 'ADVMS#2#int#9' does not match its table 'ADVMS' and provenance 'paraphrase-direct'"),
+    ('<argument slot="N0" selection="any"', '<argument slot="N0" selection="most"',
+     "bad argument: 'most' is not a valid Selection"),
+    ('<provenance kind="base" />', '<provenance kind="base" parent="ADVMP#2" />',
+     "bad provenance: base entries have no parent; variants require one"),
+    # two defects in one element: the first check made names its defect
+    ('<entry id="ADVMP#1" table="ADVMP">', "<entry>", "<entry> element lacks the 'id' attribute"),
+    ('<feature id="N0 =: Nhum" value="+"', '<feature value="x"', "entry 'ADVMP#1': <feature> element lacks the 'id' attribute"),
+    ('<argument slot="N0" selection="any"', '<argument selection="most"', "bad argument: 'slot'"),
+    ('<provenance kind="base" />', '<provenance parent="ADVMP#2" />', "bad provenance: 'kind'"),
+    ('<provenance kind="base" />', '<provenance kind="based" parent="ADVMP#2" />',
+     "bad provenance: 'based' is not a valid Origin"),
+    ('<surface rendered="linguistiquement">', "<surface>",
+     "entry 'ADVMP#1': <surface> element lacks the 'rendered' attribute"),
 ]
 
 
@@ -508,6 +523,49 @@ def test_xml_rejects_missing_attributes_and_bad_values(old, new, message):
     with pytest.raises(SchemaViolation) as err:
         import_xml(text.replace(old, new, 1))
     assert str(err.value) == message
+
+
+# Every character the writer escapes.
+_ESCAPED = '&<>"\t\n\r'
+
+
+def _escaped_names_document(name: str, parent: str = "P#1") -> LexiconDocument:
+    """Two entries with *name* in every name's place: feature id, component
+    slot, aux column, other-structure label, category, table id, provenance
+    feature and template, construction id and internal-structure label."""
+    surface = SurfaceForm(("a", "b"), "a b")
+    entries = [
+        LexEntry(
+            entry_id(name, 1, *tag), name, name, surface, {name: "x"}, {name: ""}, (), ((name, surface),), (),
+            (ArgumentSpec(name, Selection.ANY),), (name,), (name,), {name: value}, provenance, (),
+        )
+        for tag, value, provenance in (
+            ((), True, Provenance(Origin.BASE)),
+            ((PASS_TAGS[Origin.DELETION], 1), False, Provenance(Origin.DELETION, parent, name, name)),
+        )
+    ]
+    return LexiconDocument(entries, (name,), "* : \"f\" => construction")
+
+
+def test_xml_escapes_every_name_as_the_reference_does():
+    doc = _escaped_names_document(_ESCAPED)
+    text = export_lexicon(doc, "xml")
+    # The reference leaves a carriage return in element text raw.
+    assert text == xml_reference.export_xml(doc).replace("\r", "&#13;")
+    assert import_xml(text) == doc
+
+
+def test_xml_name_caches_live_for_one_export(monkeypatch):
+    escaped = []
+    escape = formats._xml_attr
+    monkeypatch.setattr(formats, "_xml_attr", lambda text: escaped.append(text) or escape(text))
+    # The first and last documents share every name but not every value.
+    docs = [_escaped_names_document(_ESCAPED), _escaped_names_document("f"), _escaped_names_document(_ESCAPED, "Q#2")]
+    for doc in docs:
+        escaped.clear()
+        assert export_lexicon(doc, "xml") == xml_reference.export_xml(doc).replace("\r", "&#13;")
+        # once as a name in this export, once as the table id in the header
+        assert escaped.count(doc.entries[0].table_id) == 2
 
 
 @pytest.mark.parametrize("char", ["\x00", "\x0c", "\x1f", "\ud800", "\uffff"])
