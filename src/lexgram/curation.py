@@ -9,23 +9,26 @@ here changes the entries it is given.
 
 from __future__ import annotations
 
-import re
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .issues import IssueKind, ValidationIssue
 from .lexicon import LexEntry, Origin
 from .realizer import SurfaceForm
 
-_WHITESPACE = re.compile(r"\s+")
-
 
 def canonical_key(surface: SurfaceForm | str) -> str:
     """Normalized comparison key: NFC, typographic apostrophe unified with
-    U+0027, case folded, internal whitespace collapsed."""
+    U+0027, case folded, internal whitespace collapsed.
+
+    ``str.split`` and the regular expression ``\\s`` agree on what is
+    whitespace, so the split-and-join collapses each run to one space and
+    drops the ends.  ASCII text is already NFC and holds no ``’``.
+    """
     text = surface if isinstance(surface, str) else surface.rendered
-    text = unicodedata.normalize("NFC", text).replace("’", "'")
-    return _WHITESPACE.sub(" ", text).strip().casefold()
+    if not text.isascii():
+        text = unicodedata.normalize("NFC", text).replace("’", "'")
+    return " ".join(text.split()).casefold()
 
 
 @dataclass(frozen=True)
@@ -44,27 +47,60 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
     cross_refs end with the removed ids.  Entries with an empty surface
     never merge; they are review material, not citation forms.
     """
-    position = {id(entry): i for i, entry in enumerate(entries)}
-    groups: dict[str, list[LexEntry]] = {}
-    for entry in entries:
-        key = canonical_key(entry.surface)
+    keys: dict[str, str] = {}  # rendered surface -> its key; most duplicates repeat a surface
+    groups: dict[str, list[int]] = {}  # key -> positions in entries
+    for position, entry in enumerate(entries):
+        rendered = entry.surface.rendered
+        key = keys.get(rendered)
+        if key is None:
+            key = keys[rendered] = canonical_key(rendered)
         if key:
-            groups.setdefault(key, []).append(entry)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [position]
+            else:
+                group.append(position)
 
-    removed_objects: set[int] = set()  # id() of each removed entry
-    merged: dict[int, LexEntry] = {}  # id() of a survivor -> the survivor with its cross_refs
+    removed_positions: set[int] = set()
+    merged: dict[int, LexEntry] = {}  # position of a survivor -> the survivor with its cross_refs
     duplicates: list[DuplicateRecord] = []
     for key, group in groups.items():
         if len(group) < 2:
             continue
-        survivor = min(group, key=lambda e: (e.sort_rank(), position[id(e)]))
-        removed = tuple(e.entry_id for e in group if e is not survivor)
-        merged[id(survivor)] = replace(survivor, cross_refs=survivor.cross_refs + removed)
-        removed_objects.update(id(e) for e in group if e is not survivor)
-        duplicates.append(DuplicateRecord(survivor.entry_id, removed, key))
+        kept = min(group, key=lambda position: (entries[position].sort_rank(), position))
+        removed = tuple(entries[position].entry_id for position in group if position != kept)
+        merged[kept] = _with_cross_refs(entries[kept], removed)
+        removed_positions.update(group)
+        removed_positions.discard(kept)
+        duplicates.append(DuplicateRecord(entries[kept].entry_id, removed, key))
 
-    survivors = [merged.get(id(e), e) for e in entries if id(e) not in removed_objects]
+    survivors = [
+        merged.get(position, entry)
+        for position, entry in enumerate(entries)
+        if position not in removed_positions
+    ]
     return survivors, duplicates
+
+
+def _with_cross_refs(entry: LexEntry, removed: tuple[str, ...]) -> LexEntry:
+    # every field is passed: a new field of LexEntry must be added here
+    return LexEntry(
+        entry_id=entry.entry_id,
+        table_id=entry.table_id,
+        category=entry.category,
+        surface=entry.surface,
+        components=entry.components,
+        aux=entry.aux,
+        paraphrases=entry.paraphrases,
+        other_structures=entry.other_structures,
+        intensified=entry.intensified,
+        arguments=entry.arguments,
+        construction_ids=entry.construction_ids,
+        internal_structures=entry.internal_structures,
+        binary_features=entry.binary_features,
+        provenance=entry.provenance,
+        cross_refs=entry.cross_refs + removed,
+    )
 
 
 def duplicate_issues(

@@ -15,12 +15,12 @@ their parent's arguments and binary features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .curation import dedup
-from .errors import InternalInvariantError, LexgramError, UnknownSlotSymbol
+from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
 from .formats import RecordRow
-from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, entry_id, parse_entry_id
+from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
 from .stats import StatsReport, compute_stats, tally
@@ -33,6 +33,7 @@ from .tables import parse_structure_label
 _PASS_BY_NAME = {origin.value: origin for origin in PASS_ORDER}
 _PASS_BY_NAME.update({tag: origin for origin, tag in PASS_TAGS.items()})
 _SUBSTRUCTURES = (Origin.DELETION, Origin.PERMUTATION)
+_PARAPHRASES = (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION)
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,17 @@ _ACTION_PASS = {
 
 @dataclass(frozen=True, slots=True)
 class PlanStep:
-    """One generating rule, resolved for one table and component slot set."""
+    """One generating rule, resolved for one table and component slot set:
+    what every variant of the rule shares is worked out here, once."""
 
     origin: Origin
+    tag: str                     # the pass tag of the variant ids
     feature_id: str
     flats: tuple[Template, ...]  # the rule's templates, alternation flattened
     label: str                   # the parent's other-structure label
     kept_slots: tuple[str, ...]  # slots a deletion or permutation variant keeps
+    construction_ids: tuple[str, ...]     # each variant's
+    internal_structures: tuple[str, ...]  # each variant's: a substructure's label
 
 
 def build_plan(
@@ -107,9 +112,15 @@ def build_plan(
         # a construction rule without templates only labels the base entry
         if not rule.templates or origin not in config.enabled:
             continue
-        kept = parse_structure_label(rule.label) if origin in _SUBSTRUCTURES else ()
+        label = rule.label or rule.feature_id
+        substructure = origin in _SUBSTRUCTURES
         flats = tuple(flat for template in rule.templates for flat in expand_alternation(template))
-        steps.append(PlanStep(origin, rule.feature_id, flats, rule.label or rule.feature_id, kept))
+        steps.append(PlanStep(
+            origin, PASS_TAGS[origin], rule.feature_id, flats, label,
+            kept_slots=parse_structure_label(rule.label) if substructure else (),
+            construction_ids=(rule.feature_id,) if origin is Origin.PARAPHRASE_CONSTRUCTION else (),
+            internal_structures=(label,) if substructure else (),
+        ))
     steps.sort(key=lambda step: PASS_ORDER.index(step.origin))
     return tuple(steps)
 
@@ -125,53 +136,73 @@ def expand_entry(
     Returns the parent, which is a new entry holding the variant surfaces
     (``entry`` itself when there are none), and the variants.  Emission
     order is plan order, then template order, then alternation order;
-    variant ordinals count per pass.
+    variant ordinals count per pass.  A template that does not realize
+    raises its RealizationError, naming the entry and the rule.
     """
     if not entry.is_base:
         raise LexgramError(f"cannot expand generated entry {entry.entry_id!r}")
     _, row, _, _ = parse_entry_id(entry.entry_id)
+    id_prefix = f"{entry.table_id}#{row}#"
     variants: list[LexEntry] = []
     paraphrases, other_structures, intensified = [], [], []
     structures = list(entry.internal_structures)
-    ordinals = dict.fromkeys(PASS_ORDER, 0)
+    ordinals: dict[str, int] = {}  # pass tag -> variants so far
     bindings = entry.bindings()
     for step in plan:
         if not entry.binary_features.get(step.feature_id, False):
             continue
         origin = step.origin
-        if origin in _SUBSTRUCTURES and step.label not in structures:
-            structures.append(step.label)
+        for label in step.internal_structures:
+            if label not in structures:
+                structures.append(label)
+        # a deletion or permutation keeps exactly the slots its structure names
+        components = {slot: entry.components.get(slot, "") for slot in step.kept_slots}
         for flat in step.flats:
-            ordinals[origin] += 1
-            surface = realize(flat, bindings, symbols, rules)
-            if origin in (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION):
+            try:
+                surface = realize(flat, bindings, symbols, rules)
+            except RealizationError as err:
+                raise type(err)(
+                    f"entry {entry.entry_id!r}, rule {step.feature_id!r}: {err.bare_message}"
+                ) from None
+            if origin in _PARAPHRASES:
                 paraphrases.append(surface)
             elif origin is Origin.INTENSIFICATION:
                 intensified.append(surface)
             else:
                 other_structures.append((step.label, surface))
+            ordinal = ordinals[step.tag] = ordinals.get(step.tag, 0) + 1
             variants.append(LexEntry(
-                entry_id=entry_id(entry.table_id, row, PASS_TAGS[origin], ordinals[origin]),
+                entry_id=f"{id_prefix}{step.tag}#{ordinal}",
                 table_id=entry.table_id,
                 category=entry.category,
                 surface=surface,
-                # a deletion or permutation keeps exactly the slots its structure names
-                components={slot: entry.components.get(slot, "") for slot in step.kept_slots},
+                components=components,
                 aux={},
                 arguments=entry.arguments,
-                construction_ids=(step.feature_id,) if origin is Origin.PARAPHRASE_CONSTRUCTION else (),
-                internal_structures=(step.label,) if origin in _SUBSTRUCTURES else (),
+                construction_ids=step.construction_ids,
+                internal_structures=step.internal_structures,
                 binary_features=entry.binary_features,
                 provenance=Provenance(origin, entry.entry_id, step.feature_id, flat.text),
             ))
     if not variants:
         return entry, variants
-    return replace(
-        entry,
+    # every field is passed: a new field of LexEntry must be added here
+    return LexEntry(
+        entry_id=entry.entry_id,
+        table_id=entry.table_id,
+        category=entry.category,
+        surface=entry.surface,
+        components=entry.components,
+        aux=entry.aux,
         paraphrases=entry.paraphrases + tuple(paraphrases),
         other_structures=entry.other_structures + tuple(other_structures),
         intensified=entry.intensified + tuple(intensified),
+        arguments=entry.arguments,
+        construction_ids=entry.construction_ids,
         internal_structures=tuple(structures),
+        binary_features=entry.binary_features,
+        provenance=entry.provenance,
+        cross_refs=entry.cross_refs,
     ), variants
 
 

@@ -40,6 +40,11 @@ class Origin(enum.Enum):
     TRANSFORMATION = "transformation"
     INTENSIFICATION = "intensification"
 
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python code, and
+    # the pipeline hashes an origin for every variant it counts.
+    __hash__ = object.__hash__
+
 
 # Canonical pass order; also the order variants appear in the output lexicon.
 PASS_ORDER = (
@@ -72,19 +77,27 @@ def entry_id(table_id: str, row_index: int, tag: str | None = None, ordinal: int
     return f"{table_id}#{row_index}#{tag}#{ordinal}"
 
 
-_ENTRY_ID_RE = re.compile(
-    r"([^#]+)#([1-9][0-9]*)(?:#(" + "|".join(PASS_TAGS.values()) + r")#([1-9][0-9]*))?"
-)
+_TAGS = frozenset(PASS_TAGS.values())
+
+
+def _is_id_number(text: str) -> bool:
+    """A row or an ordinal: ASCII digits, no leading zero."""
+    return text.isdigit() and text.isascii() and text[0] != "0"
 
 
 def parse_entry_id(text: str) -> tuple[str, int, str | None, int | None]:
     """Split an id made by :func:`entry_id` into table, row, tag and ordinal
     (tag and ordinal are None for a base entry); raises ValueError."""
-    m = _ENTRY_ID_RE.fullmatch(text)
-    if m is None:
-        raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
-    table_id, row, tag, ordinal = m.groups()
-    return table_id, int(row), tag, None if ordinal is None else int(ordinal)
+    fields = text.split("#")
+    if len(fields) == 2:
+        table_id, row = fields
+        if table_id and _is_id_number(row):
+            return table_id, int(row), None, None
+    elif len(fields) == 4:
+        table_id, row, tag, ordinal = fields
+        if table_id and tag in _TAGS and _is_id_number(row) and _is_id_number(ordinal):
+            return table_id, int(row), tag, int(ordinal)
+    raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
 
 
 class Selection(enum.Enum):
@@ -236,14 +249,23 @@ def generate_base(
     construction_rules = {
         r.feature_id for r in script.effective_rules(table.table_id, Action.CONSTRUCTION)
     }
+    construction_ids = [name for _, name in binary_cols if name in construction_rules]
     internal_structures = (label,) if label else ()
+    # Only the ``X =: Nhum`` / ``X =: N-hum`` columns decide the arguments,
+    # and rows that agree on them share one tuple.
+    argument_ids = [name for _, name in binary_cols if _ARGUMENT_RE.match(name)]
+    arguments_of: dict[tuple[bool, ...], tuple[ArgumentSpec, ...]] = {}
 
     entries: list[LexEntry] = []
     for n, row in enumerate(table.rows, start=1):
         components = {name: row[i] for i, name in slot_cols}
         aux = {name: row[i] for i, name in aux_cols}
         binary = {name: row[i] == "+" for i, name in binary_cols}
-        constructions = tuple(fid for fid, value in binary.items() if value and fid in construction_rules)
+        constructions = tuple([name for name in construction_ids if binary[name]])
+        values = tuple([binary[name] for name in argument_ids])
+        arguments = arguments_of.get(values)
+        if arguments is None:
+            arguments = arguments_of[values] = derive_arguments(dict(zip(argument_ids, values)))
         surface = realize(template, Bindings(components, aux), symbols, rules)
         entries.append(LexEntry(
             entry_id=entry_id(table.table_id, n),
@@ -252,7 +274,7 @@ def generate_base(
             surface=surface,
             components=components,
             aux=aux,
-            arguments=derive_arguments(binary),
+            arguments=arguments,
             construction_ids=constructions,
             internal_structures=internal_structures,
             binary_features=binary,

@@ -13,11 +13,12 @@ config file (see :func:`parse_morpho_rules`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken, read_text
-from .script import Group, Literal, Placeholder, Symbolic, Template, parse_template
+from .script import COMPONENT, LITERAL, SYMBOL, Placeholder, Template, parse_template
 
 # Symbol policy: how symbolic template tokens render.  Free nominal slots stay
 # as literal capitals; determiners and possessives get masculine-singular
@@ -36,6 +37,15 @@ class MorphoRules:
     elisions: Mapping[str, str]
     vowels: frozenset[str]
     mute_h: frozenset[str]
+
+    @cached_property
+    def _contraction_table(self) -> dict[str, dict[str, str]]:
+        """left word -> right word -> contraction; the first rule for a
+        pair wins."""
+        table: dict[str, dict[str, str]] = {}
+        for left, right, result in self.contractions:
+            table.setdefault(left, {}).setdefault(right, result)
+        return table
 
 
 DEFAULT_RULES = MorphoRules(
@@ -103,17 +113,17 @@ def load_morpho_rules(path: str | Path) -> MorphoRules:
 def contract(tokens: list[str], rules: MorphoRules = DEFAULT_RULES) -> list[str]:
     """One left-to-right pass rewriting adjacent pairs; first rule wins.
     Already-contracted input comes back unchanged (idempotent)."""
+    table = rules._contraction_table
+    if table.keys().isdisjoint(tokens):
+        return list(tokens)
     out: list[str] = []
-    i = 0
-    while i < len(tokens):
-        hit = None
-        if i + 1 < len(tokens):
-            for left, right, result in rules.contractions:
-                if tokens[i] == left and tokens[i + 1] == right:
-                    hit = result
-                    break
+    i, n = 0, len(tokens)
+    while i < n:
+        tok = tokens[i]
+        rights = table.get(tok)
+        hit = rights.get(tokens[i + 1]) if rights is not None and i + 1 < n else None
         if hit is None:
-            out.append(tokens[i])
+            out.append(tok)
             i += 1
         else:
             out.append(hit)
@@ -121,29 +131,30 @@ def contract(tokens: list[str], rules: MorphoRules = DEFAULT_RULES) -> list[str]
     return out
 
 
-def _vowel_initial(word: str, rules: MorphoRules) -> bool:
-    w = word.casefold()
-    return bool(w) and (w[0] in rules.vowels or w in rules.mute_h)
-
-
 def elide(tokens: list[str], rules: MorphoRules = DEFAULT_RULES) -> list[str]:
     """Fuse eliding words with a following vowel-initial token (``de une`` ->
-    ``d'une``).  Tokens ending in an apostrophe are pre-fused and untouched."""
+    ``d'une``); a word is vowel-initial if it starts with one of the rules'
+    vowels or is a mute-h word, case folded.  Tokens ending in an apostrophe
+    are pre-fused and untouched."""
+    elisions = rules.elisions
+    if elisions.keys().isdisjoint(tokens):
+        return list(tokens)
+    vowels, mute_h = rules.vowels, rules.mute_h
     out: list[str] = []
-    i = 0
-    while i < len(tokens):
+    i, last = 0, len(tokens) - 1
+    while i < last:
         tok = tokens[i]
-        if (
-            i + 1 < len(tokens)
-            and tok in rules.elisions
-            and not tok.endswith("'")
-            and _vowel_initial(tokens[i + 1], rules)
-        ):
-            out.append(rules.elisions[tok] + tokens[i + 1])
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+        if tok in elisions and not tok.endswith("'"):
+            following = tokens[i + 1]
+            word = following.casefold()
+            if word and (word[0] in vowels or word in mute_h):
+                out.append(elisions[tok] + following)
+                i += 2
+                continue
+        out.append(tok)
+        i += 1
+    if i == last:
+        out.append(tokens[last])
     return out
 
 
@@ -151,6 +162,10 @@ def render(tokens: list[str]) -> str:
     """Single-space join, except that apostrophe-final and hyphen-final tokens
     fuse with the next one (``l'`` + ``état`` -> ``l'état``, ``heure-`` +
     ``ci`` -> ``heure-ci``)."""
+    joined = " ".join(tokens)
+    # without fusing or empty tokens, the join is the answer
+    if "'" not in joined and "-" not in joined and "" not in tokens:
+        return joined
     out = ""
     for tok in tokens:
         if out and not out.endswith(("'", "-")):
@@ -185,13 +200,6 @@ class Bindings:
     components: Mapping[str, str]
     aux: Mapping[str, str] = field(default_factory=dict)
 
-    def resolve(self, name: str, component: bool) -> str | None:
-        if component:
-            return self.components.get(name)
-        if name in self.aux:
-            return self.aux[name]
-        return self.components.get(name)
-
 
 def realize(
     template: Template | str,
@@ -202,25 +210,26 @@ def realize(
     """Substitute a flat template and render it.
 
     Multi-word cell texts contribute one token per word; empty components
-    contribute nothing.
+    contribute nothing.  The walk follows the template's kept
+    :attr:`~Template.flat_parts`.
     """
     if isinstance(template, str):
         template = parse_template(template)
+    components, aux = bindings.components, bindings.aux
     tokens: list[str] = []
-    for part in template.parts:
-        if isinstance(part, Group):
-            raise ValueError("realize expects a flat template")
-        if isinstance(part, Literal):
-            tokens.append(part.text)
-        elif isinstance(part, Symbolic):
-            value = symbols.get(part.text)
+    for kind, name in template.flat_parts:
+        if kind == LITERAL:
+            tokens.append(name)
+            continue
+        if kind == SYMBOL:
+            value = symbols.get(name)
             if value is None:
-                raise UnknownSymbolicToken(f"no policy for symbolic token {part.text!r}")
-            tokens.extend(value.split())
+                raise UnknownSymbolicToken(f"no policy for symbolic token {name!r}")
         else:
-            value = bindings.resolve(part.name, part.component)
+            value = components.get(name) if kind == COMPONENT or name not in aux else aux[name]
             if value is None:
-                raise UnboundPlaceholder(f"placeholder {part.text!r} is not bound")
-            tokens.extend(value.split())
+                text = Placeholder(name, kind == COMPONENT).text
+                raise UnboundPlaceholder(f"placeholder {text!r} is not bound")
+        tokens += value.split()
     rendered = render(elide(contract(tokens, rules), rules))
     return SurfaceForm(tuple(tokens), rendered)

@@ -21,6 +21,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateRule,
@@ -70,13 +71,21 @@ class Group:
 Part = object  # Literal | Symbolic | Placeholder | Group
 
 
+# The kinds of a flat template's parts, as the realizer walks them.
+LITERAL, SYMBOL, COMPONENT, COLUMN = range(4)
+
+
 @dataclass(frozen=True)
 class Template:
-    """A template, factorized (may contain groups) or flat (no groups)."""
+    """A template, factorized (may contain groups) or flat (no groups).
+
+    Its text and flat parts are worked out on first use and kept, so a
+    template realized for many entries pays for them once.
+    """
 
     parts: tuple[Part, ...]
 
-    @property
+    @cached_property
     def text(self) -> str:
         chunks = []
         for part in self.parts:
@@ -86,6 +95,24 @@ class Template:
             else:
                 chunks.append(part.text)
         return " ".join(chunks)
+
+    @cached_property
+    def flat_parts(self) -> tuple[tuple[int, str], ...]:
+        """Each part as a (kind, text) pair: a literal's token, a symbolic
+        token, or the name a ``COMPONENT`` (``@<ENT>X@``) or ``COLUMN``
+        (``@X@``) placeholder looks up.  Raises ValueError if the template
+        has groups."""
+        flat = []
+        for part in self.parts:
+            if isinstance(part, Literal):
+                flat.append((LITERAL, part.text))
+            elif isinstance(part, Symbolic):
+                flat.append((SYMBOL, part.text))
+            elif isinstance(part, Placeholder):
+                flat.append((COMPONENT if part.component else COLUMN, part.name))
+            else:
+                raise ValueError("realize expects a flat template")
+        return tuple(flat)
 
 
 _SPECIAL = set("@()+")
@@ -211,14 +238,29 @@ class ScriptRule:
 class ExtractionScript:
     rules: tuple[ScriptRule, ...]
 
+    @cached_property
+    def _rules_by_table(self) -> tuple[list[tuple[int, ScriptRule]], dict[str, list[tuple[int, ScriptRule]]]]:
+        """The wildcard rules, and the rules naming each table, each rule
+        with its position in ``rules``."""
+        wildcard: list[tuple[int, ScriptRule]] = []
+        named: dict[str, list[tuple[int, ScriptRule]]] = {}
+        for position, rule in enumerate(self.rules):
+            if rule.tables is None:
+                wildcard.append((position, rule))
+            else:
+                for table_id in rule.tables:
+                    named.setdefault(table_id, []).append((position, rule))
+        return wildcard, named
+
     def effective_rules(self, table_id: str, action: Action | None = None) -> list[ScriptRule]:
         """One rule per feature id, in declaration order: a rule naming the
         table explicitly takes precedence over a wildcard rule, and among
         rules of equal precedence the first declared wins."""
+        wildcard, named = self._rules_by_table
+        # positions are unique, so the pairs sort by position alone
+        applicable = sorted(wildcard + named.get(table_id, []))
         chosen: dict[str, ScriptRule] = {}
-        for rule in self.rules:
-            if not rule.applies_to(table_id):
-                continue
+        for _, rule in applicable:
             prev = chosen.get(rule.feature_id)
             if prev is None or (prev.tables is None and rule.tables is not None):
                 chosen[rule.feature_id] = rule

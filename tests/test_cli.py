@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import hashlib
 import io
 import os
 import random
@@ -212,6 +213,56 @@ def test_extend_names_the_entry_of_an_unknown_component_slot(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"lexgram: error: entry {entry.entry_id!r}: unknown component symbol 'Foo' in {label!r}\n"
     )
+
+
+def test_extend_names_the_entry_and_rule_of_an_unbound_placeholder(tmp_path, capsys):
+    base = _compile(tmp_path)
+    bad = tmp_path / "bad.lgx"
+    text = base.read_text(encoding="utf-8")
+    cut = text.replace("\naux\tAdj\tlinguistique\n", "\n").replace("\naux\tAdj-n\tlinguistique\n", "\n")
+    assert len(cut) < len(text) - 40
+    bad.write_text(cut, encoding="utf-8")
+    capsys.readouterr()
+    code, out, _ = _extend(tmp_path, bad)
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "lexgram: error: entry 'ADVMP#1', rule 'Adj-ment = au niveau Adj': "
+        "placeholder '@Adj@' is not bound\n"
+    )
+
+
+def test_extend_names_the_entry_and_rule_of_an_unknown_symbol(tmp_path, capsys):
+    base = _compile(tmp_path)
+    policy = tmp_path / "symbols.conf"
+    policy.write_text("Ddef = a b\n", encoding="utf-8")
+    capsys.readouterr()
+    code, out, _ = _extend(tmp_path, base, extra=("--symbols", str(policy)))
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "lexgram: error: entry 'PCDN#1', rule 'Prép1 Poss2 C1': "
+        "no policy for symbolic token 'Poss2'\n"
+    )
+    # the check is lazy: without the transformation pass no template holds Poss2
+    code, out, _ = _extend(tmp_path, base, extra=("--symbols", str(policy), "--passes", "para,parac,del,perm,int"))
+    assert code == 0 and out.exists()
+
+
+def test_extend_bytes_are_pinned_on_a_collision_heavy_corpus(tmp_path):
+    # 900 base rows whose 3,393 variants lose 3,377 entries to dedup, 260 of
+    # them base entries
+    for name, content in corpusgen.generate(10, row_range=(300, 300)).items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    morpho = ("--morpho", str(FIXTURES / "morpho.rules"))
+    code = main([
+        "compile", *sorted(str(path) for path in tmp_path.glob("*.lgt")),
+        "--classes", str(tmp_path / "classes.lgm"), "--script", str(tmp_path / "extract.lgs"),
+        "-o", str(tmp_path / "base.lgx"), *morpho,
+    ])
+    assert code == 0
+    code, out, records = _extend(tmp_path, tmp_path / "base.lgx", extra=morpho)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == "72ebfc6fd3af0c35d8a84242f9d80e7b9aec80a5f9c4919fb2cbbe29871eacfd"
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == "80b406c79f5a96236b678dc5ad9179019b9a6f564a4d641f85d1f7b2c7137c0f"
 
 
 def test_extend_unknown_pass_is_an_input_error(tmp_path):

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import re
+import unicodedata
 from dataclasses import replace
+
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import compile_corpus
 from lexgram.curation import canonical_key, curate, dedup, duplicate_issues, flag_suspicious, review_report
@@ -30,6 +35,26 @@ def test_canonical_key_normalizations():
     # NFC: a decomposed e + combining acute equals the precomposed form
     assert canonical_key("état") == canonical_key("état")
     assert canonical_key("\tde  nuit\n") == "de nuit"
+
+
+def _regex_canonical_key(text: str) -> str:
+    """The key as first defined: NFC, apostrophe, a regular expression over
+    whitespace runs, strip, case fold."""
+    text = unicodedata.normalize("NFC", text).replace("’", "'")
+    return re.sub(r"\s+", " ", text).strip().casefold()
+
+
+# ASCII and Unicode whitespace, both apostrophes, letters that NFC composes
+# with the combining marks, and ones that case folding changes.
+_KEY_ALPHABET = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2009\u202f\u2028\u3000’'aeEÉé\u0301\u0327\u0308çßΣ"
+
+
+@example("E\u0301\u3000\x1cjusqu’à\x85")
+@example("\u1100\u1161")
+@given(st.text(st.sampled_from(_KEY_ALPHABET), max_size=8) | st.text(max_size=8))
+def test_canonical_key_matches_the_regex_form(text):
+    assert canonical_key(text) == _regex_canonical_key(text)
+    assert canonical_key(SurfaceForm((), text)) == _regex_canonical_key(text)
 
 
 def test_dedup_base_survives_over_variant():

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
-import pytest
+import re
 
-from dataclasses import fields
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from dataclasses import fields, replace
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from lexgram.curation import dedup
 from lexgram.errors import LexgramError
-from lexgram.expansion import run_pipeline
+from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_text, import_xml
 from lexgram.lexicon import (
     LexEntry,
@@ -41,6 +46,42 @@ def test_parse_entry_id_inverts_entry_id():
 def test_parse_entry_id_rejects_malformed_ids(text):
     with pytest.raises(ValueError):
         parse_entry_id(text)
+
+
+_ENTRY_ID_RE = re.compile(r"([^#]+)#([1-9][0-9]*)(?:#(para|parac|del|perm|trans|int)#([1-9][0-9]*))?")
+
+
+def _regex_parse_entry_id(text: str):
+    """The id grammar as first written, as a regular expression."""
+    m = _ENTRY_ID_RE.fullmatch(text)
+    if m is None:
+        return None
+    table_id, row, tag, ordinal = m.groups()
+    return table_id, int(row), tag, None if ordinal is None else int(ordinal)
+
+
+# Fields that are ids' parts, or nearly: empty, leading zeros, non-ASCII
+# digits (Arabic-Indic, fullwidth, superscript), unknown or mis-cased tags,
+# whitespace around a number.
+_ID_FIELDS = st.sampled_from((
+    "", "T", "PCA", "1", "12", "0", "07", "٣", "１", "²", "1²", " 1", "1\n",
+    "para", "parac", "del", "perm", "trans", "int", "PARA", "shuffle",
+)) | st.text(st.sampled_from("019٣A#"), max_size=3)
+
+
+@example("T#٣")
+@example("T#１")
+@example("T#1#del#²")
+@example("T#07")
+@example("#1")
+@example("T#1#PARA#1")
+@given(st.lists(_ID_FIELDS, min_size=1, max_size=5).map("#".join))
+def test_parse_entry_id_matches_the_regex_form(text):
+    try:
+        parsed = parse_entry_id(text)
+    except ValueError:
+        parsed = None
+    assert parsed == _regex_parse_entry_id(text)
 
 
 def test_provenance_guards_parent_consistency():
@@ -170,8 +211,6 @@ def test_sort_rank_orders_base_before_variants():
     base = doc.entries[0]
     assert base.sort_rank()[0] == 0
     script = load_fixture_script()
-    from lexgram.expansion import build_plan, expand_entry
-
     entry = doc.entries[5]  # ADVPF#1 has one paraphrase
     _, variants = expand_entry(entry, build_plan(script, entry.table_id, tuple(entry.components)))
     assert variants
@@ -205,3 +244,25 @@ def test_sequence_fields_are_tuples_wherever_entries_are_built():
                 assert type(getattr(entry, name)) is tuple, (where, entry.entry_id, name)
     # the extended lexicon fills every one of them somewhere
     assert all(any(getattr(e, name) for e in result.entries) for name in sequences)
+
+
+def test_parents_and_survivors_carry_every_field_they_do_not_extend():
+    # expand_entry and dedup build their new entries field by field; every
+    # field neither reads holds a fresh object here, so a field left out of
+    # either constructor call shows
+    entry = compile_corpus().entries[0]
+    plan = build_plan(load_fixture_script(), entry.table_id, tuple(entry.components))
+    read_by_expand = {"entry_id", "table_id", "provenance", "binary_features", "components", "aux",
+                      "paraphrases", "other_structures", "intensified", "internal_structures"}
+    read_by_dedup = {"entry_id", "table_id", "provenance", "surface", "cross_refs"}
+    for read, extended, build in (
+        (read_by_expand, {"paraphrases", "other_structures", "intensified", "internal_structures"},
+         lambda e: expand_entry(e, plan)[0]),
+        (read_by_dedup, {"cross_refs"}, lambda e: dedup([e, replace(e, entry_id="ADVMP#99")])[0][0]),
+    ):
+        marked = replace(entry, **{f.name: object() for f in fields(LexEntry) if f.name not in read})
+        built = build(marked)
+        assert built is not marked
+        for f in fields(LexEntry):
+            if f.name not in extended:
+                assert getattr(built, f.name) is getattr(marked, f.name), f.name

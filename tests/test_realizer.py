@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import realizer_reference
 from conftest import load_fixture_morpho
-from lexgram.errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken
+from lexgram.errors import LexgramError, RealizationError, UnboundPlaceholder, UnknownSymbolicToken
 from lexgram.realizer import (
     DEFAULT_RULES,
     DEFAULT_SYMBOLS,
     Bindings,
+    MorphoRules,
     contract,
     elide,
     parse_morpho_rules,
     realize,
     render,
 )
+from lexgram.script import Literal, Placeholder, Symbolic, Template, parse_template
 
 
 def test_contract_covers_the_four_fusions():
@@ -138,3 +143,89 @@ def test_criterion_contractions_on_fixture_token_lists():
     assert render(elide(contract(["à", "le", "cas"]))) == "au cas"
     assert render(elide(contract(["de", "une", "façon"]))) == "d'une façon"
     assert render(elide(contract(["le", "état"]))) == "l'état"
+
+
+# =============================================================================
+# differential tests against the part-by-part realizer
+# =============================================================================
+
+# Words that contract, elide, start with a vowel or a mute h, end in an
+# apostrophe or a hyphen, or are empty, in both cases.
+_WORDS = ("de", "le", "les", "la", "à", "que", "une", "il", "heure", "Heure", "homme",
+          "état", "État", "cas", "l'", "d'", "heure-", "ci", "", "du", "au")
+_NAMES = ("C1", "Det1", "Adj", "syn")
+_SYMBOLS = ("Poss2", "Ddef", "N", "Nhum")
+
+_cells = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join) | st.sampled_from(("", " ", "de  la\tcas"))
+_parts = st.one_of(
+    st.builds(Literal, st.sampled_from(_WORDS)),
+    st.builds(Symbolic, st.sampled_from(_SYMBOLS)),
+    st.builds(Placeholder, st.sampled_from(_NAMES), st.booleans()),
+)
+_drawn_templates = st.lists(_parts, max_size=6).map(lambda parts: Template(tuple(parts)))
+_drawn_bindings = st.builds(
+    Bindings,
+    st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=4),
+    st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=2),
+)
+_symbol_policies = st.just(DEFAULT_SYMBOLS) | st.dictionaries(st.sampled_from(_SYMBOLS), _cells, max_size=4)
+_word = st.sampled_from(_WORDS[:-3])
+_drawn_rules = st.just(DEFAULT_RULES) | st.builds(
+    MorphoRules,
+    st.lists(st.tuples(_word, _word, _word), max_size=6).map(tuple),
+    st.dictionaries(_word, st.sampled_from(("d'", "l'", "qu'", "x")), max_size=4),
+    st.sets(st.sampled_from("aeéiouhÉc"), max_size=5).map(frozenset),
+    st.sets(st.sampled_from(("heure", "homme", "cas")), max_size=2).map(frozenset),
+)
+
+# two rules on one pair (the first wins), and pairs that overlap
+_OVERLAPPING = MorphoRules(
+    contractions=(("de", "le", "du"), ("de", "le", "X"), ("le", "les", "Y"), ("de", "les", "des")),
+    elisions={"de": "d'", "le": "l'", "la": "l'", "l'": "L'"},
+    vowels=frozenset("aeé"),
+    mute_h=frozenset({"heure", "homme"}),
+)
+
+
+def _outcome(realize_with, *args):
+    try:
+        return realize_with(*args)
+    except (LexgramError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _template(text: str) -> Template:
+    return parse_template(text)
+
+
+_EXAMPLE_BINDINGS = Bindings({"C1": "état actuel", "Det1": "", "Adj": "de le les"}, {"syn": "heure"})
+
+
+@example(_template("de le le @Adj@ de les"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, _OVERLAPPING)
+@example(_template("la @syn@ l' homme de @<ENT>Det1@ état"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, _OVERLAPPING)
+@example(_template("Poss2 @<ENT>C1@"), _EXAMPLE_BINDINGS, {"Ddef": "la"}, DEFAULT_RULES)
+@example(_template("de @<ENT>syn@"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, DEFAULT_RULES)
+@given(_drawn_templates, _drawn_bindings, _symbol_policies, _drawn_rules)
+def test_realize_matches_the_reference(template, bindings, symbols, rules):
+    expected = _outcome(realizer_reference.realize, template, bindings, symbols, rules)
+    assert _outcome(realize, template, bindings, symbols, rules) == expected
+    # a template given as text realizes as its parsed form does
+    if template.parts and all(p.text for p in template.parts if isinstance(p, Literal)):
+        assert _outcome(realize, template.text, bindings, symbols, rules) == expected
+
+
+def test_realize_reference_examples_cover_both_errors():
+    assert _outcome(realize, _template("Poss2 @<ENT>C1@"), _EXAMPLE_BINDINGS, {"Ddef": "la"}) == (
+        UnknownSymbolicToken, "no policy for symbolic token 'Poss2'",
+    )
+    assert _outcome(realize, _template("de @<ENT>syn@"), _EXAMPLE_BINDINGS) == (
+        UnboundPlaceholder, "placeholder '@<ENT>syn@' is not bound",
+    )
+    assert realize(_template("de le le @Adj@ de les"), _EXAMPLE_BINDINGS, rules=_OVERLAPPING).rendered == "du le du les des"
+
+
+@given(st.lists(st.sampled_from(_WORDS), max_size=6), _drawn_rules)
+def test_token_operations_match_the_reference(tokens, rules):
+    assert contract(tokens, rules) == realizer_reference.contract(tokens, rules)
+    assert elide(tokens, rules) == realizer_reference.elide(tokens, rules)
+    assert render(tokens) == realizer_reference.render(tokens)

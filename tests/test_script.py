@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture_script
 from lexgram.errors import (
@@ -12,9 +14,11 @@ from lexgram.errors import (
 )
 from lexgram.script import (
     Action,
+    ExtractionScript,
     Group,
     Literal,
     Placeholder,
+    ScriptRule,
     Symbolic,
     expand_alternation,
     parse_script,
@@ -119,6 +123,38 @@ def test_effective_rules_keep_declaration_order():
     script = parse_script(text)
     assert [r.feature_id for r in script.effective_rules("T")] == ["f2", "f1"]
     assert [r.feature_id for r in script.effective_rules("T", Action.PARAPHRASE)] == ["f1"]
+
+
+def _scanned_effective_rules(script: ExtractionScript, table_id: str) -> list[ScriptRule]:
+    """effective_rules as first written: a scan of every rule."""
+    chosen: dict[str, ScriptRule] = {}
+    for rule in script.rules:
+        if not rule.applies_to(table_id):
+            continue
+        prev = chosen.get(rule.feature_id)
+        if prev is None or (prev.tables is None and rule.tables is not None):
+            chosen[rule.feature_id] = rule
+    return sorted(chosen.values(), key=lambda r: r.line)
+
+
+# Few feature ids and tables, so that rules compete; lines repeat, as they
+# do in scripts built in code, so that ties in the sort show.
+_drawn_rules = st.builds(
+    ScriptRule,
+    st.sampled_from(("f1", "f2", "f3")),
+    st.none() | st.frozensets(st.sampled_from(("T", "U", "V")), min_size=1),
+    st.sampled_from((Action.PARAPHRASE, Action.CONSTRUCTION)),
+    st.none(),
+    st.just(()),
+    st.integers(0, 3),
+)
+
+
+@given(st.lists(_drawn_rules, max_size=8).map(lambda rules: ExtractionScript(tuple(rules))))
+def test_effective_rules_match_a_scan_of_every_rule(script):
+    for table_id in ("T", "U", "W"):
+        chosen = script.effective_rules(table_id)
+        assert [id(rule) for rule in chosen] == [id(rule) for rule in _scanned_effective_rules(script, table_id)]
 
 
 # --- templates ----------------------------------------------------------------
