@@ -12,7 +12,6 @@ from .errors import InternalInvariantError, LexgramError
 from .expansion import PassConfig, PipelineResult, build_plan, expand_entry, run_pipeline
 from .formats import (
     LexiconDocument,
-    RecordRow,
     TOOL_VERSION,
     export_lexicon,
     export_records,
@@ -21,9 +20,9 @@ from .formats import (
     parse_records,
     save_lexicon,
 )
-from .issues import IssueKind, ValidationIssue
-from .lexicon import ArgumentSpec, LexEntry, Origin, Provenance, Selection, generate_base
-from .realizer import Bindings, MorphoRules, SurfaceForm, realize
+from .lexicon import generate_base
+from .model import ArgumentSpec, IssueKind, LexEntry, Origin, Provenance, RecordRow, Selection, SurfaceForm, ValidationIssue
+from .realizer import Bindings, MorphoRules, realize
 from .script import Action, ExtractionScript, ScriptRule, Template, load_script, parse_script
 from .stats import StatsReport, compute_stats, render_stats
 from .tables import ClassMatrix, LgTable, load_class_matrix, load_table, resolve_features

@@ -23,8 +23,9 @@ import sys
 from pathlib import Path
 
 from .curation import curate, review_report
-from .errors import InternalInvariantError, LexgramError, parse_file, read_text
+from .errors import InternalInvariantError, LexgramError
 from .expansion import PassConfig, run_pipeline
+from .files import parse_file, read_text, writing
 from .formats import (
     LexiconDocument,
     export_lexicon,
@@ -32,9 +33,9 @@ from .formats import (
     load_lexicon,
     parse_records,
     save_lexicon,
-    writing,
 )
-from .lexicon import check_table_id, generate_base
+from .lexicon import generate_base
+from .model import check_table_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
 from .script import parse_script
 from .stats import recompute_stats, render_stats
@@ -104,7 +105,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     config = PassConfig.parse(args.passes) if args.passes else PassConfig()
     result = run_pipeline(
         doc.entries,
-        doc.script(),
+        parse_script(doc.script_source, source="<embedded script>"),
         config,
         _load_symbols(args.symbols),
         _load_morpho(args.morpho),

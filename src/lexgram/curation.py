@@ -12,9 +12,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .issues import IssueKind, ValidationIssue
-from .lexicon import LexEntry, Origin
-from .realizer import SurfaceForm
+from .model import IssueKind, LexEntry, Origin, SurfaceForm, ValidationIssue
 
 
 def canonical_key(surface: SurfaceForm | str) -> str:

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 from .curation import dedup
 from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
-from .formats import RecordRow
-from .lexicon import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, parse_entry_id
-from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
+from .model import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, RecordRow, parse_entry_id
+from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
 from .stats import StatsReport, compute_stats, tally
 from .tables import parse_structure_label
@@ -147,7 +146,7 @@ def expand_entry(
     paraphrases, other_structures, intensified = [], [], []
     structures = list(entry.internal_structures)
     ordinals: dict[str, int] = {}  # pass tag -> variants so far
-    bindings = entry.bindings()
+    bindings = Bindings(entry.components, entry.aux)
     for step in plan:
         if not entry.binary_features.get(step.feature_id, False):
             continue

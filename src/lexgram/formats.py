@@ -14,23 +14,29 @@ a character XML 1.0 cannot carry.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import itertools
-import os
 import re
-import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 from xml.parsers import expat
 
-from .errors import SchemaViolation, UnknownFormatVersion, parse_file
-from .lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, parse_entry_id
-from .realizer import SurfaceForm
-from .script import ExtractionScript, parse_script
-from .tables import EMPTY_TOKEN
+from .errors import SchemaViolation, UnknownFormatVersion
+from .files import parse_file, writing
+from .model import (
+    EMPTY_TOKEN,
+    PASS_TAGS,
+    ArgumentSpec,
+    LexEntry,
+    Origin,
+    Provenance,
+    RecordRow,
+    Selection,
+    SurfaceForm,
+    parse_entry_id,
+)
 
 TOOL_VERSION = "0.1.0"
 GENERATOR = f"lexgram {TOOL_VERSION}"
@@ -51,9 +57,6 @@ class LexiconDocument:
     @property
     def script_sha256(self) -> str:
         return hashlib.sha256(self.script_source.encode("utf-8")).hexdigest()
-
-    def script(self) -> ExtractionScript:
-        return parse_script(self.script_source, source="<embedded script>")
 
 
 def _check_entry_ids(entries: list[LexEntry]) -> None:
@@ -983,66 +986,12 @@ def save_lexicon(doc: LexiconDocument, path: str | Path, format: str | None = No
         export(doc, out)
 
 
-@contextlib.contextmanager
-def writing(path: str | Path) -> Iterator[TextIO]:
-    """A UTF-8 text stream onto the file at *path*: the one writer of the
-    files lexgram writes.
-
-    A new file, or an existing regular file of the writer's own that it may
-    write, that is not a symlink and has no other hard link, is written to
-    a temporary file beside it, which replaces it, with its mode, once the
-    block ends without an error; an error in the block deletes the
-    temporary file and leaves *path* as it was.  Any other target (a
-    symlink, a device such as /dev/null, a FIFO, a file in a directory that
-    takes no new files) is written in place, as opening it for writing does.
-    """
-    path = Path(path)
-    try:
-        old = path.lstat()
-    except FileNotFoundError:
-        old = None
-    replaceable = os.access(path.parent, os.W_OK | os.X_OK) and (old is None or (
-        stat.S_ISREG(old.st_mode) and old.st_nlink == 1
-        and old.st_uid == os.geteuid() and os.access(path, os.W_OK)
-    ))
-    if not replaceable:
-        with open(path, "w", encoding="utf-8") as out:
-            yield out
-        return
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "w", encoding="utf-8") as out:
-            yield out
-        if old is not None:
-            os.chmod(temporary, stat.S_IMODE(old.st_mode))
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
 # =============================================================================
 # expansion record sidecar
 # =============================================================================
 
 RECORD_COLUMNS = ("entry", "parent", "pass", "feature", "template", "surface", "status", "duplicate-of")
 RECORD_STATUSES = ("kept", "duplicate")
-
-
-@dataclass(frozen=True, slots=True)
-class RecordRow:
-    """One sidecar line: a generated entry, or a base entry removed as a
-    duplicate (its kind is ``base``), and its fate in curation.  A field
-    with no value is ``""``."""
-
-    entry_id: str
-    parent_id: str
-    kind: Origin
-    feature_id: str
-    template: str
-    surface: str
-    status: str
-    duplicate_of: str
 
 
 def export_records(rows: Iterable[RecordRow], out: TextIO) -> None:

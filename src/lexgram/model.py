@@ -1,0 +1,195 @@
+"""The entry model: lexicon entries, their ids, review issues and records.
+
+Every table row becomes exactly one base entry.  An entry is self-contained:
+besides its surface it carries the component cells, the auxiliary lexical
+cells and all binary feature values of its row, so later processing steps
+need the script but not the original table files.  Generated entries name
+their parent, pass, rule and template in their provenance.
+
+Issues never remove anything from a lexicon; they flag entries for manual
+review.  A record row is one line of the expansion record sidecar.
+"""
+
+from __future__ import annotations
+
+import enum
+from dataclasses import dataclass, field
+
+from .errors import LexgramError
+
+# The empty component, in tables and wherever a field stands for empty.
+EMPTY_TOKEN = "<E>"
+
+
+class Origin(enum.Enum):
+    BASE = "base"
+    PARAPHRASE_DIRECT = "paraphrase-direct"
+    PARAPHRASE_CONSTRUCTION = "paraphrase-construction"
+    DELETION = "deletion"
+    PERMUTATION = "permutation"
+    TRANSFORMATION = "transformation"
+    INTENSIFICATION = "intensification"
+
+    # Members are singletons and compare by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python code, and
+    # the pipeline hashes an origin for every variant it counts.
+    __hash__ = object.__hash__
+
+
+# Canonical pass order; also the order variants appear in the output lexicon.
+PASS_ORDER = (
+    Origin.PARAPHRASE_DIRECT,
+    Origin.PARAPHRASE_CONSTRUCTION,
+    Origin.DELETION,
+    Origin.PERMUTATION,
+    Origin.TRANSFORMATION,
+    Origin.INTENSIFICATION,
+)
+
+PASS_TAGS = {
+    Origin.PARAPHRASE_DIRECT: "para",
+    Origin.PARAPHRASE_CONSTRUCTION: "parac",
+    Origin.DELETION: "del",
+    Origin.PERMUTATION: "perm",
+    Origin.TRANSFORMATION: "trans",
+    Origin.INTENSIFICATION: "int",
+}
+
+
+def entry_id(table_id: str, row_index: int, tag: str | None = None, ordinal: int | None = None) -> str:
+    """Deterministic entry id: ``TABLE#row`` or ``TABLE#row#tag#ordinal``."""
+    if row_index < 1:
+        raise ValueError("row_index is 1-based")
+    if (tag is None) != (ordinal is None):
+        raise ValueError("variant tag and ordinal go together")
+    if tag is None:
+        return f"{table_id}#{row_index}"
+    return f"{table_id}#{row_index}#{tag}#{ordinal}"
+
+
+_TAGS = frozenset(PASS_TAGS.values())
+
+
+def _is_id_number(text: str) -> bool:
+    """A row or an ordinal: ASCII digits, no leading zero."""
+    return text.isdigit() and text.isascii() and text[0] != "0"
+
+
+def parse_entry_id(text: str) -> tuple[str, int, str | None, int | None]:
+    """Split an id made by :func:`entry_id` into table, row, tag and ordinal
+    (tag and ordinal are None for a base entry); raises ValueError."""
+    fields = text.split("#")
+    if len(fields) == 2:
+        table_id, row = fields
+        if table_id and _is_id_number(row):
+            return table_id, int(row), None, None
+    elif len(fields) == 4:
+        table_id, row, tag, ordinal = fields
+        if table_id and tag in _TAGS and _is_id_number(row) and _is_id_number(ordinal):
+            return table_id, int(row), tag, int(ordinal)
+    raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
+
+
+def check_table_id(table_id: str) -> None:
+    """Refuse a table id that entry ids cannot carry."""
+    if "#" in table_id:
+        raise LexgramError(f"table id {table_id!r} contains '#', which entry ids reserve")
+
+
+class Selection(enum.Enum):
+    HUMAN = "human"
+    NON_HUMAN = "non-human"
+    ANY = "any"
+    UNSPECIFIED = "unspecified"
+
+
+@dataclass(frozen=True)
+class ArgumentSpec:
+    slot: str  # N0, N1, N2, Poss0, Poss2
+    selection: Selection
+
+
+@dataclass(frozen=True, slots=True)
+class SurfaceForm:
+    """Substituted tokens (pre-contraction) plus the rendered citation form."""
+
+    tokens: tuple[str, ...]
+    rendered: str
+
+
+@dataclass(frozen=True, slots=True)
+class Provenance:
+    kind: Origin
+    parent: str | None = None
+    feature_id: str | None = None
+    template: str | None = None
+
+    def __post_init__(self):
+        if (self.kind is Origin.BASE) != (self.parent is None):
+            raise ValueError("base entries have no parent; variants require one")
+
+
+@dataclass(slots=True)
+class LexEntry:
+    """Built once, never changed: entries may share their tuples and dicts."""
+
+    entry_id: str
+    table_id: str
+    category: str
+    surface: SurfaceForm
+    components: dict[str, str]            # slot symbol -> cell text ("" = empty)
+    aux: dict[str, str]                   # aux column -> cell text ("" = empty)
+    paraphrases: tuple[SurfaceForm, ...] = ()
+    other_structures: tuple[tuple[str, SurfaceForm], ...] = ()
+    intensified: tuple[SurfaceForm, ...] = ()
+    arguments: tuple[ArgumentSpec, ...] = ()
+    construction_ids: tuple[str, ...] = ()
+    internal_structures: tuple[str, ...] = ()
+    binary_features: dict[str, bool] = field(default_factory=dict)
+    provenance: Provenance = Provenance(Origin.BASE)  # one instance, shared
+    cross_refs: tuple[str, ...] = ()
+
+    @property
+    def is_base(self) -> bool:
+        return self.provenance.kind is Origin.BASE
+
+    def sort_rank(self) -> tuple:
+        """Duplicate-resolution rank: base before generated, then table,
+        row, pass and ordinal.  Lower wins."""
+        _, row, _, ordinal = parse_entry_id(self.entry_id)
+        if self.is_base:
+            return (0, self.table_id, row, -1, 0)
+        return (1, self.table_id, row, PASS_ORDER.index(self.provenance.kind), ordinal)
+
+
+class IssueKind(enum.Enum):
+    SINGLE_TOKEN_RESIDUE = "single-token-residue"
+    AMALGAM_SUSPECT = "amalgam-suspect"
+    EMPTY_SURFACE = "empty-surface"
+    EMPTY_ENTRY = "empty-entry"
+    DUPLICATE_OF_BASE = "duplicate-of-base"
+    CROSS_TABLE_DUPLICATE = "cross-table-duplicate"
+    AGREEMENT_UNCHECKED = "agreement-unchecked"
+
+
+@dataclass(frozen=True)
+class ValidationIssue:
+    kind: IssueKind
+    entry_id: str
+    detail: str = ""
+
+
+@dataclass(frozen=True, slots=True)
+class RecordRow:
+    """One sidecar line: a generated entry, or a base entry removed as a
+    duplicate (its kind is ``base``), and its fate in curation.  A field
+    with no value is ``""``."""
+
+    entry_id: str
+    parent_id: str
+    kind: Origin
+    feature_id: str
+    template: str
+    surface: str
+    status: str
+    duplicate_of: str

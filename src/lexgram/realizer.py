@@ -17,7 +17,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken, read_text
+from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken
+from .files import read_text
+from .model import SurfaceForm
 from .script import COMPONENT, LITERAL, SYMBOL, Placeholder, Template, parse_template
 
 # Symbol policy: how symbolic template tokens render.  Free nominal slots stay
@@ -177,14 +179,6 @@ def render(tokens: list[str]) -> str:
 # =============================================================================
 # realization
 # =============================================================================
-
-@dataclass(frozen=True, slots=True)
-class SurfaceForm:
-    """Substituted tokens (pre-contraction) plus the rendered citation form."""
-
-    tokens: tuple[str, ...]
-    rendered: str
-
 
 @dataclass(frozen=True)
 class Bindings:

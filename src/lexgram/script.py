@@ -29,8 +29,8 @@ from .errors import (
     NestedAlternation,
     ScriptSyntaxError,
     UnterminatedGroup,
-    read_text,
 )
+from .files import read_text
 from .tables import ENT_PREFIX, parse_structure_label
 
 # Tokens passed through to the realizer's symbol policy instead of being
@@ -229,9 +229,6 @@ class ScriptRule:
     label: str | None
     templates: tuple[Template, ...]
     line: int = 0
-
-    def applies_to(self, table_id: str) -> bool:
-        return self.tables is None or table_id in self.tables
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import SchemaViolation, ZeroInitial
-from .formats import RecordRow
-from .lexicon import PASS_ORDER, LexEntry, Origin
+from .model import PASS_ORDER, LexEntry, Origin, RecordRow
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,11 @@ from .errors import (
     UnknownCellToken,
     UnknownSlotSymbol,
     UnknownValueToken,
-    read_text,
 )
-from .issues import IssueKind, ValidationIssue
+from .files import read_text
+from .model import EMPTY_TOKEN, IssueKind, ValidationIssue, entry_id
 
 ENT_PREFIX = "<ENT>"
-EMPTY_TOKEN = "<E>"
 
 
 # =============================================================================
@@ -311,7 +310,7 @@ def validate_table(table: LgTable) -> list[ValidationIssue]:
     issues: list[ValidationIssue] = []
     component_cols = table.columns(FeatureKind.ENTRY_COMPONENT)
     for n, row in enumerate(table.rows, start=1):
-        row_id = f"{table.table_id}#{n}"
+        row_id = entry_id(table.table_id, n)
         if component_cols and not any(row[i] for i, _ in component_cols):
             issues.append(ValidationIssue(IssueKind.EMPTY_ENTRY, row_id, "all components empty"))
         for i, fdef in component_cols:

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from lexgram.errors import UnboundPlaceholder, UnknownSymbolicToken
-from lexgram.realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, SurfaceForm
+from lexgram.model import SurfaceForm
+from lexgram.realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules
 from lexgram.script import Group, Literal, Symbolic, Template, parse_template
 
 

@@ -21,8 +21,8 @@ from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho, l
 from lexgram.curation import canonical_key, curate, dedup
 from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_lexicon
-from lexgram.issues import IssueKind
-from lexgram.lexicon import Origin, generate_base
+from lexgram.lexicon import generate_base
+from lexgram.model import IssueKind, Origin
 from lexgram.realizer import Bindings, contract, elide, realize, render
 from lexgram.script import parse_script
 from lexgram.stats import compute_stats, percentage

@@ -36,7 +36,7 @@ from lexgram.formats import (
     save_lexicon,
 )
 from lexgram.realizer import load_morpho_rules
-from lexgram.script import load_script
+from lexgram.script import load_script, parse_script
 from lexgram.stats import recompute_stats
 from lexgram.tables import load_class_matrix, load_table
 from test_formats import _TEXT_MUTATIONS, _extended_corpus, mutate
@@ -766,7 +766,9 @@ def _unreachable_after_chain(directory: Path, table_ids: tuple[str, ...]) -> tup
     gc.disable()
     try:
         doc = import_text(export_lexicon(compile_corpus(directory, table_ids)))
-        result = run_pipeline(doc.entries, doc.script(), rules=load_fixture_morpho())
+        result = run_pipeline(
+            doc.entries, parse_script(doc.script_source, source="<embedded script>"), rules=load_fixture_morpho(),
+        )
         curate(result.entries)
         recompute_stats(result.entries, parse_records(written(export_records, result.records)))
         extended = LexiconDocument(result.entries, doc.table_ids, doc.script_source)

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from conftest import compile_corpus
 from lexgram.curation import canonical_key, curate, dedup, duplicate_issues, flag_suspicious, review_report
 from lexgram.formats import LexiconDocument, export_lexicon
-from lexgram.issues import IssueKind
-from lexgram.lexicon import LexEntry, Origin, Provenance
-from lexgram.realizer import SurfaceForm
+from lexgram.model import IssueKind, LexEntry, Origin, Provenance, SurfaceForm
 
 
 def _entry(entry_id: str, text: str, kind: Origin = Origin.BASE, parent: str | None = None) -> LexEntry:

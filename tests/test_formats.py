@@ -21,8 +21,9 @@ import corpusgen
 import text_reference
 import xml_reference
 from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, written
-from lexgram import errors, formats
-from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion, parse_file, read_chunks, read_text
+from lexgram import files, formats
+from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
+from lexgram.files import parse_file, read_chunks, read_text, writing
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
     RECORD_COLUMNS,
@@ -31,7 +32,6 @@ from lexgram.formats import (
     SECTION_CONSTRUCTIONS,
     SECTION_LEXICAL,
     LexiconDocument,
-    RecordRow,
     export_lexicon,
     export_records,
     export_text,
@@ -42,11 +42,20 @@ from lexgram.formats import (
     load_lexicon,
     parse_records,
     save_lexicon,
-    writing,
 )
-from lexgram.lexicon import PASS_TAGS, ArgumentSpec, LexEntry, Origin, Provenance, Selection, entry_id
-from lexgram.realizer import SurfaceForm
-from lexgram.tables import EMPTY_TOKEN
+from lexgram.model import (
+    EMPTY_TOKEN,
+    PASS_TAGS,
+    ArgumentSpec,
+    LexEntry,
+    Origin,
+    Provenance,
+    RecordRow,
+    Selection,
+    SurfaceForm,
+    entry_id,
+)
+from lexgram.script import parse_script
 
 
 def _extended_corpus():
@@ -879,7 +888,7 @@ _FIXTURE_FILES = {
 def test_load_lexicon_reads_what_the_whole_text_reads(tmp_path, monkeypatch, name, chunk):
     path = tmp_path / name
     path.write_text(_FIXTURE_FILES[name], encoding="utf-8")
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", chunk)
     assert load_lexicon(path) == import_lexicon(read_text(path))
 
 
@@ -893,7 +902,7 @@ def test_load_lexicon_reads_what_the_whole_text_reads(tmp_path, monkeypatch, nam
 def test_read_chunks_reads_what_a_text_mode_read_reads(tmp_path, monkeypatch, data, chunk):
     path = tmp_path / "input"
     path.write_bytes(data)
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", chunk)
     pieces = list(read_chunks(path))
     assert "" not in pieces
     assert "".join(pieces) == path.read_text(encoding="utf-8")
@@ -911,7 +920,7 @@ def test_a_byte_that_is_not_utf8_is_named_at_the_position_a_whole_decode_names(t
     path.write_bytes(data)
     with pytest.raises(UnicodeDecodeError) as whole:
         data.decode("utf-8")
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", chunk)
     with pytest.raises(SchemaViolation) as err:
         load_lexicon(path)
     assert str(err.value) == f"{path}: not UTF-8 text: {whole.value}"
@@ -925,7 +934,7 @@ def test_a_byte_that_is_not_utf8_is_named_at_the_position_a_whole_decode_names(t
 def test_a_byte_that_is_not_utf8_is_reported_before_an_earlier_fault(tmp_path, monkeypatch, read, text):
     path = tmp_path / "input"
     path.write_bytes(text.encode("utf-8") + b"\xff")
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 64)
     with pytest.raises(SchemaViolation, match="not UTF-8 text: .* in position"):
         read(path)
 
@@ -943,12 +952,12 @@ _XML_BODY = _FIXTURE_XML.decode("utf-8").split("\n", 1)[1]
 def test_load_lexicon_sniffs_past_chunks_of_whitespace(tmp_path, monkeypatch, text):
     path = tmp_path / "lexicon"
     path.write_text(text, encoding="utf-8")
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", 4)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 4)
     assert _read_outcome(load_lexicon, path) == _read_outcome(import_lexicon, read_text(path))
 
 
 def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, monkeypatch):
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", 64)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 64)
     path = tmp_path / "base.lgx.xml"
     messages = []
     for seed in range(40):
@@ -989,17 +998,17 @@ def large_doc(tmp_path_factory) -> LexiconDocument:
     pytest.param("large.lgx.xml", import_xml, id="large.lgx.xml"),
 ])
 def test_loading_from_disk_holds_a_few_chunks_beyond_the_document(tmp_path, monkeypatch, large_doc, name, reader):
-    monkeypatch.setattr(errors, "_CHUNK_BYTES", 1 << 16)
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 1 << 16)
     path = tmp_path / name
     save_lexicon(large_doc, path)
-    assert path.stat().st_size > 10 * errors._CHUNK_BYTES
+    assert path.stat().st_size > 10 * files._CHUNK_BYTES
     assert load_lexicon(path) == large_doc
     transient = _transient_bytes(path, load_lexicon)
     # A chunk's lines take about three times its bytes, and expat's buffer
     # up to twice a chunk.
-    assert transient < 8 * errors._CHUNK_BYTES
+    assert transient < 8 * files._CHUNK_BYTES
     # Sniffing the format holds no piece it read ahead through the parse.
-    assert transient <= _transient_bytes(path, lambda path: parse_file(path, reader)) + errors._CHUNK_BYTES // 4
+    assert transient <= _transient_bytes(path, lambda path: parse_file(path, reader)) + files._CHUNK_BYTES // 4
 
 
 # =============================================================================
@@ -1096,7 +1105,8 @@ def test_records_round_trip(tmp_path, corpus):
         rows = _extended_corpus()[1].records
     else:
         doc = _corpus_doc(tmp_path / "corpus", 20)
-        rows = run_pipeline(doc.entries, doc.script(), rules=load_fixture_morpho()).records
+        script = parse_script(doc.script_source, source="<embedded script>")
+        rows = run_pipeline(doc.entries, script, rules=load_fixture_morpho()).records
     assert any(row.status == "duplicate" for row in rows)
     assert parse_records(written(export_records, rows)) == rows
 

@@ -13,19 +13,8 @@ from lexgram.curation import dedup
 from lexgram.errors import LexgramError
 from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_text, import_xml
-from lexgram.lexicon import (
-    LexEntry,
-    Origin,
-    PASS_ORDER,
-    Provenance,
-    Selection,
-    check_script_bindings,
-    derive_arguments,
-    entry_id,
-    generate_base,
-    parse_entry_id,
-    structure_template,
-)
+from lexgram.lexicon import check_script_bindings, derive_arguments, generate_base, structure_template
+from lexgram.model import PASS_ORDER, LexEntry, Origin, Provenance, Selection, entry_id, parse_entry_id
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
 

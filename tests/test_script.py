@@ -25,7 +25,7 @@ from lexgram.script import (
     parse_template,
 )
 from lexgram.expansion import classify_substructure
-from lexgram.lexicon import Origin
+from lexgram.model import Origin
 from lexgram.tables import parse_structure_label
 
 
@@ -59,7 +59,7 @@ def test_wildcard_tables_parse_to_none():
     rule = _one_rule('* : "N0 V Adv W" => construction')
     assert rule.tables is None
     assert rule.templates == ()
-    assert rule.applies_to("ANYTHING")
+    assert rule.tables is None or "ANYTHING" in rule.tables
 
 
 def test_feature_id_may_contain_punctuation():
@@ -129,7 +129,7 @@ def _scanned_effective_rules(script: ExtractionScript, table_id: str) -> list[Sc
     """effective_rules as first written: a scan of every rule."""
     chosen: dict[str, ScriptRule] = {}
     for rule in script.rules:
-        if not rule.applies_to(table_id):
+        if rule.tables is not None and table_id not in rule.tables:
             continue
         prev = chosen.get(rule.feature_id)
         if prev is None or (prev.tables is None and rule.tables is not None):

@@ -9,7 +9,7 @@ from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, w
 from lexgram.errors import SchemaViolation, ZeroInitial
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
-from lexgram.lexicon import Origin
+from lexgram.model import Origin
 from lexgram.stats import StatsReport, compute_stats, percentage, recompute_stats, render_stats
 
 FULL_SCALE = {

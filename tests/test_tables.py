@@ -14,7 +14,7 @@ from lexgram.errors import (
     UnknownSlotSymbol,
     UnknownValueToken,
 )
-from lexgram.issues import IssueKind
+from lexgram.model import IssueKind
 from lexgram.tables import (
     FeatureKind,
     LgTable,

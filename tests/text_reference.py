@@ -30,9 +30,7 @@ from lexgram.formats import (
     _check_entry_ids,
     _unsent,
 )
-from lexgram.lexicon import ArgumentSpec, LexEntry, Origin, Provenance, Selection
-from lexgram.realizer import SurfaceForm
-from lexgram.tables import EMPTY_TOKEN
+from lexgram.model import EMPTY_TOKEN, ArgumentSpec, LexEntry, Origin, Provenance, Selection, SurfaceForm
 
 
 # =============================================================================

@@ -17,8 +17,7 @@ import xml.etree.ElementTree as ET
 
 from lexgram.errors import SchemaViolation, UnknownFormatVersion
 from lexgram.formats import FORMAT_VERSION, GENERATOR, LexiconDocument, _check_entry_ids
-from lexgram.lexicon import ArgumentSpec, LexEntry, Origin, Provenance, Selection
-from lexgram.realizer import SurfaceForm
+from lexgram.model import ArgumentSpec, LexEntry, Origin, Provenance, Selection, SurfaceForm
 
 
 def _surface_element(parent: ET.Element, tag: str, surface: SurfaceForm, **attrs: str) -> ET.Element:
