@@ -36,36 +36,10 @@ from .formats import (
 )
 from .lexicon import generate_base
 from .model import check_table_id
-from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules
+from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules, load_symbols
 from .script import parse_script
 from .stats import recompute_stats, render_stats
 from .tables import load_class_matrix, load_table, resolve_features, validate_table
-
-
-def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
-    """Symbol policy file: one ``token = rendering`` per line, # comments."""
-    symbols: dict[str, str] = {}
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        token, sep, value = line.partition("=")
-        if not sep or not token.strip() or not value.strip():
-            raise LexgramError(f"bad symbol line: {raw.strip()!r}", source, lineno)
-        symbols[token.strip()] = value.strip()
-    return symbols
-
-
-def _load_symbols(path: str | None):
-    if path is None:
-        return DEFAULT_SYMBOLS
-    return parse_symbols(read_text(path), str(path))
-
-
-def _load_morpho(path: str | None):
-    if path is None:
-        return DEFAULT_RULES
-    return load_morpho_rules(path)
 
 
 # =============================================================================
@@ -73,11 +47,15 @@ def _load_morpho(path: str | None):
 # =============================================================================
 
 def cmd_compile(args: argparse.Namespace) -> int:
+    try:
+        args.category.encode("utf-8")
+    except UnicodeEncodeError:  # argv bytes that are not UTF-8 decode to lone surrogates
+        raise LexgramError(f"--category {args.category!r} is not valid UTF-8") from None
     script_text = read_text(args.script)
     script = parse_script(script_text, source=str(args.script))
     matrix = load_class_matrix(args.classes)
-    morpho = _load_morpho(args.morpho)
-    symbols = _load_symbols(args.symbols)
+    morpho = DEFAULT_RULES if args.morpho is None else load_morpho_rules(args.morpho)
+    symbols = DEFAULT_SYMBOLS if args.symbols is None else load_symbols(args.symbols)
 
     tables = sorted((load_table(p) for p in args.tables), key=lambda t: t.table_id)
     seen: set[str] = set()
@@ -102,13 +80,13 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if args.records and _same_file(args.records, args.output):
         raise LexgramError(f"--records and -o name the same file: {args.records}")
     doc = load_lexicon(args.lexicon)
-    config = PassConfig.parse(args.passes) if args.passes else PassConfig()
+    config = PassConfig() if args.passes is None else PassConfig.parse(args.passes)
     result = run_pipeline(
         doc.entries,
         parse_script(doc.script_source, source="<embedded script>"),
         config,
-        _load_symbols(args.symbols),
-        _load_morpho(args.morpho),
+        DEFAULT_SYMBOLS if args.symbols is None else load_symbols(args.symbols),
+        DEFAULT_RULES if args.morpho is None else load_morpho_rules(args.morpho),
     )
     # The sidecar is written first but replaces its file last, after the
     # lexicon has replaced its target, so a refused or failed write of
@@ -258,10 +236,7 @@ def _run(argv: list[str] | None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except LexgramError as err:
-        print(f"lexgram: error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (LexgramError, OSError) as err:
         print(f"lexgram: error: {err}", file=sys.stderr)
         return 1
     except InternalInvariantError as err:

@@ -3,6 +3,13 @@
 Every error raised while reading user-supplied input derives from
 :class:`LexgramError` and can carry the offending file name and line number,
 so the command line tool can print ``file:line: message`` diagnostics.
+Each kind of input has one class: a ``.lgt`` table raises
+:class:`TableFormatError`, a ``.lgm`` class matrix :class:`MatrixFormatError`,
+a ``.lgs`` script :class:`ScriptSyntaxError`, a morpho-rule or symbol-policy
+file :class:`RealizationError`, and a lexicon or record sidecar
+:class:`SchemaViolation`.  An unknown component symbol raises
+:class:`UnknownSlotSymbol` whichever input names it.  A subclass exists only
+where code tells it apart from its kind.
 :class:`InternalInvariantError` is reserved for bugs: conditions the code
 asserts about its own output (it maps to a distinct process exit code).
 """
@@ -26,69 +33,22 @@ class LexgramError(Exception):
         super().__init__(message)
 
 
-# --- table files ------------------------------------------------------------
-
 class TableFormatError(LexgramError):
     pass
 
-
-class RowArityMismatch(TableFormatError):
-    pass
-
-
-class UnknownCellToken(TableFormatError):
-    pass
-
-
-class DuplicateFeatureId(TableFormatError):
-    pass
-
-
-class UnknownSlotSymbol(TableFormatError):
-    pass
-
-
-# --- class matrix -----------------------------------------------------------
 
 class MatrixFormatError(LexgramError):
     pass
 
 
-class UnknownValueToken(MatrixFormatError):
-    pass
-
-
-class DuplicateClassId(MatrixFormatError):
-    pass
-
-
-class InconsistentMatrix(MatrixFormatError):
-    pass
-
-
-# --- extraction script ------------------------------------------------------
-
 class ScriptSyntaxError(LexgramError):
     pass
 
 
-class NestedAlternation(ScriptSyntaxError):
-    pass
+class UnknownSlotSymbol(LexgramError):
+    """A component symbol outside the closed set, in a table header, a
+    script's structure label or an imported lexicon's slot."""
 
-
-class UnterminatedGroup(ScriptSyntaxError):
-    pass
-
-
-class DuplicateRule(ScriptSyntaxError):
-    pass
-
-
-class MalformedPlaceholder(ScriptSyntaxError):
-    pass
-
-
-# --- realization ------------------------------------------------------------
 
 class RealizationError(LexgramError):
     pass
@@ -102,14 +62,6 @@ class UnknownSymbolicToken(RealizationError):
     pass
 
 
-# --- statistics -------------------------------------------------------------
-
-class ZeroInitial(LexgramError):
-    pass
-
-
-# --- serialization ----------------------------------------------------------
-
 class SchemaViolation(LexgramError):
     pass
 
@@ -117,8 +69,6 @@ class SchemaViolation(LexgramError):
 class UnknownFormatVersion(SchemaViolation):
     pass
 
-
-# --- internal ---------------------------------------------------------------
 
 class InternalInvariantError(Exception):
     """An invariant the pipeline asserts about its own output was violated."""

@@ -45,7 +45,8 @@ class PassConfig:
     @classmethod
     def parse(cls, names: str) -> "PassConfig":
         """Build a config from a comma-separated list of pass names or tags
-        (``deletion`` and ``del`` both work)."""
+        (``deletion`` and ``del`` both work).  A list that names no pass is
+        refused."""
         chosen = set()
         for name in names.split(","):
             name = name.strip()
@@ -56,6 +57,8 @@ class PassConfig:
                 known = ", ".join(sorted(_PASS_BY_NAME))
                 raise LexgramError(f"unknown pass {name!r} (expected one of: {known})")
             chosen.add(origin)
+        if not chosen:
+            raise LexgramError(f"pass list {names!r} names no pass")
         return cls(frozenset(chosen))
 
 

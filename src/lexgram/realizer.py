@@ -6,8 +6,9 @@ a policy, then applies French morphophonology in a fixed order: contraction
 :class:`SurfaceForm` keeps both the substituted token list (before
 contraction, used by structural checks) and the rendered string.
 
-Rule tables are data: the built-in defaults can be replaced by a plain
-config file (see :func:`parse_morpho_rules`).
+Rule tables and the symbol policy are data: the built-in defaults can be
+replaced by plain config files (see :func:`parse_morpho_rules` and
+:func:`parse_symbols`).
 """
 
 from __future__ import annotations
@@ -106,6 +107,24 @@ def parse_morpho_rules(text: str, source: str | None = None) -> MorphoRules:
 
 def load_morpho_rules(path: str | Path) -> MorphoRules:
     return parse_morpho_rules(read_text(path), str(path))
+
+
+def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
+    """Symbol policy file: one ``token = rendering`` per line, # comments."""
+    symbols: dict[str, str] = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        token, sep, value = line.partition("=")
+        if not sep or not token.strip() or not value.strip():
+            raise RealizationError(f"bad symbol line: {raw.strip()!r}", source, lineno)
+        symbols[token.strip()] = value.strip()
+    return symbols
+
+
+def load_symbols(path: str | Path) -> dict[str, str]:
+    return parse_symbols(read_text(path), str(path))
 
 
 # =============================================================================

@@ -23,13 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (
-    DuplicateRule,
-    MalformedPlaceholder,
-    NestedAlternation,
-    ScriptSyntaxError,
-    UnterminatedGroup,
-)
+from .errors import ScriptSyntaxError
 from .files import read_text
 from .tables import ENT_PREFIX, parse_structure_label
 
@@ -142,10 +136,10 @@ def parse_template(source: str) -> Template:
         elif ch == "@":
             end = source.find("@", i + 1)
             if end < 0:
-                raise MalformedPlaceholder(f"unterminated placeholder in {source!r}")
+                raise ScriptSyntaxError(f"unterminated placeholder in {source!r}")
             name = source[i + 1:end].strip()
             if not name:
-                raise MalformedPlaceholder(f"empty placeholder in {source!r}")
+                raise ScriptSyntaxError(f"empty placeholder in {source!r}")
             component = name.startswith(ENT_PREFIX)
             if component:
                 name = name[len(ENT_PREFIX):].strip()
@@ -153,7 +147,7 @@ def parse_template(source: str) -> Template:
             i = end + 1
         elif ch == "(":
             if group_alts is not None:
-                raise NestedAlternation(f"nested alternation in {source!r}")
+                raise ScriptSyntaxError(f"nested alternation in {source!r}")
             group_alts = []
             current = []
             i += 1
@@ -165,7 +159,7 @@ def parse_template(source: str) -> Template:
             i += 1
         elif ch == ")":
             if group_alts is None:
-                raise UnterminatedGroup(f"unmatched ')' in {source!r}")
+                raise ScriptSyntaxError(f"unmatched ')' in {source!r}")
             close_alternative()
             parts.append(Group(tuple(group_alts)))
             group_alts = None
@@ -179,7 +173,7 @@ def parse_template(source: str) -> Template:
             current.append(Symbolic(word) if word in SYMBOLIC_TOKENS else Literal(word))
             i = j
     if group_alts is not None:
-        raise UnterminatedGroup(f"unterminated '(' in {source!r}")
+        raise ScriptSyntaxError(f"unterminated '(' in {source!r}")
     return Template(tuple(parts))
 
 
@@ -343,13 +337,13 @@ def parse_script(text: str, source: str | None = None) -> ExtractionScript:
                 parse_template(t) for t in re.findall(r'"([^"]*)"', template_field)
             )
         except ScriptSyntaxError as err:
-            raise type(err)(err.bare_message, source, lineno) from None
+            raise ScriptSyntaxError(err.bare_message, source, lineno) from None
         if action is not Action.CONSTRUCTION and not templates:
             raise ScriptSyntaxError(f"{action.value} requires at least one template", source, lineno)
 
         key = (tables_field, feature_id)
         if key in seen:
-            raise DuplicateRule(f"duplicate rule for {feature_id!r} on {tables_field!r}", source, lineno)
+            raise ScriptSyntaxError(f"duplicate rule for {feature_id!r} on {tables_field!r}", source, lineno)
         seen.add(key)
         rules.append(ScriptRule(feature_id, tables, action, label, templates, lineno))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import SchemaViolation, ZeroInitial
+from .errors import LexgramError, SchemaViolation
 from .model import PASS_ORDER, LexEntry, Origin, RecordRow
 
 
@@ -28,7 +28,7 @@ def percentage(added: int, initial: int) -> int:
     if added == 0:
         return 0
     if initial == 0:
-        raise ZeroInitial("cannot compute a percentage against an empty lexicon")
+        raise LexgramError("cannot compute a percentage against an empty lexicon")
     return (200 * added + initial) // (2 * initial)
 
 

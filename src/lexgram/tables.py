@@ -22,17 +22,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import (
-    DuplicateClassId,
-    DuplicateFeatureId,
-    InconsistentMatrix,
-    MatrixFormatError,
-    RowArityMismatch,
-    TableFormatError,
-    UnknownCellToken,
-    UnknownSlotSymbol,
-    UnknownValueToken,
-)
+from .errors import MatrixFormatError, TableFormatError, UnknownSlotSymbol
 from .files import read_text
 from .model import EMPTY_TOKEN, IssueKind, ValidationIssue, entry_id
 
@@ -146,7 +136,7 @@ def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
         if not fid:
             raise TableFormatError("empty feature id in header", source, 1)
         if fid in seen:
-            raise DuplicateFeatureId(f"duplicate feature id {fid!r}", source, 1)
+            raise TableFormatError(f"duplicate feature id {fid!r}", source, 1)
         seen.add(fid)
 
     raw_rows: list[tuple[int, list[str]]] = []
@@ -155,7 +145,7 @@ def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
             continue
         cells = [c.strip() for c in raw.rstrip("\n").split("\t")]
         if len(cells) != len(header):
-            raise RowArityMismatch(
+            raise TableFormatError(
                 f"row has {len(cells)} cells, header has {len(header)} columns", source, lineno
             )
         raw_rows.append((lineno, cells))
@@ -182,7 +172,7 @@ def parse_table(text: str, table_id: str, source: str | None = None) -> LgTable:
     for lineno, cells in raw_rows:
         for col, fid in lexical:
             if cells[col] in ("+", "-", ""):
-                raise UnknownCellToken(
+                raise TableFormatError(
                     f"cell {cells[col]!r} not allowed in lexical column {fid!r}", source, lineno
                 )
         rows.append(tuple("" if token == EMPTY_TOKEN else token for token in cells))
@@ -232,7 +222,7 @@ def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
     seen_f: set[str] = set()
     for fid in features:
         if fid in seen_f:
-            raise DuplicateFeatureId(f"duplicate feature id {fid!r}", source, 1)
+            raise MatrixFormatError(f"duplicate feature id {fid!r}", source, 1)
         seen_f.add(fid)
 
     classes: list[str] = []
@@ -245,10 +235,10 @@ def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
         if not class_id:
             raise MatrixFormatError("missing class id", source, lineno)
         if class_id in classes:
-            raise DuplicateClassId(f"duplicate class id {class_id!r}", source, lineno)
+            raise MatrixFormatError(f"duplicate class id {class_id!r}", source, lineno)
         values = tokens[1:]
         if len(values) > len(features):
-            raise RowArityMismatch(
+            raise MatrixFormatError(
                 f"row has {len(values)} cells, header has {len(features)} feature columns",
                 source, lineno,
             )
@@ -256,7 +246,7 @@ def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
         for fid, token in zip(features, values):  # short rows: missing cells stay undefined
             validity = _MATRIX_TOKENS.get(token)
             if validity is None:
-                raise UnknownValueToken(f"unknown matrix value {token!r}", source, lineno)
+                raise MatrixFormatError(f"unknown matrix value {token!r}", source, lineno)
             if validity is not Validity.UNDEFINED:
                 cells[(class_id, fid)] = validity
     return ClassMatrix(tuple(classes), tuple(features), cells)
@@ -274,7 +264,7 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
     columns.  Idempotent: features already present are left untouched.
     """
     if not matrix.has_class(table.table_id):
-        raise InconsistentMatrix(f"class {table.table_id!r} not found in the class matrix")
+        raise MatrixFormatError(f"class {table.table_id!r} not found in the class matrix")
 
     new_features = list(table.features)
     new_cells: list[str] = []
@@ -285,7 +275,7 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
         if table.has_feature(fid):
             continue
         if validity is Validity.PER_ENTRY:
-            raise InconsistentMatrix(
+            raise MatrixFormatError(
                 f"feature {fid!r} is per-entry for class {table.table_id!r} "
                 "but the table has no such column"
             )

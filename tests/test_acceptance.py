@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 import oracle
-from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import FIXTURES, compile_corpus, load_fixture_morpho, load_fixture_script
 from lexgram.curation import canonical_key, curate, dedup
 from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_lexicon

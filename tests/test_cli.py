@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import corpusgen
 import lexgram.cli
 from conftest import FIXTURES, TABLE_IDS, compile_corpus, load_fixture_morpho, written
-from lexgram.cli import main, parse_symbols
+from lexgram.cli import main
 from lexgram.curation import curate
 from lexgram.errors import InternalInvariantError, LexgramError
 from lexgram.expansion import run_pipeline
@@ -35,7 +35,7 @@ from lexgram.formats import (
     parse_records,
     save_lexicon,
 )
-from lexgram.realizer import load_morpho_rules
+from lexgram.realizer import load_morpho_rules, parse_symbols
 from lexgram.script import load_script, parse_script
 from lexgram.stats import recompute_stats
 from lexgram.tables import load_class_matrix, load_table
@@ -100,6 +100,20 @@ def test_compile_rejects_hash_in_table_id(tmp_path, capsys):
     ])
     assert code == 1
     assert "contains '#'" in capsys.readouterr().err
+
+
+def test_compile_rejects_a_category_that_is_not_utf8(tmp_path, capsys):
+    # argv bytes that are not UTF-8 reach main() as lone surrogates
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(FIXTURES / "extract.lgs"),
+        "--category", "\udcff",
+        "-o", str(tmp_path / "base.lgx"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "lexgram: error: --category '\\udcff' is not valid UTF-8\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_one(tmp_path):
@@ -269,6 +283,16 @@ def test_extend_unknown_pass_is_an_input_error(tmp_path):
     base = _compile(tmp_path)
     code, _, _ = _extend(tmp_path, base, extra=("--passes", "teleportation"))
     assert code == 1
+
+
+@pytest.mark.parametrize("passes", ["", ",", " "])
+def test_extend_refuses_a_pass_list_that_names_no_pass(tmp_path, capsys, passes):
+    base = _compile(tmp_path)
+    capsys.readouterr()
+    code, out, records = _extend(tmp_path, base, extra=("--passes", passes))
+    assert code == 1
+    assert capsys.readouterr().err == f"lexgram: error: pass list {passes!r} names no pass\n"
+    assert not out.exists() and not records.exists()
 
 
 def test_extend_pass_subset(tmp_path, capsys):

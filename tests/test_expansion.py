@@ -10,7 +10,7 @@ from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import generate_base
-from lexgram.model import Origin, PASS_ORDER
+from lexgram.model import Origin
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
 

@@ -9,13 +9,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import compile_corpus, fixture_path, load_fixture_morpho, load_fixture_script, written
-from lexgram.cli import parse_symbols
-from lexgram.errors import LexgramError
+from lexgram.errors import (
+    LexgramError,
+    MatrixFormatError,
+    RealizationError,
+    TableFormatError,
+    UnknownSlotSymbol,
+)
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
-from lexgram.realizer import DEFAULT_SYMBOLS, parse_morpho_rules
+from lexgram.realizer import DEFAULT_SYMBOLS, parse_morpho_rules, parse_symbols
 from lexgram.script import parse_script
-from lexgram.tables import parse_class_matrix, parse_table
+from lexgram.tables import parse_class_matrix, parse_table, resolve_features
 from test_formats import _TEXT_MUTATIONS, mutate
 
 
@@ -53,3 +58,20 @@ def test_parsers_read_mutated_input_or_raise_input_errors(name, seed):
         parse(mutate(text, random.Random(seed), _TEXT_MUTATIONS))
     except LexgramError:
         pass
+
+
+def test_each_kind_of_input_raises_its_own_class():
+    with pytest.raises(MatrixFormatError, match="duplicate feature id 'fa'"):
+        parse_class_matrix("class\tfa\tfa\nT\t+\t-\n")
+    with pytest.raises(MatrixFormatError, match="row has 2 cells, header has 1 feature columns"):
+        parse_class_matrix("class\tfa\nT\t+\t-\n")
+    table = parse_table("<ENT>C1\nnuit\n", "T")
+    with pytest.raises(MatrixFormatError, match="class 'T' not found"):
+        resolve_features(table, parse_class_matrix("class\tfa\nU\t+\n"))
+    with pytest.raises(MatrixFormatError, match="is per-entry for class 'T'"):
+        resolve_features(table, parse_class_matrix("class\tfa\nT\to\n"))
+    with pytest.raises(UnknownSlotSymbol) as err:
+        parse_table("<ENT>Verb\nmange\n", "T")
+    assert not isinstance(err.value, TableFormatError)
+    with pytest.raises(RealizationError, match=r"^bad\.sym:1: bad symbol line: 'x'$"):
+        parse_symbols("x\n", "bad.sym")

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
-from lexgram.errors import SchemaViolation, ZeroInitial
+from lexgram.errors import LexgramError, SchemaViolation
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
 from lexgram.model import Origin
@@ -30,7 +30,7 @@ def test_percentage_rounds_half_away_from_zero():
 
 
 def test_percentage_rejects_zero_initial():
-    with pytest.raises(ZeroInitial):
+    with pytest.raises(LexgramError, match="against an empty lexicon"):
         percentage(5, 0)
 
 
@@ -90,7 +90,7 @@ def test_compute_stats_zero_initial_without_additions():
 
 
 def test_compute_stats_zero_initial_with_additions_fails():
-    with pytest.raises(ZeroInitial):
+    with pytest.raises(LexgramError, match="against an empty lexicon"):
         compute_stats(0, {Origin.DELETION: 1})
 
 
