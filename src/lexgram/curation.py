@@ -175,7 +175,8 @@ def curate(
     duplicate issues first, then each survivor's flags in survivor order.
     """
     survivors, duplicates = dedup(entries)
-    issues = duplicate_issues(duplicates, {e.entry_id: e for e in entries})
+    # Only a removal needs the entries by id; extend's output has none.
+    issues = duplicate_issues(duplicates, {e.entry_id: e for e in entries} if duplicates else {})
     for entry in survivors:
         issues.extend(flag_suspicious(entry))
     return survivors, duplicates, issues

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import io
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,6 +76,81 @@ def _check_entry_ids(entries: list[LexEntry]) -> None:
         if entry.entry_id in seen:
             raise SchemaViolation(f"duplicate entry id {entry.entry_id!r}")
         seen.add(entry.entry_id)
+
+
+_SURFACE_OF_PAIR = operator.itemgetter(1)
+
+
+def _parent_surfaces(parent: LexEntry, kind: Origin) -> Iterable[SurfaceForm]:
+    """The surfaces of *parent* that hold those of its variants of pass *kind*."""
+    if kind is Origin.PARAPHRASE_DIRECT or kind is Origin.PARAPHRASE_CONSTRUCTION:
+        return parent.paraphrases
+    if kind is Origin.INTENSIFICATION:
+        return parent.intensified
+    return map(_SURFACE_OF_PAIR, parent.other_structures)
+
+
+def _entry(
+    bases: dict[str, LexEntry],
+    entry_id: str,
+    table_id: str,
+    category: str,
+    surface: SurfaceForm,
+    components: dict[str, str],
+    aux: dict[str, str],
+    paraphrases: tuple[SurfaceForm, ...],
+    other_structures: tuple[tuple[str, SurfaceForm], ...],
+    intensified: tuple[SurfaceForm, ...],
+    arguments: tuple[ArgumentSpec, ...],
+    construction_ids: tuple[str, ...],
+    internal_structures: tuple[str, ...],
+    binary_features: dict[str, bool],
+    provenance: Provenance,
+    cross_refs: tuple[str, ...],
+) -> LexEntry:
+    """The entry a reader read, sharing what ``extend`` shares.
+
+    *bases* indexes the base entries read so far by id, and a base entry
+    joins it.  A variant whose parent is there takes, of what equals its
+    parent's, the parent's own objects: its surface (one of the parent's
+    surfaces of the variant's pass), binary features, arguments and kept
+    component texts.  The readers pass each token and cell text of an
+    entry through one table of the entry's words, so within an entry equal
+    words are one string.  Besides the readers' tables of names, *bases* is
+    the only table that spans entries.
+    """
+    parent_id = provenance.parent
+    if parent_id is None:
+        entry = bases[entry_id] = LexEntry(
+            entry_id, table_id, category, surface, components, aux, paraphrases, other_structures,
+            intensified, arguments, construction_ids, internal_structures, binary_features, provenance,
+            cross_refs,
+        )
+        return entry
+    parent = bases.get(parent_id)
+    if parent is not None:
+        rendered, tokens = surface.rendered, surface.tokens
+        for own in _parent_surfaces(parent, provenance.kind):
+            if own.rendered == rendered and own.tokens == tokens:
+                surface = own
+                break
+        # in the same order too, so that the entry writes the same lines
+        parent_features = parent.binary_features
+        if binary_features == parent_features and list(binary_features) == list(parent_features):
+            binary_features = parent_features
+        if arguments == parent.arguments:
+            arguments = parent.arguments
+        if components:
+            kept_texts = parent.components
+            for slot, text in components.items():
+                kept = kept_texts.get(slot)
+                if kept == text:
+                    components[slot] = kept
+    return LexEntry(
+        entry_id, table_id, category, surface, components, aux, paraphrases, other_structures,
+        intensified, arguments, construction_ids, internal_structures, binary_features, provenance,
+        cross_refs,
+    )
 
 
 # =============================================================================
@@ -249,11 +325,14 @@ def _malformed(line: str) -> SchemaViolation:
     return SchemaViolation(f"malformed line: {line!r}")
 
 
-def _read_surface(fields: list[str]) -> SurfaceForm:
-    """The surface on a line split at tabs: keyword or label, rendered form, tokens."""
+def _read_surface(fields: list[str], words: Callable[[str, str], str]) -> SurfaceForm:
+    """The surface on a line split at tabs: keyword or label, rendered form,
+    tokens; each token goes through *words*, the entry's table of words."""
     if len(fields) != 3:
         raise SchemaViolation(f"malformed surface fields: {fields[1:]!r}")
-    return SurfaceForm(tuple(_unsent(fields[2]).split()), _unsent(fields[1]))
+    rendered, text = fields[1], fields[2]
+    tokens = [] if text == EMPTY_TOKEN else text.split()
+    return SurfaceForm(tuple(map(words, tokens, tokens)), "" if rendered == EMPTY_TOKEN else rendered)
 
 
 def _read_provenance(fields: list[str], share: Callable[[str, str], str]) -> Provenance:
@@ -289,9 +368,14 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
 
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
-    one string.
+    one string.  Each entry is built by :func:`_entry`, and its tokens and
+    cell texts go through a table of its words, dropped at the block's end.
+    A variant's surface line that reads as one of its parent's surfaces,
+    when the provenance line came first, is that surface without a split.
     """
     share = {}.setdefault
+    words = {}.setdefault
+    bases: dict[str, LexEntry] = {}
     memo: dict[str, tuple] = {}
     entries: list[LexEntry] = []
     in_block = False
@@ -320,12 +404,13 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                         ) if value is None
                     ]
                     raise SchemaViolation(f"entry block missing {', '.join(missing)}")
-                entries.append(LexEntry(
-                    entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
+                entries.append(_entry(
+                    bases, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
                     tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
                     tuple(internal), features, provenance, tuple(cross_refs),
                 ))
                 in_block = False
+                words = {}.setdefault
                 entry_id = table_id = category = provenance = surface = None
                 components, aux, features = {}, {}, {}
                 paraphrases, other_structures, intensified, arguments = [], [], [], []
@@ -337,7 +422,7 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                 if len(fields) != 3:
                     raise _malformed(line)
                 text = fields[2]
-                components[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
+                components[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else words(text, text)
             elif keyword == "entry":
                 if len(fields) != 2:
                     raise _malformed(line)
@@ -347,20 +432,31 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                 if provenance.parent is None:
                     memo[line] = _PROVENANCE, None, provenance
             elif keyword == "surface":
-                surface = _read_surface(fields)
+                surface = None
+                parent = None if provenance is None else bases.get(provenance.parent)
+                if parent is not None and len(fields) == 3:
+                    # The parent's tokens were split from its lines, so a
+                    # match of the joined tokens is a match of the split.
+                    rendered, tokens = _unsent(fields[1]), _unsent(fields[2])
+                    for own in _parent_surfaces(parent, provenance.kind):
+                        if own.rendered == rendered and " ".join(own.tokens) == tokens:
+                            surface = own
+                            break
+                if surface is None:
+                    surface = _read_surface(fields, words)
             elif keyword == "paraphrase":
-                paraphrases.append(_read_surface(fields))
+                paraphrases.append(_read_surface(fields, words))
             elif keyword == "other-structure":
                 if len(fields) != 4:
                     raise _malformed(line)
-                other_structures.append((share(fields[1], fields[1]), _read_surface(fields[1:])))
+                other_structures.append((share(fields[1], fields[1]), _read_surface(fields[1:], words)))
             elif keyword == "aux":
                 if len(fields) != 3:
                     raise _malformed(line)
                 text = fields[2]
-                aux[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else text
+                aux[share(fields[1], fields[1])] = "" if text == EMPTY_TOKEN else words(text, text)
             elif keyword == "intensified":
-                intensified.append(_read_surface(fields))
+                intensified.append(_read_surface(fields, words))
             elif keyword == "cross-ref":
                 if len(fields) != 2:
                     raise _malformed(line)
@@ -390,21 +486,24 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
             if hit is None:
                 in_block = True
                 continue
+        # the codes in the order of how many lines of a lexicon hold them
         code, name, value = hit
         if code == _FEATURE:
             features[name] = value
-        elif code == _INTERNAL:
-            internal.append(name)
-        elif code == _CONSTRUCTION:
-            constructions.append(name)
-        elif code == _ARGUMENT:
-            arguments.append(value)
+        elif code == _SECTION:
+            pass
         elif code == _TABLE:
             table_id = name
         elif code == _CATEGORY:
             category = name
+        elif code == _INTERNAL:
+            internal.append(name)
+        elif code == _CONSTRUCTION:
+            constructions.append(name)
         elif code == _PROVENANCE:
             provenance = value
+        elif code == _ARGUMENT:
+            arguments.append(value)
         in_block = True
     return entries
 
@@ -514,13 +613,16 @@ def import_text(source: str | Iterable[str]) -> LexiconDocument:
 # spaces per level, with ``<tag attrs />`` for an element that has neither
 # children nor text: the layout of ElementTree's ``indent``, so that a
 # lexicon keeps the bytes earlier releases wrote.  Each entry's lines are
-# f-strings joined once and checked once for what XML cannot carry.  Names
-# repeat across entries, so each export escapes each name (slot, column,
-# label, feature id, category, table id, provenance feature and template)
-# once and builds the two ``<feature>`` lines of a feature id once; values
-# are escaped where they stand.  The reader is a single expat pass that
-# holds the nodes of the open elements, keeps text only for the elements
-# whose text it reads, and builds each entry when its ``</entry>`` closes.
+# f-strings joined once.  Names repeat across entries, so each export
+# escapes each name (slot, column, label, feature id, category, table id,
+# provenance feature and template) once and builds the two ``<feature>``
+# lines of a feature id once; values are escaped where they stand.  Each
+# name and value is checked for what XML cannot carry where it is escaped,
+# in the order the block lays them out, so the character named is the
+# block's first; the markup is the writer's own and needs no check.  The
+# reader is a single expat pass that holds the nodes of the open elements,
+# keeps text only for the elements whose text it reads, and builds each
+# entry when its ``</entry>`` closes.
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -528,8 +630,18 @@ _XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 _XML_UNWRITABLE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+class _NotXml(Exception):
+    """The first character of a field that no XML escape can carry."""
+
+
 def _xml_text(text: str) -> str:
-    """Escape element text; a raw ``\\r`` would be read back as ``\\n``."""
+    """Escape element text; a raw ``\\r`` would be read back as ``\\n``.
+    Raises _NotXml for a character XML 1.0 cannot carry: every such
+    character is one that ``str.isprintable`` refuses."""
+    if not text.isprintable():
+        bad = _XML_UNWRITABLE.search(text)
+        if bad is not None:
+            raise _NotXml(bad.group())
     if "&" in text:
         text = text.replace("&", "&amp;")
     if "<" in text:
@@ -570,6 +682,7 @@ def _xml_entry(entry: LexEntry, names: _Memo, feature_lines: _Memo) -> str:
     """The lines of *entry*, each ending with a newline; *names* holds the
     escaped form of each name, *feature_lines* the two ``<feature>`` lines
     of each feature id."""
+    head = f'    <entry id="{_xml_attr(entry.entry_id)}" table="{names[entry.table_id]}">'
     p = entry.provenance
     provenance = f'      <provenance kind="{p.kind.value}"'
     if p.parent is not None:
@@ -578,7 +691,7 @@ def _xml_entry(entry: LexEntry, names: _Memo, feature_lines: _Memo) -> str:
         provenance += f' feature="{names[p.feature_id]}"'
     if p.template is not None:
         provenance += f' template="{names[p.template]}"'
-    parts = [f'    <entry id="{_xml_attr(entry.entry_id)}" table="{names[entry.table_id]}">', provenance + " />"]
+    parts = [head, provenance + " />"]
     _add_xml_surface(parts, "      ", "surface", entry.surface)
     lexical = f'      <lexical-information category="{names[entry.category]}"'
     if entry.components or entry.aux or entry.paraphrases or entry.other_structures or entry.intensified:
@@ -634,8 +747,8 @@ def _xml_entry(entry: LexEntry, names: _Memo, feature_lines: _Memo) -> str:
     return "\n".join(parts)
 
 
-def _xml_unwritable(where: str, bad: re.Match) -> SchemaViolation:
-    return SchemaViolation(f"{where} holds U+{ord(bad.group()):04X}, which XML 1.0 cannot carry")
+def _xml_unwritable(where: str, err: _NotXml) -> SchemaViolation:
+    return SchemaViolation(f"{where} holds U+{ord(err.args[0]):04X}, which XML 1.0 cannot carry")
 
 
 def export_xml(doc: LexiconDocument, out: TextIO) -> None:
@@ -643,32 +756,32 @@ def export_xml(doc: LexiconDocument, out: TextIO) -> None:
     Raises SchemaViolation, naming the entry, for a character XML 1.0
     cannot carry: a control character other than tab, newline and carriage
     return, a lone surrogate, U+FFFE or U+FFFF."""
-    bad = _XML_UNWRITABLE.search(doc.script_source)
-    if bad is not None:
-        raise _xml_unwritable("the embedded script", bad)
-    tables = [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids]
+    try:
+        script = _xml_text(doc.script_source)
+    except _NotXml as err:
+        raise _xml_unwritable("the embedded script", err) from None
+    try:
+        generator = _xml_attr(doc.generator)
+        tables = [f'    <table id="{_xml_attr(t)}" />' for t in doc.table_ids]
+    except _NotXml as err:
+        raise _xml_unwritable("the document header", err) from None
     head = [
         _XML_DECLARATION,
-        f'<lexicon version="{FORMAT_VERSION}" generator="{_xml_attr(doc.generator)}" '
-        f'script-sha256="{doc.script_sha256}">',
+        f'<lexicon version="{FORMAT_VERSION}" generator="{generator}" script-sha256="{doc.script_sha256}">',
         *(["  <tables>", *tables, "  </tables>"] if tables else ["  <tables />"]),
-        f"  <script>{_xml_text(doc.script_source)}</script>" if doc.script_source else "  <script />",
+        f"  <script>{script}</script>" if script else "  <script />",
         f'  <entries count="{len(doc.entries)}">\n' if doc.entries else '  <entries count="0" />\n</lexicon>\n',
     ]
-    text = "\n".join(head)
-    bad = _XML_UNWRITABLE.search(text)
-    if bad is not None:
-        raise _xml_unwritable("the document header", bad)
-    out.write(text)
+    out.write("\n".join(head))
     names = _Memo(_xml_attr)
     feature_lines = _Memo(lambda fid: (
         f'        <feature id="{names[fid]}" value="-" />', f'        <feature id="{names[fid]}" value="+" />',
     ))
     for entry in doc.entries:
-        block = _xml_entry(entry, names, feature_lines)
-        bad = _XML_UNWRITABLE.search(block)
-        if bad is not None:
-            raise _xml_unwritable(f"entry {entry.entry_id!r}", bad)
+        try:
+            block = _xml_entry(entry, names, feature_lines)
+        except _NotXml as err:
+            raise _xml_unwritable(f"entry {entry.entry_id!r}", err) from None
         out.write(block)
     if doc.entries:
         out.write("  </entries>\n</lexicon>\n")
@@ -708,19 +821,24 @@ def _lacks(entry_id: str, tag: str, name: str) -> SchemaViolation:
     return SchemaViolation(f"entry {entry_id!r}: <{tag}> element lacks the {name!r} attribute")
 
 
-def _node_surface(entry_id: str, node: tuple) -> SurfaceForm:
+def _node_surface(entry_id: str, node: tuple, words: Callable[[str, str], str]) -> SurfaceForm:
+    """The surface a surface node holds; each token goes through *words*,
+    the entry's table of words."""
     tag, attrs, _, children = node
     rendered = attrs.get("rendered")
     if rendered is None:
         raise _lacks(entry_id, tag, "rendered")
-    return SurfaceForm(tuple(["".join(chunks) for tag, _, chunks, _ in children if tag == "token"]), rendered)
+    tokens = ["".join(chunks) for tag, _, chunks, _ in children if tag == "token"]
+    return SurfaceForm(tuple(map(words, tokens, tokens)), rendered)
 
 
-def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
-    """The entry an ``<entry>`` node holds.  Each child dispatches on its
-    tag; of ``provenance``, ``surface`` and ``lexical-information`` the
-    first counts, and any other tag is ignored with what it holds.  Every
-    name goes through *share*, the reader's table of shared names.
+def _node_entry(node: tuple, share: Callable[[str, str], str], bases: dict[str, LexEntry]) -> LexEntry:
+    """The entry an ``<entry>`` node holds, built by :func:`_entry` with
+    *bases*.  Each child dispatches on its tag; of ``provenance``,
+    ``surface`` and ``lexical-information`` the first counts, and any other
+    tag is ignored with what it holds.  Every name goes through *share*, the
+    reader's table of shared names, and each token and cell text through a
+    table of the entry's words.
 
     Valid input takes the fast path (``.get`` and the ``_ORIGINS`` and
     ``_SELECTIONS`` tables); on a failure the full check runs and raises
@@ -732,6 +850,7 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             if name not in attrs:
                 raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
     category = provenance = surface = None
+    words = {}.setdefault
     components: dict[str, str] = {}
     aux: dict[str, str] = {}
     features: dict[str, bool] = {}
@@ -755,21 +874,23 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
                     slot = item_attrs.get("slot")
                     if slot is None:
                         raise _lacks(entry_id, tag, "slot")
-                    components[share(slot, slot)] = "".join(chunks)
+                    text = "".join(chunks)
+                    components[share(slot, slot)] = words(text, text)
                 elif tag == "aux":
                     column = item_attrs.get("column")
                     if column is None:
                         raise _lacks(entry_id, tag, "column")
-                    aux[share(column, column)] = "".join(chunks)
+                    text = "".join(chunks)
+                    aux[share(column, column)] = words(text, text)
                 elif tag == "paraphrase":
-                    paraphrases.append(_node_surface(entry_id, item))
+                    paraphrases.append(_node_surface(entry_id, item, words))
                 elif tag == "other-structure":
                     label = item_attrs.get("label")
                     if label is None:
                         raise _lacks(entry_id, tag, "label")
-                    other_structures.append((share(label, label), _node_surface(entry_id, item)))
+                    other_structures.append((share(label, label), _node_surface(entry_id, item, words)))
                 elif tag == "intensified":
-                    intensified.append(_node_surface(entry_id, item))
+                    intensified.append(_node_surface(entry_id, item, words))
         elif tag == "features":
             for tag, item_attrs, _, _ in grandchildren:
                 if tag != "feature":
@@ -803,7 +924,7 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
                     raise SchemaViolation(f"bad argument: {err}") from None
         elif tag == "surface":
             if surface is None:
-                surface = _node_surface(entry_id, child)
+                surface = _node_surface(entry_id, child, words)
         elif tag == "provenance":
             if provenance is not None:
                 continue
@@ -820,8 +941,8 @@ def _node_entry(node: tuple, share: Callable[[str, str], str]) -> LexEntry:
             cross_refs.extend("".join(chunks) for tag, _, chunks, _ in grandchildren if tag == "cross-ref")
     if provenance is None or surface is None or category is None:
         raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
-    return LexEntry(
-        entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
+    return _entry(
+        bases, entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
         tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
         tuple(internal), features, provenance, tuple(cross_refs),
     )
@@ -845,6 +966,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     stack = [document]
     entries: list[LexEntry] = []
     share = {}.setdefault
+    bases: dict[str, LexEntry] = {}
     declared_count: int | None = None
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
@@ -872,7 +994,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
         if tag in _XML_TEXT_TAGS:
             parser.CharacterDataHandler = None
         if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
-            entries.append(_node_entry(node, share))
+            entries.append(_node_entry(node, share, bases))
             stack[2][3].pop()
 
     parser.StartElementHandler = start
