@@ -46,36 +46,43 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
     never merge; they are review material, not citation forms.
     """
     keys: dict[str, str] = {}  # rendered surface -> its key; most duplicates repeat a surface
-    groups: dict[str, list[int]] = {}  # key -> positions in entries
+    # key -> its position in entries, or the list of its positions once it repeats
+    index: dict[str, int | list[int]] = {}
     for position, entry in enumerate(entries):
         rendered = entry.surface.rendered
         key = keys.get(rendered)
         if key is None:
-            key = keys[rendered] = canonical_key(rendered)
+            key = canonical_key(rendered)
+            if key == rendered:  # most surfaces are their own key: hold one string
+                key = rendered
+            keys[rendered] = key
         if key:
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [position]
+            held = index.get(key)
+            if held is None:
+                index[key] = position
+            elif held.__class__ is int:
+                index[key] = [held, position]
             else:
-                group.append(position)
+                held.append(position)
 
-    removed_positions: set[int] = set()
+    removed_at = bytearray(len(entries))  # 1 at the position of each removed entry
     merged: dict[int, LexEntry] = {}  # position of a survivor -> the survivor with its cross_refs
     duplicates: list[DuplicateRecord] = []
-    for key, group in groups.items():
-        if len(group) < 2:
+    for key, group in index.items():
+        if group.__class__ is int:
             continue
         kept = min(group, key=lambda position: (entries[position].sort_rank(), position))
         removed = tuple(entries[position].entry_id for position in group if position != kept)
         merged[kept] = _with_cross_refs(entries[kept], removed)
-        removed_positions.update(group)
-        removed_positions.discard(kept)
+        for position in group:
+            removed_at[position] = 1
+        removed_at[kept] = 0
         duplicates.append(DuplicateRecord(entries[kept].entry_id, removed, key))
 
     survivors = [
         merged.get(position, entry)
         for position, entry in enumerate(entries)
-        if position not in removed_positions
+        if not removed_at[position]
     ]
     return survivors, duplicates
 

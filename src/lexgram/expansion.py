@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .curation import dedup
 from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
-from .model import PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, RecordRow, parse_entry_id
+from .model import EMPTY_CELLS, PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, RecordRow, parse_entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
 from .stats import StatsReport, compute_stats, tally
@@ -158,7 +158,7 @@ def expand_entry(
             if label not in structures:
                 structures.append(label)
         # a deletion or permutation keeps exactly the slots its structure names
-        components = {slot: entry.components.get(slot, "") for slot in step.kept_slots}
+        components = {slot: entry.components.get(slot, "") for slot in step.kept_slots} or EMPTY_CELLS
         for flat in step.flats:
             try:
                 surface = realize(flat, bindings, symbols, rules)
@@ -179,7 +179,7 @@ def expand_entry(
                 category=entry.category,
                 surface=surface,
                 components=components,
-                aux={},
+                aux=EMPTY_CELLS,
                 arguments=entry.arguments,
                 construction_ids=step.construction_ids,
                 internal_structures=step.internal_structures,
@@ -269,8 +269,8 @@ def run_pipeline(
         )
 
     records = [record(variant) for variant in variants]
-    parent_by_id = {parent.entry_id: parent for parent in parents}
-    records.extend(record(parent_by_id[removed_id]) for removed_id in kept_for if removed_id in parent_by_id)
+    removed_parents = {parent.entry_id: parent for parent in parents if parent.entry_id in kept_for}
+    records.extend(record(removed_parents[removed_id]) for removed_id in kept_for if removed_id in removed_parents)
 
     added, removed, _ = tally(records)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)

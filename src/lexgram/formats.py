@@ -27,6 +27,7 @@ from xml.parsers import expat
 from .errors import SchemaViolation, UnknownFormatVersion
 from .files import parse_file, writing
 from .model import (
+    EMPTY_CELLS,
     EMPTY_TOKEN,
     PASS_TAGS,
     ArgumentSpec,
@@ -90,8 +91,15 @@ def _parent_surfaces(parent: LexEntry, kind: Origin) -> Iterable[SurfaceForm]:
     return map(_SURFACE_OF_PAIR, parent.other_structures)
 
 
+def _parent_id(bases: dict[str, LexEntry], parent_id: str | None) -> str | None:
+    """The parent's own id string if the parent was read, else *parent_id*."""
+    parent = bases.get(parent_id)
+    return parent_id if parent is None else parent.entry_id
+
+
 def _entry(
     bases: dict[str, LexEntry],
+    tuples: Callable[[tuple, tuple], tuple],
     entry_id: str,
     table_id: str,
     category: str,
@@ -113,22 +121,21 @@ def _entry(
     *bases* indexes the base entries read so far by id, and a base entry
     joins it.  A variant whose parent is there takes, of what equals its
     parent's, the parent's own objects: its surface (one of the parent's
-    surfaces of the variant's pass), binary features, arguments and kept
-    component texts.  The readers pass each token and cell text of an
-    entry through one table of the entry's words, so within an entry equal
-    words are one string.  Besides the readers' tables of names, *bases* is
-    the only table that spans entries.
+    surfaces of the variant's pass), binary features and kept component
+    texts; the readers already gave its provenance the parent's id string.
+    *tuples* is the read's table of arguments and internal-structure
+    tuples, so equal ones are one tuple; a variant's arguments equal to
+    its parent's are the parent's without a lookup.  An entry with no component or aux cell holds EMPTY_CELLS.
+    The readers pass each token and cell text of an entry through one table
+    of the entry's words, so within an entry equal words are one string.
+    Besides the readers' tables of names, *bases* and *tuples* are the only
+    tables that span entries.
     """
-    parent_id = provenance.parent
-    if parent_id is None:
-        entry = bases[entry_id] = LexEntry(
-            entry_id, table_id, category, surface, components, aux, paraphrases, other_structures,
-            intensified, arguments, construction_ids, internal_structures, binary_features, provenance,
-            cross_refs,
-        )
-        return entry
-    parent = bases.get(parent_id)
-    if parent is not None:
+    internal_structures = tuples(internal_structures, internal_structures)
+    parent = bases.get(provenance.parent)
+    if parent is None:
+        arguments = tuples(arguments, arguments)
+    else:
         rendered, tokens = surface.rendered, surface.tokens
         for own in _parent_surfaces(parent, provenance.kind):
             if own.rendered == rendered and own.tokens == tokens:
@@ -138,19 +145,21 @@ def _entry(
         parent_features = parent.binary_features
         if binary_features == parent_features and list(binary_features) == list(parent_features):
             binary_features = parent_features
-        if arguments == parent.arguments:
-            arguments = parent.arguments
+        arguments = parent.arguments if arguments == parent.arguments else tuples(arguments, arguments)
         if components:
             kept_texts = parent.components
             for slot, text in components.items():
                 kept = kept_texts.get(slot)
                 if kept == text:
                     components[slot] = kept
-    return LexEntry(
-        entry_id, table_id, category, surface, components, aux, paraphrases, other_structures,
-        intensified, arguments, construction_ids, internal_structures, binary_features, provenance,
-        cross_refs,
+    entry = LexEntry(
+        entry_id, table_id, category, surface, components or EMPTY_CELLS, aux or EMPTY_CELLS, paraphrases,
+        other_structures, intensified, arguments, construction_ids, internal_structures, binary_features,
+        provenance, cross_refs,
     )
+    if provenance.parent is None:
+        bases[entry_id] = entry
+    return entry
 
 
 # =============================================================================
@@ -335,7 +344,9 @@ def _read_surface(fields: list[str], words: Callable[[str, str], str]) -> Surfac
     return SurfaceForm(tuple(map(words, tokens, tokens)), "" if rendered == EMPTY_TOKEN else rendered)
 
 
-def _read_provenance(fields: list[str], share: Callable[[str, str], str]) -> Provenance:
+def _read_provenance(
+    fields: list[str], share: Callable[[str, str], str], bases: dict[str, LexEntry],
+) -> Provenance:
     if len(fields) != 5:
         raise SchemaViolation(f"malformed provenance fields: {fields[1:]!r}")
     kind = _ORIGINS.get(fields[1])
@@ -344,7 +355,7 @@ def _read_provenance(fields: list[str], share: Callable[[str, str], str]) -> Pro
     feature_id, template = _unsent(fields[3]), _unsent(fields[4])
     try:
         return Provenance(
-            kind, _unsent(fields[2]) or None,
+            kind, _parent_id(bases, _unsent(fields[2]) or None),
             share(feature_id, feature_id) if feature_id else None,
             share(template, template) if template else None,
         )
@@ -368,12 +379,15 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
 
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
-    one string.  Each entry is built by :func:`_entry`, and its tokens and
-    cell texts go through a table of its words, dropped at the block's end.
-    A variant's surface line that reads as one of its parent's surfaces,
+    one string.  Each entry is built by :func:`_entry` with the read's
+    table of tuples, and its tokens and cell texts go through a table of
+    its words, dropped at the block's end.  The provenance of a variant
+    whose parent came first holds the parent's own id string.  A
+    variant's surface line that reads as one of its parent's surfaces,
     when the provenance line came first, is that surface without a split.
     """
     share = {}.setdefault
+    tuples = {}.setdefault
     words = {}.setdefault
     bases: dict[str, LexEntry] = {}
     memo: dict[str, tuple] = {}
@@ -405,7 +419,7 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                     ]
                     raise SchemaViolation(f"entry block missing {', '.join(missing)}")
                 entries.append(_entry(
-                    bases, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
+                    bases, tuples, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
                     tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
                     tuple(internal), features, provenance, tuple(cross_refs),
                 ))
@@ -428,7 +442,7 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                     raise _malformed(line)
                 entry_id = fields[1]
             elif keyword == "provenance":
-                provenance = _read_provenance(fields, share)
+                provenance = _read_provenance(fields, share, bases)
                 if provenance.parent is None:
                     memo[line] = _PROVENANCE, None, provenance
             elif keyword == "surface":
@@ -832,9 +846,14 @@ def _node_surface(entry_id: str, node: tuple, words: Callable[[str, str], str]) 
     return SurfaceForm(tuple(map(words, tokens, tokens)), rendered)
 
 
-def _node_entry(node: tuple, share: Callable[[str, str], str], bases: dict[str, LexEntry]) -> LexEntry:
+def _node_entry(
+    node: tuple,
+    share: Callable[[str, str], str],
+    bases: dict[str, LexEntry],
+    tuples: Callable[[tuple, tuple], tuple],
+) -> LexEntry:
     """The entry an ``<entry>`` node holds, built by :func:`_entry` with
-    *bases*.  Each child dispatches on its tag; of ``provenance``,
+    *bases* and *tuples*.  Each child dispatches on its tag; of ``provenance``,
     ``surface`` and ``lexical-information`` the first counts, and any other
     tag is ignored with what it holds.  Every name goes through *share*, the
     reader's table of shared names, and each token and cell text through a
@@ -931,7 +950,8 @@ def _node_entry(node: tuple, share: Callable[[str, str], str], bases: dict[str, 
             feature_id, template = child_attrs.get("feature"), child_attrs.get("template")
             try:
                 provenance = Provenance(
-                    _ORIGINS.get(child_attrs.get("kind")) or Origin(child_attrs["kind"]), child_attrs.get("parent"),
+                    _ORIGINS.get(child_attrs.get("kind")) or Origin(child_attrs["kind"]),
+                    _parent_id(bases, child_attrs.get("parent")),
                     None if feature_id is None else share(feature_id, feature_id),
                     None if template is None else share(template, template),
                 )
@@ -942,7 +962,7 @@ def _node_entry(node: tuple, share: Callable[[str, str], str], bases: dict[str, 
     if provenance is None or surface is None or category is None:
         raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
     return _entry(
-        bases, entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
+        bases, tuples, entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
         tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
         tuple(internal), features, provenance, tuple(cross_refs),
     )
@@ -967,6 +987,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     entries: list[LexEntry] = []
     share = {}.setdefault
     bases: dict[str, LexEntry] = {}
+    tuples = {}.setdefault
     declared_count: int | None = None
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
@@ -994,7 +1015,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
         if tag in _XML_TEXT_TAGS:
             parser.CharacterDataHandler = None
         if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
-            entries.append(_node_entry(node, share, bases))
+            entries.append(_node_entry(node, share, bases, tuples))
             stack[2][3].pop()
 
     parser.StartElementHandler = start

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 
 from .errors import UnboundPlaceholder
-from .model import ArgumentSpec, LexEntry, Selection, check_table_id, entry_id
+from .model import EMPTY_CELLS, ArgumentSpec, LexEntry, Selection, check_table_id, entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, realize
 from .script import Action, ExtractionScript, Placeholder, Template, expand_alternation
 from .tables import FeatureKind, LgTable
@@ -102,8 +102,8 @@ def generate_base(
 
     entries: list[LexEntry] = []
     for n, row in enumerate(table.rows, start=1):
-        components = {name: row[i] for i, name in slot_cols}
-        aux = {name: row[i] for i, name in aux_cols}
+        components = {name: row[i] for i, name in slot_cols} or EMPTY_CELLS
+        aux = {name: row[i] for i, name in aux_cols} or EMPTY_CELLS
         binary = {name: row[i] == "+" for i, name in binary_cols}
         constructions = tuple([name for name in construction_ids if binary[name]])
         values = tuple([binary[name] for name in argument_ids])

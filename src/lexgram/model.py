@@ -14,11 +14,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import LexgramError
 
 # The empty component, in tables and wherever a field stands for empty.
 EMPTY_TOKEN = "<E>"
+
+# The cells of every entry that has no component or no aux cell: one
+# mapping, shared, that a write cannot change.
+EMPTY_CELLS: Mapping[str, str] = MappingProxyType({})
 
 
 class Origin(enum.Enum):
@@ -102,16 +108,22 @@ class Selection(enum.Enum):
     ANY = "any"
     UNSPECIFIED = "unspecified"
 
+    # As for Origin: the readers hash each loaded entry's arguments.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class ArgumentSpec:
     slot: str  # N0, N1, N2, Poss0, Poss2
     selection: Selection
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SurfaceForm:
-    """Substituted tokens (pre-contraction) plus the rendered citation form."""
+    """Substituted tokens (pre-contraction) plus the rendered citation form.
+
+    Not frozen, for the reason :class:`LexEntry` is not, but hashable as
+    when it was: no code changes a surface once built."""
 
     tokens: tuple[str, ...]
     rendered: str
@@ -137,8 +149,8 @@ class LexEntry:
     table_id: str
     category: str
     surface: SurfaceForm
-    components: dict[str, str]            # slot symbol -> cell text ("" = empty)
-    aux: dict[str, str]                   # aux column -> cell text ("" = empty)
+    components: Mapping[str, str]         # slot symbol -> cell text ("" = empty)
+    aux: Mapping[str, str]                # aux column -> cell text ("" = empty)
     paraphrases: tuple[SurfaceForm, ...] = ()
     other_structures: tuple[tuple[str, SurfaceForm], ...] = ()
     intensified: tuple[SurfaceForm, ...] = ()

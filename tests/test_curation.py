@@ -8,9 +8,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import compile_corpus
-from lexgram.curation import canonical_key, curate, dedup, duplicate_issues, flag_suspicious, review_report
+from lexgram.curation import (
+    DuplicateRecord,
+    canonical_key,
+    curate,
+    dedup,
+    duplicate_issues,
+    flag_suspicious,
+    review_report,
+)
 from lexgram.formats import LexiconDocument, export_lexicon
-from lexgram.model import IssueKind, LexEntry, Origin, Provenance, SurfaceForm
+from lexgram.model import PASS_TAGS, IssueKind, LexEntry, Origin, Provenance, SurfaceForm
 
 
 def _entry(entry_id: str, text: str, kind: Origin = Origin.BASE, parent: str | None = None) -> LexEntry:
@@ -125,6 +133,63 @@ def test_dedup_never_merges_empty_surfaces():
     survivors, duplicates = dedup([a, b])
     assert len(survivors) == 2
     assert duplicates == []
+
+
+def _brute_force_dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord]]:
+    """dedup by its definition: each entry with a non-empty key is grouped
+    with every entry of that key, and the minimum of (sort_rank(), position)
+    of a group survives, its cross_refs extended by the others' ids."""
+    keys = [canonical_key(entry.surface) for entry in entries]
+
+    def group(position: int) -> list[int]:
+        key = keys[position]
+        return [other for other, other_key in enumerate(keys) if other_key == key] if key else [position]
+
+    def rank(position: int) -> tuple:
+        return entries[position].sort_rank(), position
+
+    survivors, duplicates = [], []
+    for position, entry in enumerate(entries):
+        members = group(position)
+        kept = min(members, key=rank)
+        removed = tuple(entries[other].entry_id for other in members if other != kept)
+        if kept == position:
+            survivors.append(replace(entry, cross_refs=entry.cross_refs + removed) if removed else entry)
+        if removed and position == members[0]:
+            duplicates.append(DuplicateRecord(entries[kept].entry_id, removed, keys[position]))
+    return survivors, duplicates
+
+
+# Surfaces that collide, or differ only in case, spacing or apostrophe, or
+# are empty or whitespace only.
+_WORDS = st.sampled_from(["en", "En", "EN", "fait", "jusqu'à", "jusqu’à", "nuit"])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\u00a0"])
+_SURFACES = st.one_of(
+    st.sampled_from(["", " ", "\t \n"]),
+    st.builds(
+        lambda lead, words, space, trail: lead + space.join(words) + trail,
+        st.sampled_from(["", " "]), st.lists(_WORDS, min_size=1, max_size=3), _SPACES, st.sampled_from(["", "\t"]),
+    ),
+)
+
+
+@st.composite
+def _dedup_entries(draw) -> LexEntry:
+    """A base entry or a variant, from few enough ids that ids repeat."""
+    table = draw(st.sampled_from(["A", "B"]))
+    row = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(list(Origin)))
+    text = draw(_SURFACES)
+    if kind is Origin.BASE:
+        entry = _entry(f"{table}#{row}", text)
+    else:
+        entry = _entry(f"{table}#{row}#{PASS_TAGS[kind]}#{draw(st.integers(1, 2))}", text, kind, f"{table}#{row}")
+    return replace(entry, cross_refs=draw(st.sampled_from([(), ("C#9",)])))
+
+
+@given(st.lists(_dedup_entries(), max_size=12).flatmap(st.permutations))
+def test_dedup_matches_the_brute_force_definition(entries):
+    assert dedup(entries) == _brute_force_dedup(entries)
 
 
 def test_duplicate_issue_kinds():

@@ -10,7 +10,7 @@ from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import generate_base
-from lexgram.model import Origin
+from lexgram.model import EMPTY_CELLS, Origin
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
 
@@ -94,6 +94,22 @@ def test_variants_share_what_they_inherit():
     for variant in variants:
         assert variant.arguments is sincerement.arguments
         assert variant.binary_features is sincerement.binary_features
+
+
+def test_variants_without_cells_hold_the_shared_empty_mapping():
+    kinds = set()
+    for entry in compile_corpus().entries:
+        for variant in _expand(entry)[1]:
+            kinds.add(variant.provenance.kind)
+            assert variant.aux is EMPTY_CELLS
+            if variant.provenance.kind in (Origin.DELETION, Origin.PERMUTATION):
+                assert variant.components
+            else:
+                assert variant.components is EMPTY_CELLS
+    assert {Origin.PARAPHRASE_DIRECT, Origin.DELETION, Origin.INTENSIFICATION} <= kinds
+    with pytest.raises(TypeError):
+        EMPTY_CELLS["C1"] = "x"
+    assert EMPTY_CELLS == {}
 
 
 def test_expand_entry_returns_an_entry_that_gains_nothing_unchanged():

@@ -44,6 +44,7 @@ from lexgram.formats import (
     save_lexicon,
 )
 from lexgram.model import (
+    EMPTY_CELLS,
     EMPTY_TOKEN,
     PASS_TAGS,
     ArgumentSpec,
@@ -959,6 +960,51 @@ def test_loaded_entries_hold_each_word_once(fmt):
             repeats += text in words
             assert words.setdefault(text, text) is text, (entry.entry_id, text)
     assert repeats > 100
+
+
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_loaded_entries_without_cells_hold_the_shared_empty_mapping(fmt):
+    doc = import_lexicon(export_lexicon(_extended_corpus()[0], fmt))
+    empty = [cells for entry in doc.entries for cells in (entry.components, entry.aux) if not cells]
+    assert len(empty) > len(doc.entries) / 2
+    assert all(cells is EMPTY_CELLS for cells in empty)
+
+
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_loaded_variants_hold_their_parents_id(fmt):
+    doc = import_lexicon(export_lexicon(_extended_corpus()[0], fmt))
+    by_id = {entry.entry_id: entry for entry in doc.entries}
+    shared = 0
+    for entry in doc.entries:
+        parent = by_id.get(entry.provenance.parent)
+        if parent is not None:
+            shared += 1
+            assert entry.provenance.parent is parent.entry_id, entry.entry_id
+    assert shared > len(doc.entries) / 3
+
+
+# A base lexicon's entries of one table have equal internal structures, so
+# there they share one tuple.
+@pytest.mark.parametrize("extend", [False, True], ids=["base", "extended"])
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_loaded_entries_share_equal_arguments_and_internal_structures(fmt, extend):
+    doc = compile_corpus()
+    # equal arguments everywhere, and a tuple of its own for each entry
+    arguments = [ArgumentSpec("N0", Selection.HUMAN), ArgumentSpec("N1", Selection.ANY)]
+    entries = [
+        replace(entry, arguments=tuple(arguments), internal_structures=tuple(list(entry.internal_structures)))
+        for entry in doc.entries
+    ]
+    if extend:
+        entries = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho()).entries
+    loaded = import_lexicon(export_lexicon(LexiconDocument(entries, doc.table_ids, doc.script_source), fmt))
+    assert loaded.entries == entries
+    for field in ("arguments", "internal_structures"):
+        first: dict[tuple, tuple] = {}
+        for entry in loaded.entries:
+            value = getattr(entry, field)
+            assert first.setdefault(value, value) is value, (entry.entry_id, field)
+        assert len(first) < len(loaded.entries) / 2
 
 
 def _retained_bytes(read, source) -> int:
