@@ -191,7 +191,7 @@ class ValidationIssue:
     detail: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RecordRow:
     """One sidecar line: a generated entry, or a base entry removed as a
     duplicate (its kind is ``base``), and its fate in curation.  A field

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 
 from .errors import MatrixFormatError, TableFormatError, UnknownSlotSymbol
@@ -198,15 +199,18 @@ class Validity(enum.Enum):
 
 @dataclass
 class ClassMatrix:
+    """The table of classes, keeping only its defined cells: ``cells`` maps
+    each class to its defined features and their values, in header order."""
+
     classes: tuple[str, ...]
     features: tuple[str, ...]
-    cells: dict[tuple[str, str], Validity]
+    cells: dict[str, dict[str, Validity]]
 
     def validity(self, class_id: str, feature_id: str) -> Validity:
-        return self.cells.get((class_id, feature_id), Validity.UNDEFINED)
+        return self.cells.get(class_id, {}).get(feature_id, Validity.UNDEFINED)
 
     def has_class(self, class_id: str) -> bool:
-        return class_id in self.classes
+        return class_id in self.cells
 
 
 _MATRIX_TOKENS = {v.value: v for v in Validity}
@@ -215,41 +219,39 @@ _MATRIX_TOKENS = {v.value: v for v in Validity}
 def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
     """Parse the ``classes.lgm`` file: one row per class, one column per feature."""
     lines = text.split("\n")
-    if not lines or not lines[0].strip():
+    if not lines[0].strip():
         raise MatrixFormatError("missing header line", source, 1)
     header = [h.strip() for h in lines[0].rstrip().split("\t")]
     features = header[1:]
     seen_f: set[str] = set()
     for fid in features:
+        if not fid:
+            raise MatrixFormatError("empty feature id in header", source, 1)
         if fid in seen_f:
             raise MatrixFormatError(f"duplicate feature id {fid!r}", source, 1)
         seen_f.add(fid)
 
-    classes: list[str] = []
-    cells: dict[tuple[str, str], Validity] = {}
+    cells: dict[str, dict[str, Validity]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        tokens = [c.strip() for c in raw.rstrip("\n").split("\t")]
-        class_id = tokens[0]
+        class_id, *values = map(str.strip, raw.split("\t"))
         if not class_id:
             raise MatrixFormatError("missing class id", source, lineno)
-        if class_id in classes:
+        if class_id in cells:
             raise MatrixFormatError(f"duplicate class id {class_id!r}", source, lineno)
-        values = tokens[1:]
         if len(values) > len(features):
             raise MatrixFormatError(
                 f"row has {len(values)} cells, header has {len(features)} feature columns",
                 source, lineno,
             )
-        classes.append(class_id)
-        for fid, token in zip(features, values):  # short rows: missing cells stay undefined
-            validity = _MATRIX_TOKENS.get(token)
-            if validity is None:
-                raise MatrixFormatError(f"unknown matrix value {token!r}", source, lineno)
-            if validity is not Validity.UNDEFINED:
-                cells[(class_id, fid)] = validity
-    return ClassMatrix(tuple(classes), tuple(features), cells)
+        if not _MATRIX_TOKENS.keys() >= set(values):
+            token = next(t for t in values if t not in _MATRIX_TOKENS)
+            raise MatrixFormatError(f"unknown matrix value {token!r}", source, lineno)
+        # Blank cells are undefined and not kept; short rows stop at their last cell.
+        defined = compress(features, values)
+        cells[class_id] = dict(zip(defined, map(_MATRIX_TOKENS.__getitem__, filter(None, values))))
+    return ClassMatrix(tuple(cells), tuple(features), cells)
 
 
 def load_class_matrix(path: str | Path) -> ClassMatrix:
@@ -263,15 +265,13 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
     always-invalid ones all-minus.  Per-entry features must already be
     columns.  Idempotent: features already present are left untouched.
     """
-    if not matrix.has_class(table.table_id):
+    defined = matrix.cells.get(table.table_id)
+    if defined is None:
         raise MatrixFormatError(f"class {table.table_id!r} not found in the class matrix")
 
     new_features = list(table.features)
     new_cells: list[str] = []
-    for fid in matrix.features:
-        validity = matrix.validity(table.table_id, fid)
-        if validity is Validity.UNDEFINED:
-            continue
+    for fid, validity in defined.items():
         if table.has_feature(fid):
             continue
         if validity is Validity.PER_ENTRY:

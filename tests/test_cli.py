@@ -181,6 +181,25 @@ def test_compile_rejects_bad_class_matrix(tmp_path, capsys):
         assert f"{name}:" in capsys.readouterr().err
 
 
+def test_compile_rejects_an_empty_feature_id_in_the_class_matrix(tmp_path, capsys):
+    # An empty column that every class marks "+": accepted, every entry would
+    # carry a feature with an empty id, which no script rule can name.
+    lines = (FIXTURES / "classes.lgm").read_text(encoding="utf-8").splitlines()
+    matrix = tmp_path / "classes.lgm"
+    matrix.write_text("".join(line.replace("\t", "\t\t" if n == 0 else "\t+\t", 1) + "\n"
+                              for n, line in enumerate(lines)), encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(matrix),
+        "--script", str(FIXTURES / "extract.lgs"),
+        "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexgram: error: {matrix}:1: empty feature id in header\n"
+    assert not out.exists()
+
+
 def test_missing_input_is_an_input_error(tmp_path):
     code, _, _ = _extend(tmp_path, tmp_path / "missing.lgx")
     assert code == 1

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fixture_path
+import corpusgen
+import matrix_reference
+from conftest import TABLE_IDS, fixture_path
 from lexgram.errors import MatrixFormatError, TableFormatError, UnknownSlotSymbol
 from lexgram.model import IssueKind
 from lexgram.tables import (
+    FeatureDef,
     FeatureKind,
     LgTable,
     Validity,
@@ -131,6 +136,139 @@ def test_matrix_format_errors(text):
 def test_matrix_rejects_overlong_row():
     with pytest.raises(MatrixFormatError, match="row has 2 cells, header has 1 feature columns"):
         parse_class_matrix("class\tfa\nT\t+\t-\n")
+
+
+@pytest.mark.parametrize("header", ["class\tfa\t\tfb", "class\tfa\t \tfb", "class\t\tfa\tfa"])
+def test_matrix_rejects_empty_feature_id(header):
+    with pytest.raises(MatrixFormatError) as err:
+        parse_class_matrix(f"{header}\nT\t+\t+\t-\n", "classes.lgm")
+    assert str(err.value) == "classes.lgm:1: empty feature id in header"
+
+
+def test_matrix_keeps_only_defined_cells_per_class_in_header_order():
+    matrix = parse_class_matrix("class\tfa\tfb\tfc\tfd\nT\t-\t\t+\to\nU\t \t\nV\t\t+\n")
+    assert matrix.classes == ("T", "U", "V")
+    assert matrix.features == ("fa", "fb", "fc", "fd")
+    assert matrix.cells == {
+        "T": {"fa": Validity.ALWAYS_INVALID, "fc": Validity.ALWAYS_VALID, "fd": Validity.PER_ENTRY},
+        "U": {},
+        "V": {"fb": Validity.ALWAYS_VALID},
+    }
+    assert list(matrix.cells["T"]) == ["fa", "fc", "fd"]
+    assert matrix.has_class("U") and not matrix.has_class("W")
+    assert matrix.validity("W", "fa") is Validity.UNDEFINED
+
+
+# Differential tests against ``matrix_reference``, the parser and resolver
+# this module replaced.  Ids and cells are space-padded.  Now and then a
+# matrix gets a duplicate or empty feature id or a duplicate or missing
+# class id, and a row is overlong or holds one or two unknown tokens; most
+# matrices parse.  A drawn table is resolved as each class of the matrix
+# and as ``W``, a class no matrix holds.
+_MATRIX_FEATURE_IDS = st.sampled_from(["fa", "fb", "fc", " fd", "fe ", "f b", "g\xa0", "\x1ch"])
+_MATRIX_CLASS_IDS = st.sampled_from(["T", " U", "V\r", "X"])
+_MATRIX_CELLS = st.sampled_from(["+", "-", "o", "", "", " ", " +", "o\r", "\xa0-"])
+_BLANK_LINES = st.sampled_from(["", " ", "\t", " \t\r"])
+
+
+def _now_and_then(draw, odds: int = 8) -> bool:
+    return draw(st.integers(1, odds)) == 1
+
+
+def _insert(draw, items: list, strategy) -> None:
+    items.insert(draw(st.integers(0, len(items))), draw(strategy))
+
+
+@st.composite
+def _matrix_texts(draw) -> str:
+    features = draw(st.lists(_MATRIX_FEATURE_IDS, max_size=5, unique=True))
+    if _now_and_then(draw):
+        _insert(draw, features, st.sampled_from(["", " ", " fa ", *features]))
+    classes = draw(st.lists(_MATRIX_CLASS_IDS, max_size=4, unique=True))
+    if _now_and_then(draw):
+        _insert(draw, classes, st.sampled_from([*classes, "", " "]))
+    lines = ["\t".join([draw(st.sampled_from(["class", "class", "", " "])), *features])]
+    for class_id in classes:
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANK_LINES))
+        overlong = _now_and_then(draw, 20)
+        width = len(features) + draw(st.integers(1, 2)) if overlong else draw(st.integers(0, len(features)))
+        cells = draw(st.lists(_MATRIX_CELLS, min_size=width, max_size=width))
+        if cells and _now_and_then(draw, 20):
+            for position in draw(st.lists(st.integers(0, len(cells) - 1), min_size=1, max_size=2)):
+                cells[position] = draw(st.sampled_from(["x", "++", "O", "+-"]))
+        lines.append("\t".join([class_id, *cells]))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@st.composite
+def _binary_tables(draw) -> LgTable:
+    features = draw(st.lists(st.sampled_from(["fa", "fb", "fd", "f b", "g", "i"]), max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from("+-")] * len(features)), max_size=2))
+    return LgTable("W", tuple(FeatureDef(f, FeatureKind.BINARY) for f in features), (), tuple(rows))
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except MatrixFormatError as err:
+        return err
+
+
+def _assert_same_matrix(got, want):
+    assert got.classes == want.classes and got.features == want.features
+    assert {class_id: list(cells.items()) for class_id, cells in got.cells.items()} == {
+        class_id: [(f, want.cells[class_id, f]) for f in want.features if (class_id, f) in want.cells]
+        for class_id in want.classes
+    }
+    for class_id in (*want.classes, "W"):
+        assert got.has_class(class_id) == want.has_class(class_id)
+        for feature_id in (*want.features, "z"):
+            assert got.validity(class_id, feature_id) is want.validity(class_id, feature_id)
+
+
+def _assert_same_resolution(table, got_matrix, want_matrix):
+    got = _outcome(resolve_features, table, got_matrix)
+    want = _outcome(matrix_reference.resolve_features, table, want_matrix)
+    if isinstance(want, MatrixFormatError):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want and (got is table) == (want is table)
+    return got
+
+
+@settings(max_examples=400)
+@given(_matrix_texts(), _binary_tables())
+def test_class_matrix_matches_the_reference(text, table):
+    got = _outcome(parse_class_matrix, text, "classes.lgm")
+    want = _outcome(matrix_reference.parse_class_matrix, text, "classes.lgm")
+    if isinstance(got, MatrixFormatError) and got.bare_message == "empty feature id in header":
+        # The one deliberate difference: the reference accepts an empty id.
+        assert got.line == 1
+        assert "" in [h.strip() for h in text.split("\n")[0].rstrip().split("\t")][1:]
+        return
+    if isinstance(want, MatrixFormatError):
+        assert (type(got), str(got), got.line) == (type(want), str(want), want.line)
+        return
+    _assert_same_matrix(got, want)
+    for class_id in (*want.classes, "W"):
+        _assert_same_resolution(LgTable(class_id, table.features, (), table.rows), got, want)
+
+
+def test_fixture_and_generated_matrices_match_the_reference():
+    cases = [(
+        fixture_path("classes.lgm").read_text(encoding="utf-8"),
+        [load_table(fixture_path(f"{table_id}.lgt")) for table_id in TABLE_IDS],
+    )]
+    for seed in range(4):
+        corpus = corpusgen.generate(seed)
+        tables = [parse_table(text, name[:-4]) for name, text in corpus.items() if name.endswith(".lgt")]
+        cases.append((corpus["classes.lgm"], tables))
+    for text, tables in cases:
+        got, want = parse_class_matrix(text), matrix_reference.parse_class_matrix(text)
+        _assert_same_matrix(got, want)
+        for table in tables:
+            assert _assert_same_resolution(table, got, want).features != table.features
 
 
 def test_resolve_features_appends_synthetic_columns():
