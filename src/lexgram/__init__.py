@@ -22,7 +22,7 @@ from .formats import (
 )
 from .lexicon import generate_base
 from .model import ArgumentSpec, IssueKind, LexEntry, Origin, Provenance, RecordRow, Selection, SurfaceForm, ValidationIssue
-from .realizer import Bindings, MorphoRules, realize
+from .realizer import MorphoRules, realize
 from .script import Action, ExtractionScript, ScriptRule, Template, load_script, parse_script
 from .stats import StatsReport, compute_stats, render_stats
 from .tables import ClassMatrix, LgTable, load_class_matrix, load_table, resolve_features
@@ -32,7 +32,6 @@ __version__ = TOOL_VERSION
 __all__ = [
     "Action",
     "ArgumentSpec",
-    "Bindings",
     "ClassMatrix",
     "DuplicateRecord",
     "ExtractionScript",

@@ -135,7 +135,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         save_lexicon(doc, args.output, args.format)
     else:
         # Built whole first, so a refused export writes nothing to stdout.
-        sys.stdout.write(export_lexicon(doc, args.format))
+        sys.stdout.write(export_lexicon(doc, args.format or "text"))
     return 0
 
 
@@ -197,7 +197,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="re-serialize a lexicon")
     p.add_argument("lexicon")
-    p.add_argument("--format", choices=("text", "xml"), default="text")
+    p.add_argument("--format", choices=("text", "xml"), help="output format (default: by suffix; text on stdout)")
     p.add_argument("-o", "--output", help="output path (default: stdout)")
     p.set_defaults(func=cmd_export)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .curation import dedup
 from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
 from .model import EMPTY_CELLS, PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, RecordRow, parse_entry_id
-from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, realize
+from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template, expand_alternation
 from .stats import StatsReport, compute_stats, tally
 from .tables import parse_structure_label
@@ -149,7 +149,6 @@ def expand_entry(
     paraphrases, other_structures, intensified = [], [], []
     structures = list(entry.internal_structures)
     ordinals: dict[str, int] = {}  # pass tag -> variants so far
-    bindings = Bindings(entry.components, entry.aux)
     for step in plan:
         if not entry.binary_features.get(step.feature_id, False):
             continue
@@ -161,7 +160,7 @@ def expand_entry(
         components = {slot: entry.components.get(slot, "") for slot in step.kept_slots} or EMPTY_CELLS
         for flat in step.flats:
             try:
-                surface = realize(flat, bindings, symbols, rules)
+                surface = realize(flat, entry.components, entry.aux, symbols, rules)
             except RealizationError as err:
                 raise type(err)(
                     f"entry {entry.entry_id!r}, rule {step.feature_id!r}: {err.bare_message}"

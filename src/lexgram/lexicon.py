@@ -11,8 +11,8 @@ import re
 
 from .errors import UnboundPlaceholder
 from .model import EMPTY_CELLS, ArgumentSpec, LexEntry, Selection, check_table_id, entry_id
-from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules, realize
-from .script import Action, ExtractionScript, Placeholder, Template, expand_alternation
+from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
+from .script import COLUMN, COMPONENT, Action, ExtractionScript, Template, expand_alternation, part_text
 from .tables import FeatureKind, LgTable
 
 _ARGUMENT_RE = re.compile(r"^(N0|N1|N2|Poss0|Poss2) =: (Nhum|N-hum)$")
@@ -46,7 +46,7 @@ def derive_arguments(binary_features: dict[str, bool]) -> tuple[ArgumentSpec, ..
 
 def structure_template(table: LgTable) -> Template:
     """The class structure as a flat template of component placeholders."""
-    return Template(tuple(Placeholder(symbol, True) for symbol in table.structure))
+    return Template(tuple((COMPONENT, symbol) for symbol in table.structure))
 
 
 def check_script_bindings(table: LgTable, script: ExtractionScript) -> None:
@@ -59,13 +59,12 @@ def check_script_bindings(table: LgTable, script: ExtractionScript) -> None:
     for rule in script.effective_rules(table.table_id):
         for template in rule.templates:
             for flat in expand_alternation(template):
-                for part in flat.parts:
-                    if not isinstance(part, Placeholder):
+                for kind, name in flat.parts:
+                    if kind != COMPONENT and kind != COLUMN:
                         continue
-                    known = slot_names if part.component else (aux_names | slot_names)
-                    if part.name not in known:
+                    if name not in slot_names and (kind == COMPONENT or name not in aux_names):
                         raise UnboundPlaceholder(
-                            f"rule {rule.feature_id!r}: placeholder {part.text!r} "
+                            f"rule {rule.feature_id!r}: placeholder {part_text(kind, name)!r} "
                             f"matches no column of table {table.table_id!r}"
                         )
 
@@ -110,7 +109,7 @@ def generate_base(
         arguments = arguments_of.get(values)
         if arguments is None:
             arguments = arguments_of[values] = derive_arguments(dict(zip(argument_ids, values)))
-        surface = realize(template, Bindings(components, aux), symbols, rules)
+        surface = realize(template, components, aux, symbols, rules)
         entries.append(LexEntry(
             entry_id=entry_id(table.table_id, n),
             table_id=table.table_id,

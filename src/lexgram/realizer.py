@@ -1,10 +1,12 @@
 """Surface realization of templates against table cells.
 
-Realization substitutes placeholder tokens, resolves symbolic tokens through
-a policy, then applies French morphophonology in a fixed order: contraction
-(``de le`` -> ``du``), elision (``de une`` -> ``d'une``), spacing.  A
-:class:`SurfaceForm` keeps both the substituted token list (before
-contraction, used by structural checks) and the rendered string.
+Realization walks a flat template's ``(kind, text)`` parts against an
+entry's component and auxiliary cells, two plain mappings: it substitutes
+placeholder tokens, resolves symbolic tokens through a policy, then applies
+French morphophonology in a fixed order: contraction (``de le`` -> ``du``),
+elision (``de une`` -> ``d'une``), spacing.  A :class:`SurfaceForm` keeps
+both the substituted token list (before contraction, used by structural
+checks) and the rendered string.
 
 Rule tables and the symbol policy are data: the built-in defaults can be
 replaced by plain config files (see :func:`parse_morpho_rules` and
@@ -13,19 +15,21 @@ replaced by plain config files (see :func:`parse_morpho_rules` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken
 from .files import read_text
-from .model import SurfaceForm
-from .script import COMPONENT, LITERAL, SYMBOL, Placeholder, Template, parse_template
+from .model import EMPTY_CELLS, SurfaceForm
+from .script import COMPONENT, GROUP, LITERAL, SYMBOL, SYMBOLIC_TOKENS, Template, parse_template, part_text
 
 # Symbol policy: how symbolic template tokens render.  Free nominal slots stay
-# as literal capitals; determiners and possessives get masculine-singular
-# defaults (agreement is flagged downstream, not computed).
+# as literal capitals; the possessive renders masculine singular (``son``) and
+# the definite determiner feminine singular (``la``), whatever the noun.
+# Agreement is not computed; the review queue flags only transformation
+# output for it, so a paraphrase that renders ``Ddef`` goes unflagged.
 DEFAULT_SYMBOLS: Mapping[str, str] = {
     "Poss2": "son",
     "Ddef": "la",
@@ -117,9 +121,13 @@ def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
         if not line:
             continue
         token, sep, value = line.partition("=")
-        if not sep or not token.strip() or not value.strip():
+        token = token.strip()
+        if not sep or not token or not value.strip():
             raise RealizationError(f"bad symbol line: {raw.strip()!r}", source, lineno)
-        symbols[token.strip()] = value.strip()
+        if token not in SYMBOLIC_TOKENS:
+            known = ", ".join(sorted(SYMBOLIC_TOKENS))
+            raise RealizationError(f"unknown symbolic token {token!r} (expected one of: {known})", source, lineno)
+        symbols[token] = value.strip()
     return symbols
 
 
@@ -199,38 +207,27 @@ def render(tokens: list[str]) -> str:
 # realization
 # =============================================================================
 
-@dataclass(frozen=True)
-class Bindings:
-    """The cell texts available to a template.
-
-    ``components`` maps structure slot symbols, ``aux`` maps auxiliary
-    lexical columns; values are cell texts, "" standing for the empty
-    component.  ``@X@`` placeholders try ``aux`` first and fall back to the
-    component of the same name, so scripts may reference entry components
-    without the ``<ENT>`` marker.
-    """
-
-    components: Mapping[str, str]
-    aux: Mapping[str, str] = field(default_factory=dict)
-
-
 def realize(
     template: Template | str,
-    bindings: Bindings,
+    components: Mapping[str, str],
+    aux: Mapping[str, str] = EMPTY_CELLS,
     symbols: Mapping[str, str] = DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
 ) -> SurfaceForm:
-    """Substitute a flat template and render it.
+    """Substitute a flat template's parts and render them.
 
-    Multi-word cell texts contribute one token per word; empty components
-    contribute nothing.  The walk follows the template's kept
-    :attr:`~Template.flat_parts`.
+    ``components`` maps structure slot symbols and ``aux`` auxiliary
+    lexical columns to cell texts, "" standing for the empty component.
+    ``@<ENT>X@`` looks X up in ``components``; ``@X@`` tries ``aux`` first
+    and falls back to the component of the same name, so scripts may
+    reference entry components without the ``<ENT>`` marker.  Multi-word
+    cell texts contribute one token per word; empty components contribute
+    nothing.  A group part raises ValueError.
     """
     if isinstance(template, str):
         template = parse_template(template)
-    components, aux = bindings.components, bindings.aux
     tokens: list[str] = []
-    for kind, name in template.flat_parts:
+    for kind, name in template.parts:
         if kind == LITERAL:
             tokens.append(name)
             continue
@@ -238,11 +235,12 @@ def realize(
             value = symbols.get(name)
             if value is None:
                 raise UnknownSymbolicToken(f"no policy for symbolic token {name!r}")
+        elif kind == GROUP:
+            raise ValueError("realize expects a flat template")
         else:
             value = components.get(name) if kind == COMPONENT or name not in aux else aux[name]
             if value is None:
-                text = Placeholder(name, kind == COMPONENT).text
-                raise UnboundPlaceholder(f"placeholder {text!r} is not bound")
+                raise UnboundPlaceholder(f"placeholder {part_text(kind, name)!r} is not bound")
         tokens += value.split()
     rendered = render(elide(contract(tokens, rules), rules))
     return SurfaceForm(tuple(tokens), rendered)

@@ -12,7 +12,8 @@ one of ``construction``, ``paraphrase``, ``substructure(STRUCTURE)``,
 Templates mix literal tokens, ``@Column@`` / ``@<ENT>Column@`` placeholders,
 symbolic tokens resolved by the realizer (``Ddef``, ``Poss2``, ...) and
 non-nested alternation groups ``(a + b)``; a standalone ``E`` inside a group
-is the empty alternative.
+is the empty alternative.  A parsed template is one tuple of ``(kind, text)``
+parts, the form the realizer walks.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any
 
 from .errors import ScriptSyntaxError
 from .files import read_text
@@ -36,77 +38,37 @@ SYMBOLIC_TOKENS = frozenset({"Poss2", "Ddef", "N", "Nhum"})
 # template model
 # =============================================================================
 
-@dataclass(frozen=True)
-class Literal:
-    text: str
+# A template is a tuple of parts, each a (kind, text) pair: a literal's
+# token, a symbolic token, the name a ``COMPONENT`` (``@<ENT>X@``) or
+# ``COLUMN`` (``@X@``) placeholder looks up, or a ``GROUP``'s alternatives,
+# each a (possibly empty) tuple of non-group parts.
+LITERAL, SYMBOL, COMPONENT, COLUMN, GROUP = range(5)
 
 
-@dataclass(frozen=True)
-class Symbolic:
-    text: str
-
-
-@dataclass(frozen=True)
-class Placeholder:
-    name: str
-    component: bool  # written @<ENT>name@
-
-    @property
-    def text(self) -> str:
-        return f"@{ENT_PREFIX if self.component else ''}{self.name}@"
-
-
-@dataclass(frozen=True)
-class Group:
-    # Each alternative is a (possibly empty) sequence of non-group parts.
-    alternatives: tuple[tuple[object, ...], ...]
-
-
-Part = object  # Literal | Symbolic | Placeholder | Group
-
-
-# The kinds of a flat template's parts, as the realizer walks them.
-LITERAL, SYMBOL, COMPONENT, COLUMN = range(4)
+def part_text(kind: int, text) -> str:
+    """One part as a template spells it."""
+    if kind == COMPONENT:
+        return f"@{ENT_PREFIX}{text}@"
+    if kind == COLUMN:
+        return f"@{text}@"
+    if kind == GROUP:
+        alts = (" ".join(part_text(*part) for part in alt) if alt else "E" for alt in text)
+        return "(" + " + ".join(alts) + ")"
+    return text
 
 
 @dataclass(frozen=True)
 class Template:
     """A template, factorized (may contain groups) or flat (no groups).
 
-    Its text and flat parts are worked out on first use and kept, so a
-    template realized for many entries pays for them once.
+    Its text is worked out on first use and kept.
     """
 
-    parts: tuple[Part, ...]
+    parts: tuple[tuple[int, Any], ...]
 
     @cached_property
     def text(self) -> str:
-        chunks = []
-        for part in self.parts:
-            if isinstance(part, Group):
-                alts = (" ".join(p.text for p in alt) if alt else "E" for alt in part.alternatives)
-                chunks.append("(" + " + ".join(alts) + ")")
-            else:
-                chunks.append(part.text)
-        return " ".join(chunks)
-
-    @cached_property
-    def flat_parts(self) -> tuple[tuple[int, str], ...]:
-        """Each part as a (kind, text) pair: a literal's token, a symbolic
-        token, or the name a ``COMPONENT`` (``@<ENT>X@``) or ``COLUMN``
-        (``@X@``) placeholder looks up.  Raises ValueError if the template
-        has groups."""
-        flat = []
-        for part in self.parts:
-            if isinstance(part, Literal):
-                flat.append((LITERAL, part.text))
-            elif isinstance(part, Symbolic):
-                flat.append((SYMBOL, part.text))
-            elif isinstance(part, Placeholder):
-                flat.append((COMPONENT if part.component else COLUMN, part.name))
-            else:
-                raise ValueError("realize expects a flat template")
-        return tuple(flat)
+        return " ".join(part_text(kind, text) for kind, text in self.parts)
 
 
 _SPECIAL = set("@()+")
@@ -114,18 +76,16 @@ _SPECIAL = set("@()+")
 
 def parse_template(source: str) -> Template:
     """Tokenize a template string into parts, validating grouping and markers."""
-    parts: list[Part] = []
-    group_alts: list[tuple[Part, ...]] | None = None  # None = not inside a group
-    current: list[Part] = parts
+    parts: list[tuple[int, Any]] = []
+    group_alts: list[tuple] | None = None  # None = not inside a group
+    current = parts
 
     def close_alternative():
         nonlocal current
         assert group_alts is not None
+        alt = tuple(current)
         # a lone E inside a group is the empty alternative
-        if len(current) == 1 and isinstance(current[0], Literal) and current[0].text == "E":
-            group_alts.append(())
-        else:
-            group_alts.append(tuple(current))
+        group_alts.append(() if alt == ((LITERAL, "E"),) else alt)
         current = []
 
     i, n = 0, len(source)
@@ -140,10 +100,10 @@ def parse_template(source: str) -> Template:
             name = source[i + 1:end].strip()
             if not name:
                 raise ScriptSyntaxError(f"empty placeholder in {source!r}")
-            component = name.startswith(ENT_PREFIX)
-            if component:
-                name = name[len(ENT_PREFIX):].strip()
-            current.append(Placeholder(name, component))
+            if name.startswith(ENT_PREFIX):
+                current.append((COMPONENT, name[len(ENT_PREFIX):].strip()))
+            else:
+                current.append((COLUMN, name))
             i = end + 1
         elif ch == "(":
             if group_alts is not None:
@@ -153,7 +113,7 @@ def parse_template(source: str) -> Template:
             i += 1
         elif ch == "+":
             if group_alts is None:
-                current.append(Literal("+"))
+                current.append((LITERAL, "+"))
             else:
                 close_alternative()
             i += 1
@@ -161,7 +121,7 @@ def parse_template(source: str) -> Template:
             if group_alts is None:
                 raise ScriptSyntaxError(f"unmatched ')' in {source!r}")
             close_alternative()
-            parts.append(Group(tuple(group_alts)))
+            parts.append((GROUP, tuple(group_alts)))
             group_alts = None
             current = parts
             i += 1
@@ -170,7 +130,7 @@ def parse_template(source: str) -> Template:
             while j < n and not source[j].isspace() and source[j] not in _SPECIAL:
                 j += 1
             word = source[i:j]
-            current.append(Symbolic(word) if word in SYMBOLIC_TOKENS else Literal(word))
+            current.append((SYMBOL if word in SYMBOLIC_TOKENS else LITERAL, word))
             i = j
     if group_alts is not None:
         raise ScriptSyntaxError(f"unterminated '(' in {source!r}")
@@ -183,19 +143,18 @@ def expand_alternation(template: Template) -> list[Template]:
     Output order is lexicographic over group alternative order, leftmost
     group most significant; output size is the product of the group sizes.
     """
-    slots = [p.alternatives if isinstance(p, Group) else None for p in template.parts]
-    groups = [alts for alts in slots if alts is not None]
+    groups = [alts for kind, alts in template.parts if kind == GROUP]
     if not groups:
         return [template]
     flats: list[Template] = []
     for combo in itertools.product(*groups):
         chosen = iter(combo)
-        parts: list[Part] = []
-        for part, alts in zip(template.parts, slots):
-            if alts is None:
-                parts.append(part)
-            else:
+        parts: list[tuple[int, Any]] = []
+        for part in template.parts:
+            if part[0] == GROUP:
                 parts.extend(next(chosen))
+            else:
+                parts.append(part)
         flats.append(Template(tuple(parts)))
     return flats
 

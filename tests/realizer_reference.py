@@ -1,14 +1,13 @@
 """The part-by-part realizer, kept as a test oracle.
 
-``lexgram.realizer.realize`` walks a template's kept ``flat_parts``, looks
-contractions up in a pair table made once per rule set, and skips the
-contraction, elision and spacing loops when no token can take part in
-them.  ``realize`` here is the function it replaced: it tests the type of
-each part, resolves each placeholder through the bindings' rule, scans
-every contraction rule at every token pair, and walks every token in
-``elide`` and ``render``.  The differential tests in ``test_realizer.py``
-check that both return the same surface, or raise the same error with the
-same message.
+``lexgram.realizer.realize`` looks contractions up in a pair table made once
+per rule set, and skips the contraction, elision and spacing loops when no
+token can take part in them.  ``realize`` here is the function it replaced:
+it resolves each placeholder through a lookup of its own, spells an
+unbound placeholder its own way, scans every contraction rule at every
+token pair, and walks every token in ``elide`` and ``render``.  The
+differential tests in ``test_realizer.py`` check that both return the same
+surface, or raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -16,9 +15,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from lexgram.errors import UnboundPlaceholder, UnknownSymbolicToken
-from lexgram.model import SurfaceForm
-from lexgram.realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, Bindings, MorphoRules
-from lexgram.script import Group, Literal, Symbolic, Template, parse_template
+from lexgram.model import EMPTY_CELLS, SurfaceForm
+from lexgram.realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules
+from lexgram.script import COMPONENT, GROUP, LITERAL, SYMBOL, Template, parse_template
 
 
 def contract(tokens: list[str], rules: MorphoRules = DEFAULT_RULES) -> list[str]:
@@ -73,37 +72,40 @@ def render(tokens: list[str]) -> str:
     return out
 
 
-def _resolve(bindings: Bindings, name: str, component: bool) -> str | None:
+def _resolve(components: Mapping[str, str], aux: Mapping[str, str], name: str, component: bool) -> str | None:
     if component:
-        return bindings.components.get(name)
-    if name in bindings.aux:
-        return bindings.aux[name]
-    return bindings.components.get(name)
+        return components.get(name)
+    if name in aux:
+        return aux[name]
+    return components.get(name)
 
 
 def realize(
     template: Template | str,
-    bindings: Bindings,
+    components: Mapping[str, str],
+    aux: Mapping[str, str] = EMPTY_CELLS,
     symbols: Mapping[str, str] = DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
 ) -> SurfaceForm:
     if isinstance(template, str):
         template = parse_template(template)
     tokens: list[str] = []
-    for part in template.parts:
-        if isinstance(part, Group):
+    for kind, text in template.parts:
+        if kind == GROUP:
             raise ValueError("realize expects a flat template")
-        if isinstance(part, Literal):
-            tokens.append(part.text)
-        elif isinstance(part, Symbolic):
-            value = symbols.get(part.text)
+        if kind == LITERAL:
+            tokens.append(text)
+        elif kind == SYMBOL:
+            value = symbols.get(text)
             if value is None:
-                raise UnknownSymbolicToken(f"no policy for symbolic token {part.text!r}")
+                raise UnknownSymbolicToken(f"no policy for symbolic token {text!r}")
             tokens.extend(value.split())
         else:
-            value = _resolve(bindings, part.name, part.component)
+            component = kind == COMPONENT
+            value = _resolve(components, aux, text, component)
             if value is None:
-                raise UnboundPlaceholder(f"placeholder {part.text!r} is not bound")
+                spelled = "@" + ("<ENT>" if component else "") + text + "@"
+                raise UnboundPlaceholder(f"placeholder {spelled!r} is not bound")
             tokens.extend(value.split())
     rendered = render(elide(contract(tokens, rules), rules))
     return SurfaceForm(tuple(tokens), rendered)

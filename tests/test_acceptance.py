@@ -23,7 +23,7 @@ from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_lexicon
 from lexgram.lexicon import generate_base
 from lexgram.model import IssueKind, Origin
-from lexgram.realizer import Bindings, contract, elide, realize, render
+from lexgram.realizer import contract, elide, realize, render
 from lexgram.script import parse_script
 from lexgram.stats import compute_stats, percentage
 from lexgram.tables import load_class_matrix, load_table, resolve_features
@@ -216,7 +216,7 @@ _FUZZ_CELL = st.lists(_FUZZ_WORDS, min_size=0, max_size=4).map(" ".join)
 def _fuzz_realize_hygiene(cells):
     components = {f"C{i}": text for i, text in enumerate(cells)}
     template = " ".join(f"@C{i}@" for i in range(len(cells)))
-    rendered = realize(template, Bindings(components)).rendered
+    rendered = realize(template, components).rendered
     assert "@" not in rendered
     assert "<E>" not in rendered
     assert "  " not in rendered

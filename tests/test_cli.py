@@ -167,6 +167,24 @@ def test_compile_names_the_file_of_a_bad_symbol_or_morpho_line(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_compile_refuses_a_symbol_policy_for_an_unknown_token(tmp_path, capsys):
+    policy = tmp_path / "symbols.conf"
+    policy.write_text("Ddef = la\nDind = une\n", encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(FIXTURES / "extract.lgs"),
+        "--symbols", str(policy),
+        "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"lexgram: error: {policy}:2: unknown symbolic token 'Dind' (expected one of: Ddef, N, Nhum, Poss2)\n"
+    )
+    assert not out.exists()
+
+
 def test_compile_rejects_bad_class_matrix(tmp_path, capsys):
     for name, text in (("empty.lgm", ""), ("no-id.lgm", "class\tfa\n\t+\n")):
         matrix = tmp_path / name
@@ -529,6 +547,16 @@ def test_export_stdout_matches_file_output(tmp_path, capsys):
     target = tmp_path / "base.snapshot"
     assert main(["export", str(base), "--format", "xml", "-o", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == stdout_text
+
+
+def test_export_picks_the_format_by_suffix_and_writes_text_on_stdout(tmp_path, capsys):
+    base = _compile(tmp_path)
+    xml = tmp_path / "out.lgx.xml"
+    assert main(["export", str(base), "-o", str(xml)]) == 0
+    assert xml.read_text(encoding="utf-8") == export_lexicon(load_lexicon(base), "xml")
+    capsys.readouterr()
+    assert main(["export", str(xml)]) == 0
+    assert capsys.readouterr().out == base.read_text(encoding="utf-8")
 
 
 def test_import_checks_and_converts(tmp_path, capsys):

@@ -75,3 +75,5 @@ def test_each_kind_of_input_raises_its_own_class():
     assert not isinstance(err.value, TableFormatError)
     with pytest.raises(RealizationError, match=r"^bad\.sym:1: bad symbol line: 'x'$"):
         parse_symbols("x\n", "bad.sym")
+    with pytest.raises(RealizationError, match=r"^bad\.sym:2: unknown symbolic token 'Dind' "):
+        parse_symbols("Ddef = la\nDind = une\n", "bad.sym")

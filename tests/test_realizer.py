@@ -10,7 +10,6 @@ from lexgram.errors import LexgramError, RealizationError, UnboundPlaceholder, U
 from lexgram.realizer import (
     DEFAULT_RULES,
     DEFAULT_SYMBOLS,
-    Bindings,
     MorphoRules,
     contract,
     elide,
@@ -18,7 +17,7 @@ from lexgram.realizer import (
     realize,
     render,
 )
-from lexgram.script import Literal, Placeholder, Symbolic, Template, parse_template
+from lexgram.script import COLUMN, COMPONENT, LITERAL, SYMBOL, SYMBOLIC_TOKENS, Template, parse_template
 
 
 def test_contract_covers_the_four_fusions():
@@ -79,62 +78,63 @@ def test_parse_morpho_rules_rejects_bad_directive():
         parse_morpho_rules("shrink de le = du\n")
 
 
+def test_default_symbols_cover_exactly_the_symbolic_tokens():
+    assert DEFAULT_SYMBOLS.keys() == SYMBOLIC_TOKENS
+
+
 def test_parse_morpho_rules_empty_vowels_falls_back():
     rules = parse_morpho_rules("contract de le = du\n")
     assert rules.vowels == DEFAULT_RULES.vowels
 
 
-def _bindings(**aux: str) -> Bindings:
-    return Bindings(components={"Prép1": "à", "Det1": "le", "C1": "cas"}, aux=aux)
+_COMPONENTS = {"Prép1": "à", "Det1": "le", "C1": "cas"}
 
 
 def test_realize_substitutes_and_finishes():
-    surface = realize("@<ENT>Prép1@ @<ENT>Det1@ @<ENT>C1@ où", _bindings())
+    surface = realize("@<ENT>Prép1@ @<ENT>Det1@ @<ENT>C1@ où", _COMPONENTS)
     assert surface.rendered == "au cas où"
     assert surface.tokens == ("à", "le", "cas", "où")
 
 
 def test_realize_symbolic_tokens_use_the_policy():
-    surface = realize("@<ENT>Prép1@ Poss2 @<ENT>C1@", _bindings())
+    surface = realize("@<ENT>Prép1@ Poss2 @<ENT>C1@", _COMPONENTS)
     assert surface.rendered == "à son cas"
     custom = dict(DEFAULT_SYMBOLS, Poss2="leur")
-    surface = realize("@<ENT>Prép1@ Poss2 @<ENT>C1@", _bindings(), symbols=custom)
+    surface = realize("@<ENT>Prép1@ Poss2 @<ENT>C1@", _COMPONENTS, symbols=custom)
     assert surface.rendered == "à leur cas"
 
 
 def test_realize_splits_multiword_cells():
-    bindings = Bindings(components={"C1": "état actuel"}, aux={})
-    surface = realize("en le @<ENT>C1@", bindings)
+    surface = realize("en le @<ENT>C1@", {"C1": "état actuel"})
     assert surface.tokens == ("en", "le", "état", "actuel")
     assert surface.rendered == "en l'état actuel"
 
 
 def test_realize_plain_ref_prefers_aux_then_component():
-    bindings = Bindings(components={"C1": "cas"}, aux={"C1-syn": "situation"})
-    assert realize("@C1-syn@", bindings).rendered == "situation"
-    assert realize("@C1@", bindings).rendered == "cas"
+    components, aux = {"C1": "cas"}, {"C1-syn": "situation"}
+    assert realize("@C1-syn@", components, aux).rendered == "situation"
+    assert realize("@C1@", components, aux).rendered == "cas"
 
 
 def test_realize_empty_value_contributes_no_token():
-    bindings = Bindings(components={"Det1": "", "C1": "pourboire"}, aux={})
-    surface = realize("@<ENT>Det1@ @<ENT>C1@", bindings)
+    surface = realize("@<ENT>Det1@ @<ENT>C1@", {"Det1": "", "C1": "pourboire"})
     assert surface.tokens == ("pourboire",)
     assert surface.rendered == "pourboire"
 
 
 def test_realize_unbound_placeholder_is_an_error():
     with pytest.raises(UnboundPlaceholder):
-        realize("@manque@", _bindings())
+        realize("@manque@", _COMPONENTS)
 
 
 def test_realize_unknown_symbolic_token_is_an_error():
     with pytest.raises(UnknownSymbolicToken):
-        realize("Poss2 @<ENT>C1@", _bindings(), symbols={})
+        realize("Poss2 @<ENT>C1@", _COMPONENTS, symbols={})
 
 
 def test_realize_refuses_unexpanded_alternation():
     with pytest.raises((RealizationError, ValueError)):
-        realize("de (E + une) façon", _bindings())
+        realize("de (E + une) façon", _COMPONENTS)
 
 
 def test_criterion_contractions_on_fixture_token_lists():
@@ -158,16 +158,13 @@ _SYMBOLS = ("Poss2", "Ddef", "N", "Nhum")
 
 _cells = st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join) | st.sampled_from(("", " ", "de  la\tcas"))
 _parts = st.one_of(
-    st.builds(Literal, st.sampled_from(_WORDS)),
-    st.builds(Symbolic, st.sampled_from(_SYMBOLS)),
-    st.builds(Placeholder, st.sampled_from(_NAMES), st.booleans()),
+    st.tuples(st.just(LITERAL), st.sampled_from(_WORDS)),
+    st.tuples(st.just(SYMBOL), st.sampled_from(_SYMBOLS)),
+    st.tuples(st.sampled_from((COMPONENT, COLUMN)), st.sampled_from(_NAMES)),
 )
 _drawn_templates = st.lists(_parts, max_size=6).map(lambda parts: Template(tuple(parts)))
-_drawn_bindings = st.builds(
-    Bindings,
-    st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=4),
-    st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=2),
-)
+_drawn_components = st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=4)
+_drawn_aux = st.dictionaries(st.sampled_from(_NAMES), _cells, max_size=2)
 _symbol_policies = st.just(DEFAULT_SYMBOLS) | st.dictionaries(st.sampled_from(_SYMBOLS), _cells, max_size=4)
 _word = st.sampled_from(_WORDS[:-3])
 _drawn_rules = st.just(DEFAULT_RULES) | st.builds(
@@ -198,30 +195,32 @@ def _template(text: str) -> Template:
     return parse_template(text)
 
 
-_EXAMPLE_BINDINGS = Bindings({"C1": "état actuel", "Det1": "", "Adj": "de le les"}, {"syn": "heure"})
+_EXAMPLE_COMPONENTS = {"C1": "état actuel", "Det1": "", "Adj": "de le les"}
+_EXAMPLE_AUX = {"syn": "heure"}
 
 
-@example(_template("de le le @Adj@ de les"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, _OVERLAPPING)
-@example(_template("la @syn@ l' homme de @<ENT>Det1@ état"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, _OVERLAPPING)
-@example(_template("Poss2 @<ENT>C1@"), _EXAMPLE_BINDINGS, {"Ddef": "la"}, DEFAULT_RULES)
-@example(_template("de @<ENT>syn@"), _EXAMPLE_BINDINGS, DEFAULT_SYMBOLS, DEFAULT_RULES)
-@given(_drawn_templates, _drawn_bindings, _symbol_policies, _drawn_rules)
-def test_realize_matches_the_reference(template, bindings, symbols, rules):
-    expected = _outcome(realizer_reference.realize, template, bindings, symbols, rules)
-    assert _outcome(realize, template, bindings, symbols, rules) == expected
+@example(_template("de le le @Adj@ de les"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, DEFAULT_SYMBOLS, _OVERLAPPING)
+@example(_template("la @syn@ l' homme de @<ENT>Det1@ état"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, DEFAULT_SYMBOLS, _OVERLAPPING)
+@example(_template("Poss2 @<ENT>C1@"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, {"Ddef": "la"}, DEFAULT_RULES)
+@example(_template("de @<ENT>syn@"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, DEFAULT_SYMBOLS, DEFAULT_RULES)
+@given(_drawn_templates, _drawn_components, _drawn_aux, _symbol_policies, _drawn_rules)
+def test_realize_matches_the_reference(template, components, aux, symbols, rules):
+    expected = _outcome(realizer_reference.realize, template, components, aux, symbols, rules)
+    assert _outcome(realize, template, components, aux, symbols, rules) == expected
     # a template given as text realizes as its parsed form does
-    if template.parts and all(p.text for p in template.parts if isinstance(p, Literal)):
-        assert _outcome(realize, template.text, bindings, symbols, rules) == expected
+    if template.parts and all(text for kind, text in template.parts if kind == LITERAL):
+        assert _outcome(realize, template.text, components, aux, symbols, rules) == expected
 
 
 def test_realize_reference_examples_cover_both_errors():
-    assert _outcome(realize, _template("Poss2 @<ENT>C1@"), _EXAMPLE_BINDINGS, {"Ddef": "la"}) == (
+    assert _outcome(realize, _template("Poss2 @<ENT>C1@"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, {"Ddef": "la"}) == (
         UnknownSymbolicToken, "no policy for symbolic token 'Poss2'",
     )
-    assert _outcome(realize, _template("de @<ENT>syn@"), _EXAMPLE_BINDINGS) == (
+    assert _outcome(realize, _template("de @<ENT>syn@"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX) == (
         UnboundPlaceholder, "placeholder '@<ENT>syn@' is not bound",
     )
-    assert realize(_template("de le le @Adj@ de les"), _EXAMPLE_BINDINGS, rules=_OVERLAPPING).rendered == "du le du les des"
+    realized = realize(_template("de le le @Adj@ de les"), _EXAMPLE_COMPONENTS, _EXAMPLE_AUX, rules=_OVERLAPPING)
+    assert realized.rendered == "du le du les des"
 
 
 @given(st.lists(st.sampled_from(_WORDS), max_size=6), _drawn_rules)

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import template_reference
 from conftest import fixture_path, load_fixture_script
 from lexgram.errors import ScriptSyntaxError, UnknownSlotSymbol
 from lexgram.script import (
+    COLUMN,
+    COMPONENT,
+    GROUP,
+    LITERAL,
+    SYMBOL,
     Action,
     ExtractionScript,
-    Group,
-    Literal,
-    Placeholder,
     ScriptRule,
-    Symbolic,
     expand_alternation,
     parse_script,
     parse_template,
@@ -155,24 +157,19 @@ def test_effective_rules_match_a_scan_of_every_rule(script):
 
 def test_parse_template_part_kinds():
     template = parse_template("à le niveau @Adj@ Poss2")
-    kinds = [type(p) for p in template.parts]
-    assert kinds == [Literal, Literal, Literal, Placeholder, Symbolic]
-    placeholder = template.parts[3]
-    assert placeholder.name == "Adj"
-    assert not placeholder.component
+    kinds = [kind for kind, _ in template.parts]
+    assert kinds == [LITERAL, LITERAL, LITERAL, COLUMN, SYMBOL]
+    assert template.parts[3] == (COLUMN, "Adj")
 
 
 def test_parse_template_component_marker():
     template = parse_template("@<ENT>Modif pré-adj@")
-    placeholder = template.parts[0]
-    assert placeholder.component
-    assert placeholder.name == "Modif pré-adj"
+    assert template.parts == ((COMPONENT, "Modif pré-adj"),)
 
 
 def test_parse_template_group_with_empty_alternative():
     template = parse_template("de (E + une) façon")
-    group = template.parts[1]
-    assert isinstance(group, Group)
+    assert template.parts[1] == (GROUP, ((), ((LITERAL, "une"),)))
 
 
 def test_nested_group_is_rejected():
@@ -194,12 +191,71 @@ def test_expand_alternation_orders_leftmost_most_significant():
         "de une façon @Adj@",
         "de une manière @Adj@",
     ]
-    assert not any(isinstance(part, Group) for f in flats for part in f.parts)
+    assert not any(kind == GROUP for f in flats for kind, _ in f.parts)
 
 
 def test_expand_alternation_on_flat_template_is_identity():
     template = parse_template("en fait")
     assert expand_alternation(template) == [template]
+
+
+# Differential tests against ``template_reference``, the parser with one
+# class per part kind that the (kind, text) pairs replaced.
+
+_TEMPLATE_PIECES = st.sampled_from((
+    "de", "le", "une", "façon", "Poss2", "Ddef", "N", "Nhum", "E", "+",
+    "@Adj@", "@<ENT> C1 @", "@<ENT>Det1@", "@", "(", ")", " ", "",
+))
+# well-formed groups, whose alternatives hold several parts, next to pieces
+_drawn_groups = st.lists(st.lists(_TEMPLATE_PIECES, max_size=3).map(" ".join), min_size=1, max_size=3).map(
+    lambda alts: "(" + " + ".join(alts) + ")",
+)
+_drawn_template_texts = (
+    st.lists(_TEMPLATE_PIECES, max_size=12).map(" ".join)
+    | st.lists(_TEMPLATE_PIECES, max_size=12).map("".join)
+    | st.lists(_TEMPLATE_PIECES | _drawn_groups, max_size=5).map(" ".join)
+)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ScriptSyntaxError as err:
+        return type(err), str(err)
+
+
+def _check_against_reference(text):
+    got, want = _parsed(parse_template, text), _parsed(template_reference.parse_template, text)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.parts == template_reference.pairs(want.parts)
+    assert got.text == want.text
+    assert parse_template(got.text) == got
+    flats, reference_flats = expand_alternation(got), template_reference.expand_alternation(want)
+    assert [f.parts for f in flats] == [template_reference.pairs(f.parts) for f in reference_flats]
+    assert [f.text for f in flats] == [f.text for f in reference_flats]
+
+
+@given(_drawn_template_texts)
+def test_parse_template_matches_the_reference(text):
+    _check_against_reference(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("de (E + une) @<ENT> C1 @ + Poss2 (Ddef + @Adj@)", None),
+    ("(E) ()", None),
+    ("(de une + E) façon (le + la @Adj@ + Ddef)", None),
+    ("((a))", "nested alternation in '((a))'"),
+    ("a)", "unmatched ')' in 'a)'"),
+    ("(a", "unterminated '(' in '(a'"),
+    ("@x", "unterminated placeholder in '@x'"),
+    ("@ @", "empty placeholder in '@ @'"),
+])
+def test_parse_template_matches_the_reference_on_each_outcome(text, error):
+    if error is not None:
+        assert _parsed(template_reference.parse_template, text) == (ScriptSyntaxError, error)
+    _check_against_reference(text)
 
 
 # --- substructure classification ------------------------------------------------
