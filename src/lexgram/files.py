@@ -1,7 +1,7 @@
 """Reading and writing the files lexgram reads and writes.
 
 :func:`read_chunks` is the one reader of user files: it decodes a file
-about 1 MiB at a time, and bytes that are not UTF-8 raise a
+about 256 KiB at a time, and bytes that are not UTF-8 raise a
 :class:`~lexgram.errors.SchemaViolation` naming the file and the byte's
 position in it.  :func:`read_text` joins its pieces, and :func:`parse_file`
 hands them to a parser.  :func:`writing` is the one writer.
@@ -22,7 +22,7 @@ from .errors import SchemaViolation
 T = TypeVar("T")
 
 # Input files are read this many bytes at a time.
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 def read_chunks(path: str | Path) -> Iterator[str]:

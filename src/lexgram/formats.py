@@ -14,7 +14,6 @@ a character XML 1.0 cannot carry.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import itertools
 import operator
@@ -40,6 +39,18 @@ from .model import (
     parse_entry_id,
 )
 
+# The header digest is taken with CPython's own SHA-256: importing hashlib
+# loads OpenSSL's libcrypto, over 3 MiB of every command's resident set,
+# only to hash a script of a few KiB.  An interpreter built without either
+# module falls back to hashlib.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 TOOL_VERSION = "0.1.0"
 GENERATOR = f"lexgram {TOOL_VERSION}"
 FORMAT_VERSION = 1
@@ -58,7 +69,7 @@ class LexiconDocument:
 
     @property
     def script_sha256(self) -> str:
-        return hashlib.sha256(self.script_source.encode("utf-8")).hexdigest()
+        return sha256(self.script_source.encode("utf-8")).hexdigest()
 
 
 def _check_entry_ids(entries: list[LexEntry]) -> None:
@@ -524,7 +535,7 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
 
 # The readers cut a text they are given whole into pieces of this many
 # characters, so they never hold the whole text's line list.
-_CHUNK_CHARS = 1 << 20
+_CHUNK_CHARS = 1 << 18
 
 
 def _pieces(source: str | Iterable[str]) -> Iterable[str]:
@@ -846,6 +857,11 @@ def _node_surface(entry_id: str, node: tuple, words: Callable[[str, str], str]) 
     return SurfaceForm(tuple(map(words, tokens, tokens)), rendered)
 
 
+# A base entry's ``<provenance>`` element; every one read shares one object.
+_BASE_ATTRS = {"kind": Origin.BASE.value}
+_BASE_PROVENANCE = Provenance(Origin.BASE)
+
+
 def _node_entry(
     node: tuple,
     share: Callable[[str, str], str],
@@ -946,6 +962,9 @@ def _node_entry(
                 surface = _node_surface(entry_id, child, words)
         elif tag == "provenance":
             if provenance is not None:
+                continue
+            if child_attrs == _BASE_ATTRS:
+                provenance = _BASE_PROVENANCE
                 continue
             feature_id, template = child_attrs.get("feature"), child_attrs.get("template")
             try:

@@ -75,8 +75,11 @@ def parse_morpho_rules(text: str, source: str | None = None) -> MorphoRules:
         elide le = l'
         vowels a à e é ...
         mute-h heure heures
+
+    A word pair contracts, and a word elides, by one rule only: a second
+    rule for either is refused.  ``vowels`` and ``mute-h`` lines add up.
     """
-    contractions: list[tuple[str, str, str]] = []
+    contractions: dict[tuple[str, str], str] = {}  # word pair -> contraction
     elisions: dict[str, str] = {}
     vowels: set[str] = set()
     mute_h: set[str] = set()
@@ -90,12 +93,18 @@ def parse_morpho_rules(text: str, source: str | None = None) -> MorphoRules:
             pair = lhs.split()
             if not sep or len(pair) != 2 or not result.split():
                 raise RealizationError(f"bad contract rule: {raw.strip()!r}", source, lineno)
-            contractions.append((pair[0], pair[1], result.strip()))
+            left, right = pair
+            if (left, right) in contractions:
+                raise RealizationError(f"duplicate contract rule for {left + ' ' + right!r}", source, lineno)
+            contractions[left, right] = result.strip()
         elif directive == "elide":
             lhs, sep, result = rest.partition("=")
             if not sep or len(lhs.split()) != 1 or not result.strip():
                 raise RealizationError(f"bad elide rule: {raw.strip()!r}", source, lineno)
-            elisions[lhs.strip()] = result.strip()
+            word = lhs.strip()
+            if word in elisions:
+                raise RealizationError(f"duplicate elide rule for {word!r}", source, lineno)
+            elisions[word] = result.strip()
         elif directive == "vowels":
             vowels.update(ch for ch in rest if not ch.isspace())
         elif directive == "mute-h":
@@ -103,7 +112,7 @@ def parse_morpho_rules(text: str, source: str | None = None) -> MorphoRules:
         else:
             raise RealizationError(f"unknown directive {directive!r}", source, lineno)
     return MorphoRules(
-        tuple(contractions), elisions,
+        tuple((left, right, result) for (left, right), result in contractions.items()), elisions,
         frozenset(vowels) or DEFAULT_RULES.vowels,
         frozenset(mute_h),
     )
@@ -114,7 +123,8 @@ def load_morpho_rules(path: str | Path) -> MorphoRules:
 
 
 def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
-    """Symbol policy file: one ``token = rendering`` per line, # comments."""
+    """Symbol policy file: one ``token = rendering`` per line, # comments.
+    A token is set once: a second line for it is refused."""
     symbols: dict[str, str] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,6 +137,8 @@ def parse_symbols(text: str, source: str | None = None) -> dict[str, str]:
         if token not in SYMBOLIC_TOKENS:
             known = ", ".join(sorted(SYMBOLIC_TOKENS))
             raise RealizationError(f"unknown symbolic token {token!r} (expected one of: {known})", source, lineno)
+        if token in symbols:
+            raise RealizationError(f"duplicate symbolic token {token!r}", source, lineno)
         symbols[token] = value.strip()
     return symbols
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import os
 import random
@@ -164,6 +165,27 @@ def test_compile_names_the_file_of_a_bad_symbol_or_morpho_line(tmp_path, capsys,
     ])
     assert code == 1
     assert capsys.readouterr().err == f"lexgram: error: {bad}:2: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, text, message", [
+    ("--symbols", "Poss2 = son\nDdef = la\nPoss2 = leur\n", "3: duplicate symbolic token 'Poss2'"),
+    ("--morpho", "elide le = l'\n\nelide le = l\n", "3: duplicate elide rule for 'le'"),
+    ("--morpho", "contract de le = du\ncontract de le = dul\n", "2: duplicate contract rule for 'de le'"),
+])
+def test_compile_refuses_a_repeated_symbol_or_morpho_rule(tmp_path, capsys, option, text, message):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(text, encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main([
+        "compile", *_table_args(),
+        "--classes", str(FIXTURES / "classes.lgm"),
+        "--script", str(FIXTURES / "extract.lgs"),
+        option, str(rules),
+        "-o", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"lexgram: error: {rules}:{message}\n"
     assert not out.exists()
 
 
@@ -575,13 +597,35 @@ def test_import_rejects_corrupt_files(tmp_path):
     assert main(["import", str(bad)]) == 1
 
 
-def _run_cli(*args):
-    """Run ``lexgram`` in a fresh interpreter, as a user would."""
+def _run_python(*args):
+    """Run a fresh interpreter that imports the package from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run(
-        [sys.executable, "-m", "lexgram.cli", *args], capture_output=True, text=True, env=env,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_cli(*args):
+    """Run ``lexgram`` in a fresh interpreter, as a user would."""
+    return _run_python("-m", "lexgram.cli", *args)
+
+
+# hashlib loads OpenSSL, several MiB of every command's resident set; the
+# header digest takes CPython's own SHA-256 where the interpreter has it.
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="this interpreter has no built-in SHA-256 module",
+)
+def test_a_command_runs_without_loading_openssl(tmp_path):
+    base = _compile(tmp_path)
+    code = (
+        "import sys\n"
+        "from lexgram.cli import main\n"
+        "code = main(['validate', sys.argv[1], '-o', sys.argv[2]])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
     )
+    run = _run_python("-c", code, str(base), str(tmp_path / "review.tsv"))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 False"
 
 
 def _cut_first_multibyte_char(data: bytes) -> bytes:

@@ -14,7 +14,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import corpusgen
@@ -210,6 +210,14 @@ def test_text_header_layout(corpus_doc):
     assert f"#entries\t{len(corpus_doc.entries)}" in lines
     body = [l for l in lines[5:] if not l.startswith("#")]
     assert SECTION_LEXICAL in body and SECTION_ARGUMENTS in body and SECTION_CONSTRUCTIONS in body
+
+
+@given(st.text())
+@example("")
+@example("* : \"é\" => construction # œuvre 😀")
+def test_script_digest_is_hashlibs(script):
+    doc = LexiconDocument([], TABLE_IDS, script)
+    assert doc.script_sha256 == hashlib.sha256(script.encode("utf-8")).hexdigest()
 
 
 def test_text_empty_values_use_sentinel(corpus_doc):
@@ -981,6 +989,16 @@ def test_loaded_variants_hold_their_parents_id(fmt):
             shared += 1
             assert entry.provenance.parent is parent.entry_id, entry.entry_id
     assert shared > len(doc.entries) / 3
+
+
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_loaded_base_entries_share_one_provenance(fmt):
+    extended = _extended_corpus()[0]
+    doc = import_lexicon(export_lexicon(extended, fmt))
+    assert doc == import_text(export_lexicon(extended))
+    bases = [entry.provenance for entry in doc.entries if entry.provenance.kind is Origin.BASE]
+    assert len(bases) > 10
+    assert all(provenance is bases[0] for provenance in bases)
 
 
 # A base lexicon's entries of one table have equal internal structures, so

@@ -77,3 +77,20 @@ def test_each_kind_of_input_raises_its_own_class():
         parse_symbols("x\n", "bad.sym")
     with pytest.raises(RealizationError, match=r"^bad\.sym:2: unknown symbolic token 'Dind' "):
         parse_symbols("Ddef = la\nDind = une\n", "bad.sym")
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_symbols, "Poss2 = son\n# again\nPoss2 = leur\n", "bad.txt:3: duplicate symbolic token 'Poss2'"),
+    (parse_morpho_rules, "elide le = l'\nelide la = l'\nelide  le = l\n", "bad.txt:3: duplicate elide rule for 'le'"),
+    (parse_morpho_rules, "contract de le = du\ncontract de  le = du\n", "bad.txt:2: duplicate contract rule for 'de le'"),
+])
+def test_rule_files_refuse_a_repeated_key(parse, text, message):
+    with pytest.raises(RealizationError) as err:
+        parse(text, "bad.txt")
+    assert str(err.value) == message
+
+
+def test_vowels_and_mute_h_lines_add_up():
+    rules = parse_morpho_rules("vowels a e\nvowels e i\nmute-h heure\nmute-h homme heure\n")
+    assert rules.vowels == frozenset("aei")
+    assert rules.mute_h == frozenset({"heure", "homme"})
