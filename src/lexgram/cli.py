@@ -213,7 +213,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def cli(argv: list[str] | None = None) -> int:
     """Run one subcommand with the cyclic garbage collector off.
 
-    A lexicon document is acyclic (slotted dataclasses, tuples, dicts and
+    A lexicon document is acyclic (slotted classes, tuples, dicts and
     strings), so reference counting frees all of it; the collector would
     only traverse the growing lexicon again and again while it is read or
     built.  The collector's state is restored on the way out, so a caller

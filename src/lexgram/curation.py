@@ -10,9 +10,8 @@ here changes the entries it is given.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 
-from .model import IssueKind, LexEntry, Origin, SurfaceForm, ValidationIssue
+from .model import FrozenFields, IssueKind, LexEntry, Origin, SurfaceForm, ValidationIssue
 
 
 def canonical_key(surface: SurfaceForm | str) -> str:
@@ -29,11 +28,13 @@ def canonical_key(surface: SurfaceForm | str) -> str:
     return " ".join(text.split()).casefold()
 
 
-@dataclass(frozen=True)
-class DuplicateRecord:
-    kept: str
-    removed: tuple[str, ...]
-    key: str
+class DuplicateRecord(FrozenFields):
+    __match_args__ = ("kept", "removed", "key")
+
+    def __init__(self, kept: str, removed: tuple[str, ...], key: str):
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "key", key)
 
 
 def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord]]:

@@ -15,13 +15,22 @@ their parent's arguments and binary features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .curation import dedup
 from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
-from .model import EMPTY_CELLS, PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, RecordRow, parse_entry_id
+from .model import (
+    EMPTY_CELLS,
+    PASS_ORDER,
+    PASS_TAGS,
+    Fields,
+    FrozenFields,
+    LexEntry,
+    Origin,
+    Provenance,
+    RecordRow,
+    parse_entry_id,
+)
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
-from .script import Action, ExtractionScript, Template, expand_alternation
+from .script import Action, ExtractionScript, Template
 from .stats import StatsReport, compute_stats, tally
 from .tables import parse_structure_label
 
@@ -35,12 +44,14 @@ _SUBSTRUCTURES = (Origin.DELETION, Origin.PERMUTATION)
 _PARAPHRASES = (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION)
 
 
-@dataclass(frozen=True)
-class PassConfig:
+class PassConfig(FrozenFields):
     """Which passes run.  Order is never configurable: enabled passes always
     apply in the canonical order of PASS_ORDER."""
 
-    enabled: frozenset[Origin] = frozenset(PASS_ORDER)
+    __match_args__ = ("enabled",)
+
+    def __init__(self, enabled: frozenset[Origin] = frozenset(PASS_ORDER)):
+        object.__setattr__(self, "enabled", enabled)
 
     @classmethod
     def parse(cls, names: str) -> "PassConfig":
@@ -84,19 +95,33 @@ _ACTION_PASS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class PlanStep:
+class PlanStep(FrozenFields):
     """One generating rule, resolved for one table and component slot set:
     what every variant of the rule shares is worked out here, once."""
 
-    origin: Origin
-    tag: str                     # the pass tag of the variant ids
-    feature_id: str
-    flats: tuple[Template, ...]  # the rule's templates, alternation flattened
-    label: str                   # the parent's other-structure label
-    kept_slots: tuple[str, ...]  # slots a deletion or permutation variant keeps
-    construction_ids: tuple[str, ...]     # each variant's
-    internal_structures: tuple[str, ...]  # each variant's: a substructure's label
+    __slots__ = __match_args__ = (
+        "origin", "tag", "feature_id", "flats", "label", "kept_slots", "construction_ids", "internal_structures",
+    )
+
+    def __init__(
+        self,
+        origin: Origin,
+        tag: str,                     # the pass tag of the variant ids
+        feature_id: str,
+        flats: tuple[Template, ...],  # the rule's templates, alternation flattened
+        label: str,                   # the parent's other-structure label
+        kept_slots: tuple[str, ...],  # slots a deletion or permutation variant keeps
+        construction_ids: tuple[str, ...],     # each variant's
+        internal_structures: tuple[str, ...],  # each variant's: a substructure's label
+    ):
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "feature_id", feature_id)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "kept_slots", kept_slots)
+        object.__setattr__(self, "construction_ids", construction_ids)
+        object.__setattr__(self, "internal_structures", internal_structures)
 
 
 def build_plan(
@@ -116,7 +141,7 @@ def build_plan(
             continue
         label = rule.label or rule.feature_id
         substructure = origin in _SUBSTRUCTURES
-        flats = tuple(flat for template in rule.templates for flat in expand_alternation(template))
+        flats = tuple(flat for template in rule.templates for flat in template.flats)
         steps.append(PlanStep(
             origin, PASS_TAGS[origin], rule.feature_id, flats, label,
             kept_slots=parse_structure_label(rule.label) if substructure else (),
@@ -211,11 +236,13 @@ def expand_entry(
 # pipeline driver
 # =============================================================================
 
-@dataclass
-class PipelineResult:
-    entries: list[LexEntry]
-    records: list[RecordRow]
-    stats: StatsReport
+class PipelineResult(Fields):
+    __match_args__ = ("entries", "records", "stats")
+
+    def __init__(self, entries: list[LexEntry], records: list[RecordRow], stats: StatsReport):
+        self.entries = entries
+        self.records = records
+        self.stats = stats
 
 
 def run_pipeline(

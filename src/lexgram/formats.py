@@ -18,7 +18,6 @@ import io
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 from xml.parsers import expat
@@ -30,6 +29,7 @@ from .model import (
     EMPTY_TOKEN,
     PASS_TAGS,
     ArgumentSpec,
+    Fields,
     LexEntry,
     Origin,
     Provenance,
@@ -60,12 +60,16 @@ SECTION_ARGUMENTS = "Arguments"
 SECTION_CONSTRUCTIONS = "Constructions"
 
 
-@dataclass
-class LexiconDocument:
-    entries: list[LexEntry]
-    table_ids: tuple[str, ...]
-    script_source: str
-    generator: str = GENERATOR
+class LexiconDocument(Fields):
+    __match_args__ = ("entries", "table_ids", "script_source", "generator")
+
+    def __init__(
+        self, entries: list[LexEntry], table_ids: tuple[str, ...], script_source: str, generator: str = GENERATOR,
+    ):
+        self.entries = entries
+        self.table_ids = table_ids
+        self.script_source = script_source
+        self.generator = generator
 
     @property
     def script_sha256(self) -> str:
@@ -345,6 +349,13 @@ def _malformed(line: str) -> SchemaViolation:
     return SchemaViolation(f"malformed line: {line!r}")
 
 
+def _repeated(what: str, entry_id: str | None) -> SchemaViolation:
+    """A second line or element of a field that an entry holds once."""
+    if entry_id is None:
+        return SchemaViolation(f"repeated {what}")
+    return SchemaViolation(f"entry {entry_id!r}: repeated {what}")
+
+
 def _read_surface(fields: list[str], words: Callable[[str, str], str]) -> SurfaceForm:
     """The surface on a line split at tabs: keyword or label, rendered form,
     tokens; each token goes through *words*, the entry's table of words."""
@@ -378,9 +389,9 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     """The entries of a text lexicon's body, read in one pass.
 
     A blank or whitespace-only line ends the open block, so *lines* must
-    end with one.  Of repeated single-valued lines (entry, table,
-    provenance, surface, category) and of repeated feature, component and
-    aux keys, the last wins.
+    end with one.  A repeated single-valued line (entry, table,
+    provenance, surface, category) is refused; of repeated feature,
+    component and aux keys, the last wins.
 
     A line that holds only names (a section header, or a feature, table,
     category, internal-structure, construction, argument or base
@@ -451,13 +462,18 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
             elif keyword == "entry":
                 if len(fields) != 2:
                     raise _malformed(line)
+                if entry_id is not None:
+                    raise _repeated("'entry' line", entry_id)
                 entry_id = fields[1]
             elif keyword == "provenance":
+                if provenance is not None:
+                    raise _repeated("'provenance' line", entry_id)
                 provenance = _read_provenance(fields, share, bases)
                 if provenance.parent is None:
                     memo[line] = _PROVENANCE, None, provenance
             elif keyword == "surface":
-                surface = None
+                if surface is not None:
+                    raise _repeated("'surface' line", entry_id)
                 parent = None if provenance is None else bases.get(provenance.parent)
                 if parent is not None and len(fields) == 3:
                     # The parent's tokens were split from its lines, so a
@@ -518,14 +534,20 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
         elif code == _SECTION:
             pass
         elif code == _TABLE:
+            if table_id is not None:
+                raise _repeated("'table' line", entry_id)
             table_id = name
         elif code == _CATEGORY:
+            if category is not None:
+                raise _repeated("'category' line", entry_id)
             category = name
         elif code == _INTERNAL:
             internal.append(name)
         elif code == _CONSTRUCTION:
             constructions.append(name)
         elif code == _PROVENANCE:
+            if provenance is not None:
+                raise _repeated("'provenance' line", entry_id)
             provenance = value
         elif code == _ARGUMENT:
             arguments.append(value)
@@ -869,11 +891,11 @@ def _node_entry(
     tuples: Callable[[tuple, tuple], tuple],
 ) -> LexEntry:
     """The entry an ``<entry>`` node holds, built by :func:`_entry` with
-    *bases* and *tuples*.  Each child dispatches on its tag; of ``provenance``,
-    ``surface`` and ``lexical-information`` the first counts, and any other
-    tag is ignored with what it holds.  Every name goes through *share*, the
-    reader's table of shared names, and each token and cell text through a
-    table of the entry's words.
+    *bases* and *tuples*.  Each child dispatches on its tag; a repeated
+    ``provenance``, ``surface`` or ``lexical-information`` is refused, and
+    any other tag is ignored with what it holds.  Every name goes through
+    *share*, the reader's table of shared names, and each token and cell
+    text through a table of the entry's words.
 
     Valid input takes the fast path (``.get`` and the ``_ORIGINS`` and
     ``_SELECTIONS`` tables); on a failure the full check runs and raises
@@ -900,7 +922,7 @@ def _node_entry(
         tag, child_attrs, _, grandchildren = child
         if tag == "lexical-information":
             if category is not None:
-                continue
+                raise _repeated("<lexical-information> element", entry_id)
             category = child_attrs.get("category", "")
             category = share(category, category)
             for item in grandchildren:
@@ -958,11 +980,12 @@ def _node_entry(
                 except (KeyError, ValueError) as err:
                     raise SchemaViolation(f"bad argument: {err}") from None
         elif tag == "surface":
-            if surface is None:
-                surface = _node_surface(entry_id, child, words)
+            if surface is not None:
+                raise _repeated("<surface> element", entry_id)
+            surface = _node_surface(entry_id, child, words)
         elif tag == "provenance":
             if provenance is not None:
-                continue
+                raise _repeated("<provenance> element", entry_id)
             if child_attrs == _BASE_ATTRS:
                 provenance = _BASE_PROVENANCE
                 continue

@@ -12,7 +12,7 @@ import re
 from .errors import UnboundPlaceholder
 from .model import EMPTY_CELLS, ArgumentSpec, LexEntry, Selection, check_table_id, entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
-from .script import COLUMN, COMPONENT, Action, ExtractionScript, Template, expand_alternation, part_text
+from .script import COLUMN, COMPONENT, Action, ExtractionScript, Template, part_text
 from .tables import FeatureKind, LgTable
 
 _ARGUMENT_RE = re.compile(r"^(N0|N1|N2|Poss0|Poss2) =: (Nhum|N-hum)$")
@@ -58,7 +58,7 @@ def check_script_bindings(table: LgTable, script: ExtractionScript) -> None:
     }
     for rule in script.effective_rules(table.table_id):
         for template in rule.templates:
-            for flat in expand_alternation(template):
+            for flat in template.flats:
                 for kind, name in flat.parts:
                     if kind != COMPONENT and kind != COLUMN:
                         continue

@@ -13,7 +13,6 @@ review.  A record row is one line of the expansion record sidecar.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
@@ -112,54 +111,146 @@ class Selection(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class ArgumentSpec:
-    slot: str  # N0, N1, N2, Poss0, Poss2
-    selection: Selection
+class Fields:
+    """Field-wise equality, repr and copies, for a class that names its
+    fields in order in ``__match_args__``, as ``dataclasses`` does, and takes
+    them in that order in its ``__init__``.  Equality holds between
+    instances of one class only, and instances are unhashable.
+
+    Spelling the classes out keeps the ``dataclasses`` module, and the
+    ``inspect`` and ``ast`` it imports, out of every command's start-up.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, which a
+        # read-only slotted class needs
+        return self.__class__, self._values()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SurfaceForm:
+class FrozenFields(Fields):
+    """:class:`Fields` that are read-only once ``__init__`` has stored them
+    through ``object.__setattr__``, and hashed by their values."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ArgumentSpec(FrozenFields):
+    __slots__ = __match_args__ = ("slot", "selection")
+
+    def __init__(self, slot: str, selection: Selection):
+        object.__setattr__(self, "slot", slot)  # N0, N1, N2, Poss0, Poss2
+        object.__setattr__(self, "selection", selection)
+
+    # The readers hash and compare every entry's arguments; spelled out,
+    # these take a tenth (equality) and under half (hash) of the time of
+    # the generic ones on CPython 3.11.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.slot, self.selection) == (other.slot, other.selection)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.slot, self.selection))
+
+
+class SurfaceForm(Fields):
     """Substituted tokens (pre-contraction) plus the rendered citation form.
 
     Not frozen, for the reason :class:`LexEntry` is not, but hashable as
     when it was: no code changes a surface once built."""
 
-    tokens: tuple[str, ...]
-    rendered: str
+    __slots__ = __match_args__ = ("tokens", "rendered")
+
+    def __init__(self, tokens: tuple[str, ...], rendered: str):
+        self.tokens = tokens
+        self.rendered = rendered
+
+    def __hash__(self) -> int:
+        return hash((self.tokens, self.rendered))
 
 
-@dataclass(frozen=True, slots=True)
-class Provenance:
-    kind: Origin
-    parent: str | None = None
-    feature_id: str | None = None
-    template: str | None = None
+class Provenance(FrozenFields):
+    __slots__ = __match_args__ = ("kind", "parent", "feature_id", "template")
 
-    def __post_init__(self):
-        if (self.kind is Origin.BASE) != (self.parent is None):
+    def __init__(
+        self, kind: Origin, parent: str | None = None, feature_id: str | None = None, template: str | None = None,
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "feature_id", feature_id)
+        object.__setattr__(self, "template", template)
+        if (kind is Origin.BASE) != (parent is None):
             raise ValueError("base entries have no parent; variants require one")
 
 
-@dataclass(slots=True)
-class LexEntry:
+class LexEntry(Fields):
     """Built once, never changed: entries may share their tuples and dicts."""
 
-    entry_id: str
-    table_id: str
-    category: str
-    surface: SurfaceForm
-    components: Mapping[str, str]         # slot symbol -> cell text ("" = empty)
-    aux: Mapping[str, str]                # aux column -> cell text ("" = empty)
-    paraphrases: tuple[SurfaceForm, ...] = ()
-    other_structures: tuple[tuple[str, SurfaceForm], ...] = ()
-    intensified: tuple[SurfaceForm, ...] = ()
-    arguments: tuple[ArgumentSpec, ...] = ()
-    construction_ids: tuple[str, ...] = ()
-    internal_structures: tuple[str, ...] = ()
-    binary_features: dict[str, bool] = field(default_factory=dict)
-    provenance: Provenance = Provenance(Origin.BASE)  # one instance, shared
-    cross_refs: tuple[str, ...] = ()
+    __slots__ = __match_args__ = (
+        "entry_id", "table_id", "category", "surface", "components", "aux", "paraphrases",
+        "other_structures", "intensified", "arguments", "construction_ids", "internal_structures",
+        "binary_features", "provenance", "cross_refs",
+    )
+
+    def __init__(
+        self,
+        entry_id: str,
+        table_id: str,
+        category: str,
+        surface: SurfaceForm,
+        components: Mapping[str, str],         # slot symbol -> cell text ("" = empty)
+        aux: Mapping[str, str],                # aux column -> cell text ("" = empty)
+        paraphrases: tuple[SurfaceForm, ...] = (),
+        other_structures: tuple[tuple[str, SurfaceForm], ...] = (),
+        intensified: tuple[SurfaceForm, ...] = (),
+        arguments: tuple[ArgumentSpec, ...] = (),
+        construction_ids: tuple[str, ...] = (),
+        internal_structures: tuple[str, ...] = (),
+        binary_features: dict[str, bool] | None = None,  # None = a new empty dict
+        provenance: Provenance = Provenance(Origin.BASE),  # one instance, shared
+        cross_refs: tuple[str, ...] = (),
+    ):
+        self.entry_id = entry_id
+        self.table_id = table_id
+        self.category = category
+        self.surface = surface
+        self.components = components
+        self.aux = aux
+        self.paraphrases = paraphrases
+        self.other_structures = other_structures
+        self.intensified = intensified
+        self.arguments = arguments
+        self.construction_ids = construction_ids
+        self.internal_structures = internal_structures
+        self.binary_features = {} if binary_features is None else binary_features
+        self.provenance = provenance
+        self.cross_refs = cross_refs
 
     @property
     def is_base(self) -> bool:
@@ -184,24 +275,33 @@ class IssueKind(enum.Enum):
     AGREEMENT_UNCHECKED = "agreement-unchecked"
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    kind: IssueKind
-    entry_id: str
-    detail: str = ""
+class ValidationIssue(FrozenFields):
+    __match_args__ = ("kind", "entry_id", "detail")
+
+    def __init__(self, kind: IssueKind, entry_id: str, detail: str = ""):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "entry_id", entry_id)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(slots=True)
-class RecordRow:
+class RecordRow(Fields):
     """One sidecar line: a generated entry, or a base entry removed as a
     duplicate (its kind is ``base``), and its fate in curation.  A field
     with no value is ``""``."""
 
-    entry_id: str
-    parent_id: str
-    kind: Origin
-    feature_id: str
-    template: str
-    surface: str
-    status: str
-    duplicate_of: str
+    __slots__ = __match_args__ = (
+        "entry_id", "parent_id", "kind", "feature_id", "template", "surface", "status", "duplicate_of",
+    )
+
+    def __init__(
+        self, entry_id: str, parent_id: str, kind: Origin, feature_id: str, template: str, surface: str,
+        status: str, duplicate_of: str,
+    ):
+        self.entry_id = entry_id
+        self.parent_id = parent_id
+        self.kind = kind
+        self.feature_id = feature_id
+        self.template = template
+        self.surface = surface
+        self.status = status
+        self.duplicate_of = duplicate_of

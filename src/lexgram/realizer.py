@@ -15,14 +15,13 @@ replaced by plain config files (see :func:`parse_morpho_rules` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
 from .errors import RealizationError, UnboundPlaceholder, UnknownSymbolicToken
 from .files import read_text
-from .model import EMPTY_CELLS, SurfaceForm
+from .model import EMPTY_CELLS, FrozenFields, SurfaceForm
 from .script import COMPONENT, GROUP, LITERAL, SYMBOL, SYMBOLIC_TOKENS, Template, parse_template, part_text
 
 # Symbol policy: how symbolic template tokens render.  Free nominal slots stay
@@ -38,12 +37,20 @@ DEFAULT_SYMBOLS: Mapping[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class MorphoRules:
-    contractions: tuple[tuple[str, str, str], ...]
-    elisions: Mapping[str, str]
-    vowels: frozenset[str]
-    mute_h: frozenset[str]
+class MorphoRules(FrozenFields):
+    __match_args__ = ("contractions", "elisions", "vowels", "mute_h")
+
+    def __init__(
+        self,
+        contractions: tuple[tuple[str, str, str], ...],
+        elisions: Mapping[str, str],
+        vowels: frozenset[str],
+        mute_h: frozenset[str],
+    ):
+        object.__setattr__(self, "contractions", contractions)
+        object.__setattr__(self, "elisions", elisions)
+        object.__setattr__(self, "vowels", vowels)
+        object.__setattr__(self, "mute_h", mute_h)
 
     @cached_property
     def _contraction_table(self) -> dict[str, dict[str, str]]:

@@ -21,12 +21,12 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any
 
 from .errors import ScriptSyntaxError
 from .files import read_text
+from .model import FrozenFields
 from .tables import ENT_PREFIX, parse_structure_label
 
 # Tokens passed through to the realizer's symbol policy instead of being
@@ -57,18 +57,28 @@ def part_text(kind: int, text) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(FrozenFields):
     """A template, factorized (may contain groups) or flat (no groups).
 
-    Its text is worked out on first use and kept.
+    Its text and its flat templates are worked out on first use and kept.
     """
 
-    parts: tuple[tuple[int, Any], ...]
+    __match_args__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, Any], ...]):
+        object.__setattr__(self, "parts", parts)
 
     @cached_property
     def text(self) -> str:
         return " ".join(part_text(kind, text) for kind, text in self.parts)
+
+    @cached_property
+    def flats(self) -> tuple[Template, ...]:
+        """What :func:`expand_alternation` gives, worked out once: a
+        wildcard rule's templates serve every table.  A template with no
+        group keeps an equal copy of itself, not itself, which would make
+        it a reference cycle that only the cyclic collector frees."""
+        return tuple(Template(self.parts) if flat is self else flat for flat in expand_alternation(self))
 
 
 _SPECIAL = set("@()+")
@@ -174,19 +184,31 @@ class Action(enum.Enum):
 _LABELLED = {Action.SUBSTRUCTURE, Action.TRANSFORMATION}
 
 
-@dataclass(frozen=True)
-class ScriptRule:
-    feature_id: str
-    tables: frozenset[str] | None  # None = wildcard
-    action: Action
-    label: str | None
-    templates: tuple[Template, ...]
-    line: int = 0
+class ScriptRule(FrozenFields):
+    __match_args__ = ("feature_id", "tables", "action", "label", "templates", "line")
+
+    def __init__(
+        self,
+        feature_id: str,
+        tables: frozenset[str] | None,  # None = wildcard
+        action: Action,
+        label: str | None,
+        templates: tuple[Template, ...],
+        line: int = 0,
+    ):
+        object.__setattr__(self, "feature_id", feature_id)
+        object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "templates", templates)
+        object.__setattr__(self, "line", line)
 
 
-@dataclass(frozen=True)
-class ExtractionScript:
-    rules: tuple[ScriptRule, ...]
+class ExtractionScript(FrozenFields):
+    __match_args__ = ("rules",)
+
+    def __init__(self, rules: tuple[ScriptRule, ...]):
+        object.__setattr__(self, "rules", rules)
 
     @cached_property
     def _rules_by_table(self) -> tuple[list[tuple[int, ScriptRule]], dict[str, list[tuple[int, ScriptRule]]]]:

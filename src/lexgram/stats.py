@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import LexgramError, SchemaViolation
-from .model import PASS_ORDER, LexEntry, Origin, RecordRow
+from .model import PASS_ORDER, FrozenFields, LexEntry, Origin, RecordRow
 
 
-@dataclass(frozen=True)
-class StatsReport:
-    initial: int
-    per_pass: dict[Origin, tuple[int, int]]  # pass -> (added, percentage)
-    duplicates_removed: int
-    final: int
+class StatsReport(FrozenFields):
+    __match_args__ = ("initial", "per_pass", "duplicates_removed", "final")
+
+    def __init__(
+        self,
+        initial: int,
+        per_pass: dict[Origin, tuple[int, int]],  # pass -> (added, percentage)
+        duplicates_removed: int,
+        final: int,
+    ):
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "per_pass", per_pass)
+        object.__setattr__(self, "duplicates_removed", duplicates_removed)
+        object.__setattr__(self, "final", final)
 
     @property
     def total_added(self) -> int:

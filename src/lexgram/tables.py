@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
 
 from .errors import MatrixFormatError, TableFormatError, UnknownSlotSymbol
 from .files import read_text
-from .model import EMPTY_TOKEN, IssueKind, ValidationIssue, entry_id
+from .model import EMPTY_TOKEN, Fields, FrozenFields, IssueKind, ValidationIssue, entry_id
 
 ENT_PREFIX = "<ENT>"
 
@@ -40,10 +39,12 @@ class FeatureKind(enum.Enum):
     AUX_LEXICAL = "aux-lexical"
 
 
-@dataclass(frozen=True)
-class FeatureDef:
-    feature_id: str
-    kind: FeatureKind
+class FeatureDef(FrozenFields):
+    __match_args__ = ("feature_id", "kind")
+
+    def __init__(self, feature_id: str, kind: FeatureKind):
+        object.__setattr__(self, "feature_id", feature_id)
+        object.__setattr__(self, "kind", kind)
 
     @property
     def slot_name(self) -> str:
@@ -86,8 +87,7 @@ def parse_structure_label(label: str, source: str | None = None, line: int | Non
 # class tables
 # =============================================================================
 
-@dataclass
-class LgTable:
+class LgTable(Fields):
     """A parsed class table.  Treated as immutable after construction.
 
     A row holds one string per column: ``"+"`` or ``"-"`` in a binary
@@ -95,14 +95,20 @@ class LgTable:
     structure holds the slot symbols of the ``<ENT>`` columns, in order.
     """
 
-    table_id: str
-    features: tuple[FeatureDef, ...]
-    structure: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    __match_args__ = ("table_id", "features", "structure", "rows")
 
-    def __post_init__(self):
-        self._index = {f.feature_id: i for i, f in enumerate(self.features)}
+    def __init__(
+        self,
+        table_id: str,
+        features: tuple[FeatureDef, ...],
+        structure: tuple[str, ...],
+        rows: tuple[tuple[str, ...], ...],
+    ):
+        self.table_id = table_id
+        self.features = features
+        self.structure = structure
+        self.rows = rows
+        self._index = {f.feature_id: i for i, f in enumerate(features)}  # not a field
 
     def has_feature(self, feature_id: str) -> bool:
         return feature_id in self._index
@@ -197,14 +203,16 @@ class Validity(enum.Enum):
     UNDEFINED = ""
 
 
-@dataclass
-class ClassMatrix:
+class ClassMatrix(Fields):
     """The table of classes, keeping only its defined cells: ``cells`` maps
     each class to its defined features and their values, in header order."""
 
-    classes: tuple[str, ...]
-    features: tuple[str, ...]
-    cells: dict[str, dict[str, Validity]]
+    __match_args__ = ("classes", "features", "cells")
+
+    def __init__(self, classes: tuple[str, ...], features: tuple[str, ...], cells: dict[str, dict[str, Validity]]):
+        self.classes = classes
+        self.features = features
+        self.cells = cells
 
     def validity(self, class_id: str, feature_id: str) -> Validity:
         return self.cells.get(class_id, {}).get(feature_id, Validity.UNDEFINED)

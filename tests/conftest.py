@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import io
 from pathlib import Path
 
@@ -47,6 +48,19 @@ def compile_corpus(directory: Path = FIXTURES, table_ids: tuple[str, ...] = TABL
         table_ids=table_ids,
         script_source=(directory / "extract.lgs").read_text(encoding="utf-8"),
     )
+
+
+def fields(cls: type) -> tuple[inspect.Parameter, ...]:
+    """The fields of a lexgram record class: its constructor's parameters,
+    in order, each with its ``name`` and ``default``."""
+    return tuple(inspect.signature(cls).parameters.values())
+
+
+def replace(record, **changes):
+    """A new record of *record*'s class, with *changes* and its other
+    fields' values, built through the constructor."""
+    values = {f.name: getattr(record, f.name) for f in fields(type(record))}
+    return type(record)(**{**values, **changes})
 
 
 def written(export, *args) -> str:

@@ -628,6 +628,41 @@ def test_a_command_runs_without_loading_openssl(tmp_path):
     assert run.stdout.splitlines()[-1] == "0 False"
 
 
+# The record classes are written out: the dataclasses module would import
+# inspect, ast, dis and tokenize at every command's start.  The interpreter
+# runs without site (-S), whose .pth files may import inspect on their own.
+def test_a_command_runs_without_loading_dataclasses_or_inspect(tmp_path):
+    base = _compile(tmp_path)
+    code = (
+        "import sys\n"
+        "unwanted = {'dataclasses', 'inspect'}\n"
+        "from lexgram.cli import main\n"
+        "print(sorted(unwanted & set(sys.modules)))\n"
+        "code = main(['validate', sys.argv[1], '-o', sys.argv[2]])\n"
+        "print(code, sorted(unwanted & set(sys.modules)))\n"
+    )
+    run = _run_python("-S", "-c", code, str(base), str(tmp_path / "review.tsv"))
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_a_lexicon_that_repeats_a_surface_exits_one(tmp_path, capsys, fmt):
+    base = _compile(tmp_path)
+    lexicon = tmp_path / ("base.lgx" if fmt == "text" else "base.lgx.xml")
+    if fmt == "xml":
+        assert main(["export", str(base), "--format", "xml", "-o", str(lexicon)]) == 0
+    text = lexicon.read_text(encoding="utf-8")
+    old = "\nsurface\t" if fmt == "text" else "\n      <surface "
+    repeat = "x\tx" if fmt == "text" else 'rendered="x" />'
+    lexicon.write_text(text.replace(old, old + repeat + old, 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", str(lexicon), "-o", str(tmp_path / "review.tsv")]) == 1
+    assert "entry 'ADVMP#1': repeated " in capsys.readouterr().err
+    assert not (tmp_path / "review.tsv").exists()
+
+
 def _cut_first_multibyte_char(data: bytes) -> bytes:
     i = next(i for i, byte in enumerate(data) if byte >= 0x80)
     return data[:i] + data[i + 1:]

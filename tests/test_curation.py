@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import replace
 
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import compile_corpus
+from conftest import compile_corpus, replace
 from lexgram.curation import (
     DuplicateRecord,
     canonical_key,

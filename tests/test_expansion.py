@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
 from lexgram.errors import LexgramError
 from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
@@ -227,7 +226,7 @@ def test_plan_is_per_table_and_component_slots():
     script = parse_script('T : "F" => substructure(C1 Adj) "@<ENT>C1@ @<ENT>Adj@"\n')
     in_order = parse_table("<ENT>Prép1\t<ENT>C1\t<ENT>Adj\tF\nà\tfin\tbon\t+\n", "T")
     reordered = parse_table("<ENT>Prép1\t<ENT>Adj\t<ENT>C1\tF\nen\tplein\tjour\t+\n", "T")
-    second = dataclasses.replace(generate_base(reordered, script)[0], entry_id="T#2")
+    second = replace(generate_base(reordered, script)[0], entry_id="T#2")
     result = run_pipeline(generate_base(in_order, script) + [second], script)
     got = {r.parent_id: (r.kind, r.surface) for r in result.records}
     assert got == {"T#1": (Origin.DELETION, "fin bon"), "T#2": (Origin.PERMUTATION, "jour plein")}

@@ -9,7 +9,6 @@ import re
 import stat
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 import corpusgen
 import text_reference
 import xml_reference
-from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, written
+from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
 from lexgram import files, formats
 from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
 from lexgram.files import parse_file, read_chunks, read_text, writing
@@ -393,6 +392,34 @@ def _read_outcome(reader, text: str):
         return type(err), str(err)
 
 
+_REPEATED_LINE = re.compile(r"(?:entry '.*': )?repeated '(entry|table|provenance|surface|category)' line", re.S)
+
+
+def _holds_a_repeated_line(text: str, keyword: str) -> bool:
+    """Whether an entry block of *text* has two lines of *keyword*."""
+    count = 0
+    for line in text.split("\n"):
+        if not line or line.isspace():
+            count = 0
+        elif line.split("\t", 1)[0] == keyword:
+            count += 1
+            if count == 2:
+                return True
+    return False
+
+
+def _assert_text_reads_as_the_reference(text: str) -> None:
+    """``import_text`` reads *text* as the reference reader does, or refuses
+    a repeated single-valued line, which the reference reads with the last
+    one: the one deliberate difference between the two."""
+    got = _read_outcome(import_text, text)
+    repeat = _REPEATED_LINE.fullmatch(got[1]) if isinstance(got, tuple) and got[0] is SchemaViolation else None
+    if repeat:
+        assert _holds_a_repeated_line(text, repeat[1]), got
+    else:
+        assert got == _read_outcome(text_reference.import_text, text)
+
+
 @given(_READABLE_DOCUMENTS)
 def test_text_import_matches_the_reference(doc):
     text = export_lexicon(doc)
@@ -667,12 +694,8 @@ def test_xml_requires_count_and_hash(pattern, replacement, message):
 @pytest.mark.parametrize("old, new", [
     # text is what precedes an element's first child
     ("<token>linguistiquement</token>", "<token>linguistiquement<b>x</b>tail</token>"),
-    # the first script, provenance, surface and lexical-information count
+    # the first script counts
     ("</script>", '</script>\n  <script>other</script>'),
-    ('<provenance kind="base" />', '<provenance kind="base" />\n<provenance kind="deletion" parent="X" />'),
-    ("      </surface>", '      </surface>\n<surface rendered="zz"><token>zz</token></surface>'),
-    ("      </lexical-information>",
-     '      </lexical-information>\n<lexical-information category="z"><aux column="Z">z</aux></lexical-information>'),
     # elements off the schema's paths are skipped with their contents
     ("<cross-refs />", '<cross-refs /><component slot="C9">z</component><note>z</note>'),
     ("<token>linguistiquement</token>", '<token>linguistiquement</token><x:token xmlns:x="urn:x">z</x:token>'),
@@ -686,6 +709,26 @@ def test_xml_reads_the_paths_the_reference_reads(corpus_doc, old, new):
     assert old in text
     edited = text.replace(old, new, 1)
     assert import_xml(edited) == xml_reference.import_xml(edited) == corpus_doc
+
+
+# An entry holds one of each of these elements; a second one is refused.
+# The reference reader reads the first: the one deliberate difference.
+@pytest.mark.parametrize("old, new, tag", [
+    ('<provenance kind="base" />', '<provenance kind="base" />\n<provenance kind="deletion" parent="X" />',
+     "provenance"),
+    ("      </surface>", '      </surface>\n<surface rendered="zz"><token>zz</token></surface>', "surface"),
+    ("      </lexical-information>",
+     '      </lexical-information>\n<lexical-information category="z"><aux column="Z">z</aux></lexical-information>',
+     "lexical-information"),
+], ids=["provenance", "surface", "lexical-information"])
+def test_xml_import_refuses_a_repeated_single_valued_element(corpus_doc, old, new, tag):
+    text = export_lexicon(corpus_doc, "xml")
+    assert old in text
+    edited = text.replace(old, new, 1)
+    with pytest.raises(SchemaViolation) as err:
+        import_xml(edited)
+    assert str(err.value) == f"entry 'ADVMP#1': repeated <{tag}> element"
+    assert xml_reference.import_xml(edited) == corpus_doc
 
 
 def test_xml_applies_attribute_defaults_as_the_reference_does(corpus_doc):
@@ -743,7 +786,7 @@ _TEXT_MUTATIONS = "\t\n\r\x0b#|<>E+-" + "".join(map(chr, range(32, 127)))
 @given(st.integers(0, 2**32))
 def test_text_import_of_mutated_text_matches_the_reference(seed):
     text = mutate(_FIXTURE_TEXT, random.Random(seed), _TEXT_MUTATIONS)
-    assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+    _assert_text_reads_as_the_reference(text)
 
 
 # Edits one- to four-character mutations rarely make.
@@ -784,15 +827,43 @@ def test_text_import_matches_the_reference_on_edited_text(old, new, count):
         text = before + new + after
     else:
         text = _FIXTURE_TEXT.replace(old, new, count)
-    assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+    _assert_text_reads_as_the_reference(text)
 
 
 def test_text_import_reads_the_last_of_repeated_lines():
-    text = _FIXTURE_TEXT.replace("\ncategory\tadverb\n", "\ncategory\tadverb\ncategory\tx\n", 1)
-    text = text.replace("\tN0 V Adv W\t+\n", "\tN0 V Adv W\t+\nfeature\tN0 V Adv W\t-\n", 1)
+    text = _FIXTURE_TEXT.replace("\tN0 V Adv W\t+\n", "\tN0 V Adv W\t+\nfeature\tN0 V Adv W\t-\n", 1)
+    text = text.replace("\ncomponent\tAdv\t", "\ncomponent\tAdv\tx\ncomponent\tAdv\t", 1)
+    text = text.replace("\naux\tAdj\t", "\naux\tAdj\tx\naux\tAdj\t", 1)
     entry = import_text(text).entries[0]
-    assert entry.category == "x"
     assert entry.binary_features["N0 V Adv W"] is False
+    assert entry.components["Adv"] == "linguistiquement"
+    assert entry.aux["Adj"] == "linguistique"
+
+
+# An entry holds one of each of these lines; a second one is refused, and
+# the message names the entry once its line has been read.
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param("\nentry\tADVMP#1\n", "\nentry\tADVMP#1" * 2 + "\n", "entry 'ADVMP#1': repeated 'entry' line",
+                 id="entry"),
+    pytest.param("\nentry\tADVMP#1\n", "\ntable\tADVMP" * 2 + "\nentry\tADVMP#1\n", "repeated 'table' line",
+                 id="table"),
+    pytest.param("\nprovenance\tbase\t<E>\t<E>\t<E>\n", "\nprovenance\tbase\t<E>\t<E>\t<E>" * 2 + "\n",
+                 "entry 'ADVMP#1': repeated 'provenance' line", id="base-provenance"),
+    pytest.param("\nprovenance\tdeletion\t", "\nprovenance\tdeletion\tX#1\tf\t<E>\nprovenance\tdeletion\t",
+                 "entry 'PCA#8#del#1': repeated 'provenance' line", id="variant-provenance"),
+    pytest.param("\nsurface\t", "\nsurface\tx\tx\nsurface\t", "entry 'ADVMP#1': repeated 'surface' line",
+                 id="surface"),
+    pytest.param("\ncategory\tadverb\n", "\ncategory\tadverb\ncategory\tx\n",
+                 "entry 'ADVMP#1': repeated 'category' line", id="category"),
+])
+def test_text_import_refuses_a_repeated_single_valued_line(old, new, message):
+    assert old in _FIXTURE_TEXT
+    text = _FIXTURE_TEXT.replace(old, new, 1)
+    with pytest.raises(SchemaViolation) as err:
+        import_text(text)
+    assert str(err.value) == message
+    # the reference reader reads the last of them
+    text_reference.import_text(text)
 
 
 def test_xml_import_rejects_unencodable_text():

@@ -31,7 +31,7 @@ ALLOWED = {
     "curation": ({"model"}, True),
     "stats": ({"errors", "model"}, True),
     "tables": ({"errors", "model", "files"}, False),
-    "script": ({"errors", "tables", "files"}, False),
+    "script": ({"errors", "model", "tables", "files"}, False),
     "realizer": ({"errors", "model", "script", "files"}, False),
 }
 

@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from dataclasses import fields, replace
-
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script
+from conftest import compile_corpus, fields, load_fixture_morpho, load_fixture_script, replace
+from lexgram import script as script_module
 from lexgram.curation import dedup
 from lexgram.errors import LexgramError
 from lexgram.expansion import build_plan, expand_entry, run_pipeline
@@ -193,6 +193,25 @@ def test_check_script_bindings_component_refs_check_slots_only():
     script = parse_script('T : "feat p" => construction "@<ENT>Ppv@"\n')
     with pytest.raises(LexgramError):
         check_script_bindings(table, script)
+
+
+def test_a_wildcard_rule_is_flattened_once_for_every_table(monkeypatch):
+    # Compile checks each table's bindings and extend builds each table's
+    # plan; both read the template's flat templates, worked out once.  The
+    # calls are counted wherever a module binds the function, as the
+    # benchmark's tracer counts them.
+    calls = []
+    flatten = script_module.expand_alternation
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lexgram") and getattr(module, "expand_alternation", None) is flatten:
+            monkeypatch.setattr(module, "expand_alternation", lambda t: calls.append(t) or flatten(t))
+    script = parse_script('* : "F" => paraphrase "(de + à) @<ENT>C1@", "en @<ENT>C1@"\n')
+    tables = [parse_table("<ENT>C1\tF\nnuit\t+\n", f"T{i}") for i in range(5)]
+    entries = [entry for table in tables for entry in generate_base(table, script)]
+    result = run_pipeline(entries, script)
+    assert len(calls) == 2
+    variants = [r.surface for r in result.records if r.kind is Origin.PARAPHRASE_DIRECT]
+    assert sorted(variants) == sorted(["de nuit", "à nuit", "en nuit"] * 5)
 
 
 def test_sort_rank_orders_base_before_variants():

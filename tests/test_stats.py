@@ -1,11 +1,10 @@
 from __future__ import annotations
 
 import copy
-from dataclasses import replace
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
 from lexgram.errors import LexgramError, SchemaViolation
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
