@@ -36,6 +36,7 @@ from .model import (
     RecordRow,
     Selection,
     SurfaceForm,
+    _is_id_number,
     parse_entry_id,
 )
 
@@ -349,6 +350,13 @@ def _malformed(line: str) -> SchemaViolation:
     return SchemaViolation(f"malformed line: {line!r}")
 
 
+def _entry_count(text: str) -> int:
+    """A header's entry count: ``0``, or ASCII digits without a leading zero."""
+    if text != "0" and not _is_id_number(text):
+        raise SchemaViolation(f"bad entry count {text!r}")
+    return int(text)
+
+
 def _repeated(what: str, entry_id: str | None) -> SchemaViolation:
     """A second line or element of a field that an entry holds once."""
     if entry_id is None:
@@ -627,10 +635,7 @@ def import_text(source: str | Iterable[str]) -> LexiconDocument:
             script_lines = []
             in_script = True
         elif keyword == "#entries":
-            try:
-                declared_count = int(value)
-            except ValueError:
-                raise SchemaViolation(f"bad entry count {value!r}") from None
+            declared_count = _entry_count(value)
         else:
             raise SchemaViolation(f"unknown header line {keyword!r}")
     if in_script:
@@ -667,9 +672,9 @@ def import_text(source: str | Iterable[str]) -> LexiconDocument:
 # name and value is checked for what XML cannot carry where it is escaped,
 # in the order the block lays them out, so the character named is the
 # block's first; the markup is the writer's own and needs no check.  The
-# reader is a single expat pass that holds the nodes of the open elements,
-# keeps text only for the elements whose text it reads, and builds each
-# entry when its ``</entry>`` closes.
+# reader is a single expat pass that builds no tree: its handlers are those
+# of the element whose children it reads, each start handler installs those
+# of the element it opens and each end restores those of the one around.
 
 _XML_DECLARATION = "<?xml version='1.0' encoding='utf-8'?>"
 
@@ -834,32 +839,6 @@ def export_xml(doc: LexiconDocument, out: TextIO) -> None:
         out.write("  </entries>\n</lexicon>\n")
 
 
-# Elements whose text the reader keeps.  An element's text is what precedes
-# its first child, as in ElementTree.
-_XML_TEXT_TAGS = frozenset((
-    "token", "component", "aux", "construction", "internal-structure", "cross-ref", "script",
-))
-
-
-def _xml_root(tag: str, attrs: dict[str, str]) -> None:
-    if tag != "lexicon":
-        raise SchemaViolation(f"unexpected root element <{tag}>")
-    version = attrs.get("version")
-    if version != str(FORMAT_VERSION):
-        raise UnknownFormatVersion(f"unsupported format version {version!r}")
-    if "script-sha256" not in attrs:
-        raise SchemaViolation("<lexicon> element lacks the 'script-sha256' attribute")
-
-
-def _xml_count(attrs: dict[str, str]) -> int:
-    if "count" not in attrs:
-        raise SchemaViolation("<entries> element lacks the 'count' attribute")
-    try:
-        return int(attrs["count"])
-    except ValueError:
-        raise SchemaViolation(f"bad entry count {attrs['count']!r}") from None
-
-
 def _skipped_entity(name: str, is_parameter_entity: bool) -> None:
     raise SchemaViolation(f"undefined entity &{name};")
 
@@ -868,146 +847,19 @@ def _lacks(entry_id: str, tag: str, name: str) -> SchemaViolation:
     return SchemaViolation(f"entry {entry_id!r}: <{tag}> element lacks the {name!r} attribute")
 
 
-def _node_surface(entry_id: str, node: tuple, words: Callable[[str, str], str]) -> SurfaceForm:
-    """The surface a surface node holds; each token goes through *words*,
-    the entry's table of words."""
-    tag, attrs, _, children = node
-    rendered = attrs.get("rendered")
-    if rendered is None:
-        raise _lacks(entry_id, tag, "rendered")
-    tokens = ["".join(chunks) for tag, _, chunks, _ in children if tag == "token"]
-    return SurfaceForm(tuple(map(words, tokens, tokens)), rendered)
+def _unexpected(entry_id: str, tag: str, parent: str) -> SchemaViolation:
+    if "}" in tag:  # expat's namespace separator: name it in Clark notation
+        tag = "{" + tag
+    return SchemaViolation(f"entry {entry_id!r}: unexpected <{tag}> element in <{parent}>")
 
 
 # A base entry's ``<provenance>`` element; every one read shares one object.
 _BASE_ATTRS = {"kind": Origin.BASE.value}
 _BASE_PROVENANCE = Provenance(Origin.BASE)
 
-
-def _node_entry(
-    node: tuple,
-    share: Callable[[str, str], str],
-    bases: dict[str, LexEntry],
-    tuples: Callable[[tuple, tuple], tuple],
-) -> LexEntry:
-    """The entry an ``<entry>`` node holds, built by :func:`_entry` with
-    *bases* and *tuples*.  Each child dispatches on its tag; a repeated
-    ``provenance``, ``surface`` or ``lexical-information`` is refused, and
-    any other tag is ignored with what it holds.  Every name goes through
-    *share*, the reader's table of shared names, and each token and cell
-    text through a table of the entry's words.
-
-    Valid input takes the fast path (``.get`` and the ``_ORIGINS`` and
-    ``_SELECTIONS`` tables); on a failure the full check runs and raises
-    its message."""
-    _, attrs, _, children = node
-    entry_id, table_id = attrs.get("id"), attrs.get("table")
-    if entry_id is None or table_id is None:
-        for name in ("id", "table"):
-            if name not in attrs:
-                raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
-    category = provenance = surface = None
-    words = {}.setdefault
-    components: dict[str, str] = {}
-    aux: dict[str, str] = {}
-    features: dict[str, bool] = {}
-    paraphrases: list[SurfaceForm] = []
-    other_structures: list[tuple[str, SurfaceForm]] = []
-    intensified: list[SurfaceForm] = []
-    arguments: list[ArgumentSpec] = []
-    constructions: list[str] = []
-    internal: list[str] = []
-    cross_refs: list[str] = []
-    for child in children:
-        tag, child_attrs, _, grandchildren = child
-        if tag == "lexical-information":
-            if category is not None:
-                raise _repeated("<lexical-information> element", entry_id)
-            category = child_attrs.get("category", "")
-            category = share(category, category)
-            for item in grandchildren:
-                tag, item_attrs, chunks, _ = item
-                if tag == "component":
-                    slot = item_attrs.get("slot")
-                    if slot is None:
-                        raise _lacks(entry_id, tag, "slot")
-                    text = "".join(chunks)
-                    components[share(slot, slot)] = words(text, text)
-                elif tag == "aux":
-                    column = item_attrs.get("column")
-                    if column is None:
-                        raise _lacks(entry_id, tag, "column")
-                    text = "".join(chunks)
-                    aux[share(column, column)] = words(text, text)
-                elif tag == "paraphrase":
-                    paraphrases.append(_node_surface(entry_id, item, words))
-                elif tag == "other-structure":
-                    label = item_attrs.get("label")
-                    if label is None:
-                        raise _lacks(entry_id, tag, "label")
-                    other_structures.append((share(label, label), _node_surface(entry_id, item, words)))
-                elif tag == "intensified":
-                    intensified.append(_node_surface(entry_id, item, words))
-        elif tag == "features":
-            for tag, item_attrs, _, _ in grandchildren:
-                if tag != "feature":
-                    continue
-                feature_id, value = item_attrs.get("id"), _FEATURE_VALUES.get(item_attrs.get("value"))
-                if feature_id is None or value is None:
-                    for name in ("id", "value"):
-                        if name not in item_attrs:
-                            raise _lacks(entry_id, tag, name)
-                    raise SchemaViolation(
-                        f"entry {entry_id!r}: feature value {item_attrs['value']!r} is not '+' or '-'"
-                    )
-                features[share(feature_id, feature_id)] = value
-        elif tag == "constructions":
-            for tag, _, chunks, _ in grandchildren:
-                if tag == "construction":
-                    label = "".join(chunks)
-                    constructions.append(share(label, label))
-                elif tag == "internal-structure":
-                    label = "".join(chunks)
-                    internal.append(share(label, label))
-        elif tag == "arguments":
-            for tag, item_attrs, _, _ in grandchildren:
-                if tag != "argument":
-                    continue
-                try:
-                    slot = item_attrs["slot"]
-                    selection = _SELECTIONS.get(item_attrs.get("selection")) or Selection(item_attrs["selection"])
-                    arguments.append(ArgumentSpec(share(slot, slot), selection))
-                except (KeyError, ValueError) as err:
-                    raise SchemaViolation(f"bad argument: {err}") from None
-        elif tag == "surface":
-            if surface is not None:
-                raise _repeated("<surface> element", entry_id)
-            surface = _node_surface(entry_id, child, words)
-        elif tag == "provenance":
-            if provenance is not None:
-                raise _repeated("<provenance> element", entry_id)
-            if child_attrs == _BASE_ATTRS:
-                provenance = _BASE_PROVENANCE
-                continue
-            feature_id, template = child_attrs.get("feature"), child_attrs.get("template")
-            try:
-                provenance = Provenance(
-                    _ORIGINS.get(child_attrs.get("kind")) or Origin(child_attrs["kind"]),
-                    _parent_id(bases, child_attrs.get("parent")),
-                    None if feature_id is None else share(feature_id, feature_id),
-                    None if template is None else share(template, template),
-                )
-            except (KeyError, ValueError) as err:
-                raise SchemaViolation(f"bad provenance: {err}") from None
-        elif tag == "cross-refs":
-            cross_refs.extend("".join(chunks) for tag, _, chunks, _ in grandchildren if tag == "cross-ref")
-    if provenance is None or surface is None or category is None:
-        raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
-    return _entry(
-        bases, tuples, entry_id, share(table_id, table_id), category, surface, components, aux, tuple(paraphrases),
-        tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
-        tuple(internal), features, provenance, tuple(cross_refs),
-    )
+# An entry's sections, and the surfaces its lexical information holds.
+_XML_SECTIONS = frozenset(("features", "lexical-information", "constructions", "arguments", "cross-refs"))
+_XML_CELL_SURFACES = frozenset(("paraphrase", "other-structure", "intensified"))
 
 
 def import_xml(source: str | Iterable[str]) -> LexiconDocument:
@@ -1015,53 +867,237 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     pieces; raises SchemaViolation (or its subclass UnknownFormatVersion)
     for any document it cannot read.
 
-    One expat pass keeps a ``(tag, attrs, text chunks, children)`` node for
-    each open element, with a list of text chunks only on the elements of
-    ``_XML_TEXT_TAGS`` and ``()`` on the others.  An ``<entry>`` in a root-level ``<entries>`` becomes
-    a :class:`LexEntry` when it closes and its node is dropped, so no more
-    than one entry's nodes are held.  Entries come from every root-level
-    ``<entries>``, the count from the first.  Expat takes each piece as it
-    comes, and a text given whole as one piece, so that the position an
-    encoding error names is the text's own.
+    Outside the entries, one handler pair counts the depth, reads the
+    header and skips the elements off the schema with their contents.  An
+    ``<entry>`` in a root-level ``<entries>`` installs the entry's start
+    handler; each start handler in the entry reads its element into the
+    locals below and installs the start handler of the section or surface
+    it opens, and the entry's end handler restores the one around.  An
+    element the schema does not place in the entry is refused where it
+    opens, and the entry is built when it closes.  Text is kept only in the
+    elements whose text is read: what precedes the first child.  Entries
+    come from every root-level ``<entries>``, the count from the first.
+    Expat takes each piece as it comes, and a text given whole as one
+    piece, so that the position an encoding error names is the text's own.
     """
-    document: tuple = (None, {}, [], [])
-    stack = [document]
     entries: list[LexEntry] = []
     share = {}.setdefault
     bases: dict[str, LexEntry] = {}
     tuples = {}.setdefault
-    declared_count: int | None = None
+    root_attrs: dict[str, str] = {}
+    table_ids: list[str] = []
+    declared_count = script = top = None  # top: the open child of the root
+    depth = 0  # of the open elements outside the entries
+    text: list[str] = []  # the chunks of the open text element
+    add_text = text.append
+    # The open entry; the text elements its open section or surface holds,
+    # and that element's tag; the open surface, cell key, and leaf or text element.
+    entry_id = table_id = category = provenance = surface = words = components = aux = features = None
+    paraphrases = other_structures = intensified = arguments = constructions = internal = cross_refs = None
+    texts = holder = rendered = label = tokens = cell_key = open_tag = None
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
 
-    def start(tag: str, attrs: dict[str, str]) -> None:
-        nonlocal declared_count
-        if len(stack) < 3:
-            if len(stack) == 1:
-                _xml_root(tag, attrs)
-            elif tag == "entries" and declared_count is None:
-                declared_count = _xml_count(attrs)
-        parent = stack[-1]
-        if tag in _XML_TEXT_TAGS:
-            node = (tag, attrs, [], [])
-            parser.CharacterDataHandler = node[2].append
-        else:
-            node = (tag, attrs, (), [])
-            if parent[0] in _XML_TEXT_TAGS:  # the parent's text ends at its first child
+    def outer(tag: str, attrs: dict[str, str]) -> None:  # an element outside the entries
+        nonlocal depth, top, root_attrs, declared_count, entry_id, table_id, category, provenance, surface
+        nonlocal words, components, aux, features, paraphrases, other_structures, intensified, arguments
+        nonlocal constructions, internal, cross_refs
+        depth += 1
+        if depth == 3:
+            if top == "entries" and tag == "entry":
+                entry_id, table_id = attrs.get("id"), attrs.get("table")
+                if entry_id is None or table_id is None:
+                    name = "id" if entry_id is None else "table"
+                    raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
+                category = provenance = surface = None
+                words = {}.setdefault
+                components, aux, features, paraphrases, other_structures = {}, {}, {}, [], []
+                intensified, arguments, constructions, internal, cross_refs = [], [], [], [], []
+                parser.StartElementHandler, parser.EndElementHandler = section, end
+            elif top == "tables" and tag == "table":
+                if "id" not in attrs:
+                    raise SchemaViolation("<table> element lacks the 'id' attribute")
+                table_ids.append(attrs["id"])
+            elif top == "script":  # its first child ends its text
                 parser.CharacterDataHandler = None
-        parent[3].append(node)
-        stack.append(node)
+        elif depth == 2:
+            top = tag
+            if tag == "entries" and declared_count is None:
+                if "count" not in attrs:
+                    raise SchemaViolation("<entries> element lacks the 'count' attribute")
+                declared_count = _entry_count(attrs["count"])
+            elif tag == "script" and script is None:
+                parser.CharacterDataHandler = add_text
+        elif depth == 1:
+            if tag != "lexicon":
+                raise SchemaViolation(f"unexpected root element <{tag}>")
+            version = attrs.get("version")
+            if version != str(FORMAT_VERSION):
+                raise UnknownFormatVersion(f"unsupported format version {version!r}")
+            if "script-sha256" not in attrs:
+                raise SchemaViolation("<lexicon> element lacks the 'script-sha256' attribute")
+            root_attrs = attrs
 
-    def end(tag: str) -> None:
-        node = stack.pop()
-        if tag in _XML_TEXT_TAGS:
+    def outer_end(tag: str) -> None:
+        nonlocal depth, script
+        depth -= 1
+        if depth == 1 and top == "script" and script is None:
             parser.CharacterDataHandler = None
-        if tag == "entry" and len(stack) == 3 and stack[2][0] == "entries":
-            entries.append(_node_entry(node, share, bases, tuples))
-            stack[2][3].pop()
+            script = "".join(text)
+            text.clear()
 
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
+    def section(tag: str, attrs: dict[str, str]) -> None:  # a child of <entry>
+        nonlocal open_tag, category, provenance, texts, holder
+        if open_tag:
+            raise _unexpected(entry_id, tag, open_tag)
+        if tag == "features":
+            parser.StartElementHandler = feature
+        elif tag == "lexical-information":
+            if category is not None:
+                raise _repeated("<lexical-information> element", entry_id)
+            category = attrs.get("category", "")
+            category = share(category, category)
+            parser.StartElementHandler = cell
+        elif tag == "constructions":
+            texts, holder = ("construction", "internal-structure"), tag
+            parser.StartElementHandler = text_element
+        elif tag == "surface":
+            if surface is not None:
+                raise _repeated("<surface> element", entry_id)
+            surface_start(tag, attrs)
+        elif tag == "provenance":
+            if provenance is not None:
+                raise _repeated("<provenance> element", entry_id)
+            open_tag = tag
+            if attrs == _BASE_ATTRS:
+                provenance = _BASE_PROVENANCE
+                return
+            feature_id, template = attrs.get("feature"), attrs.get("template")
+            try:
+                provenance = Provenance(
+                    _ORIGINS.get(attrs.get("kind")) or Origin(attrs["kind"]),
+                    _parent_id(bases, attrs.get("parent")),
+                    None if feature_id is None else share(feature_id, feature_id),
+                    None if template is None else share(template, template),
+                )
+            except (KeyError, ValueError) as err:
+                raise SchemaViolation(f"bad provenance: {err}") from None
+        elif tag == "arguments":
+            parser.StartElementHandler = argument
+        elif tag == "cross-refs":
+            texts, holder = ("cross-ref",), tag
+            parser.StartElementHandler = text_element
+        else:
+            raise _unexpected(entry_id, tag, "entry")
+
+    def feature(tag: str, attrs: dict[str, str]) -> None:  # a child of <features>
+        nonlocal open_tag
+        if open_tag or tag != "feature":
+            raise _unexpected(entry_id, tag, open_tag or "features")
+        open_tag = tag
+        feature_id, value = attrs.get("id"), _FEATURE_VALUES.get(attrs.get("value"))
+        if feature_id is None or value is None:
+            if feature_id is None or "value" not in attrs:
+                raise _lacks(entry_id, tag, "id" if feature_id is None else "value")
+            raise SchemaViolation(f"entry {entry_id!r}: feature value {attrs['value']!r} is not '+' or '-'")
+        features[share(feature_id, feature_id)] = value
+
+    def argument(tag: str, attrs: dict[str, str]) -> None:  # a child of <arguments>
+        nonlocal open_tag
+        if open_tag or tag != "argument":
+            raise _unexpected(entry_id, tag, open_tag or "arguments")
+        open_tag = tag
+        try:
+            slot = attrs["slot"]
+            selection = _SELECTIONS.get(attrs.get("selection")) or Selection(attrs["selection"])
+        except (KeyError, ValueError) as err:
+            raise SchemaViolation(f"bad argument: {err}") from None
+        arguments.append(ArgumentSpec(share(slot, slot), selection))
+
+    def cell(tag: str, attrs: dict[str, str]) -> None:  # a child of <lexical-information>
+        nonlocal open_tag, cell_key
+        if open_tag:
+            raise _unexpected(entry_id, tag, open_tag)
+        if tag == "component" or tag == "aux":
+            name = "slot" if tag == "component" else "column"
+            cell_key = attrs.get(name)
+            if cell_key is None:
+                raise _lacks(entry_id, tag, name)
+            cell_key = share(cell_key, cell_key)
+            open_tag = tag
+            parser.CharacterDataHandler = add_text
+        elif tag in _XML_CELL_SURFACES:
+            surface_start(tag, attrs)
+        else:
+            raise _unexpected(entry_id, tag, "lexical-information")
+
+    def surface_start(tag: str, attrs: dict[str, str]) -> None:
+        nonlocal texts, holder, rendered, label, tokens
+        if tag == "other-structure":
+            label = attrs.get("label")
+            if label is None:
+                raise _lacks(entry_id, tag, "label")
+            label = share(label, label)
+        rendered = attrs.get("rendered")
+        if rendered is None:
+            raise _lacks(entry_id, tag, "rendered")
+        texts, holder, tokens = ("token",), tag, []
+        parser.StartElementHandler = text_element
+
+    def text_element(tag: str, attrs: dict[str, str]) -> None:  # in a surface, <constructions> or <cross-refs>
+        nonlocal open_tag
+        if open_tag or tag not in texts:
+            raise _unexpected(entry_id, tag, open_tag or holder)
+        open_tag = tag
+        parser.CharacterDataHandler = add_text
+
+    def end(tag: str) -> None:  # an end inside an entry
+        nonlocal open_tag, surface, depth
+        if open_tag:  # of a leaf or text element
+            open_tag = None
+            if tag == "feature" or tag == "argument" or tag == "provenance":
+                return
+            parser.CharacterDataHandler = None
+            value = "".join(text)
+            text.clear()
+            if tag == "token":
+                tokens.append(words(value, value))
+            elif tag == "component":
+                components[cell_key] = words(value, value)
+            elif tag == "internal-structure":
+                internal.append(share(value, value))
+            elif tag == "construction":
+                constructions.append(share(value, value))
+            elif tag == "aux":
+                aux[cell_key] = words(value, value)
+            else:
+                cross_refs.append(value)
+        elif tag in _XML_SECTIONS:
+            parser.StartElementHandler = section
+        elif tag == "surface":
+            surface = SurfaceForm(tuple(tokens), rendered)
+            parser.StartElementHandler = section
+        elif tag == "entry":
+            if provenance is None or surface is None or category is None:
+                raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
+            entries.append(_entry(
+                bases, tuples, entry_id, share(table_id, table_id), category, surface, components, aux,
+                tuple(paraphrases), tuple(other_structures), tuple(intensified), tuple(arguments),
+                tuple(constructions), tuple(internal), features, provenance, tuple(cross_refs),
+            ))
+            depth -= 1
+            parser.StartElementHandler, parser.EndElementHandler = outer, outer_end
+        else:  # a surface in <lexical-information>
+            form = SurfaceForm(tuple(tokens), rendered)
+            if tag == "paraphrase":
+                paraphrases.append(form)
+            elif tag == "other-structure":
+                other_structures.append((label, form))
+            else:
+                intensified.append(form)
+            parser.StartElementHandler = cell
+
+    parser.StartElementHandler, parser.EndElementHandler = outer, outer_end
     parser.SkippedEntityHandler = _skipped_entity
     try:
         for piece in (source,) if isinstance(source, str) else source:
@@ -1073,30 +1109,16 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     except UnicodeEncodeError as err:  # a lone surrogate in the text
         raise SchemaViolation(f"not well-formed XML: {err}") from None
     finally:
-        # The handlers refer to the parser; unsetting them ends the cycle, so
-        # reference counting frees the parser and the nodes.
-        parser.StartElementHandler = parser.EndElementHandler = None
+        # The handlers refer to the parser and to one another; unsetting
+        # them ends the cycles, so reference counting frees them all.
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+        outer = outer_end = section = feature = argument = cell = surface_start = text_element = end = None
 
-    _, root_attrs, _, root_children = document[3][0]
-    table_ids: list[str] = []
-    script = None
-    for tag, attrs, chunks, children in root_children:
-        if tag == "tables":
-            for child_tag, child_attrs, _, _ in children:
-                if child_tag != "table":
-                    continue
-                if "id" not in child_attrs:
-                    raise SchemaViolation("<table> element lacks the 'id' attribute")
-                table_ids.append(child_attrs["id"])
-        elif tag == "script" and script is None:
-            script = "".join(chunks)
     if declared_count is None:
         raise SchemaViolation("document has no <entries count> (truncated file?)")
     if declared_count != len(entries):
         raise SchemaViolation(f"entry count mismatch: document says {declared_count}, found {len(entries)}")
-    doc = LexiconDocument(
-        entries, tuple(table_ids), script or "", root_attrs.get("generator", GENERATOR),
-    )
+    doc = LexiconDocument(entries, tuple(table_ids), script or "", root_attrs.get("generator", GENERATOR))
     if doc.script_sha256 != root_attrs["script-sha256"]:
         raise SchemaViolation("script hash mismatch (document edited or corrupted)")
     _check_entry_ids(entries)

@@ -12,8 +12,11 @@ from lexgram.realizer import MorphoRules, load_morpho_rules
 from lexgram.script import ExtractionScript, load_script
 
 # Property tests draw the same examples on every run, and a bounded number
-# of them, so a failure reproduces and the suite stays fast.
+# of them, so a failure reproduces and the suite stays fast.  The deep
+# profile (``--hypothesis-profile=lexgram-deep``) draws new examples on each
+# run, and twenty times as many.
 settings.register_profile("lexgram", derandomize=True, deadline=None, max_examples=100, database=None)
+settings.register_profile("lexgram-deep", derandomize=False, deadline=None, max_examples=2000, database=None)
 settings.load_profile("lexgram")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

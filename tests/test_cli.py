@@ -597,6 +597,16 @@ def test_import_rejects_corrupt_files(tmp_path):
     assert main(["import", str(bad)]) == 1
 
 
+def test_import_refuses_an_entry_count_in_another_spelling(tmp_path, capsys):
+    base = _compile(tmp_path)
+    text = base.read_text(encoding="utf-8")
+    assert "\n#entries\t31\n" in text
+    base.write_text(text.replace("\n#entries\t31\n", "\n#entries\t031\n", 1), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["import", str(base)]) == 1
+    assert "bad entry count '031'" in capsys.readouterr().err
+
+
 def _run_python(*args):
     """Run a fresh interpreter that imports the package from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import io
@@ -264,6 +265,25 @@ def test_text_rejects_bad_entry_count(corpus_doc):
         import_text(bad)
 
 
+# An entry count is 0 or ASCII digits without a leading zero; the reference
+# readers, like int(), read each of these as 31.
+@pytest.mark.parametrize("spelling", [" 31 ", "3_1", "+31", "\u0663\u0661", "031"])
+@pytest.mark.parametrize("fmt, header, reference", [
+    ("text", "#entries\t{}", text_reference.import_text), ("xml", 'count="{}"', xml_reference.import_xml),
+])
+def test_import_refuses_an_entry_count_in_another_spelling(corpus_doc, fmt, header, reference, spelling):
+    text = export_lexicon(corpus_doc, fmt)
+    count = header.format(len(corpus_doc.entries))
+    assert count in text
+    edited = text.replace(count, header.format(spelling), 1)
+    with pytest.raises(SchemaViolation) as err:
+        import_lexicon(edited)
+    assert str(err.value) == f"bad entry count {spelling!r}"
+    assert reference(edited) == corpus_doc
+    if fmt == "text":
+        _assert_text_reads_as_the_reference(edited)
+
+
 def test_text_rejects_unterminated_script(corpus_doc):
     text = export_lexicon(corpus_doc)
     head = text.split("#script-end")[0]
@@ -408,16 +428,28 @@ def _holds_a_repeated_line(text: str, keyword: str) -> bool:
     return False
 
 
+_BAD_COUNT = re.compile(r"bad entry count (.*)", re.S)
+
+
 def _assert_text_reads_as_the_reference(text: str) -> None:
     """``import_text`` reads *text* as the reference reader does, or refuses
-    a repeated single-valued line, which the reference reads with the last
-    one: the one deliberate difference between the two."""
+    what the reference reads, the two deliberate differences between them:
+    a repeated single-valued line, of which the reference reads the last,
+    and an entry count other than 0 or ASCII digits without a leading zero,
+    which the reference reads with ``int()``."""
     got = _read_outcome(import_text, text)
-    repeat = _REPEATED_LINE.fullmatch(got[1]) if isinstance(got, tuple) and got[0] is SchemaViolation else None
+    refusal = got[1] if isinstance(got, tuple) and got[0] is SchemaViolation else ""
+    repeat = _REPEATED_LINE.fullmatch(refusal)
+    count = _BAD_COUNT.fullmatch(refusal)
+    expected = _read_outcome(text_reference.import_text, text)
     if repeat:
         assert _holds_a_repeated_line(text, repeat[1]), got
+    elif count and got != expected:
+        spelling = ast.literal_eval(count[1])
+        int(spelling)  # which the reference reads
+        assert not re.fullmatch("0|[1-9][0-9]*", spelling), got
     else:
-        assert got == _read_outcome(text_reference.import_text, text)
+        assert got == expected
 
 
 @given(_READABLE_DOCUMENTS)
@@ -693,14 +725,13 @@ def test_xml_requires_count_and_hash(pattern, replacement, message):
 
 @pytest.mark.parametrize("old, new", [
     # text is what precedes an element's first child
-    ("<token>linguistiquement</token>", "<token>linguistiquement<b>x</b>tail</token>"),
+    ("</script>", "<b>x</b>tail</script>"),
     # the first script counts
     ("</script>", '</script>\n  <script>other</script>'),
-    # elements off the schema's paths are skipped with their contents
-    ("<cross-refs />", '<cross-refs /><component slot="C9">z</component><note>z</note>'),
-    ("<token>linguistiquement</token>", '<token>linguistiquement</token><x:token xmlns:x="urn:x">z</x:token>'),
-    ("<token>linguistiquement</token>", '<token>linguistiquement</token><token xmlns="urn:x">z</token>'),
+    # outside the entries, elements off the schema's paths are skipped with their contents
     ('<entries count="31">', '<note><entries count="1"><entry id="Z#1" table="Z" /></entries></note><entries count="31">'),
+    ('<entries count="31">', '<entries count="31"><note><entry id="Z#1" table="Z" /></note>'),
+    ('<table id="ADVMP" />', '<table id="ADVMP"><table id="Z" /></table><note><table id="Y" /></note>'),
     # entries are read from every <entries>, the count from the first
     ('    <entry id="ADVMP#2"', '  </entries>\n  <entries count="9">\n    <entry id="ADVMP#2"'),
 ])
@@ -711,8 +742,48 @@ def test_xml_reads_the_paths_the_reference_reads(corpus_doc, old, new):
     assert import_xml(edited) == xml_reference.import_xml(edited) == corpus_doc
 
 
+# Inside an entry an element the schema does not place there is refused,
+# one case per element whose children are read.  The reference reader skips
+# it: a deliberate difference, as is the refusal of a repeated element below.
+@pytest.mark.parametrize("old, new, tag, parent", [
+    ("<cross-refs />", '<cross-refs /><component slot="C9">z</component>', "component", "entry"),
+    ("<cross-refs />", "<cross-refs /><note>z</note>", "note", "entry"),
+    ('<provenance kind="base" />', '<provenance kind="base"><note /></provenance>', "note", "provenance"),
+    ("<token>linguistiquement</token>", '<token>linguistiquement</token><x:token xmlns:x="urn:x">z</x:token>',
+     "{urn:x}token", "surface"),
+    ("<token>linguistiquement</token>", '<token>linguistiquement</token><token xmlns="urn:x">z</token>',
+     "{urn:x}token", "surface"),
+    ("<token>linguistiquement</token>", "<token>linguistiquement<b>x</b>tail</token>", "b", "token"),
+    ('<aux column="Adj-n">linguistique</aux>', '<aux column="Adj-n">linguistique</aux><token>z</token>',
+     "token", "lexical-information"),
+    ('<component slot="Adv">linguistiquement</component>',
+     '<component slot="Adv">linguistiquement<aux column="Z">z</aux></component>', "aux", "component"),
+    ('<argument slot="N0" selection="any" />',
+     '<argument slot="N0" selection="any" /><feature id="f" value="+" />', "feature", "arguments"),
+    ('<argument slot="N0" selection="any" />',
+     '<argument slot="N0" selection="any"><argument slot="N1" selection="any" /></argument>', "argument", "argument"),
+    ("<internal-structure>Adv</internal-structure>",
+     "<internal-structure>Adv</internal-structure><cross-ref>z</cross-ref>", "cross-ref", "constructions"),
+    ("<construction>Adv parlant, P</construction>",
+     "<construction>Adv parlant, P<construction>z</construction></construction>", "construction", "construction"),
+    ('<feature id="N0 =: Nhum" value="+" />',
+     '<feature id="N0 =: Nhum" value="+" /><argument slot="N1" selection="any" />', "argument", "features"),
+    ('<feature id="N0 =: Nhum" value="+" />',
+     '<feature id="N0 =: Nhum" value="+"><feature id="x" value="-" /></feature>', "feature", "feature"),
+    ("<cross-refs />", "<cross-refs><note /></cross-refs>", "note", "cross-refs"),
+])
+def test_xml_import_refuses_an_element_off_the_schema_in_an_entry(corpus_doc, old, new, tag, parent):
+    text = export_lexicon(corpus_doc, "xml")
+    assert old in text
+    edited = text.replace(old, new, 1)
+    with pytest.raises(SchemaViolation) as err:
+        import_xml(edited)
+    assert str(err.value) == f"entry 'ADVMP#1': unexpected <{tag}> element in <{parent}>"
+    assert xml_reference.import_xml(edited) == corpus_doc
+
+
 # An entry holds one of each of these elements; a second one is refused.
-# The reference reader reads the first: the one deliberate difference.
+# The reference reader reads the first: a deliberate difference.
 @pytest.mark.parametrize("old, new, tag", [
     ('<provenance kind="base" />', '<provenance kind="base" />\n<provenance kind="deletion" parent="X" />',
      "provenance"),
@@ -869,6 +940,35 @@ def test_text_import_refuses_a_repeated_single_valued_line(old, new, message):
 def test_xml_import_rejects_unencodable_text():
     with pytest.raises(SchemaViolation):
         import_xml(_FIXTURE_XML.decode("utf-8").replace("<tables>", "<tables>\udc80", 1))
+
+
+# The reader's handlers refer to the parser and to one another; a read that
+# fails midway must leave no cycle among them for the collector to find.
+@pytest.mark.parametrize("old, new, message", [
+    (' value="+"', ' value="x"', "feature value 'x' is not '+' or '-'"),
+    ("<token>", "<token><", "not well-formed XML: not well-formed (invalid token)"),
+], ids=["bad-feature-value", "malformed"])
+def test_a_failed_xml_read_leaves_no_reference_cycle(large_doc, old, new, message):
+    text = export_lexicon(large_doc, "xml")
+    start = -1
+    for _ in range(500):
+        start = text.index("\n    <entry ", start + 1)
+    at = text.index(old, start, text.index("</entry>", start))
+    bad = text[:at] + new + text[at + len(old):]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            import_xml(bad)
+        except SchemaViolation as err:
+            assert message in str(err)
+        else:
+            pytest.fail("the document was read")
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # =============================================================================
