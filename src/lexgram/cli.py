@@ -9,8 +9,16 @@ Batch subcommands over the lexicon artifacts:
     export    lexicon -> text or XML on stdout or file
     import    lexicon -> schema check, optional format conversion
 
-Exit codes: 0 success, 1 input or usage error, 2 internal invariant
-violation.  All outputs are byte-deterministic for identical inputs.
+Exit codes: 0 success, 1 input, usage or output error (a stdout that
+cannot be written among them), 2 internal invariant violation.  All
+outputs are byte-deterministic for identical inputs.
+
+Run as the program (``main()`` with no arguments: the ``lexgram`` script,
+``python -m lexgram.cli``), a command ends its process with ``os._exit``
+once its output files are closed and stdout and stderr are flushed, so
+CPython neither frees what the command built one object at a time nor
+tears down its modules.  ``cli(argv)`` and ``main(argv)`` return the exit
+code instead.
 """
 
 from __future__ import annotations
@@ -73,7 +81,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     doc = LexiconDocument(entries, tuple(t.table_id for t in tables), script_text)
     save_lexicon(doc, args.output, args.format)
     print(f"compiled {len(entries)} entries from {len(tables)} tables -> {args.output}")
-    return 0
+    return _finished(args, 0)
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
@@ -97,7 +105,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         extended = LexiconDocument(result.entries, doc.table_ids, doc.script_source)
         save_lexicon(extended, args.output, args.format)
     sys.stdout.write(render_stats(result.stats))
-    return 0
+    return _finished(args, 0)
 
 
 def _same_file(first: str, second: str) -> bool:
@@ -118,7 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{len(issues)} issues, {len(duplicates)} duplicate groups -> {args.output}")
     else:
         sys.stdout.write(report)
-    return 0
+    return _finished(args, 0)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -126,7 +134,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     rows = parse_file(args.records, parse_records)
     report = recompute_stats(doc.entries, rows)
     sys.stdout.write(render_stats(report))
-    return 0
+    return _finished(args, 0)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -136,7 +144,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     else:
         # Built whole first, so a refused export writes nothing to stdout.
         sys.stdout.write(export_lexicon(doc, args.format or "text"))
-    return 0
+    return _finished(args, 0)
 
 
 def cmd_import(args: argparse.Namespace) -> int:
@@ -144,7 +152,7 @@ def cmd_import(args: argparse.Namespace) -> int:
     if args.output:
         save_lexicon(doc, args.output, args.format)
     print(f"{len(doc.entries)} entries from {len(doc.table_ids)} tables, schema ok")
-    return 0
+    return _finished(args, 0)
 
 
 # =============================================================================
@@ -219,33 +227,70 @@ def cli(argv: list[str] | None = None) -> int:
     built.  The collector's state is restored on the way out, so a caller
     that runs several commands in one process keeps its own policy.
     """
+    return _run(argv, end_process=False)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """The program: with no *argv*, run the command ``sys.argv`` names and
+    end the process with its exit code (see :func:`_finished`); given
+    *argv*, the same as :func:`cli`."""
+    return _run(argv, end_process=argv is None)
+
+
+def _run(argv: list[str] | None, end_process: bool) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _run(argv)
+        parser = build_arg_parser()
+        args = argparse.Namespace(end_process=end_process)
+        try:
+            parser.parse_args(argv, namespace=args)
+        except SystemExit as exc:
+            return _finished(args, exc.code if isinstance(exc.code, int) else 1)
+        try:
+            return args.func(args)
+        except (LexgramError, OSError) as err:
+            _report(f"lexgram: error: {err}")
+            return _finished(args, 1)
+        except InternalInvariantError as err:
+            _report(f"lexgram: internal error: {err}")
+            return _finished(args, 2)
     finally:
         if enabled:
             gc.enable()
 
 
-def _run(argv: list[str] | None) -> int:
-    parser = build_arg_parser()
+def _finished(args: argparse.Namespace, code: int) -> int:
+    """Return *code*; when the command runs as the program, end the process
+    with it instead.
+
+    A command calls this as its last statement, and ``_run`` while the
+    error it caught holds the command's frame, so what the command built is
+    still referenced: ``os._exit`` ends the process before CPython frees
+    those objects one at a time and tears down its modules.  Every output
+    file is closed by then.  stdout and stderr are flushed here, and a
+    stdout that cannot be written is an output error (exit 1).
+    """
+    if not args.end_process:
+        return code
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
-        return args.func(args)
-    except (LexgramError, OSError) as err:
-        print(f"lexgram: error: {err}", file=sys.stderr)
-        return 1
-    except InternalInvariantError as err:
-        print(f"lexgram: internal error: {err}", file=sys.stderr)
-        return 2
+        if sys.stdout is not None:  # None when the process started without one
+            sys.stdout.flush()
+    except OSError as err:
+        if code == 0:  # a failed command has reported its own error
+            code = 1
+            _report(f"lexgram: error: {err}")
+    with contextlib.suppress(OSError):
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    os._exit(code)
 
 
-def main(argv: list[str] | None = None) -> int:
-    return cli(argv)
+def _report(message: str) -> None:
+    """Print *message* on stderr.  Where stderr cannot be written either,
+    the exit code alone tells of the error."""
+    with contextlib.suppress(OSError):
+        print(message, file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -847,10 +847,13 @@ def _lacks(entry_id: str, tag: str, name: str) -> SchemaViolation:
     return SchemaViolation(f"entry {entry_id!r}: <{tag}> element lacks the {name!r} attribute")
 
 
+def _clark(tag: str) -> str:
+    """*tag* as expat names it, ``}`` after a namespace, in Clark notation."""
+    return "{" + tag if "}" in tag else tag
+
+
 def _unexpected(entry_id: str, tag: str, parent: str) -> SchemaViolation:
-    if "}" in tag:  # expat's namespace separator: name it in Clark notation
-        tag = "{" + tag
-    return SchemaViolation(f"entry {entry_id!r}: unexpected <{tag}> element in <{parent}>")
+    return SchemaViolation(f"entry {entry_id!r}: unexpected <{_clark(tag)}> element in <{parent}>")
 
 
 # A base entry's ``<provenance>`` element; every one read shares one object.
@@ -930,7 +933,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
                 parser.CharacterDataHandler = add_text
         elif depth == 1:
             if tag != "lexicon":
-                raise SchemaViolation(f"unexpected root element <{tag}>")
+                raise SchemaViolation(f"unexpected root element <{_clark(tag)}>")
             version = attrs.get("version")
             if version != str(FORMAT_VERSION):
                 raise UnknownFormatVersion(f"unsupported format version {version!r}")

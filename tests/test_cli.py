@@ -607,16 +607,21 @@ def test_import_refuses_an_entry_count_in_another_spelling(tmp_path, capsys):
     assert "bad entry count '031'" in capsys.readouterr().err
 
 
-def _run_python(*args):
-    """Run a fresh interpreter that imports the package from this checkout."""
+def _run_python(*args, **options):
+    """Run a fresh interpreter that imports the package from this checkout,
+    with stdout and stderr captured unless *options* say otherwise.  Its
+    stdout is block-buffered, as a user's file or pipe is, whatever
+    ``PYTHONUNBUFFERED`` this process runs with."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+    options = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **options}
+    return subprocess.run([sys.executable, *args], text=True, env=env, **options)
 
 
-def _run_cli(*args):
+def _run_cli(*args, **options):
     """Run ``lexgram`` in a fresh interpreter, as a user would."""
-    return _run_python("-m", "lexgram.cli", *args)
+    return _run_python("-m", "lexgram.cli", *args, **options)
 
 
 # hashlib loads OpenSSL, several MiB of every command's resident set; the
@@ -879,6 +884,92 @@ def test_stats_rejects_a_sidecar_that_is_not_utf8(tmp_path):
     assert run.returncode == 1
     assert run.stderr == f"lexgram: error: {records}: not UTF-8 text: " \
         "'utf-8' codec can't decode byte 0xc3 in position 0: unexpected end of data\n"
+
+
+# =============================================================================
+# the program
+# =============================================================================
+
+# Run as the program, a command ends its process with os._exit, after it
+# has flushed stdout and stderr.  The children run without
+# PYTHONUNBUFFERED, so output a missing flush would lose stays in a buffer.
+
+def test_the_program_prints_the_report_of_extend_again_from_stats(tmp_path):
+    base = _compile(tmp_path)
+    full, records = tmp_path / "full.lgx", tmp_path / "records.tsv"
+    extend = _run_cli("extend", str(base), "--records", str(records), "-o", str(full))
+    assert extend.returncode == 0, extend.stderr
+    with open(tmp_path / "stats.out", "w", encoding="utf-8") as out:
+        stats = _run_cli("stats", str(full), "--records", str(records), stdout=out)
+    assert stats.returncode == 0, stats.stderr
+    assert extend.stdout.startswith("initial entries")
+    assert (tmp_path / "stats.out").read_text(encoding="utf-8") == extend.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+def test_the_program_exports_to_stdout_the_bytes_it_writes_to_a_file(tmp_path, fmt):
+    base = _compile(tmp_path)
+    written_to = tmp_path / "out"
+    run = _run_cli("export", str(base), "--format", fmt, "-o", str(written_to))
+    assert run.returncode == 0, run.stderr
+    with open(tmp_path / "stdout", "w", encoding="utf-8") as out:
+        run = _run_cli("export", str(base), "--format", fmt, stdout=out)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "stdout").read_bytes() == written_to.read_bytes()
+
+
+# The internal error is planted by the benchmark's form of the program.
+@pytest.mark.parametrize("case, code, message", [
+    ("ok", 0, ""),
+    ("usage-error", 1, "usage: lexgram [-h] COMMAND ...\nlexgram: error: unrecognized arguments: --frobnicate\n"),
+    ("input-error", 1, "lexgram: error: "),
+    ("internal-error", 2, "lexgram: internal error: planted\n"),
+])
+def test_the_program_exits_with_each_code(tmp_path, case, code, message):
+    base = _compile(tmp_path)
+    missing = tmp_path / "missing.lgx"
+    if case == "internal-error":
+        run = _run_python("-c", (
+            "import lexgram.cli\n"
+            "from lexgram.errors import InternalInvariantError\n"
+            "def curate(entries):\n"
+            "    raise InternalInvariantError('planted')\n"
+            "lexgram.cli.curate = curate\n"
+            "raise SystemExit(lexgram.cli.main())\n"
+        ), "validate", str(base))
+    else:
+        argv = {"ok": [str(base)], "usage-error": [str(base), "--frobnicate"], "input-error": [str(missing)]}[case]
+        run = _run_cli("validate", *argv)
+    assert run.returncode == code
+    if case == "input-error":
+        assert run.stderr.startswith(message) and run.stderr.endswith(f"'{missing}'\n")
+    else:
+        assert run.stderr == message
+    assert (run.stdout != "") is (case == "ok")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("errors_too", [False, True], ids=["stdout", "stdout-and-stderr"])
+@pytest.mark.parametrize("command", ["stats", "export"])
+def test_the_program_reports_a_stdout_it_cannot_write(tmp_path, command, errors_too):
+    base = _compile(tmp_path)
+    code, full, records = _extend(tmp_path, base)
+    assert code == 0
+    # stats prints a few lines that only the flush at the end writes; export
+    # prints more than a buffer holds, so its write fails in the command
+    argv = ["stats", str(full), "--records", str(records)] if command == "stats" else ["export", str(full)]
+    with open("/dev/full", "w") as device:
+        run = _run_cli(*argv, stdout=device, stderr=device if errors_too else subprocess.PIPE)
+    assert run.returncode == 1
+    assert run.stderr == (None if errors_too else "lexgram: error: [Errno 28] No space left on device\n")
+
+
+# A process started with its stdout closed has no sys.stdout; print() then
+# writes nothing, and the command still succeeds.
+def test_the_program_runs_without_a_stdout(tmp_path):
+    base = _compile(tmp_path)
+    run = _run_cli("import", str(base), stdout=subprocess.DEVNULL, preexec_fn=lambda: os.close(1))
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # =============================================================================

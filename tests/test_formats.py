@@ -723,6 +723,19 @@ def test_xml_requires_count_and_hash(pattern, replacement, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("start, end, tag", [
+    ("<lexicons ", "</lexicons>", "lexicons"),
+    ('<x:lexicon xmlns:x="urn:x" ', "</x:lexicon>", "{urn:x}lexicon"),
+    ('<lexicon xmlns="urn:x" ', "</lexicon>", "{urn:x}lexicon"),
+], ids=["other-name", "prefixed", "default-namespace"])
+def test_xml_import_names_an_unexpected_root_element(start, end, tag):
+    text = export_lexicon(LexiconDocument([], ("T",), "# empty script"), "xml")
+    assert text.count("<lexicon ") == text.count("</lexicon>") == 1
+    with pytest.raises(SchemaViolation) as err:
+        import_xml(text.replace("<lexicon ", start).replace("</lexicon>", end))
+    assert str(err.value) == f"unexpected root element <{tag}>"
+
+
 @pytest.mark.parametrize("old, new", [
     # text is what precedes an element's first child
     ("</script>", "<b>x</b>tail</script>"),
