@@ -9,7 +9,7 @@ for manual review.
 
 from .curation import DuplicateRecord, canonical_key, dedup, flag_suspicious, review_report
 from .errors import InternalInvariantError, LexgramError
-from .expansion import PassConfig, PipelineResult, build_plan, expand_entry, run_pipeline
+from .expansion import ALL_PASSES, PipelineResult, build_plan, expand_entry, parse_passes, run_pipeline
 from .formats import (
     LexiconDocument,
     TOOL_VERSION,
@@ -30,6 +30,7 @@ from .tables import ClassMatrix, LgTable, load_class_matrix, load_table, resolve
 __version__ = TOOL_VERSION
 
 __all__ = [
+    "ALL_PASSES",
     "Action",
     "ArgumentSpec",
     "ClassMatrix",
@@ -43,7 +44,6 @@ __all__ = [
     "LgTable",
     "MorphoRules",
     "Origin",
-    "PassConfig",
     "PipelineResult",
     "Provenance",
     "RecordRow",
@@ -67,6 +67,7 @@ __all__ = [
     "load_lexicon",
     "load_script",
     "load_table",
+    "parse_passes",
     "parse_records",
     "parse_script",
     "realize",

@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .curation import curate, review_report
 from .errors import InternalInvariantError, LexgramError
-from .expansion import PassConfig, run_pipeline
+from .expansion import ALL_PASSES, parse_passes, run_pipeline
 from .files import parse_file, read_text, writing
 from .formats import (
     LexiconDocument,
@@ -75,7 +75,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         seen.add(table.table_id)
         table = resolve_features(table, matrix)
         for issue in validate_table(table):
-            print(f"warning: {issue.kind.value}\t{issue.entry_id}\t{issue.detail}", file=sys.stderr)
+            _report(f"warning: {issue.kind.value}\t{issue.entry_id}\t{issue.detail}")
         entries.extend(generate_base(table, script, args.category, symbols, morpho))
 
     doc = LexiconDocument(entries, tuple(t.table_id for t in tables), script_text)
@@ -88,11 +88,11 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if args.records and _same_file(args.records, args.output):
         raise LexgramError(f"--records and -o name the same file: {args.records}")
     doc = load_lexicon(args.lexicon)
-    config = PassConfig() if args.passes is None else PassConfig.parse(args.passes)
+    passes = ALL_PASSES if args.passes is None else parse_passes(args.passes)
     result = run_pipeline(
         doc.entries,
         parse_script(doc.script_source, source="<embedded script>"),
-        config,
+        passes,
         DEFAULT_SYMBOLS if args.symbols is None else load_symbols(args.symbols),
         DEFAULT_RULES if args.morpho is None else load_morpho_rules(args.morpho),
     )
@@ -287,8 +287,9 @@ def _finished(args: argparse.Namespace, code: int) -> int:
 
 
 def _report(message: str) -> None:
-    """Print *message* on stderr.  Where stderr cannot be written either,
-    the exit code alone tells of the error."""
+    """Print *message*, an error or a warning, on stderr.  Where stderr
+    cannot be written, the message is dropped: the exit code alone tells of
+    an error, and a warning changes neither the exit code nor the output."""
     with contextlib.suppress(OSError):
         print(message, file=sys.stderr)
 

@@ -74,7 +74,7 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
             continue
         kept = min(group, key=lambda position: (entries[position].sort_rank(), position))
         removed = tuple(entries[position].entry_id for position in group if position != kept)
-        merged[kept] = _with_cross_refs(entries[kept], removed)
+        merged[kept] = entries[kept].replace(cross_refs=entries[kept].cross_refs + removed)
         for position in group:
             removed_at[position] = 1
         removed_at[kept] = 0
@@ -86,27 +86,6 @@ def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord
         if not removed_at[position]
     ]
     return survivors, duplicates
-
-
-def _with_cross_refs(entry: LexEntry, removed: tuple[str, ...]) -> LexEntry:
-    # every field is passed: a new field of LexEntry must be added here
-    return LexEntry(
-        entry_id=entry.entry_id,
-        table_id=entry.table_id,
-        category=entry.category,
-        surface=entry.surface,
-        components=entry.components,
-        aux=entry.aux,
-        paraphrases=entry.paraphrases,
-        other_structures=entry.other_structures,
-        intensified=entry.intensified,
-        arguments=entry.arguments,
-        construction_ids=entry.construction_ids,
-        internal_structures=entry.internal_structures,
-        binary_features=entry.binary_features,
-        provenance=entry.provenance,
-        cross_refs=entry.cross_refs + removed,
-    )
 
 
 def duplicate_issues(

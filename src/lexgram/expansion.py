@@ -44,33 +44,29 @@ _SUBSTRUCTURES = (Origin.DELETION, Origin.PERMUTATION)
 _PARAPHRASES = (Origin.PARAPHRASE_DIRECT, Origin.PARAPHRASE_CONSTRUCTION)
 
 
-class PassConfig(FrozenFields):
-    """Which passes run.  Order is never configurable: enabled passes always
-    apply in the canonical order of PASS_ORDER."""
+# Which passes run is a set of them, all by default.  Order is never
+# configurable: enabled passes always apply in the canonical order of
+# PASS_ORDER.
+ALL_PASSES = frozenset(PASS_ORDER)
 
-    __match_args__ = ("enabled",)
 
-    def __init__(self, enabled: frozenset[Origin] = frozenset(PASS_ORDER)):
-        object.__setattr__(self, "enabled", enabled)
-
-    @classmethod
-    def parse(cls, names: str) -> "PassConfig":
-        """Build a config from a comma-separated list of pass names or tags
-        (``deletion`` and ``del`` both work).  A list that names no pass is
-        refused."""
-        chosen = set()
-        for name in names.split(","):
-            name = name.strip()
-            if not name:
-                continue
-            origin = _PASS_BY_NAME.get(name)
-            if origin is None:
-                known = ", ".join(sorted(_PASS_BY_NAME))
-                raise LexgramError(f"unknown pass {name!r} (expected one of: {known})")
-            chosen.add(origin)
-        if not chosen:
-            raise LexgramError(f"pass list {names!r} names no pass")
-        return cls(frozenset(chosen))
+def parse_passes(names: str) -> frozenset[Origin]:
+    """The passes named in *names*, a comma-separated list of pass names or
+    tags (``deletion`` and ``del`` both work).  A list that names no pass is
+    refused."""
+    chosen = set()
+    for name in names.split(","):
+        name = name.strip()
+        if not name:
+            continue
+        origin = _PASS_BY_NAME.get(name)
+        if origin is None:
+            known = ", ".join(sorted(_PASS_BY_NAME))
+            raise LexgramError(f"unknown pass {name!r} (expected one of: {known})")
+        chosen.add(origin)
+    if not chosen:
+        raise LexgramError(f"pass list {names!r} names no pass")
+    return frozenset(chosen)
 
 
 # =============================================================================
@@ -128,16 +124,16 @@ def build_plan(
     script: ExtractionScript,
     table_id: str,
     slots: tuple[str, ...],
-    config: PassConfig = PassConfig(),
+    passes: frozenset[Origin] = ALL_PASSES,
 ) -> tuple[PlanStep, ...]:
-    """The enabled generating rules of a table whose entries have component
-    slots ``slots``, in pass order, then rule declaration order."""
+    """The generating rules of the ``passes`` for a table whose entries have
+    component slots ``slots``, in pass order, then rule declaration order."""
     class_slots = parse_structure_label(" ".join(slots)) if slots else ()
     steps = []
     for rule in script.effective_rules(table_id):
         origin = _ACTION_PASS.get(rule.action) or classify_substructure(rule.label, class_slots)
         # a construction rule without templates only labels the base entry
-        if not rule.templates or origin not in config.enabled:
+        if not rule.templates or origin not in passes:
             continue
         label = rule.label or rule.feature_id
         substructure = origin in _SUBSTRUCTURES
@@ -212,23 +208,11 @@ def expand_entry(
             ))
     if not variants:
         return entry, variants
-    # every field is passed: a new field of LexEntry must be added here
-    return LexEntry(
-        entry_id=entry.entry_id,
-        table_id=entry.table_id,
-        category=entry.category,
-        surface=entry.surface,
-        components=entry.components,
-        aux=entry.aux,
+    return entry.replace(
         paraphrases=entry.paraphrases + tuple(paraphrases),
         other_structures=entry.other_structures + tuple(other_structures),
         intensified=entry.intensified + tuple(intensified),
-        arguments=entry.arguments,
-        construction_ids=entry.construction_ids,
         internal_structures=tuple(structures),
-        binary_features=entry.binary_features,
-        provenance=entry.provenance,
-        cross_refs=entry.cross_refs,
     ), variants
 
 
@@ -248,7 +232,7 @@ class PipelineResult(Fields):
 def run_pipeline(
     entries: list[LexEntry],
     script: ExtractionScript,
-    config: PassConfig = PassConfig(),
+    passes: frozenset[Origin] = ALL_PASSES,
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
 ) -> PipelineResult:
@@ -275,7 +259,7 @@ def run_pipeline(
         key = (entry.table_id, tuple(entry.components))
         if key not in plans:
             try:
-                plans[key] = build_plan(script, *key, config)
+                plans[key] = build_plan(script, *key, passes)
             except UnknownSlotSymbol as err:  # an imported lexicon's component slot
                 raise LexgramError(f"entry {entry.entry_id!r}: {err.bare_message}") from None
         parent, produced = expand_entry(entry, plans[key], symbols, rules)

@@ -116,6 +116,7 @@ class Fields:
     fields in order in ``__match_args__``, as ``dataclasses`` does, and takes
     them in that order in its ``__init__``.  Equality holds between
     instances of one class only, and instances are unhashable.
+    :meth:`replace` is the one way to rebuild a record with new values.
 
     Spelling the classes out keeps the ``dataclasses`` module, and the
     ``inspect`` and ``ast`` it imports, out of every command's start-up.
@@ -137,6 +138,15 @@ class Fields:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A new record of this class, built through its constructor from
+        *changes* and the other fields' values.  An unknown field name
+        raises TypeError."""
+        values = [changes.pop(name) if name in changes else getattr(self, name) for name in self.__match_args__]
+        if changes:
+            raise TypeError(f"{self.__class__.__qualname__} has no field {', '.join(map(repr, changes))}")
+        return self.__class__(*values)
 
     def __reduce__(self):
         # copies and pickles are rebuilt through the constructor, which a

@@ -18,7 +18,6 @@ a table as synthetic all-plus / all-minus columns.
 from __future__ import annotations
 
 import enum
-import re
 from itertools import compress
 from pathlib import Path
 
@@ -108,13 +107,6 @@ class LgTable(Fields):
         self.features = features
         self.structure = structure
         self.rows = rows
-        self._index = {f.feature_id: i for i, f in enumerate(features)}  # not a field
-
-    def has_feature(self, feature_id: str) -> bool:
-        return feature_id in self._index
-
-    def cell(self, row: tuple[str, ...], feature_id: str) -> str:
-        return row[self._index[feature_id]]
 
     def structure_label(self) -> str:
         return " ".join(self.structure)
@@ -204,21 +196,15 @@ class Validity(enum.Enum):
 
 
 class ClassMatrix(Fields):
-    """The table of classes, keeping only its defined cells: ``cells`` maps
-    each class to its defined features and their values, in header order."""
+    """The table of classes, keeping only its defined cells: ``features``
+    is the header's feature ids, and ``cells`` maps each class, in file
+    order, to its defined features and their values, in header order."""
 
-    __match_args__ = ("classes", "features", "cells")
+    __match_args__ = ("features", "cells")
 
-    def __init__(self, classes: tuple[str, ...], features: tuple[str, ...], cells: dict[str, dict[str, Validity]]):
-        self.classes = classes
+    def __init__(self, features: tuple[str, ...], cells: dict[str, dict[str, Validity]]):
         self.features = features
         self.cells = cells
-
-    def validity(self, class_id: str, feature_id: str) -> Validity:
-        return self.cells.get(class_id, {}).get(feature_id, Validity.UNDEFINED)
-
-    def has_class(self, class_id: str) -> bool:
-        return class_id in self.cells
 
 
 _MATRIX_TOKENS = {v.value: v for v in Validity}
@@ -259,7 +245,7 @@ def parse_class_matrix(text: str, source: str | None = None) -> ClassMatrix:
         # Blank cells are undefined and not kept; short rows stop at their last cell.
         defined = compress(features, values)
         cells[class_id] = dict(zip(defined, map(_MATRIX_TOKENS.__getitem__, filter(None, values))))
-    return ClassMatrix(tuple(cells), tuple(features), cells)
+    return ClassMatrix(tuple(features), cells)
 
 
 def load_class_matrix(path: str | Path) -> ClassMatrix:
@@ -277,10 +263,11 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
     if defined is None:
         raise MatrixFormatError(f"class {table.table_id!r} not found in the class matrix")
 
+    present = {f.feature_id for f in table.features}
     new_features = list(table.features)
     new_cells: list[str] = []
     for fid, validity in defined.items():
-        if table.has_feature(fid):
+        if fid in present:
             continue
         if validity is Validity.PER_ENTRY:
             raise MatrixFormatError(
@@ -293,15 +280,12 @@ def resolve_features(table: LgTable, matrix: ClassMatrix) -> LgTable:
     if not new_cells:
         return table
     rows = tuple(row + tuple(new_cells) for row in table.rows)
-    return LgTable(table.table_id, tuple(new_features), table.structure, rows)
+    return table.replace(features=tuple(new_features), rows=rows)
 
 
 # =============================================================================
 # table-level validation
 # =============================================================================
-
-_TRAILING_HYPHEN = re.compile(r"-\s*$")
-
 
 def validate_table(table: LgTable) -> list[ValidationIssue]:
     """Heuristic checks over rows.  Issues are data, not errors."""
@@ -312,7 +296,7 @@ def validate_table(table: LgTable) -> list[ValidationIssue]:
         if component_cols and not any(row[i] for i, _ in component_cols):
             issues.append(ValidationIssue(IssueKind.EMPTY_ENTRY, row_id, "all components empty"))
         for i, fdef in component_cols:
-            if _TRAILING_HYPHEN.search(row[i]) or row[i].startswith("-"):
+            if row[i].rstrip().endswith("-") or row[i].startswith("-"):
                 issues.append(ValidationIssue(
                     IssueKind.AMALGAM_SUSPECT, row_id,
                     f"component {fdef.slot_name} is {row[i]!r}",

@@ -59,13 +59,6 @@ def fields(cls: type) -> tuple[inspect.Parameter, ...]:
     return tuple(inspect.signature(cls).parameters.values())
 
 
-def replace(record, **changes):
-    """A new record of *record*'s class, with *changes* and its other
-    fields' values, built through the constructor."""
-    values = {f.name: getattr(record, f.name) for f in fields(type(record))}
-    return type(record)(**{**values, **changes})
-
-
 def written(export, *args) -> str:
     """What an exporter writing to a stream (``export_records``,
     ``export_text``, ``export_xml``) writes, as a string."""

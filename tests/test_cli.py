@@ -964,6 +964,25 @@ def test_the_program_reports_a_stdout_it_cannot_write(tmp_path, command, errors_
     assert run.stderr == (None if errors_too else "lexgram: error: [Errno 28] No space left on device\n")
 
 
+# compile warns of a fixture row on stderr; a stderr it cannot write loses
+# the warning but changes neither the exit code nor the lexicon.
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_the_program_compiles_with_a_stderr_it_cannot_write(tmp_path):
+    def compile_to(name, **options):
+        return _run_cli(
+            "compile", *_table_args(), "--classes", str(FIXTURES / "classes.lgm"),
+            "--script", str(FIXTURES / "extract.lgs"), "--morpho", str(FIXTURES / "morpho.rules"),
+            "-o", str(tmp_path / name), **options,
+        )
+
+    intact = compile_to("base.lgx")
+    assert intact.returncode == 0 and intact.stderr.startswith("warning: amalgam-suspect\t")
+    with open("/dev/full", "w") as device:
+        run = compile_to("base_full.lgx", stderr=device)
+    assert run.returncode == 0
+    assert (tmp_path / "base_full.lgx").read_bytes() == (tmp_path / "base.lgx").read_bytes()
+
+
 # A process started with its stdout closed has no sys.stdout; print() then
 # writes nothing, and the command still succeeds.
 def test_the_program_runs_without_a_stdout(tmp_path):

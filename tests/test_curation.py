@@ -6,7 +6,7 @@ import unicodedata
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import compile_corpus, replace
+from conftest import compile_corpus
 from lexgram.curation import (
     DuplicateRecord,
     canonical_key,
@@ -78,7 +78,7 @@ def test_dedup_base_survives_over_variant():
 
 def test_curate_leaves_its_input_unchanged():
     corpus = compile_corpus()
-    copy = replace(corpus.entries[0], entry_id="ADVMP#99")
+    copy = corpus.entries[0].replace(entry_id="ADVMP#99")
     doc = LexiconDocument(corpus.entries + [copy], corpus.table_ids, corpus.script_source)
     before = export_lexicon(doc)
     first = curate(doc.entries)
@@ -153,7 +153,7 @@ def _brute_force_dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[Du
         kept = min(members, key=rank)
         removed = tuple(entries[other].entry_id for other in members if other != kept)
         if kept == position:
-            survivors.append(replace(entry, cross_refs=entry.cross_refs + removed) if removed else entry)
+            survivors.append(entry.replace(cross_refs=entry.cross_refs + removed) if removed else entry)
         if removed and position == members[0]:
             duplicates.append(DuplicateRecord(entries[kept].entry_id, removed, keys[position]))
     return survivors, duplicates
@@ -183,7 +183,7 @@ def _dedup_entries(draw) -> LexEntry:
         entry = _entry(f"{table}#{row}", text)
     else:
         entry = _entry(f"{table}#{row}#{PASS_TAGS[kind]}#{draw(st.integers(1, 2))}", text, kind, f"{table}#{row}")
-    return replace(entry, cross_refs=draw(st.sampled_from([(), ("C#9",)])))
+    return entry.replace(cross_refs=draw(st.sampled_from([(), ("C#9",)])))
 
 
 @given(st.lists(_dedup_entries(), max_size=12).flatmap(st.permutations))

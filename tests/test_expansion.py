@@ -4,9 +4,9 @@ import collections
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram.errors import LexgramError
-from lexgram.expansion import PassConfig, build_plan, expand_entry, run_pipeline
+from lexgram.expansion import ALL_PASSES, build_plan, expand_entry, parse_passes, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import generate_base
 from lexgram.model import EMPTY_CELLS, Origin
@@ -24,19 +24,19 @@ def _expand(entry):
     return expand_entry(entry, plan, rules=load_fixture_morpho())
 
 
-def _fixture_pipeline(config=PassConfig()):
+def _fixture_pipeline(passes=ALL_PASSES):
     doc = compile_corpus()
-    return run_pipeline(doc.entries, load_fixture_script(), config=config, rules=load_fixture_morpho())
+    return run_pipeline(doc.entries, load_fixture_script(), passes=passes, rules=load_fixture_morpho())
 
 
-def test_pass_config_parse_accepts_names_and_tags():
-    config = PassConfig.parse("deletion, int")
-    assert config.enabled == frozenset({Origin.DELETION, Origin.INTENSIFICATION})
+def test_parse_passes_accepts_names_and_tags():
+    assert parse_passes("deletion, int") == frozenset({Origin.DELETION, Origin.INTENSIFICATION})
+    assert ALL_PASSES == parse_passes(",".join(origin.value for origin in Origin if origin is not Origin.BASE))
 
 
-def test_pass_config_parse_rejects_unknown_names():
+def test_parse_passes_rejects_unknown_names():
     with pytest.raises(LexgramError):
-        PassConfig.parse("deletion, shuffle")
+        parse_passes("deletion, shuffle")
 
 
 def test_expand_entry_orders_by_pass_then_rule():
@@ -183,7 +183,7 @@ def test_run_pipeline_refuses_repeated_ids():
 
 
 def test_run_pipeline_single_pass_still_dedups():
-    result = _fixture_pipeline(config=PassConfig.parse("para"))
+    result = _fixture_pipeline(passes=parse_passes("para"))
     added = {kind: count for kind, (count, _) in result.stats.per_pass.items()}
     assert added[Origin.PARAPHRASE_DIRECT] == 9
     assert all(count == 0 for kind, count in added.items() if kind is not Origin.PARAPHRASE_DIRECT)
@@ -226,7 +226,7 @@ def test_plan_is_per_table_and_component_slots():
     script = parse_script('T : "F" => substructure(C1 Adj) "@<ENT>C1@ @<ENT>Adj@"\n')
     in_order = parse_table("<ENT>Prép1\t<ENT>C1\t<ENT>Adj\tF\nà\tfin\tbon\t+\n", "T")
     reordered = parse_table("<ENT>Prép1\t<ENT>Adj\t<ENT>C1\tF\nen\tplein\tjour\t+\n", "T")
-    second = replace(generate_base(reordered, script)[0], entry_id="T#2")
+    second = generate_base(reordered, script)[0].replace(entry_id="T#2")
     result = run_pipeline(generate_base(in_order, script) + [second], script)
     got = {r.parent_id: (r.kind, r.surface) for r in result.records}
     assert got == {"T#1": (Origin.DELETION, "fin bon"), "T#2": (Origin.PERMUTATION, "jour plein")}

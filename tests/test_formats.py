@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import corpusgen
 import text_reference
 import xml_reference
-from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
+from conftest import TABLE_IDS, compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram import files, formats
 from lexgram.errors import LexgramError, SchemaViolation, UnknownFormatVersion
 from lexgram.files import parse_file, read_chunks, read_text, writing
@@ -105,7 +105,7 @@ def test_export_bytes_are_pinned(build, xml_sha256, text_sha256):
 ])
 def test_record_bytes_are_pinned(copies, sha256):
     entries = compile_corpus().entries
-    entries += [replace(entries[0], entry_id="ADVMP#99")] * copies
+    entries += [entries[0].replace(entry_id="ADVMP#99")] * copies
     result = run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
     assert hashlib.sha256(written(export_records, result.records).encode("utf-8")).hexdigest() == sha256
 
@@ -663,12 +663,12 @@ def test_xml_export_refuses_characters_xml_cannot_carry(corpus_doc, char):
 def test_xml_export_names_an_entrys_first_character_xml_cannot_carry(corpus_doc, name_char, value_char, first):
     entry = corpus_doc.entries[3]
     if first == value_char:  # a component text, then a feature id
-        entry = replace(
-            entry, components={**entry.components, "C1": f"a{value_char}"},
+        entry = entry.replace(
+            components={**entry.components, "C1": f"a{value_char}"},
             binary_features={**entry.binary_features, f"f{name_char}": True},
         )
     else:  # the category, then a cross-reference
-        entry = replace(entry, category=f"adverb{name_char}", cross_refs=(f"r{value_char}",))
+        entry = entry.replace(category=f"adverb{name_char}", cross_refs=(f"r{value_char}",))
     corpus_doc.entries[3] = entry
     message = f"entry {entry.entry_id!r} holds U+{ord(first):04X}, which XML 1.0 cannot carry"
     with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
@@ -700,7 +700,7 @@ def test_xml_export_names_what_a_search_of_the_written_text_finds(doc):
 def test_xml_keeps_carriage_returns(corpus_doc):
     corpus_doc.entries[3].components["C1"] = "a\rb\r\n"
     entry = corpus_doc.entries[3]
-    corpus_doc.entries[3] = replace(entry, cross_refs=entry.cross_refs + ("\r",))
+    corpus_doc.entries[3] = entry.replace(cross_refs=entry.cross_refs + ("\r",))
     text = export_lexicon(corpus_doc, "xml")
     assert "a&#13;b&#13;\n" in text
     assert import_xml(text) == corpus_doc
@@ -1103,7 +1103,7 @@ def _families(draw, documents):
     bases, entries = [], []
     for row, entry in enumerate(doc.entries, 1):
         if not bases or draw(st.booleans()):
-            entry = replace(entry, entry_id=entry_id(entry.table_id, row), provenance=Provenance(Origin.BASE))
+            entry = entry.replace(entry_id=entry_id(entry.table_id, row), provenance=Provenance(Origin.BASE))
             bases.append(entry)
             entries.append(entry)
             continue
@@ -1111,21 +1111,21 @@ def _families(draw, documents):
         kind = draw(st.sampled_from(list(PASS_TAGS)))
         owns = list(formats._parent_surfaces(parent, kind))
         if owns and draw(st.booleans()):
-            entry = replace(entry, surface=draw(st.sampled_from(owns)))
+            entry = entry.replace(surface=draw(st.sampled_from(owns)))
         if draw(st.booleans()):
-            entry = replace(entry, binary_features=dict(draw(st.permutations(list(parent.binary_features.items())))))
+            entry = entry.replace(binary_features=dict(draw(st.permutations(list(parent.binary_features.items())))))
         if draw(st.booleans()):
-            entry = replace(entry, arguments=parent.arguments)
+            entry = entry.replace(arguments=parent.arguments)
         if draw(st.booleans()):
-            entry = replace(entry, components={
+            entry = entry.replace(components={
                 slot: text for slot, text in parent.components.items() if draw(st.booleans())
             })
         p = entry.provenance
-        entries.append(replace(
-            entry, entry_id=entry_id(entry.table_id, row, PASS_TAGS[kind], 1),
+        entries.append(entry.replace(
+            entry_id=entry_id(entry.table_id, row, PASS_TAGS[kind], 1),
             provenance=Provenance(kind, parent.entry_id, p.feature_id, p.template),
         ))
-    return replace(doc, entries=entries)
+    return doc.replace(entries=entries)
 
 
 @given(st.one_of(
@@ -1194,7 +1194,7 @@ def test_loaded_entries_share_equal_arguments_and_internal_structures(fmt, exten
     # equal arguments everywhere, and a tuple of its own for each entry
     arguments = [ArgumentSpec("N0", Selection.HUMAN), ArgumentSpec("N1", Selection.ANY)]
     entries = [
-        replace(entry, arguments=tuple(arguments), internal_structures=tuple(list(entry.internal_structures)))
+        entry.replace(arguments=tuple(arguments), internal_structures=tuple(list(entry.internal_structures)))
         for entry in doc.entries
     ]
     if extend:
@@ -1273,20 +1273,19 @@ def _own_texts(doc: LexiconDocument) -> LexiconDocument:
     entries = []
     for i, entry in enumerate(doc.entries, 1):
         own = f"{i:0100}"
-        entry = replace(
-            entry,
+        entry = entry.replace(
             surface=SurfaceForm((*entry.surface.tokens, own), f"{entry.surface.rendered} {own}"),
             components={slot: text + own for slot, text in entry.components.items()},
             aux={column: text + own for column, text in entry.aux.items()},
             cross_refs=(own,),
         )
         if i % 2 == 0:
-            entry = replace(
-                entry, entry_id=entry_id(entry.table_id, i, PASS_TAGS[Origin.DELETION], 1),
+            entry = entry.replace(
+                entry_id=entry_id(entry.table_id, i, PASS_TAGS[Origin.DELETION], 1),
                 provenance=Provenance(Origin.DELETION, entries[-1].entry_id, "f", own),
             )
         entries.append(entry)
-    return replace(doc, entries=entries)
+    return doc.replace(entries=entries)
 
 
 # The reader memoizes the lines that hold only names, which real tables
@@ -1577,7 +1576,7 @@ def test_records_round_trip_or_refuse(rows):
 
 @pytest.mark.parametrize("field", ["parent_id", "feature_id", "template", "surface", "duplicate_of"])
 def test_records_refuse_a_field_reading_the_sentinel(field):
-    row = replace(_extended_corpus()[1].records[0], **{field: EMPTY_TOKEN})
+    row = _extended_corpus()[1].records[0].replace(**{field: EMPTY_TOKEN})
     message = f"record of entry {row.entry_id!r} holds a field reading '<E>', which the sidecar cannot carry"
     with pytest.raises(SchemaViolation, match=re.escape(message)):
         written(export_records, [row])

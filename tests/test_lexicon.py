@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import compile_corpus, fields, load_fixture_morpho, load_fixture_script, replace
+from conftest import compile_corpus, fields, load_fixture_morpho, load_fixture_script
 from lexgram import script as script_module
 from lexgram.curation import dedup
 from lexgram.errors import LexgramError
@@ -255,9 +255,9 @@ def test_sequence_fields_are_tuples_wherever_entries_are_built():
 
 
 def test_parents_and_survivors_carry_every_field_they_do_not_extend():
-    # expand_entry and dedup build their new entries field by field; every
-    # field neither reads holds a fresh object here, so a field left out of
-    # either constructor call shows
+    # expand_entry and dedup rebuild an entry with ``replace``; every field
+    # neither reads holds a fresh object here, so a field the rebuild drops
+    # or replaces shows
     entry = compile_corpus().entries[0]
     plan = build_plan(load_fixture_script(), entry.table_id, tuple(entry.components))
     read_by_expand = {"entry_id", "table_id", "provenance", "binary_features", "components", "aux",
@@ -266,11 +266,11 @@ def test_parents_and_survivors_carry_every_field_they_do_not_extend():
     for read, extended, build in (
         (read_by_expand, {"paraphrases", "other_structures", "intensified", "internal_structures"},
          lambda e: expand_entry(e, plan)[0]),
-        (read_by_dedup, {"cross_refs"}, lambda e: dedup([e, replace(e, entry_id="ADVMP#99")])[0][0]),
+        (read_by_dedup, {"cross_refs"}, lambda e: dedup([e, e.replace(entry_id="ADVMP#99")])[0][0]),
     ):
-        marked = replace(entry, **{f.name: object() for f in fields(LexEntry) if f.name not in read})
+        marked = entry.replace(**{name: object() for name in LexEntry.__match_args__ if name not in read})
         built = build(marked)
         assert built is not marked
-        for f in fields(LexEntry):
-            if f.name not in extended:
-                assert getattr(built, f.name) is getattr(marked, f.name), f.name
+        for name in LexEntry.__match_args__:
+            if name not in extended:
+                assert getattr(built, name) is getattr(marked, name), name

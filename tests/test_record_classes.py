@@ -2,8 +2,8 @@
 
 Equality is field-wise within one class, the read-only classes hash by
 their fields and refuse assignment, the others but ``SurfaceForm`` are
-unhashable, the slotted ones have no ``__dict__``, and copies and the repr
-work for all of them.
+unhashable, the slotted ones have no ``__dict__``, and copies, ``replace``
+and the repr work for all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from conftest import fields
 from lexgram.curation import DuplicateRecord
-from lexgram.expansion import PassConfig, PipelineResult, PlanStep
+from lexgram.expansion import PipelineResult, PlanStep
 from lexgram.formats import LexiconDocument
 from lexgram.model import (
     ArgumentSpec,
@@ -53,12 +53,11 @@ CLASSES = [
     (RecordRow, ("T#1#del#1", "T#1", Origin.DELETION, "F", "t", "nuit", "kept", ""), 6, "duplicate", MUTABLE, True),
     (FeatureDef, ("F", FeatureKind.BINARY), 1, FeatureKind.AUX_LEXICAL, FROZEN, False),
     (LgTable, ("T", (FeatureDef("F", FeatureKind.BINARY),), ("C1",), (("+",),)), 3, (("-",),), MUTABLE, False),
-    (ClassMatrix, (("T",), ("F",), {"T": {"F": Validity.ALWAYS_VALID}}), 2, {}, MUTABLE, False),
+    (ClassMatrix, (("F",), {"T": {"F": Validity.ALWAYS_VALID}}), 1, {}, MUTABLE, False),
     (Template, (((LITERAL, "nuit"),),), 0, ((LITERAL, "jour"),), FROZEN, False),
     (ScriptRule, ("F", frozenset({"T"}), Action.PARAPHRASE, None, (_TEMPLATE,), 3), 5, 4, FROZEN, False),
     (ExtractionScript, ((_RULE,),), 0, (), FROZEN, False),
     (MorphoRules, ((("de", "le", "du"),), (), frozenset("ae"), frozenset()), 3, frozenset({"heure"}), FROZEN, False),
-    (PassConfig, (frozenset({Origin.DELETION}),), 0, frozenset(), FROZEN, False),
     (PlanStep, (Origin.DELETION, "del", "F", (_TEMPLATE,), "L", ("C1",), ("c",), ("s",)), 4, "M", FROZEN, True),
     (PipelineResult, ([], [], _STATS), 0, [None], MUTABLE, False),
     (DuplicateRecord, ("T#1", ("T#2",), "nuit"), 1, ("T#3",), FROZEN, False),
@@ -68,12 +67,13 @@ CLASSES = [
 
 
 def test_every_record_class_is_in_the_table():
-    assert len({cls for cls, *_ in CLASSES}) == len(CLASSES) == 19
+    assert len({cls for cls, *_ in CLASSES}) == len(CLASSES) == 18
 
 
 @pytest.mark.parametrize("cls, args, position, other, kind, slotted", CLASSES, ids=[c[0].__name__ for c in CLASSES])
 def test_record_class(cls, args, position, other, kind, slotted):
     names = [f.name for f in fields(cls)]
+    assert cls.__match_args__ == tuple(names)
     record, same = cls(*args), cls(*args)
     changed = cls(*args[:position], other, *args[position + 1:])
 
@@ -97,9 +97,12 @@ def test_record_class(cls, args, position, other, kind, slotted):
 
     assert hasattr(record, "__dict__") is not slotted
 
-    for copied in (copy.copy(record), copy.deepcopy(record)):
+    for copied in (copy.copy(record), copy.deepcopy(record), record.replace()):
         assert copied == record and copied is not record
         assert type(copied) is cls
+    assert record.replace(**{names[position]: other}) == changed
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=None)
 
     text = repr(record)
     assert text.startswith(f"{cls.__name__}(")
@@ -113,8 +116,6 @@ def test_an_entry_has_its_own_features_and_the_shared_base_provenance():
     assert first.provenance is second.provenance == Provenance(Origin.BASE)
 
 
-def test_a_table_index_is_not_a_field():
-    table = LgTable(*CLASSES[7][1])
-    assert table.cell(table.rows[0], "F") == "+"
-    assert "_index" not in repr(table)
-    assert copy.copy(table).cell(table.rows[0], "F") == "+"
+def test_replace_builds_through_the_constructor():
+    with pytest.raises(ValueError, match="base entries have no parent"):
+        Provenance(Origin.BASE).replace(parent="T#1")

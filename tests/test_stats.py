@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, replace, written
+from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram.errors import LexgramError, SchemaViolation
 from lexgram.expansion import run_pipeline
 from lexgram.formats import export_records, parse_records
@@ -147,10 +147,10 @@ def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case, message
     kept = next(i for i, row in enumerate(rows) if row.status == "kept")
     duplicate = next(i for i, row in enumerate(rows) if row.status == "duplicate")
     if case == "kept-elsewhere":
-        rows[kept] = replace(rows[kept], entry_id="nowhere#1")
+        rows[kept] = rows[kept].replace(entry_id="nowhere#1")
     elif case == "survivor-elsewhere":
-        rows[duplicate] = replace(rows[duplicate], duplicate_of="nowhere#1")
+        rows[duplicate] = rows[duplicate].replace(duplicate_of="nowhere#1")
     else:
-        rows[duplicate] = replace(rows[duplicate], entry_id=result.entries[0].entry_id)
+        rows[duplicate] = rows[duplicate].replace(entry_id=result.entries[0].entry_id)
     with pytest.raises(SchemaViolation, match="^record sidecar does not match the lexicon: .*" + message):
         recompute_stats(result.entries, rows)

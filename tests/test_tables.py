@@ -8,7 +8,7 @@ import corpusgen
 import matrix_reference
 from conftest import TABLE_IDS, fixture_path
 from lexgram.errors import MatrixFormatError, TableFormatError, UnknownSlotSymbol
-from lexgram.model import IssueKind
+from lexgram.model import IssueKind, ValidationIssue
 from lexgram.tables import (
     FeatureDef,
     FeatureKind,
@@ -34,6 +34,10 @@ def _small() -> LgTable:
     return parse_table(SMALL, "T")
 
 
+def _cell(table: LgTable, row: tuple[str, ...], feature_id: str) -> str:
+    return row[[f.feature_id for f in table.features].index(feature_id)]
+
+
 def test_column_kinds_are_derived_from_content():
     table = _small()
     kinds = {f.feature_id: f.kind for f in table.features}
@@ -49,10 +53,10 @@ def test_structure_label_joins_component_slots():
 
 def test_cell_kinds():
     table = _small()
-    assert table.cell(table.rows[0], "<ENT>C1") == "minute"
-    assert table.cell(table.rows[1], "<ENT>Det1") == ""
-    assert table.cell(table.rows[0], "feat A") == "+"
-    assert table.cell(table.rows[1], "feat A") == "-"
+    assert _cell(table, table.rows[0], "<ENT>C1") == "minute"
+    assert _cell(table, table.rows[1], "<ENT>Det1") == ""
+    assert _cell(table, table.rows[0], "feat A") == "+"
+    assert _cell(table, table.rows[1], "feat A") == "-"
 
 
 def test_empty_token_allowed_only_in_lexical_columns():
@@ -110,11 +114,10 @@ MATRIX = (
 
 def test_matrix_values_and_padding():
     matrix = parse_class_matrix(MATRIX)
-    assert matrix.validity("T", "fa") is Validity.ALWAYS_VALID
-    assert matrix.validity("T", "fb") is Validity.PER_ENTRY
-    assert matrix.validity("T", "fc") is Validity.ALWAYS_INVALID
-    assert matrix.validity("U", "fb") is Validity.UNDEFINED
-    assert matrix.validity("U", "fc") is Validity.UNDEFINED
+    assert matrix.cells == {
+        "T": {"fa": Validity.ALWAYS_VALID, "fb": Validity.PER_ENTRY, "fc": Validity.ALWAYS_INVALID},
+        "U": {"fa": Validity.ALWAYS_INVALID},
+    }
 
 
 def test_matrix_rejects_unknown_token():
@@ -147,7 +150,7 @@ def test_matrix_rejects_empty_feature_id(header):
 
 def test_matrix_keeps_only_defined_cells_per_class_in_header_order():
     matrix = parse_class_matrix("class\tfa\tfb\tfc\tfd\nT\t-\t\t+\to\nU\t \t\nV\t\t+\n")
-    assert matrix.classes == ("T", "U", "V")
+    assert list(matrix.cells) == ["T", "U", "V"]
     assert matrix.features == ("fa", "fb", "fc", "fd")
     assert matrix.cells == {
         "T": {"fa": Validity.ALWAYS_INVALID, "fc": Validity.ALWAYS_VALID, "fd": Validity.PER_ENTRY},
@@ -155,8 +158,6 @@ def test_matrix_keeps_only_defined_cells_per_class_in_header_order():
         "V": {"fb": Validity.ALWAYS_VALID},
     }
     assert list(matrix.cells["T"]) == ["fa", "fc", "fd"]
-    assert matrix.has_class("U") and not matrix.has_class("W")
-    assert matrix.validity("W", "fa") is Validity.UNDEFINED
 
 
 # Differential tests against ``matrix_reference``, the parser and resolver
@@ -216,20 +217,27 @@ def _outcome(function, *args):
 
 
 def _assert_same_matrix(got, want):
-    assert got.classes == want.classes and got.features == want.features
+    assert tuple(got.cells) == want.classes and got.features == want.features
     assert {class_id: list(cells.items()) for class_id, cells in got.cells.items()} == {
         class_id: [(f, want.cells[class_id, f]) for f in want.features if (class_id, f) in want.cells]
         for class_id in want.classes
     }
-    for class_id in (*want.classes, "W"):
-        assert got.has_class(class_id) == want.has_class(class_id)
-        for feature_id in (*want.features, "z"):
-            assert got.validity(class_id, feature_id) is want.validity(class_id, feature_id)
+
+
+class _ReferenceTable(LgTable):
+    """A table that answers the ``has_feature`` question the reference
+    resolver asks of it."""
+
+    def has_feature(self, feature_id: str) -> bool:
+        return any(f.feature_id == feature_id for f in self.features)
 
 
 def _assert_same_resolution(table, got_matrix, want_matrix):
     got = _outcome(resolve_features, table, got_matrix)
-    want = _outcome(matrix_reference.resolve_features, table, want_matrix)
+    reference_table = _ReferenceTable(table.table_id, table.features, table.structure, table.rows)
+    want = _outcome(matrix_reference.resolve_features, reference_table, want_matrix)
+    if want is reference_table:
+        want = table
     if isinstance(want, MatrixFormatError):
         assert (type(got), str(got)) == (type(want), str(want))
     else:
@@ -279,10 +287,10 @@ def test_resolve_features_appends_synthetic_columns():
     assert kinds["fa"] is FeatureKind.BINARY
     assert kinds["fc"] is FeatureKind.BINARY
     row = resolved.rows[0]
-    assert resolved.cell(row, "fa") == "+"
-    assert resolved.cell(row, "fc") == "-"
+    assert _cell(resolved, row, "fa") == "+"
+    assert _cell(resolved, row, "fc") == "-"
     # the per-entry column keeps its original value
-    assert resolved.cell(row, "fb") == "+"
+    assert _cell(resolved, row, "fb") == "+"
 
 
 def test_resolve_features_is_idempotent():
@@ -316,10 +324,21 @@ def test_validate_table_flags_empty_entry_and_amalgam():
     assert (IssueKind.EMPTY_ENTRY, "T#2") in kinds
 
 
+# Parsed cells are stripped; a table built in code may end a cell with any
+# whitespace, which does not hide a trailing hyphen.
+@pytest.mark.parametrize("cell, flagged", [
+    ("heure- ", True), ("heure-\xa0", True), ("heure-\n", True), ("mi-temps\xa0", False),
+], ids=["space", "no-break-space", "final-newline", "inner-hyphen"])
+def test_validate_table_sees_a_hyphen_through_trailing_whitespace(cell, flagged):
+    table = LgTable("T", (FeatureDef("<ENT>C1", FeatureKind.ENTRY_COMPONENT),), ("C1",), ((cell,),))
+    issue = ValidationIssue(IssueKind.AMALGAM_SUSPECT, "T#1", f"component C1 is {cell!r}")
+    assert validate_table(table) == ([issue] if flagged else [])
+
+
 def test_fixture_tables_load_and_resolve():
     matrix = load_class_matrix(fixture_path("classes.lgm"))
     pca = resolve_features(load_table(fixture_path("PCA.lgt")), matrix)
     assert pca.structure_label() == "Prép1 Det1 C1 Modif pré-adj Adj"
     assert len(pca.rows) == 10
     # the class-constant feature is appended as an all-plus column
-    assert all(pca.cell(row, "N0 V Adv W") == "+" for row in pca.rows)
+    assert all(_cell(pca, row, "N0 V Adv W") == "+" for row in pca.rows)
