@@ -75,14 +75,18 @@ def read_text(path: str | Path) -> str:
 def parse_file(path: str | Path, parse: Callable[[Iterator[str]], T]) -> T:
     """``parse`` over the pieces of the UTF-8 file at ``path``.  A byte that
     is not UTF-8 anywhere in the file is reported in place of a fault
-    ``parse`` finds before it, as when the whole file is decoded first."""
+    ``parse`` finds before it, as when the whole file is decoded first.  A
+    fault ``parse`` reports without a file is reported as the same error
+    naming ``path``."""
     pieces = read_chunks(path)
     try:
         return parse(pieces)
-    except SchemaViolation:
+    except SchemaViolation as err:
         for _ in pieces:
             pass
-        raise
+        if err.source is not None:
+            raise
+        raise type(err)(err.bare_message, str(path), err.line) from None
 
 
 @contextlib.contextmanager

@@ -19,7 +19,7 @@ import itertools
 import operator
 import re
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO, TypeVar
 from xml.parsers import expat
 
 from .errors import SchemaViolation, UnknownFormatVersion
@@ -51,6 +51,8 @@ except ImportError:
         from _sha256 import sha256  # CPython 3.10 and 3.11
     except ImportError:
         from hashlib import sha256
+
+T = TypeVar("T")
 
 TOOL_VERSION = "0.1.0"
 GENERATOR = f"lexgram {TOOL_VERSION}"
@@ -141,11 +143,13 @@ def _entry(
     texts; the readers already gave its provenance the parent's id string.
     *tuples* is the read's table of arguments and internal-structure
     tuples, so equal ones are one tuple; a variant's arguments equal to
-    its parent's are the parent's without a lookup.  An entry with no component or aux cell holds EMPTY_CELLS.
-    The readers pass each token and cell text of an entry through one table
-    of the entry's words, so within an entry equal words are one string.
-    Besides the readers' tables of names, *bases* and *tuples* are the only
-    tables that span entries.
+    its parent's are the parent's without a lookup.  An entry with no
+    component or aux cell holds EMPTY_CELLS.  The readers pass each token
+    and cell text through a table of words that starts empty with each
+    input piece, so equal words of the entries read from one piece are one
+    string; an entry cut by a piece's end may hold a word twice.  Besides
+    that table and the readers' tables of names, *bases* and *tuples* are
+    the only tables that span entries.
     """
     internal_structures = tuples(internal_structures, internal_structures)
     parent = bases.get(provenance.parent)
@@ -366,7 +370,7 @@ def _repeated(what: str, entry_id: str | None) -> SchemaViolation:
 
 def _read_surface(fields: list[str], words: Callable[[str, str], str]) -> SurfaceForm:
     """The surface on a line split at tabs: keyword or label, rendered form,
-    tokens; each token goes through *words*, the entry's table of words."""
+    tokens; each token goes through *words*, the piece's table of words."""
     if len(fields) != 3:
         raise SchemaViolation(f"malformed surface fields: {fields[1:]!r}")
     rendered, text = fields[1], fields[2]
@@ -393,7 +397,7 @@ def _read_provenance(
         raise SchemaViolation(str(err)) from None
 
 
-def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
+def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> list[LexEntry]:
     """The entries of a text lexicon's body, read in one pass.
 
     A blank or whitespace-only line ends the open block, so *lines* must
@@ -410,15 +414,16 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
     one string.  Each entry is built by :func:`_entry` with the read's
-    table of tuples, and its tokens and cell texts go through a table of
-    its words, dropped at the block's end.  The provenance of a variant
+    table of tuples, and its tokens and cell texts go through *words*, the
+    ``setdefault`` of a table of words that the caller empties at the end
+    of each input piece (see :func:`_emptying`), so equal words of the
+    entries of a piece are one string.  The provenance of a variant
     whose parent came first holds the parent's own id string.  A
     variant's surface line that reads as one of its parent's surfaces,
     when the provenance line came first, is that surface without a split.
     """
     share = {}.setdefault
     tuples = {}.setdefault
-    words = {}.setdefault
     bases: dict[str, LexEntry] = {}
     memo: dict[str, tuple] = {}
     entries: list[LexEntry] = []
@@ -454,7 +459,6 @@ def _read_entries(lines: Iterable[str]) -> list[LexEntry]:
                     tuple(internal), features, provenance, tuple(cross_refs),
                 ))
                 in_block = False
-                words = {}.setdefault
                 entry_id = table_id = category = provenance = surface = None
                 components, aux, features = {}, {}, {}
                 paraphrases, other_structures, intensified, arguments = [], [], [], []
@@ -593,11 +597,23 @@ def _lines(source: str | Iterable[str]) -> Iterator[str]:
     return itertools.chain.from_iterable(_line_chunks(_pieces(source)))
 
 
+def _emptying(pieces: Iterable[T], table: dict[str, str]) -> Iterator[T]:
+    """*pieces*, emptying *table* once each is read and holding none when
+    the next is asked for: a reader that passes the words of each piece
+    through *table* shares equal words within a piece, and the table never
+    holds more than one piece's words."""
+    for piece in pieces:
+        yield piece
+        del piece
+        table.clear()
+
+
 def import_text(source: str | Iterable[str]) -> LexiconDocument:
     """Parse an ``.lgx`` document, given whole or as an iterable of its
     pieces; raises SchemaViolation (or its subclass UnknownFormatVersion)
     for any document it cannot read."""
-    lines = _lines(source)
+    word_table: dict[str, str] = {}
+    lines = itertools.chain.from_iterable(_emptying(_line_chunks(_pieces(source)), word_table))
     first = next(lines)
     if not first.startswith("#lgx\t"):
         raise SchemaViolation("not a lexicon text file (missing #lgx header)")
@@ -644,7 +660,7 @@ def import_text(source: str | Iterable[str]) -> LexiconDocument:
         raise SchemaViolation("incomplete header (script, hash or entry count missing)")
 
     # The closing blank line ends a last block that no blank line follows.
-    entries = _read_entries(itertools.chain(body, lines, ("",)))
+    entries = _read_entries(itertools.chain(body, lines, ("",)), word_table.setdefault)
     doc = LexiconDocument(entries, table_ids, "\n".join(script_lines), generator)
     if doc.script_sha256 != declared_sha:
         raise SchemaViolation("script hash mismatch (file edited or corrupted)")
@@ -882,6 +898,10 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     come from every root-level ``<entries>``, the count from the first.
     Expat takes each piece as it comes, and a text given whole as one
     piece, so that the position an encoding error names is the text's own.
+    Names go through one table for the whole read, and tokens and cell
+    texts through a table of words emptied after each piece (see
+    :func:`_emptying`), so equal words of the entries of a piece are one
+    string.
     """
     entries: list[LexEntry] = []
     share = {}.setdefault
@@ -895,15 +915,17 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     add_text = text.append
     # The open entry; the text elements its open section or surface holds,
     # and that element's tag; the open surface, cell key, and leaf or text element.
-    entry_id = table_id = category = provenance = surface = words = components = aux = features = None
+    entry_id = table_id = category = provenance = surface = components = aux = features = None
     paraphrases = other_structures = intensified = arguments = constructions = internal = cross_refs = None
     texts = holder = rendered = label = tokens = cell_key = open_tag = None
+    word_table: dict[str, str] = {}
+    words = word_table.setdefault
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
 
     def outer(tag: str, attrs: dict[str, str]) -> None:  # an element outside the entries
         nonlocal depth, top, root_attrs, declared_count, entry_id, table_id, category, provenance, surface
-        nonlocal words, components, aux, features, paraphrases, other_structures, intensified, arguments
+        nonlocal components, aux, features, paraphrases, other_structures, intensified, arguments
         nonlocal constructions, internal, cross_refs
         depth += 1
         if depth == 3:
@@ -913,7 +935,6 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
                     name = "id" if entry_id is None else "table"
                     raise SchemaViolation(f"<entry> element lacks the {name!r} attribute")
                 category = provenance = surface = None
-                words = {}.setdefault
                 components, aux, features, paraphrases, other_structures = {}, {}, {}, [], []
                 intensified, arguments, constructions, internal, cross_refs = [], [], [], [], []
                 parser.StartElementHandler, parser.EndElementHandler = section, end
@@ -1103,7 +1124,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     parser.StartElementHandler, parser.EndElementHandler = outer, outer_end
     parser.SkippedEntityHandler = _skipped_entity
     try:
-        for piece in (source,) if isinstance(source, str) else source:
+        for piece in _emptying((source,) if isinstance(source, str) else source, word_table):
             parser.Parse(piece, False)
             del piece
         parser.Parse("", True)
@@ -1234,7 +1255,8 @@ def export_records(rows: Iterable[RecordRow], out: TextIO) -> None:
 def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
     """The rows of a record sidecar, given whole or as an iterable of its
     pieces; blank lines are skipped.  The repeated names (parent, feature,
-    template, status) go through one table, so equal ones are one string."""
+    template, status, duplicate-of) go through one table, so equal ones are
+    one string."""
     lines = (line for line in _lines(source) if line)
     if next(lines, None) != "\t".join(RECORD_COLUMNS):
         raise SchemaViolation("not a record sidecar (bad or missing header line)")
@@ -1251,8 +1273,9 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
         if status not in RECORD_STATUSES:
             raise SchemaViolation(f"unknown record status {status!r}")
         parent, feature_id, template = _unsent(parent), _unsent(feature_id), _unsent(template)
+        duplicate_of = _unsent(duplicate_of)
         rows.append(RecordRow(
             entry_id, share(parent, parent), kind, share(feature_id, feature_id),
-            share(template, template), _unsent(surface), share(status, status), _unsent(duplicate_of),
+            share(template, template), _unsent(surface), share(status, status), share(duplicate_of, duplicate_of),
         ))
     return rows

@@ -556,6 +556,30 @@ def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
     assert "unknown record status 'dupe'" in capsys.readouterr().err
 
 
+# Each reader's refusal names the file it read.  stats reads a lexicon and
+# a sidecar, and the message says which of the two it refused.
+@pytest.mark.parametrize("damaged, old, new, message", [
+    pytest.param("full.lgx", "\nfeature\t", "\nfeatur\t", "unknown line keyword 'featur'", id="text"),
+    pytest.param(
+        "full.lgx.xml", "<feature ", "<featur ", "entry 'ADVMP#1': unexpected <featur> element in <features>",
+        id="xml",
+    ),
+    pytest.param("full.lgx.records.tsv", "\tkept\t", "\tkep\t", "unknown record status 'kep'", id="records"),
+])
+def test_a_reader_refusal_names_its_file(tmp_path, capsys, damaged, old, new, message):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    assert main(["export", str(out), "-o", str(tmp_path / "full.lgx.xml")]) == 0
+    path = tmp_path / damaged
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    lexicon = out if path == records else path
+    capsys.readouterr()
+    assert main(["stats", str(lexicon), "--records", str(records)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: {path}: {message}\n"
+
+
 # =============================================================================
 # export and import
 # =============================================================================

@@ -1024,19 +1024,33 @@ def _names(entry: LexEntry) -> list[str]:
     ]
 
 
+def _words(entry: LexEntry) -> list[str]:
+    """The token and cell texts an entry holds, which readers share across
+    the entries of an input piece."""
+    return [
+        *(token for surface in _surfaces(entry) for token in surface.tokens),
+        *entry.components.values(), *entry.aux.values(),
+    ]
+
+
+# The fixture lexicon is one input piece in either format, so its equal
+# words, like its equal names, are each one string.
 @pytest.mark.parametrize("fmt, reader", [
     pytest.param("text", import_text, id="text"),
     pytest.param("xml", import_xml, id="xml"),
 ])
 def test_readers_share_equal_names(fmt, reader):
-    doc = reader(export_lexicon(_extended_corpus()[0], fmt))
-    first: dict[str, str] = {}
-    repeats = 0
-    for entry in doc.entries:
-        for name in _names(entry):
-            repeats += name in first
-            assert first.setdefault(name, name) is name, name
-    assert repeats > 10 * len(doc.entries)
+    text = export_lexicon(_extended_corpus()[0], fmt)
+    assert len(text) <= formats._CHUNK_CHARS
+    doc = reader(text)
+    for held, least in ((_names, 10 * len(doc.entries)), (_words, len(doc.entries))):
+        first: dict[str, str] = {}
+        repeats = 0
+        for entry in doc.entries:
+            for name in held(entry):
+                repeats += name in first
+                assert first.setdefault(name, name) is name, (entry.entry_id, name)
+        assert repeats > least
 
 
 def _surfaces(entry: LexEntry) -> list[SurfaceForm]:
@@ -1145,10 +1159,7 @@ def test_loaded_entries_hold_each_word_once(fmt):
     repeats = 0
     for entry in import_lexicon(export_lexicon(_extended_corpus()[0], fmt)).entries:
         words: dict[str, str] = {}
-        for text in (
-            *(token for surface in _surfaces(entry) for token in surface.tokens),
-            *entry.components.values(), *entry.aux.values(),
-        ):
+        for text in _words(entry):
             repeats += text in words
             assert words.setdefault(text, text) is text, (entry.entry_id, text)
     assert repeats > 100
@@ -1299,6 +1310,17 @@ def test_text_import_memoizes_no_line_an_entry_holds_alone(tmp_path, monkeypatch
     assert own < shared + formats._CHUNK_CHARS // 4
 
 
+# Each entry holds words of its own here, so a table of words that spanned
+# the read would grow with the document.
+def test_xml_import_transient_memory_does_not_grow_with_the_document(tmp_path, monkeypatch):
+    monkeypatch.setattr(files, "_CHUNK_BYTES", 1 << 16)
+    small, large = tmp_path / "small.lgx.xml", tmp_path / "large.lgx.xml"
+    small.write_text(export_lexicon(_own_texts(_corpus_doc(tmp_path / "small", 10)), "xml"), encoding="utf-8")
+    large.write_text(export_lexicon(_own_texts(_corpus_doc(tmp_path / "large", 800)), "xml"), encoding="utf-8")
+    assert small.stat().st_size < files._CHUNK_BYTES < large.stat().st_size // 8
+    assert _transient_bytes(large, load_lexicon) < 2 * _transient_bytes(small, load_lexicon)
+
+
 # =============================================================================
 # reading from the file
 # =============================================================================
@@ -1371,6 +1393,15 @@ def test_a_byte_that_is_not_utf8_is_reported_before_an_earlier_fault(tmp_path, m
 _XML_BODY = _FIXTURE_XML.decode("utf-8").split("\n", 1)[1]
 
 
+def _of_file(outcome, path):
+    """The outcome of reading the file at *path*, given *outcome*, that of
+    reading its text: a refusal names the file."""
+    if isinstance(outcome, tuple):
+        kind, message = outcome
+        return kind, f"{path}: {message}"
+    return outcome
+
+
 @pytest.mark.parametrize("text", [
     pytest.param(" \n\t" * 6 + _FIXTURE_XML.decode("utf-8"), id="declaration-after-whitespace"),
     pytest.param(" \n\t" * 6 + _XML_BODY, id="xml-after-whitespace"),
@@ -1382,7 +1413,7 @@ def test_load_lexicon_sniffs_past_chunks_of_whitespace(tmp_path, monkeypatch, te
     path = tmp_path / "lexicon"
     path.write_text(text, encoding="utf-8")
     monkeypatch.setattr(files, "_CHUNK_BYTES", 4)
-    assert _read_outcome(load_lexicon, path) == _read_outcome(import_lexicon, read_text(path))
+    assert _read_outcome(load_lexicon, path) == _of_file(_read_outcome(import_lexicon, read_text(path)), path)
 
 
 def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, monkeypatch):
@@ -1393,9 +1424,9 @@ def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, m
         text = mutate(_FIXTURE_XML.decode("utf-8"), random.Random(seed), _MUTATION_BYTES.decode("ascii"))
         path.write_text(text, encoding="utf-8")
         outcome = _read_outcome(load_lexicon, path)
-        assert outcome == _read_outcome(import_lexicon, text)
+        assert outcome == _of_file(_read_outcome(import_lexicon, text), path)
         messages.append(outcome[1] if isinstance(outcome, tuple) else "")
-    assert sum(message.startswith("not well-formed XML: ") for message in messages) >= 10
+    assert sum(message.startswith(f"{path}: not well-formed XML: ") for message in messages) >= 10
 
 
 @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
@@ -1411,7 +1442,7 @@ def test_parse_records_shares_repeated_names():
     first: dict[str, str] = {}
     repeats = 0
     for row in rows:
-        for name in (row.parent_id, row.feature_id, row.template, row.status):
+        for name in (row.parent_id, row.feature_id, row.template, row.status, row.duplicate_of):
             repeats += name in first
             assert first.setdefault(name, name) is name, name
     assert repeats > len(rows)
