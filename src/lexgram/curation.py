@@ -37,55 +37,99 @@ class DuplicateRecord(FrozenFields):
         object.__setattr__(self, "key", key)
 
 
-def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord]]:
-    """Keep one entry per canonical key.
+class _Group:
+    """The entries of one key so far: the position of the one it keeps, and
+    every entry's id in position order, the kept one's at ``kept_at``."""
 
-    The survivor is the lowest-ranked entry of its group (base before
-    generated, then table, row, pass, ordinal), independent of input order.
-    A survivor that removed others is returned as a new entry whose
-    cross_refs end with the removed ids.  Entries with an empty surface
-    never merge; they are review material, not citation forms.
+    __slots__ = ("kept", "ids", "kept_at")
+
+    def __init__(self, kept: int, ids: list[str]):
+        self.kept = kept
+        self.ids = ids
+        self.kept_at = 0
+
+
+class Dedup:
+    """Keep one entry per canonical key, taking the entries one at a time.
+
+    Each entry gets the next position.  The survivor of a key is the entry
+    with the lowest ``(sort_rank(), position)``: base before generated,
+    then table, row, pass, ordinal, then the earlier entry.  So it does not
+    depend on the order the entries come in, and a later entry can remove
+    one held so far.  Ranks are worked out only when keys collide.  Entries
+    with an empty surface never merge; they are review material, not
+    citation forms.
+
+    ``entries`` holds what is kept so far by position, and None where an
+    entry was removed: nothing here holds a removed entry, only its id.
     """
-    keys: dict[str, str] = {}  # rendered surface -> its key; most duplicates repeat a surface
-    # key -> its position in entries, or the list of its positions once it repeats
-    index: dict[str, int | list[int]] = {}
-    for position, entry in enumerate(entries):
+
+    __slots__ = ("entries", "_keys", "_index")
+
+    def __init__(self) -> None:
+        self.entries: list[LexEntry | None] = []
+        self._keys: dict[str, str] = {}  # rendered surface -> its key; most duplicates repeat a surface
+        # key -> the position of its one entry, or its _Group once it repeats
+        self._index: dict[str, int | _Group] = {}
+
+    def add(self, entry: LexEntry) -> int | None:
+        """Take *entry* at the next position; return the position this
+        removes: *entry*'s own when the entry held for its key outranks it,
+        the held entry's when *entry* outranks that one, None when its key is
+        new or empty."""
+        entries = self.entries
+        position = len(entries)
+        entries.append(entry)
         rendered = entry.surface.rendered
-        key = keys.get(rendered)
+        key = self._keys.get(rendered)
         if key is None:
             key = canonical_key(rendered)
             if key == rendered:  # most surfaces are their own key: hold one string
                 key = rendered
-            keys[rendered] = key
-        if key:
-            held = index.get(key)
-            if held is None:
-                index[key] = position
-            elif held.__class__ is int:
-                index[key] = [held, position]
-            else:
-                held.append(position)
-
-    removed_at = bytearray(len(entries))  # 1 at the position of each removed entry
-    merged: dict[int, LexEntry] = {}  # position of a survivor -> the survivor with its cross_refs
-    duplicates: list[DuplicateRecord] = []
-    for key, group in index.items():
+            self._keys[rendered] = key
+        if not key:
+            return None
+        group = self._index.get(key)
+        if group is None:
+            self._index[key] = position
+            return None
         if group.__class__ is int:
-            continue
-        kept = min(group, key=lambda position: (entries[position].sort_rank(), position))
-        removed = tuple(entries[position].entry_id for position in group if position != kept)
-        merged[kept] = entries[kept].replace(cross_refs=entries[kept].cross_refs + removed)
-        for position in group:
-            removed_at[position] = 1
-        removed_at[kept] = 0
-        duplicates.append(DuplicateRecord(entries[kept].entry_id, removed, key))
+            group = self._index[key] = _Group(group, [entries[group].entry_id])
+        group.ids.append(entry.entry_id)
+        # the newcomer comes last, so it wins only on a lower rank
+        if entry.sort_rank() < entries[group.kept].sort_rank():
+            removed, group.kept, group.kept_at = group.kept, position, len(group.ids) - 1
+        else:
+            removed = position
+        entries[removed] = None
+        return removed
 
-    survivors = [
-        merged.get(position, entry)
-        for position, entry in enumerate(entries)
-        if not removed_at[position]
-    ]
-    return survivors, duplicates
+    def finish(self) -> tuple[list[LexEntry], list[DuplicateRecord]]:
+        """The survivors in position order, and one DuplicateRecord per key
+        that repeated, in the order of each key's first entry.  A survivor
+        that removed others is a new entry whose cross_refs end with the
+        removed ids, in position order.  The instance is empty afterwards."""
+        entries, index = self.entries, self._index
+        self.entries, self._keys, self._index = [], {}, {}
+        duplicates: list[DuplicateRecord] = []
+        for key, group in index.items():
+            if group.__class__ is int:
+                continue
+            ids, at = group.ids, group.kept_at
+            removed = (*ids[:at], *ids[at + 1:])
+            kept = entries[group.kept]
+            entries[group.kept] = kept.replace(cross_refs=kept.cross_refs + removed)
+            duplicates.append(DuplicateRecord(kept.entry_id, removed, key))
+        return [entry for entry in entries if entry is not None], duplicates
+
+
+def dedup(entries: list[LexEntry]) -> tuple[list[LexEntry], list[DuplicateRecord]]:
+    """Keep one entry per canonical key: :class:`Dedup` over *entries* in
+    order.  Returns the survivors in input order and the duplicate groups."""
+    run = Dedup()
+    for entry in entries:
+        run.add(entry)
+    return run.finish()
 
 
 def duplicate_issues(

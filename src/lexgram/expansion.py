@@ -15,7 +15,7 @@ their parent's arguments and binary features.
 
 from __future__ import annotations
 
-from .curation import dedup
+from .curation import Dedup
 from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
 from .model import (
     EMPTY_CELLS,
@@ -229,6 +229,15 @@ class PipelineResult(Fields):
         self.stats = stats
 
 
+def _record(entry: LexEntry, kept: str = "") -> RecordRow:
+    """The record row of *entry*: a duplicate of *kept*, if given."""
+    p = entry.provenance
+    return RecordRow(
+        entry.entry_id, p.parent or "", p.kind, p.feature_id or "", p.template or "",
+        entry.surface.rendered, "duplicate" if kept else "kept", kept,
+    )
+
+
 def run_pipeline(
     entries: list[LexEntry],
     script: ExtractionScript,
@@ -236,13 +245,22 @@ def run_pipeline(
     symbols=DEFAULT_SYMBOLS,
     rules: MorphoRules = DEFAULT_RULES,
 ) -> PipelineResult:
-    """Expand every base entry, then dedup and count.
+    """Expand every base entry, deduplicating as the variants come, and
+    count.
 
     The input entries are left unchanged.  One plan is built per table and
-    component slot set.  Output order: base entries first (input order),
-    then surviving variants in generation order.  Records: one per variant
-    in generation order, then one per base entry removed as a duplicate, so
-    the records account for every removal.
+    component slot set.  The result is what :func:`~lexgram.curation.dedup`
+    makes of the expanded parents followed by every variant, but no removed
+    variant is held: the base entries take the first positions of one
+    :class:`~lexgram.curation.Dedup`, each base's variants are added as
+    they are made, and a removed one lives on only as its record row.  An
+    expanded parent takes its base's place, which has its id and surface.
+
+    Output order: base entries first (input order), then surviving variants
+    in generation order.  Records: one per variant in generation order,
+    then one per base entry removed as a duplicate, so the records account
+    for every removal.  A row's status and duplicate-of are set at the end,
+    from the final survivor of its key.
     """
     seen: set[str] = set()
     for entry in entries:
@@ -252,10 +270,13 @@ def run_pipeline(
             raise LexgramError(f"duplicate entry id {entry.entry_id!r} in the input lexicon")
         seen.add(entry.entry_id)
 
-    plans: dict[tuple[str, tuple[str, ...]], tuple[PlanStep, ...]] = {}
-    parents: list[LexEntry] = []
-    variants: list[LexEntry] = []
+    curated = Dedup()
     for entry in entries:
+        curated.add(entry)
+
+    plans: dict[tuple[str, tuple[str, ...]], tuple[PlanStep, ...]] = {}
+    records: list[RecordRow] = []
+    for position, entry in enumerate(entries):
         key = (entry.table_id, tuple(entry.components))
         if key not in plans:
             try:
@@ -263,24 +284,23 @@ def run_pipeline(
             except UnknownSlotSymbol as err:  # an imported lexicon's component slot
                 raise LexgramError(f"entry {entry.entry_id!r}: {err.bare_message}") from None
         parent, produced = expand_entry(entry, plans[key], symbols, rules)
-        parents.append(parent)
-        variants.extend(produced)
+        if curated.entries[position] is not None:
+            curated.entries[position] = parent
+        for variant in produced:
+            records.append(_record(variant))
+            curated.add(variant)
 
-    survivors, duplicates = dedup(parents + variants)
+    survivors, duplicates = curated.finish()
 
     kept_for = {removed_id: dup.kept for dup in duplicates for removed_id in dup.removed}
-
-    def record(entry: LexEntry) -> RecordRow:
-        p = entry.provenance
-        kept = kept_for.get(entry.entry_id)
-        return RecordRow(
-            entry.entry_id, p.parent or "", p.kind, p.feature_id or "", p.template or "",
-            entry.surface.rendered, "kept" if kept is None else "duplicate", kept or "",
-        )
-
-    records = [record(variant) for variant in variants]
-    removed_parents = {parent.entry_id: parent for parent in parents if parent.entry_id in kept_for}
-    records.extend(record(removed_parents[removed_id]) for removed_id in kept_for if removed_id in removed_parents)
+    for row in records:
+        kept = kept_for.get(row.entry_id)
+        if kept is not None:
+            row.status, row.duplicate_of = "duplicate", kept
+    removed_bases = {entry.entry_id: entry for entry in entries if entry.entry_id in kept_for}
+    records.extend(
+        _record(removed_bases[removed_id], kept) for removed_id, kept in kept_for.items() if removed_id in removed_bases
+    )
 
     added, removed, _ = tally(records)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)

@@ -1256,7 +1256,8 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
     """The rows of a record sidecar, given whole or as an iterable of its
     pieces; blank lines are skipped.  The repeated names (parent, feature,
     template, status, duplicate-of) go through one table, so equal ones are
-    one string."""
+    one string.  A ``duplicate`` row must name its survivor in duplicate-of
+    and a ``kept`` row must not."""
     lines = (line for line in _lines(source) if line)
     if next(lines, None) != "\t".join(RECORD_COLUMNS):
         raise SchemaViolation("not a record sidecar (bad or missing header line)")
@@ -1274,6 +1275,10 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
             raise SchemaViolation(f"unknown record status {status!r}")
         parent, feature_id, template = _unsent(parent), _unsent(feature_id), _unsent(template)
         duplicate_of = _unsent(duplicate_of)
+        if status == "kept" and duplicate_of:
+            raise SchemaViolation(f"record {entry_id!r} is kept but names a duplicate-of {duplicate_of!r}")
+        if status == "duplicate" and not duplicate_of:
+            raise SchemaViolation(f"record {entry_id!r} is a duplicate but names no duplicate-of")
         rows.append(RecordRow(
             entry_id, share(parent, parent), kind, share(feature_id, feature_id),
             share(template, template), _unsent(surface), share(status, status), share(duplicate_of, duplicate_of),

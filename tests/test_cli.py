@@ -556,6 +556,26 @@ def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
     assert "unknown record status 'dupe'" in capsys.readouterr().err
 
 
+# A row's duplicate-of follows from its status: a kept row names none, a
+# duplicate row names its survivor.  extend writes neither contradiction.
+@pytest.mark.parametrize("status, duplicate_of, message", [
+    pytest.param("kept", "ADVMP#1", "is kept but names a duplicate-of 'ADVMP#1'", id="kept"),
+    pytest.param("duplicate", "<E>", "is a duplicate but names no duplicate-of", id="duplicate"),
+])
+def test_stats_refuses_a_duplicate_of_that_contradicts_the_status(tmp_path, capsys, status, duplicate_of, message):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    victim = next(i for i, line in enumerate(lines) if i > 0 and line.split("\t")[6] == status)
+    fields = lines[victim].split("\t")
+    fields[7] = duplicate_of
+    lines[victim] = "\t".join(fields)
+    records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(out), "--records", str(records)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: {records}: record {fields[0]!r} {message}\n"
+
+
 # Each reader's refusal names the file it read.  stats reads a lexicon and
 # a sidecar, and the message says which of the two it refused.
 @pytest.mark.parametrize("damaged, old, new, message", [
