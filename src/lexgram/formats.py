@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import io
 import itertools
-import operator
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO, TypeVar
@@ -79,15 +78,21 @@ class LexiconDocument(Fields):
         return sha256(self.script_source.encode("utf-8")).hexdigest()
 
 
+def _id_table(entry_id: str, kind: Origin) -> str | None:
+    """The table *entry_id* names if its tag is that of pass *kind*, else
+    None; raises SchemaViolation for an id that does not parse."""
+    try:
+        table_id, _, tag, _ = parse_entry_id(entry_id)
+    except ValueError as err:
+        raise SchemaViolation(str(err)) from None
+    return table_id if tag == PASS_TAGS.get(kind) else None
+
+
 def _check_entry_ids(entries: list[LexEntry]) -> None:
     """Every id parses, names its entry's table and pass, and is unique."""
     seen: set[str] = set()
     for entry in entries:
-        try:
-            table_id, _, tag, _ = parse_entry_id(entry.entry_id)
-        except ValueError as err:
-            raise SchemaViolation(str(err)) from None
-        if table_id != entry.table_id or tag != PASS_TAGS.get(entry.provenance.kind):
+        if _id_table(entry.entry_id, entry.provenance.kind) != entry.table_id:
             raise SchemaViolation(
                 f"entry id {entry.entry_id!r} does not match its table {entry.table_id!r} "
                 f"and provenance {entry.provenance.kind.value!r}"
@@ -97,16 +102,16 @@ def _check_entry_ids(entries: list[LexEntry]) -> None:
         seen.add(entry.entry_id)
 
 
-_SURFACE_OF_PAIR = operator.itemgetter(1)
-
-
-def _parent_surfaces(parent: LexEntry, kind: Origin) -> Iterable[SurfaceForm]:
-    """The surfaces of *parent* that hold those of its variants of pass *kind*."""
-    if kind is Origin.PARAPHRASE_DIRECT or kind is Origin.PARAPHRASE_CONSTRUCTION:
-        return parent.paraphrases
-    if kind is Origin.INTENSIFICATION:
-        return parent.intensified
-    return map(_SURFACE_OF_PAIR, parent.other_structures)
+def _held_surface(parent: LexEntry, rendered: str, tokens: tuple[str, ...]) -> SurfaceForm | None:
+    """A surface of *parent*'s lexical information equal to *rendered* and
+    *tokens*, whichever field holds it, or None."""
+    for own in parent.paraphrases + parent.intensified:
+        if own.rendered == rendered and own.tokens == tokens:
+            return own
+    for _, own in parent.other_structures:
+        if own.rendered == rendered and own.tokens == tokens:
+            return own
+    return None
 
 
 def _parent_id(bases: dict[str, LexEntry], parent_id: str | None) -> str | None:
@@ -117,7 +122,7 @@ def _parent_id(bases: dict[str, LexEntry], parent_id: str | None) -> str | None:
 
 def _entry(
     bases: dict[str, LexEntry],
-    tuples: Callable[[tuple, tuple], tuple],
+    share: Callable[[T, T], T],
     entry_id: str,
     table_id: str,
     category: str,
@@ -138,34 +143,31 @@ def _entry(
 
     *bases* indexes the base entries read so far by id, and a base entry
     joins it.  A variant whose parent is there takes, of what equals its
-    parent's, the parent's own objects: its surface (one of the parent's
-    surfaces of the variant's pass), binary features and kept component
-    texts; the readers already gave its provenance the parent's id string.
-    *tuples* is the read's table of arguments and internal-structure
-    tuples, so equal ones are one tuple; a variant's arguments equal to
-    its parent's are the parent's without a lookup.  An entry with no
+    parent's, the parent's own objects: its surface (any equal surface the
+    parent's lexical information holds), binary features and kept
+    component texts; the readers already gave its provenance the parent's
+    id string.  *share* is the ``setdefault`` of the read's one table of
+    names, through which the arguments and internal-structure tuples go
+    too, so equal ones are one tuple; a variant's arguments equal to its
+    parent's are the parent's without a lookup.  An entry with no
     component or aux cell holds EMPTY_CELLS.  The readers pass each token
     and cell text through a table of words that starts empty with each
     input piece, so equal words of the entries read from one piece are one
     string; an entry cut by a piece's end may hold a word twice.  Besides
-    that table and the readers' tables of names, *bases* and *tuples* are
-    the only tables that span entries.
+    that table, *bases* and the table behind *share* are the only tables
+    that span entries.
     """
-    internal_structures = tuples(internal_structures, internal_structures)
+    internal_structures = share(internal_structures, internal_structures)
     parent = bases.get(provenance.parent)
     if parent is None:
-        arguments = tuples(arguments, arguments)
+        arguments = share(arguments, arguments)
     else:
-        rendered, tokens = surface.rendered, surface.tokens
-        for own in _parent_surfaces(parent, provenance.kind):
-            if own.rendered == rendered and own.tokens == tokens:
-                surface = own
-                break
+        surface = _held_surface(parent, surface.rendered, surface.tokens) or surface
         # in the same order too, so that the entry writes the same lines
         parent_features = parent.binary_features
         if binary_features == parent_features and list(binary_features) == list(parent_features):
             binary_features = parent_features
-        arguments = parent.arguments if arguments == parent.arguments else tuples(arguments, arguments)
+        arguments = parent.arguments if arguments == parent.arguments else share(arguments, arguments)
         if components:
             kept_texts = parent.components
             for slot, text in components.items():
@@ -413,17 +415,17 @@ def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> lis
 
     Every name (feature id, slot, column, label, construction id, table id,
     category) goes through one table, so equal names across entries are
-    one string.  Each entry is built by :func:`_entry` with the read's
-    table of tuples, and its tokens and cell texts go through *words*, the
+    one string.  Each entry is built by :func:`_entry` with that table,
+    and its tokens and cell texts go through *words*, the
     ``setdefault`` of a table of words that the caller empties at the end
     of each input piece (see :func:`_emptying`), so equal words of the
     entries of a piece are one string.  The provenance of a variant
     whose parent came first holds the parent's own id string.  A
-    variant's surface line that reads as one of its parent's surfaces,
-    when the provenance line came first, is that surface without a split.
+    variant's surface line that reads as any of its parent's surfaces,
+    when the provenance line came first, is that surface: the reader builds
+    no new one and looks up none of its tokens.
     """
     share = {}.setdefault
-    tuples = {}.setdefault
     bases: dict[str, LexEntry] = {}
     memo: dict[str, tuple] = {}
     entries: list[LexEntry] = []
@@ -454,7 +456,7 @@ def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> lis
                     ]
                     raise SchemaViolation(f"entry block missing {', '.join(missing)}")
                 entries.append(_entry(
-                    bases, tuples, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
+                    bases, share, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
                     tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),
                     tuple(internal), features, provenance, tuple(cross_refs),
                 ))
@@ -488,13 +490,10 @@ def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> lis
                     raise _repeated("'surface' line", entry_id)
                 parent = None if provenance is None else bases.get(provenance.parent)
                 if parent is not None and len(fields) == 3:
-                    # The parent's tokens were split from its lines, so a
-                    # match of the joined tokens is a match of the split.
-                    rendered, tokens = _unsent(fields[1]), _unsent(fields[2])
-                    for own in _parent_surfaces(parent, provenance.kind):
-                        if own.rendered == rendered and " ".join(own.tokens) == tokens:
-                            surface = own
-                            break
+                    # the fields as _read_surface reads them, less the table of words
+                    text = fields[2]
+                    tokens = () if text == EMPTY_TOKEN else tuple(text.split())
+                    surface = _held_surface(parent, _unsent(fields[1]), tokens)
                 if surface is None:
                     surface = _read_surface(fields, words)
             elif keyword == "paraphrase":
@@ -567,16 +566,9 @@ def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> lis
     return entries
 
 
-# The readers cut a text they are given whole into pieces of this many
-# characters, so they never hold the whole text's line list.
-_CHUNK_CHARS = 1 << 18
-
-
 def _pieces(source: str | Iterable[str]) -> Iterable[str]:
-    """*source* if it is an iterable of pieces; a text cut into pieces."""
-    if isinstance(source, str):
-        return (source[start:start + _CHUNK_CHARS] for start in range(0, len(source), _CHUNK_CHARS))
-    return source
+    """*source* if it is an iterable of pieces; a whole text is one piece."""
+    return (source,) if isinstance(source, str) else source
 
 
 def _line_chunks(pieces: Iterable[str]) -> Iterator[list[str]]:
@@ -591,10 +583,6 @@ def _line_chunks(pieces: Iterable[str]) -> Iterator[list[str]]:
         yield lines
         del lines
     yield [tail]
-
-
-def _lines(source: str | Iterable[str]) -> Iterator[str]:
-    return itertools.chain.from_iterable(_line_chunks(_pieces(source)))
 
 
 def _emptying(pieces: Iterable[T], table: dict[str, str]) -> Iterator[T]:
@@ -896,17 +884,17 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     opens, and the entry is built when it closes.  Text is kept only in the
     elements whose text is read: what precedes the first child.  Entries
     come from every root-level ``<entries>``, the count from the first.
-    Expat takes each piece as it comes, and a text given whole as one
-    piece, so that the position an encoding error names is the text's own.
-    Names go through one table for the whole read, and tokens and cell
-    texts through a table of words emptied after each piece (see
+    Expat takes each piece as it comes; a whole text is one piece, so the
+    position an encoding error names is then the text's own.  Names and
+    the argument and internal-structure tuples go through one table for
+    the whole read, and tokens and cell texts through a table of words
+    emptied after each piece (see
     :func:`_emptying`), so equal words of the entries of a piece are one
     string.
     """
     entries: list[LexEntry] = []
     share = {}.setdefault
     bases: dict[str, LexEntry] = {}
-    tuples = {}.setdefault
     root_attrs: dict[str, str] = {}
     table_ids: list[str] = []
     declared_count = script = top = None  # top: the open child of the root
@@ -1105,7 +1093,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
             if provenance is None or surface is None or category is None:
                 raise SchemaViolation(f"entry {entry_id!r} is missing a required element")
             entries.append(_entry(
-                bases, tuples, entry_id, share(table_id, table_id), category, surface, components, aux,
+                bases, share, entry_id, share(table_id, table_id), category, surface, components, aux,
                 tuple(paraphrases), tuple(other_structures), tuple(intensified), tuple(arguments),
                 tuple(constructions), tuple(internal), features, provenance, tuple(cross_refs),
             ))
@@ -1124,7 +1112,7 @@ def import_xml(source: str | Iterable[str]) -> LexiconDocument:
     parser.StartElementHandler, parser.EndElementHandler = outer, outer_end
     parser.SkippedEntityHandler = _skipped_entity
     try:
-        for piece in _emptying((source,) if isinstance(source, str) else source, word_table):
+        for piece in _emptying(_pieces(source), word_table):
             parser.Parse(piece, False)
             del piece
         parser.Parse("", True)
@@ -1169,9 +1157,6 @@ def export_lexicon(doc: LexiconDocument, format: str = "text") -> str:
     return out.getvalue()
 
 
-_XML_START = re.compile(r"\s*<")
-
-
 def _handed_on(head: list[str], pieces: Iterator[str]) -> Iterator[str]:
     """The pieces of *head*, each dropped from it as it is handed on, then
     those of *pieces*: no piece read ahead is held once the parser is past it."""
@@ -1185,17 +1170,14 @@ def import_lexicon(source: str | Iterable[str]) -> LexiconDocument:
     """Parse either format, given whole or as an iterable of its pieces: a
     document whose first non-whitespace character is ``<`` is XML, any
     other is text."""
-    if isinstance(source, str):
-        is_xml = _XML_START.match(source) is not None
-    else:
-        pieces, head, first = iter(source), [], ""
-        for first in pieces:
-            head.append(first)
-            if not first.isspace():
-                break
-        is_xml = _XML_START.match(first) is not None
-        del first
-        source = _handed_on(head, pieces)
+    pieces, head, first = iter(_pieces(source)), [], ""
+    for first in pieces:
+        head.append(first)
+        if not first.isspace():
+            break
+    is_xml = first.lstrip().startswith("<")
+    del first
+    source = _handed_on(head, pieces)
     if is_xml:
         return import_xml(source)
     return import_text(source)
@@ -1257,30 +1239,35 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
     pieces; blank lines are skipped.  The repeated names (parent, feature,
     template, status, duplicate-of) go through one table, so equal ones are
     one string.  A ``duplicate`` row must name its survivor in duplicate-of
-    and a ``kept`` row must not."""
-    lines = (line for line in _lines(source) if line)
+    and a ``kept`` row must not; a ``base`` row must be a duplicate.  Each
+    row's entry id must parse and carry the tag of the row's pass, by the
+    rule a lexicon entry's id keeps."""
+    lines = (line for line in itertools.chain.from_iterable(_line_chunks(_pieces(source))) if line)
     if next(lines, None) != "\t".join(RECORD_COLUMNS):
         raise SchemaViolation("not a record sidecar (bad or missing header line)")
-    share = {}.setdefault
+    share = {EMPTY_TOKEN: ""}.setdefault  # where "<E>" reads as empty
     rows = []
     for line in lines:
         fields = line.split("\t")
         if len(fields) != len(RECORD_COLUMNS):
             raise SchemaViolation(f"malformed record line: {line!r}")
-        kind = _ORIGINS.get(fields[2])
+        entry_id, parent, pass_name, feature_id, template, surface, status, duplicate_of = fields
+        kind = _ORIGINS.get(pass_name)
         if kind is None:
-            raise SchemaViolation(f"unknown pass kind {fields[2]!r}")
-        entry_id, parent, _, feature_id, template, surface, status, duplicate_of = fields
+            raise SchemaViolation(f"unknown pass kind {pass_name!r}")
         if status not in RECORD_STATUSES:
             raise SchemaViolation(f"unknown record status {status!r}")
-        parent, feature_id, template = _unsent(parent), _unsent(feature_id), _unsent(template)
-        duplicate_of = _unsent(duplicate_of)
+        duplicate_of = share(duplicate_of, duplicate_of)
         if status == "kept" and duplicate_of:
             raise SchemaViolation(f"record {entry_id!r} is kept but names a duplicate-of {duplicate_of!r}")
         if status == "duplicate" and not duplicate_of:
             raise SchemaViolation(f"record {entry_id!r} is a duplicate but names no duplicate-of")
+        if kind is Origin.BASE and status != "duplicate":
+            raise SchemaViolation(f"record {entry_id!r} is of a base entry but is not a duplicate")
+        if _id_table(entry_id, kind) is None:
+            raise SchemaViolation(f"record {entry_id!r}: the entry id does not match its pass {kind.value!r}")
         rows.append(RecordRow(
-            entry_id, share(parent, parent), kind, share(feature_id, feature_id),
-            share(template, template), _unsent(surface), share(status, status), share(duplicate_of, duplicate_of),
+            entry_id, share(parent, parent), kind, share(feature_id, feature_id), share(template, template),
+            _unsent(surface), share(status, status), duplicate_of,
         ))
     return rows

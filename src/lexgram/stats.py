@@ -73,16 +73,27 @@ def tally(rows: Iterable[RecordRow]) -> tuple[dict[Origin, int], int, int]:
     return added, duplicates_removed, removed_bases
 
 
+def _twice(entry_id: str) -> SchemaViolation:
+    return SchemaViolation(f"record sidecar holds two records of entry {entry_id!r}")
+
+
 def recompute_stats(entries: list[LexEntry], rows: list[RecordRow]) -> StatsReport:
     """Rebuild an extension run's report from the extended lexicon and its
     record sidecar, and check it against the lexicon's entry count and ids.
     Both are user files, so a mismatch is an input error (SchemaViolation).
 
     The rows are counted by :func:`tally`.  A ``base`` row is a base entry
-    removed as a duplicate, so it counts towards the initial size.  Every
-    kept entry and every survivor a duplicate names must be in the lexicon;
-    no entry removed as a duplicate may be.
+    removed as a duplicate, so it counts towards the initial size.  No two
+    rows are of one entry.  Every kept entry and every survivor a duplicate
+    names must be in the lexicon; no entry removed as a duplicate may be,
+    nor be a survivor.
     """
+    removed: set[str] = set()
+    for row in rows:
+        if row.status == "duplicate":
+            if row.entry_id in removed:
+                raise _twice(row.entry_id)
+            removed.add(row.entry_id)
     added, duplicates_removed, removed_bases = tally(rows)
     initial = sum(1 for e in entries if e.is_base) + removed_bases
     report = compute_stats(initial, added, duplicates_removed)
@@ -91,8 +102,20 @@ def recompute_stats(entries: list[LexEntry], rows: list[RecordRow]) -> StatsRepo
             f"record sidecar does not match the lexicon: the records give {report.final} "
             f"final entries, the lexicon holds {len(entries)}"
         )
-    held = dict.fromkeys(row.duplicate_of if row.status == "duplicate" else row.entry_id for row in rows)
-    removed = {row.entry_id for row in rows if row.status == "duplicate"}
+    # what the lexicon must hold: each kept entry (True) and each other survivor
+    held: dict[str, bool] = {}
+    for row in rows:
+        if row.status == "kept":
+            if held.get(row.entry_id) or row.entry_id in removed:
+                raise _twice(row.entry_id)
+            held[row.entry_id] = True
+        elif row.duplicate_of in removed:
+            raise SchemaViolation(
+                f"record sidecar removes {row.duplicate_of!r} as a duplicate and keeps it as the survivor "
+                f"of {row.entry_id!r}"
+            )
+        else:
+            held.setdefault(row.duplicate_of, False)
     for entry in entries:
         if entry.entry_id in removed:
             raise SchemaViolation(

@@ -536,7 +536,8 @@ def test_stats_rejects_a_sidecar_of_other_entries(tmp_path):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
     header, *lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
-    renamed = [f"nowhere#{n}\t{line.split(chr(9), 1)[1]}" for n, line in enumerate(lines, start=1)]
+    # each entry id's table and row, so that the ids keep their passes
+    renamed = [re.sub(r"^[^#]*#[0-9]*", f"nowhere#{n}", line) for n, line in enumerate(lines, start=1)]
     records.write_text("\n".join([header, *renamed]) + "\n", encoding="utf-8")
     run = _run_cli("stats", str(out), "--records", str(records))
     assert run.returncode == 1
@@ -574,6 +575,55 @@ def test_stats_refuses_a_duplicate_of_that_contradicts_the_status(tmp_path, caps
     capsys.readouterr()
     assert main(["stats", str(out), "--records", str(records)]) == 1
     assert capsys.readouterr().err == f"lexgram: error: {records}: record {fields[0]!r} {message}\n"
+
+
+def _kept_base_row(rows: list[list[str]]) -> None:
+    first_deletion = next(row for row in rows if row[2] == "deletion" and row[6] == "kept")
+    rows.remove(first_deletion)
+    rows.append(["ADVMP#1", "<E>", "base", "<E>", "<E>", "ADVMP", "kept", "<E>"])
+
+
+def _repeated_row(rows: list[list[str]]) -> None:
+    rows.append(next(row for row in rows if row[0] == "PCDC#2#del#1"))
+    rows.remove(next(row for row in rows if row[0] == "ADVPS#2#para#1"))
+
+
+def _edit_row(entry: str, column: int, value: str):
+    def edit(rows: list[list[str]]) -> None:
+        next(row for row in rows if row[0] == entry)[column] = value
+
+    return edit
+
+
+# Rows extend never writes: a base row that is not a duplicate, two rows of
+# one entry, an id that does not parse, and an id whose tag is not its
+# pass's.  Each edit keeps the count identity, so the report stats would
+# print is wrong; stats refuses it and names the entry.
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(
+        _kept_base_row, "{records}: record 'ADVMP#1' is of a base entry but is not a duplicate", id="kept-base",
+    ),
+    pytest.param(_repeated_row, "record sidecar holds two records of entry 'PCDC#2#del#1'", id="repeated"),
+    pytest.param(
+        _edit_row("PCDC#3#del#1", 0, "PCDC#3#dele#1"),
+        "{records}: malformed entry id 'PCDC#3#dele#1' (expected TABLE#row or TABLE#row#tag#ordinal)",
+        id="malformed-id",
+    ),
+    pytest.param(
+        _edit_row("PCA#9#del#1", 2, "permutation"),
+        "{records}: record 'PCA#9#del#1': the entry id does not match its pass 'permutation'", id="other-pass",
+    ),
+])
+def test_stats_refuses_a_row_extend_never_writes(tmp_path, capsys, edit, message):
+    base = _compile(tmp_path)
+    _, out, records = _extend(tmp_path, base)
+    header, *lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
+    rows = [line.split("\t") for line in lines]
+    edit(rows)
+    records.write_text("\n".join([header, *map("\t".join, rows)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["stats", str(out), "--records", str(records)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: {message.format(records=records)}\n"
 
 
 # Each reader's refusal names the file it read.  stats reads a lexicon and

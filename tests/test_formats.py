@@ -11,7 +11,7 @@ import stat
 import tempfile
 import tracemalloc
 from pathlib import Path
-from unittest import mock
+from typing import Iterator
 
 import pytest
 from hypothesis import example, given
@@ -990,17 +990,26 @@ def test_a_failed_xml_read_leaves_no_reference_cycle(large_doc, old, new, messag
 _CHUNK_SIZES = (1, 2, 17, 4096)
 
 
-def _chunk_edge_texts() -> list[str]:
-    header_only = export_lexicon(LexiconDocument([], TABLE_IDS, "* : \"f\" => construction"))
-    texts = [export_lexicon(compile_corpus()), _FIXTURE_TEXT, header_only]
+def _pieces(text: str, size: int) -> Iterator[str]:
+    """*text* in pieces of *size* characters, each cut when it is asked for."""
+    return (text[start:start + size] for start in range(0, len(text), size))
+
+
+def _chunk_edge_texts(fmt: str = "text") -> list[str]:
+    header_only = LexiconDocument([], TABLE_IDS, "* : \"f\" => construction")
+    texts = [export_lexicon(doc, fmt) for doc in (compile_corpus(), _extended_corpus()[0], header_only)]
     return [*texts, *(text[:-1] for text in texts), ""]
 
 
+def _sidecar_edge_texts() -> list[str]:
+    text = written(export_records, _extended_corpus()[1].records)
+    return [text, text[:-1], "\n" + text.replace("\n", "\n\n"), text.replace("\tkept\t", "\tkeep\t", 1), ""]
+
+
 @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
-def test_text_import_reads_across_chunk_boundaries(monkeypatch, chunk):
-    monkeypatch.setattr(formats, "_CHUNK_CHARS", chunk)
+def test_text_import_reads_across_chunk_boundaries(chunk):
     for text in _chunk_edge_texts():
-        assert _read_outcome(import_text, text) == _read_outcome(text_reference.import_text, text)
+        assert _read_outcome(import_text, _pieces(text, chunk)) == _read_outcome(text_reference.import_text, text)
 
 
 @given(_READABLE_DOCUMENTS)
@@ -1008,8 +1017,43 @@ def test_text_import_matches_the_reference_at_any_chunk_size(doc):
     text = export_lexicon(doc)
     expected = _read_outcome(text_reference.import_text, text)
     for chunk in _CHUNK_SIZES:
-        with mock.patch.object(formats, "_CHUNK_CHARS", chunk):
-            assert _read_outcome(import_text, text) == expected
+        assert _read_outcome(import_text, _pieces(text, chunk)) == expected
+
+
+# A whole text is one piece: each reader reads it as it reads the same
+# text in pieces.
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
+@pytest.mark.parametrize("reader, texts", [
+    pytest.param(import_text, _chunk_edge_texts, id="text"),
+    pytest.param(import_xml, lambda: _chunk_edge_texts("xml"), id="xml"),
+    pytest.param(
+        import_lexicon,
+        lambda: [prefix + text for fmt in ("text", "xml") for text in _chunk_edge_texts(fmt) for prefix in ("", " \n\t")],
+        id="lexicon",
+    ),
+    pytest.param(parse_records, _sidecar_edge_texts, id="records"),
+])
+def test_readers_read_pieces_as_the_whole_text(reader, texts, chunk):
+    for text in texts():
+        assert _read_outcome(reader, _pieces(text, chunk)) == _read_outcome(reader, text)
+
+
+# import_lexicon reads a document as XML where ``lstrip()`` leaves it
+# starting with ``<``, as ``re.match(r"\s*<", ...)`` does for a whitespace
+# prefix of any code point.  A code point that neither str.isspace nor the
+# ``\s`` of re takes is kept by both, so only those that either takes, and
+# ``<`` and another, need a check.
+def test_import_lexicon_sniffs_xml_as_the_whitespace_pattern(monkeypatch):
+    monkeypatch.setattr(formats, "import_xml", lambda source: True)
+    monkeypatch.setattr(formats, "import_text", lambda source: False)
+    code_points = "".join(map(chr, range(0x110000)))
+    spaces = {char for char in code_points if char.isspace()} | set(re.findall(r"\s", code_points))
+    assert len(spaces) > 20
+    for char in sorted(spaces | {"<", "x"}):
+        for text in (char + "<", char * 3 + "<lexicon", char + "#lgx"):
+            expected = re.match(r"\s*<", text) is not None
+            assert import_lexicon(text) == expected, hex(ord(char))
+            assert import_lexicon(iter(text)) == expected, hex(ord(char))
 
 
 def _names(entry: LexEntry) -> list[str]:
@@ -1032,16 +1076,14 @@ def _words(entry: LexEntry) -> list[str]:
     ]
 
 
-# The fixture lexicon is one input piece in either format, so its equal
-# words, like its equal names, are each one string.
+# A whole text is one input piece in either format, so the fixture
+# lexicon's equal words, like its equal names, are each one string.
 @pytest.mark.parametrize("fmt, reader", [
     pytest.param("text", import_text, id="text"),
     pytest.param("xml", import_xml, id="xml"),
 ])
 def test_readers_share_equal_names(fmt, reader):
-    text = export_lexicon(_extended_corpus()[0], fmt)
-    assert len(text) <= formats._CHUNK_CHARS
-    doc = reader(text)
+    doc = reader(export_lexicon(_extended_corpus()[0], fmt))
     for held, least in ((_names, 10 * len(doc.entries)), (_words, len(doc.entries))):
         first: dict[str, str] = {}
         repeats = 0
@@ -1109,9 +1151,9 @@ def test_a_variant_surface_the_line_match_misses_is_its_parents(edit):
 @st.composite
 def _families(draw, documents):
     """*documents* whose entries are, as drawn, base entries or variants of
-    an earlier base entry that take, where drawn, its surface of their
-    pass, its features in some order, its arguments and some of its
-    component texts."""
+    an earlier base entry that take, where drawn, one of the surfaces of
+    its lexical information, its features in some order, its arguments
+    and some of its component texts."""
     doc = draw(documents)
     bases, entries = [], []
     for row, entry in enumerate(doc.entries, 1):
@@ -1122,7 +1164,7 @@ def _families(draw, documents):
             continue
         parent = draw(st.sampled_from(bases))
         kind = draw(st.sampled_from(list(PASS_TAGS)))
-        owns = list(formats._parent_surfaces(parent, kind))
+        owns = _surfaces(parent)[1:]
         if owns and draw(st.booleans()):
             entry = entry.replace(surface=draw(st.sampled_from(owns)))
         if draw(st.booleans()):
@@ -1268,12 +1310,15 @@ def _transient_bytes(source, read=import_text) -> int:
     return peak - retained
 
 
-def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path, monkeypatch):
-    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1 << 16)
+# The memory tests below read pieces of this many characters.
+_PIECE = 1 << 16
+
+
+def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path):
     small = _corpus_text(tmp_path / "small", 75)
     large = _corpus_text(tmp_path / "large", 800)
-    assert len(small) < formats._CHUNK_CHARS < len(large) // 8
-    assert _transient_bytes(large) < 2 * _transient_bytes(small)
+    assert len(small) < _PIECE < len(large) // 8
+    assert _transient_bytes(_pieces(large, _PIECE)) < 2 * _transient_bytes(_pieces(small, _PIECE))
 
 
 def _own_texts(doc: LexiconDocument) -> LexiconDocument:
@@ -1301,12 +1346,11 @@ def _own_texts(doc: LexiconDocument) -> LexiconDocument:
 # The reader memoizes the lines that hold only names, which real tables
 # repeat from row to row.  A memo of the lines that differ from entry to
 # entry would grow with the document.
-def test_text_import_memoizes_no_line_an_entry_holds_alone(tmp_path, monkeypatch):
-    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1 << 16)
+def test_text_import_memoizes_no_line_an_entry_holds_alone(tmp_path):
     doc = _corpus_doc(tmp_path / "corpus", 800)
-    shared = _transient_bytes(export_lexicon(doc))
-    own = _transient_bytes(export_lexicon(_own_texts(doc)))
-    assert own < shared + formats._CHUNK_CHARS // 4
+    shared = _transient_bytes(_pieces(export_lexicon(doc), _PIECE))
+    own = _transient_bytes(_pieces(export_lexicon(_own_texts(doc)), _PIECE))
+    assert own < shared + _PIECE // 4
 
 
 # The two tests above compare reads with each other, so a reader that held
@@ -1314,11 +1358,10 @@ def test_text_import_memoizes_no_line_an_entry_holds_alone(tmp_path, monkeypatch
 # memory in pieces: with 64 Ki-character pieces, the reader takes 3.9 to 4.6
 # pieces on CPython 3.10 to 3.13, and one that kept the last piece's lines
 # while it split the next took 6.0 to 6.9.
-def test_text_import_transient_memory_is_a_few_pieces(tmp_path, monkeypatch):
-    monkeypatch.setattr(formats, "_CHUNK_CHARS", 1 << 16)
+def test_text_import_transient_memory_is_a_few_pieces(tmp_path):
     text = _corpus_text(tmp_path / "corpus", 800)
-    assert len(text) > 8 * formats._CHUNK_CHARS
-    assert _transient_bytes(text) < 5.25 * formats._CHUNK_CHARS
+    assert len(text) > 8 * _PIECE
+    assert _transient_bytes(_pieces(text, _PIECE)) < 5.25 * _PIECE
 
 
 # Each entry holds words of its own here, so a table of words that spanned
@@ -1438,14 +1481,6 @@ def test_load_lexicon_reports_what_import_xml_reports_on_mutated_xml(tmp_path, m
         assert outcome == _of_file(_read_outcome(import_lexicon, text), path)
         messages.append(outcome[1] if isinstance(outcome, tuple) else "")
     assert sum(message.startswith(f"{path}: not well-formed XML: ") for message in messages) >= 10
-
-
-@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
-def test_parse_records_reads_pieces_as_the_whole_text(chunk):
-    text = written(export_records, _extended_corpus()[1].records)
-    for sidecar in (text, text[:-1], "\n" + text.replace("\n", "\n\n"), text.replace("\tkept\t", "\tkeep\t", 1), ""):
-        pieces = [sidecar[start:start + chunk] for start in range(0, len(sidecar), chunk)]
-        assert _read_outcome(parse_records, pieces) == _read_outcome(parse_records, sidecar)
 
 
 def test_parse_records_shares_repeated_names():
@@ -1594,13 +1629,23 @@ _RECORD_TEXTS = (
 )
 
 
-# Rows as the reader accepts them: a kept row names no duplicate-of and a
-# duplicate row names one.
+# Rows as extend writes them: each of its own entry, whose id carries the
+# tag of the row's pass; a kept row names no duplicate-of, a duplicate row
+# names one, and a base row is a duplicate.
 def _record_rows(text):
-    def rows(status, duplicate_of):
-        return st.builds(RecordRow, text, text, st.sampled_from(Origin), text, text, text, st.just(status), duplicate_of)
+    table_ids = text.filter(lambda table_id: table_id and "#" not in table_id)
 
-    return st.lists(rows("kept", st.just("")) | rows("duplicate", text.filter(bool)), max_size=4)
+    def rows(kind):
+        tag = PASS_TAGS.get(kind)
+        ids = st.builds(entry_id, table_ids, st.integers(1, 9), st.just(tag), st.integers(1, 9) if tag else st.none())
+
+        def row(status, duplicate_of):
+            return st.builds(RecordRow, ids, text, st.just(kind), text, text, text, st.just(status), duplicate_of)
+
+        duplicate = row("duplicate", text.filter(bool))
+        return duplicate if kind is Origin.BASE else row("kept", st.just("")) | duplicate
+
+    return st.lists(st.sampled_from(Origin).flatmap(rows), max_size=4, unique_by=lambda row: row.entry_id)
 
 
 @given(st.one_of(*map(_record_rows, _RECORD_TEXTS)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import re
 
 import pytest
 
@@ -153,4 +154,20 @@ def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case, message
     else:
         rows[duplicate] = rows[duplicate].replace(entry_id=result.entries[0].entry_id)
     with pytest.raises(SchemaViolation, match="^record sidecar does not match the lexicon: .*" + message):
+        recompute_stats(result.entries, rows)
+
+
+# A survivor that another row removes: the sidecar contradicts itself,
+# which its check against the lexicon cannot show, as the lexicon rightly
+# lacks the removed entry.
+def test_recompute_stats_refuses_a_survivor_removed_as_a_duplicate():
+    result = run_pipeline(compile_corpus().entries, load_fixture_script(), rules=load_fixture_morpho())
+    rows = list(result.records)
+    first, second = [i for i, row in enumerate(rows) if row.status == "duplicate"][:2]
+    rows[second] = rows[second].replace(duplicate_of=rows[first].entry_id)
+    message = (
+        f"record sidecar removes {rows[first].entry_id!r} as a duplicate and keeps it as the survivor "
+        f"of {rows[second].entry_id!r}"
+    )
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
         recompute_stats(result.entries, rows)
