@@ -132,7 +132,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
     rows = parse_file(args.records, parse_records)
-    report = recompute_stats(doc.entries, rows)
+    report = recompute_stats(doc.entries, rows, args.lexicon, args.records)
     sys.stdout.write(render_stats(report))
     return _finished(args, 0)
 

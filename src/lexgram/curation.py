@@ -56,7 +56,7 @@ class Dedup:
     with the lowest ``(sort_rank(), position)``: base before generated,
     then table, row, pass, ordinal, then the earlier entry.  So it does not
     depend on the order the entries come in, and a later entry can remove
-    one held so far.  Ranks are worked out only when keys collide.  Entries
+    one held so far.  Ranks are compared only when keys collide.  Entries
     with an empty surface never merge; they are review material, not
     citation forms.
 
@@ -96,8 +96,13 @@ class Dedup:
         if group.__class__ is int:
             group = self._index[key] = _Group(group, [entries[group].entry_id])
         group.ids.append(entry.entry_id)
-        # the newcomer comes last, so it wins only on a lower rank
-        if entry.sort_rank() < entries[group.kept].sort_rank():
+        # The newcomer comes last, so it wins only on a lower rank, which
+        # (generated, table) decides for most collisions without an id parse.
+        held = entries[group.kept]
+        mine, theirs = (not entry.is_base, entry.table_id), (not held.is_base, held.table_id)
+        if mine == theirs:
+            mine, theirs = entry.sort_rank(), held.sort_rank()
+        if mine < theirs:
             removed, group.kept, group.kept_at = group.kept, position, len(group.ids) - 1
         else:
             removed = position

@@ -27,7 +27,7 @@ from .model import (
     Origin,
     Provenance,
     RecordRow,
-    parse_entry_id,
+    record_row,
 )
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template
@@ -164,8 +164,7 @@ def expand_entry(
     """
     if not entry.is_base:
         raise LexgramError(f"cannot expand generated entry {entry.entry_id!r}")
-    _, row, _, _ = parse_entry_id(entry.entry_id)
-    id_prefix = f"{entry.table_id}#{row}#"
+    id_prefix = f"{entry.entry_id}#"  # a base id is TABLE#row
     variants: list[LexEntry] = []
     paraphrases, other_structures, intensified = [], [], []
     structures = list(entry.internal_structures)
@@ -229,15 +228,6 @@ class PipelineResult(Fields):
         self.stats = stats
 
 
-def _record(entry: LexEntry, kept: str = "") -> RecordRow:
-    """The record row of *entry*: a duplicate of *kept*, if given."""
-    p = entry.provenance
-    return RecordRow(
-        entry.entry_id, p.parent or "", p.kind, p.feature_id or "", p.template or "",
-        entry.surface.rendered, "duplicate" if kept else "kept", kept,
-    )
-
-
 def run_pipeline(
     entries: list[LexEntry],
     script: ExtractionScript,
@@ -264,8 +254,9 @@ def run_pipeline(
     """
     seen: set[str] = set()
     for entry in entries:
-        if not entry.is_base:
-            raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} is generated)")
+        if not entry.is_base or entry.cross_refs:  # a base entry with cross-refs has been deduplicated
+            what = "holds cross-refs" if entry.is_base else "is generated"
+            raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} {what})")
         if entry.entry_id in seen:  # records name entries by id
             raise LexgramError(f"duplicate entry id {entry.entry_id!r} in the input lexicon")
         seen.add(entry.entry_id)
@@ -287,7 +278,7 @@ def run_pipeline(
         if curated.entries[position] is not None:
             curated.entries[position] = parent
         for variant in produced:
-            records.append(_record(variant))
+            records.append(record_row(variant))
             curated.add(variant)
 
     survivors, duplicates = curated.finish()
@@ -298,9 +289,7 @@ def run_pipeline(
         if kept is not None:
             row.status, row.duplicate_of = "duplicate", kept
     removed_bases = {entry.entry_id: entry for entry in entries if entry.entry_id in kept_for}
-    records.extend(
-        _record(removed_bases[removed_id], kept) for removed_id, kept in kept_for.items() if removed_id in removed_bases
-    )
+    records.extend(record_row(removed_bases[i], kept) for i, kept in kept_for.items() if i in removed_bases)
 
     added, removed, _ = tally(records)
     stats = compute_stats(len(entries), added, duplicates_removed=removed)

@@ -26,6 +26,7 @@ from .files import parse_file, writing
 from .model import (
     EMPTY_CELLS,
     EMPTY_TOKEN,
+    ENTRY_ID,
     PASS_TAGS,
     ArgumentSpec,
     Fields,
@@ -35,7 +36,6 @@ from .model import (
     RecordRow,
     Selection,
     SurfaceForm,
-    _is_id_number,
     parse_entry_id,
 )
 
@@ -78,28 +78,37 @@ class LexiconDocument(Fields):
         return sha256(self.script_source.encode("utf-8")).hexdigest()
 
 
-def _id_table(entry_id: str, kind: Origin) -> str | None:
-    """The table *entry_id* names if its tag is that of pass *kind*, else
-    None; raises SchemaViolation for an id that does not parse."""
-    try:
-        table_id, _, tag, _ = parse_entry_id(entry_id)
-    except ValueError as err:
-        raise SchemaViolation(str(err)) from None
-    return table_id if tag == PASS_TAGS.get(kind) else None
-
-
 def _check_entry_ids(entries: list[LexEntry]) -> None:
-    """Every id parses, names its entry's table and pass, and is unique."""
-    seen: set[str] = set()
+    """Every id parses, names its entry's table and pass, and is unique.
+    Every cross-ref is an entry id and none of the other ids and cross-refs:
+    an entry removed as a duplicate is in no lexicon and has one survivor."""
+    holder: dict[str, str] = {}  # each id and cross-ref -> the id of the entry holding it
     for entry in entries:
-        if _id_table(entry.entry_id, entry.provenance.kind) != entry.table_id:
+        entry_id = entry.entry_id
+        try:
+            table_id, _, tag, _ = parse_entry_id(entry_id)
+        except ValueError as err:
+            raise SchemaViolation(str(err)) from None
+        if table_id != entry.table_id or tag != PASS_TAGS.get(entry.provenance.kind):
             raise SchemaViolation(
-                f"entry id {entry.entry_id!r} does not match its table {entry.table_id!r} "
+                f"entry id {entry_id!r} does not match its table {entry.table_id!r} "
                 f"and provenance {entry.provenance.kind.value!r}"
             )
-        if entry.entry_id in seen:
-            raise SchemaViolation(f"duplicate entry id {entry.entry_id!r}")
-        seen.add(entry.entry_id)
+        if entry_id in holder:
+            other = holder[entry_id]
+            raise SchemaViolation(
+                f"duplicate entry id {entry_id!r}" if other == entry_id
+                else f"entry {other!r}: cross-ref {entry_id!r} names an entry of the lexicon"
+            )
+        holder[entry_id] = entry_id
+        for ref in entry.cross_refs:
+            other = holder.get(ref)
+            if other is not None or ENTRY_ID.fullmatch(ref) is None:
+                fault = "is not an entry id" if other is None else f"is a cross-ref of entry {other!r} too"
+                if other == ref:
+                    fault = "names an entry of the lexicon"
+                raise SchemaViolation(f"entry {entry_id!r}: cross-ref {ref!r} {fault}")
+            holder[ref] = entry_id
 
 
 def _held_surface(parent: LexEntry, rendered: str, tokens: tuple[str, ...]) -> SurfaceForm | None:
@@ -358,7 +367,7 @@ def _malformed(line: str) -> SchemaViolation:
 
 def _entry_count(text: str) -> int:
     """A header's entry count: ``0``, or ASCII digits without a leading zero."""
-    if text != "0" and not _is_id_number(text):
+    if not re.fullmatch("0|[1-9][0-9]*", text):
         raise SchemaViolation(f"bad entry count {text!r}")
     return int(text)
 
@@ -1238,10 +1247,8 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
     """The rows of a record sidecar, given whole or as an iterable of its
     pieces; blank lines are skipped.  The repeated names (parent, feature,
     template, status, duplicate-of) go through one table, so equal ones are
-    one string.  A ``duplicate`` row must name its survivor in duplicate-of
-    and a ``kept`` row must not; a ``base`` row must be a duplicate.  Each
-    row's entry id must parse and carry the tag of the row's pass, by the
-    rule a lexicon entry's id keeps."""
+    one string.  Each row's field count, pass and status are checked here,
+    the rows against a lexicon by :func:`~lexgram.stats.recompute_stats`."""
     lines = (line for line in itertools.chain.from_iterable(_line_chunks(_pieces(source))) if line)
     if next(lines, None) != "\t".join(RECORD_COLUMNS):
         raise SchemaViolation("not a record sidecar (bad or missing header line)")
@@ -1257,17 +1264,8 @@ def parse_records(source: str | Iterable[str]) -> list[RecordRow]:
             raise SchemaViolation(f"unknown pass kind {pass_name!r}")
         if status not in RECORD_STATUSES:
             raise SchemaViolation(f"unknown record status {status!r}")
-        duplicate_of = share(duplicate_of, duplicate_of)
-        if status == "kept" and duplicate_of:
-            raise SchemaViolation(f"record {entry_id!r} is kept but names a duplicate-of {duplicate_of!r}")
-        if status == "duplicate" and not duplicate_of:
-            raise SchemaViolation(f"record {entry_id!r} is a duplicate but names no duplicate-of")
-        if kind is Origin.BASE and status != "duplicate":
-            raise SchemaViolation(f"record {entry_id!r} is of a base entry but is not a duplicate")
-        if _id_table(entry_id, kind) is None:
-            raise SchemaViolation(f"record {entry_id!r}: the entry id does not match its pass {kind.value!r}")
         rows.append(RecordRow(
             entry_id, share(parent, parent), kind, share(feature_id, feature_id), share(template, template),
-            _unsent(surface), share(status, status), duplicate_of,
+            _unsent(surface), share(status, status), share(duplicate_of, duplicate_of),
         ))
     return rows

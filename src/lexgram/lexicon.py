@@ -7,12 +7,13 @@ class structure realized against those cells.
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from .errors import UnboundPlaceholder
 from .model import EMPTY_CELLS, ArgumentSpec, LexEntry, Selection, check_table_id, entry_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
-from .script import COLUMN, COMPONENT, Action, ExtractionScript, Template, part_text
+from .script import COLUMN, COMPONENT, GROUP, Action, ExtractionScript, Template, part_text
 from .tables import FeatureKind, LgTable
 
 _ARGUMENT_RE = re.compile(r"^(N0|N1|N2|Poss0|Poss2) =: (Nhum|N-hum)$")
@@ -51,15 +52,16 @@ def structure_template(table: LgTable) -> Template:
 
 def check_script_bindings(table: LgTable, script: ExtractionScript) -> None:
     """Eagerly verify every placeholder of every applicable rule binds to a
-    column of ``table``; raises UnboundPlaceholder otherwise."""
+    column of ``table``, in each template's parts and group alternatives, so
+    no template is flattened; raises UnboundPlaceholder otherwise."""
     slot_names = set(table.structure)
     aux_names = {
         f.slot_name for f in table.features if f.kind is FeatureKind.AUX_LEXICAL
     }
     for rule in script.effective_rules(table.table_id):
         for template in rule.templates:
-            for flat in template.flats:
-                for kind, name in flat.parts:
+            for part in template.parts:
+                for kind, name in itertools.chain.from_iterable(part[1]) if part[0] == GROUP else (part,):
                     if kind != COMPONENT and kind != COLUMN:
                         continue
                     if name not in slot_names and (kind == COMPONENT or name not in aux_names):

@@ -13,6 +13,7 @@ review.  A record row is one line of the expansion record sidecar.
 from __future__ import annotations
 
 import enum
+import re
 from types import MappingProxyType
 from typing import Mapping
 
@@ -72,27 +73,18 @@ def entry_id(table_id: str, row_index: int, tag: str | None = None, ordinal: int
     return f"{table_id}#{row_index}#{tag}#{ordinal}"
 
 
-_TAGS = frozenset(PASS_TAGS.values())
-
-
-def _is_id_number(text: str) -> bool:
-    """A row or an ordinal: ASCII digits, no leading zero."""
-    return text.isdigit() and text.isascii() and text[0] != "0"
+# The grammar of the ids entry_id makes: a row or an ordinal has no leading zero.
+ENTRY_ID = re.compile(r"([^#]+)#([1-9][0-9]*)(?:#(" + "|".join(PASS_TAGS.values()) + r")#([1-9][0-9]*))?")
 
 
 def parse_entry_id(text: str) -> tuple[str, int, str | None, int | None]:
     """Split an id made by :func:`entry_id` into table, row, tag and ordinal
     (tag and ordinal are None for a base entry); raises ValueError."""
-    fields = text.split("#")
-    if len(fields) == 2:
-        table_id, row = fields
-        if table_id and _is_id_number(row):
-            return table_id, int(row), None, None
-    elif len(fields) == 4:
-        table_id, row, tag, ordinal = fields
-        if table_id and tag in _TAGS and _is_id_number(row) and _is_id_number(ordinal):
-            return table_id, int(row), tag, int(ordinal)
-    raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
+    match = ENTRY_ID.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
+    table_id, row, tag, ordinal = match.groups()
+    return table_id, int(row), tag, None if ordinal is None else int(ordinal)
 
 
 def check_table_id(table_id: str) -> None:
@@ -315,3 +307,13 @@ class RecordRow(Fields):
         self.surface = surface
         self.status = status
         self.duplicate_of = duplicate_of
+
+
+def record_row(entry: LexEntry, kept: str = "") -> RecordRow:
+    """The record row of *entry*, a duplicate of *kept* if given: the row
+    ``extend`` writes, and the row ``stats`` expects of a kept entry."""
+    p = entry.provenance
+    return RecordRow(
+        entry.entry_id, p.parent or "", p.kind, p.feature_id or "", p.template or "",
+        entry.surface.rendered, "duplicate" if kept else "kept", kept,
+    )

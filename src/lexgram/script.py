@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import re
 from functools import cached_property
 from typing import Any
@@ -80,6 +81,10 @@ class Template(FrozenFields):
         it a reference cycle that only the cyclic collector frees."""
         return tuple(Template(self.parts) if flat is self else flat for flat in expand_alternation(self))
 
+
+# The most flat templates a template may stand for, the product of its
+# groups' sizes: each is a variant of every entry its rule applies to.
+MAX_FLATS = 1024
 
 _SPECIAL = set("@()+")
 
@@ -144,6 +149,9 @@ def parse_template(source: str) -> Template:
             i = j
     if group_alts is not None:
         raise ScriptSyntaxError(f"unterminated '(' in {source!r}")
+    flats = math.prod(len(alts) for kind, alts in parts if kind == GROUP)
+    if flats > MAX_FLATS:
+        raise ScriptSyntaxError(f"template {source!r} has {flats:,} flat forms, more than {MAX_FLATS:,}")
     return Template(tuple(parts))
 
 

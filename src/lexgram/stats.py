@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
+from .curation import canonical_key
 from .errors import LexgramError, SchemaViolation
-from .model import PASS_ORDER, FrozenFields, LexEntry, Origin, RecordRow
+from .model import ENTRY_ID, PASS_ORDER, PASS_TAGS, FrozenFields, LexEntry, Origin, RecordRow, record_row
 
 
 class StatsReport(FrozenFields):
@@ -73,62 +74,57 @@ def tally(rows: Iterable[RecordRow]) -> tuple[dict[Origin, int], int, int]:
     return added, duplicates_removed, removed_bases
 
 
-def _twice(entry_id: str) -> SchemaViolation:
-    return SchemaViolation(f"record sidecar holds two records of entry {entry_id!r}")
-
-
-def recompute_stats(entries: list[LexEntry], rows: list[RecordRow]) -> StatsReport:
+def recompute_stats(
+    entries: list[LexEntry], rows: list[RecordRow], lexicon: str = "the lexicon", records: str = "record sidecar",
+) -> StatsReport:
     """Rebuild an extension run's report from the extended lexicon and its
-    record sidecar, and check it against the lexicon's entry count and ids.
-    Both are user files, so a mismatch is an input error (SchemaViolation).
+    record sidecar, named *lexicon* and *records* in a refusal.
 
-    The rows are counted by :func:`tally`.  A ``base`` row is a base entry
-    removed as a duplicate, so it counts towards the initial size.  No two
-    rows are of one entry.  Every kept entry and every survivor a duplicate
-    names must be in the lexicon; no entry removed as a duplicate may be,
-    nor be a survivor.
+    Every row must be the row the lexicon implies, or the sidecar is an
+    input error (SchemaViolation) naming the entry: a ``kept`` row is the
+    :func:`~lexgram.model.record_row` of its entry, a ``duplicate`` row is
+    of a cross-ref (:func:`_removed_by`), and every variant entry and
+    cross-ref has one row.  The rows are counted by :func:`tally`, a
+    ``base`` row (a removed base entry) towards the initial size too.
     """
-    removed: set[str] = set()
-    for row in rows:
-        if row.status == "duplicate":
-            if row.entry_id in removed:
-                raise _twice(row.entry_id)
-            removed.add(row.entry_id)
-    added, duplicates_removed, removed_bases = tally(rows)
-    initial = sum(1 for e in entries if e.is_base) + removed_bases
-    report = compute_stats(initial, added, duplicates_removed)
-    if report.final != len(entries):
-        raise SchemaViolation(
-            f"record sidecar does not match the lexicon: the records give {report.final} "
-            f"final entries, the lexicon holds {len(entries)}"
-        )
-    # what the lexicon must hold: each kept entry (True) and each other survivor
-    held: dict[str, bool] = {}
-    for row in rows:
-        if row.status == "kept":
-            if held.get(row.entry_id) or row.entry_id in removed:
-                raise _twice(row.entry_id)
-            held[row.entry_id] = True
-        elif row.duplicate_of in removed:
-            raise SchemaViolation(
-                f"record sidecar removes {row.duplicate_of!r} as a duplicate and keeps it as the survivor "
-                f"of {row.entry_id!r}"
-            )
-        else:
-            held.setdefault(row.duplicate_of, False)
-    for entry in entries:
-        if entry.entry_id in removed:
-            raise SchemaViolation(
-                f"record sidecar does not match the lexicon: the records remove {entry.entry_id!r} "
-                "as a duplicate, the lexicon holds it"
-            )
-        held.pop(entry.entry_id, None)
-    if held:
-        raise SchemaViolation(
-            f"record sidecar does not match the lexicon: the records keep {next(iter(held))!r}, "
-            "the lexicon does not hold it"
-        )
-    return report
+    variants = {entry.entry_id: entry for entry in entries if not entry.is_base}
+    survivors = {ref: entry for entry in entries for ref in entry.cross_refs}
+    initial = len(entries) - len(variants)
+    where = f"{records} does not match {lexicon}: entry "
+
+    def checked() -> Iterator[RecordRow]:
+        # each row takes its entry out of a table, so a second row finds none
+        for row in rows:
+            if row.status == "kept":
+                entry = variants.pop(row.entry_id, None)
+                implied = entry is not None and record_row(entry) == row
+            else:
+                implied = _removed_by(survivors.pop(row.entry_id, None), row)
+            if not implied:
+                raise SchemaViolation(f"{where}{row.entry_id!r} has a row the lexicon does not imply")
+            yield row
+
+    added, duplicates_removed, removed_bases = tally(checked())
+    left = next(iter(variants), None) or next(iter(survivors), None)
+    if left is not None:
+        raise SchemaViolation(f"{where}{left!r} has no row")
+    return compute_stats(initial + removed_bases, added, duplicates_removed)
+
+
+def _removed_by(survivor: LexEntry | None, row: RecordRow) -> bool:
+    """Whether *row* is of an entry *survivor* removed: a duplicate of it with
+    its canonical key, whose id spells its parent and its pass's tag (a
+    ``base`` row's is a base id, with no parent, feature or template)."""
+    if survivor is None or row.status != "duplicate" or row.duplicate_of != survivor.entry_id:
+        return False
+    surface, match = row.surface, ENTRY_ID.fullmatch(row.entry_id)
+    if match is None or match[3] != PASS_TAGS.get(row.kind) or not surface.strip():  # an empty key never merges
+        return False
+    if surface != survivor.surface.rendered and canonical_key(surface) != canonical_key(survivor.surface):
+        return False
+    if row.kind is Origin.BASE:
+        return not (row.parent_id or row.feature_id or row.template)
+    return row.parent_id == row.entry_id[:match.end(2)]
 
 
 # =============================================================================

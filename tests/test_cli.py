@@ -27,6 +27,7 @@ from lexgram.curation import curate
 from lexgram.errors import InternalInvariantError, LexgramError
 from lexgram.expansion import run_pipeline
 from lexgram.formats import (
+    RECORD_COLUMNS,
     LexiconDocument,
     export_lexicon,
     export_records,
@@ -145,6 +146,23 @@ def test_compile_rejects_an_unknown_substructure_slot(tmp_path, capsys):
     ])
     assert code == 1
     assert capsys.readouterr().err.startswith(f"lexgram: error: {script}:28: unknown component symbol 'Mdif'")
+    assert not out.exists()
+
+
+# 26 two-way groups stand for 67,108,864 flat templates: compile refuses the
+# script line at once, before it builds any of them.
+def test_compile_refuses_a_template_of_too_many_flat_forms(tmp_path, capsys):
+    script = tmp_path / "extract.lgs"
+    groups = " ".join(["(a + b)"] * 26)
+    text = (FIXTURES / "extract.lgs").read_text(encoding="utf-8")
+    script.write_text(f'{text}ADVMS : "tout Adv" => paraphrase "{groups} @Adv@"\n', encoding="utf-8")
+    out = tmp_path / "base.lgx"
+    code = main(["compile", *_table_args(), "--classes", str(FIXTURES / "classes.lgm"),
+                 "--script", str(script), "-o", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"lexgram: error: {script}:44: template '{groups} @Adv@' has 67,108,864 flat forms, more than 1,024\n"
+    )
     assert not out.exists()
 
 
@@ -520,16 +538,24 @@ def test_extend_writes_through_a_fifo_target(tmp_path):
     assert received == [out.read_bytes()]
 
 
+def _unmatched(records, lexicon, entry_id: str, what: str) -> str:
+    """The error line of a sidecar that is not the one the lexicon implies."""
+    return f"lexgram: error: {records} does not match {lexicon}: entry {entry_id!r} {what}\n"
+
+
+_NOT_IMPLIED = "has a row the lexicon does not imply"
+
+
 def test_stats_detects_tampered_sidecar(tmp_path, capsys):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
     lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
     victim = next(i for i, line in enumerate(lines) if i > 0 and "\tkept\t" in line)
-    del lines[victim]
+    dropped = lines.pop(victim).split("\t")[0]
     records.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["stats", str(out), "--records", str(records)]) == 1
-    assert capsys.readouterr().err.startswith("lexgram: error: record sidecar does not match the lexicon")
+    assert capsys.readouterr().err == _unmatched(records, out, dropped, "has no row")
 
 
 def test_stats_rejects_a_sidecar_of_other_entries(tmp_path):
@@ -542,8 +568,8 @@ def test_stats_rejects_a_sidecar_of_other_entries(tmp_path):
     run = _run_cli("stats", str(out), "--records", str(records))
     assert run.returncode == 1
     assert run.stdout == ""
-    assert run.stderr.startswith("lexgram: error: record sidecar does not match the lexicon: ")
-    assert "'nowhere#" in run.stderr and "Traceback" not in run.stderr
+    assert run.stderr == _unmatched(records, out, renamed[0].split("\t")[0], _NOT_IMPLIED)
+    assert "Traceback" not in run.stderr
 
 
 def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
@@ -559,11 +585,11 @@ def test_stats_rejects_an_unknown_record_status(tmp_path, capsys):
 
 # A row's duplicate-of follows from its status: a kept row names none, a
 # duplicate row names its survivor.  extend writes neither contradiction.
-@pytest.mark.parametrize("status, duplicate_of, message", [
-    pytest.param("kept", "ADVMP#1", "is kept but names a duplicate-of 'ADVMP#1'", id="kept"),
-    pytest.param("duplicate", "<E>", "is a duplicate but names no duplicate-of", id="duplicate"),
+@pytest.mark.parametrize("status, duplicate_of", [
+    pytest.param("kept", "ADVMP#1", id="kept"),
+    pytest.param("duplicate", "<E>", id="duplicate"),
 ])
-def test_stats_refuses_a_duplicate_of_that_contradicts_the_status(tmp_path, capsys, status, duplicate_of, message):
+def test_stats_refuses_a_duplicate_of_that_contradicts_the_status(tmp_path, capsys, status, duplicate_of):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
     lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
@@ -574,7 +600,7 @@ def test_stats_refuses_a_duplicate_of_that_contradicts_the_status(tmp_path, caps
     records.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["stats", str(out), "--records", str(records)]) == 1
-    assert capsys.readouterr().err == f"lexgram: error: {records}: record {fields[0]!r} {message}\n"
+    assert capsys.readouterr().err == _unmatched(records, out, fields[0], _NOT_IMPLIED)
 
 
 def _kept_base_row(rows: list[list[str]]) -> None:
@@ -595,26 +621,37 @@ def _edit_row(entry: str, column: int, value: str):
     return edit
 
 
+def _edit_first(status: str, **values: str):
+    """An edit of the first row of *status*, its columns named as in the header."""
+    def edit(rows: list[list[str]]) -> None:
+        row = next(row for row in rows if row[6] == status)
+        for name, value in values.items():
+            row[RECORD_COLUMNS.index(name.replace("_", "-"))] = value
+
+    return edit
+
+
 # Rows extend never writes: a base row that is not a duplicate, two rows of
-# one entry, an id that does not parse, and an id whose tag is not its
-# pass's.  Each edit keeps the count identity, so the report stats would
-# print is wrong; stats refuses it and names the entry.
-@pytest.mark.parametrize("edit, message", [
+# one entry, an id that does not parse, an id whose tag is not its pass's,
+# and rows whose fields are not their entry's.  Each edit keeps the count
+# identity, so the report stats would print is wrong; stats refuses it and
+# names the entry and both files.  The first kept row is of ADVMP#1#para#1,
+# the first duplicate row of ADVPS#2#para#1.
+@pytest.mark.parametrize("edit, entry", [
+    pytest.param(_kept_base_row, "ADVMP#1", id="kept-base"),
+    pytest.param(_repeated_row, "PCDC#2#del#1", id="repeated"),
+    pytest.param(_edit_row("PCDC#3#del#1", 0, "PCDC#3#dele#1"), "PCDC#3#dele#1", id="malformed-id"),
+    pytest.param(_edit_row("PCA#9#del#1", 2, "permutation"), "PCA#9#del#1", id="other-pass"),
     pytest.param(
-        _kept_base_row, "{records}: record 'ADVMP#1' is of a base entry but is not a duplicate", id="kept-base",
+        _edit_first("kept", feature="junk", template="junk", surface="junk"), "ADVMP#1#para#1", id="kept-junk",
     ),
-    pytest.param(_repeated_row, "record sidecar holds two records of entry 'PCDC#2#del#1'", id="repeated"),
-    pytest.param(
-        _edit_row("PCDC#3#del#1", 0, "PCDC#3#dele#1"),
-        "{records}: malformed entry id 'PCDC#3#dele#1' (expected TABLE#row or TABLE#row#tag#ordinal)",
-        id="malformed-id",
-    ),
-    pytest.param(
-        _edit_row("PCA#9#del#1", 2, "permutation"),
-        "{records}: record 'PCA#9#del#1': the entry id does not match its pass 'permutation'", id="other-pass",
-    ),
+    pytest.param(_edit_first("kept", parent="PCA#3"), "ADVMP#1#para#1", id="kept-parent"),
+    pytest.param(_edit_first("duplicate", surface="zzz"), "ADVPS#2#para#1", id="duplicate-surface"),
+    pytest.param(_edit_first("duplicate", duplicate_of="ADVMP#1"), "ADVPS#2#para#1", id="duplicate-of"),
+    pytest.param(_edit_first("duplicate", parent="ADVPS#3"), "ADVPS#2#para#1", id="duplicate-parent"),
+    pytest.param(_edit_first("duplicate", **{"pass": "deletion"}), "ADVPS#2#para#1", id="duplicate-pass"),
 ])
-def test_stats_refuses_a_row_extend_never_writes(tmp_path, capsys, edit, message):
+def test_stats_refuses_a_row_extend_never_writes(tmp_path, capsys, edit, entry):
     base = _compile(tmp_path)
     _, out, records = _extend(tmp_path, base)
     header, *lines = records.read_text(encoding="utf-8").rstrip("\n").split("\n")
@@ -623,7 +660,7 @@ def test_stats_refuses_a_row_extend_never_writes(tmp_path, capsys, edit, message
     records.write_text("\n".join([header, *map("\t".join, rows)]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["stats", str(out), "--records", str(records)]) == 1
-    assert capsys.readouterr().err == f"lexgram: error: {message.format(records=records)}\n"
+    assert capsys.readouterr().err == _unmatched(records, out, entry, _NOT_IMPLIED)
 
 
 # Each reader's refusal names the file it read.  stats reads a lexicon and
@@ -899,6 +936,37 @@ def test_extend_refuses_a_tab_in_a_record_field(tmp_path, capsys):
     assert (tmp_path / "r.tsv").read_bytes() == b"old sidecar\n"
     assert (tmp_path / "full.lgx.xml").read_bytes() == b"old lexicon\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+# A cross-ref is the id of an entry dedup removed: an entry id, of no entry
+# the lexicon holds, under one survivor.  In the fixture's full.lgx, PCDN#3
+# holds PCDC#2#del#1 and PCDC#3#del#1, and PCDC#4#del#1 holds PCDC#5#del#1.
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+@pytest.mark.parametrize("ref, message", [
+    pytest.param("not an id", "entry 'PCDN#3': cross-ref 'not an id' is not an entry id", id="not-an-id"),
+    pytest.param("ADVMP#1", "entry 'PCDN#3': cross-ref 'ADVMP#1' names an entry of the lexicon", id="held"),
+    pytest.param(
+        "PCDC#3#del#1", "entry 'PCDN#3': cross-ref 'PCDC#3#del#1' is a cross-ref of entry 'PCDN#3' too", id="twice",
+    ),
+    pytest.param(
+        "PCDC#5#del#1", "entry 'PCDC#4#del#1': cross-ref 'PCDC#5#del#1' is a cross-ref of entry 'PCDN#3' too",
+        id="two-survivors",
+    ),
+])
+def test_import_refuses_a_cross_ref_dedup_never_makes(tmp_path, capsys, fmt, ref, message):
+    _, out, _ = _extend(tmp_path, _compile(tmp_path))
+    if fmt == "xml":
+        path = tmp_path / "full.lgx.xml"
+        assert main(["export", str(out), "-o", str(path)]) == 0
+        old, new = "<cross-ref>PCDC#2#del#1</cross-ref>", f"<cross-ref>{ref}</cross-ref>"
+    else:
+        path, old, new = out, "cross-ref\tPCDC#2#del#1\n", f"cross-ref\t{ref}\n"
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["import", str(path)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: {path}: {message}\n"
 
 
 def _rename_entry(tmp_path, old, new):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import gc
+import re
 import tracemalloc
 
 import pytest
@@ -179,6 +180,16 @@ def test_run_pipeline_refuses_extended_input():
     result = _fixture_pipeline()
     with pytest.raises(LexgramError):
         run_pipeline(result.entries, load_fixture_script())
+
+
+# A base entry holding cross-refs has been through dedup: its removed
+# entries would reach the output with no record row.
+def test_run_pipeline_refuses_input_holding_cross_refs():
+    entries = compile_corpus().entries
+    entries[1] = entries[1].replace(cross_refs=("ADVMP#9",))
+    message = f"input lexicon is already extended ({entries[1].entry_id!r} holds cross-refs)"
+    with pytest.raises(LexgramError, match=f"^{re.escape(message)}$"):
+        run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
 
 
 def test_run_pipeline_refuses_repeated_ids():

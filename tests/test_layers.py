@@ -2,7 +2,8 @@
 
 The entry model (``model``) and the file module (``files``) sit at the
 bottom, on ``errors`` alone; the formats, curation and stats read and write
-entries without importing the tables, the script or the realizer.
+entries without importing the tables, the script or the realizer; stats
+checks a sidecar row with the dedup key of curation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ ALLOWED = {
     "files": ({"errors"}, True),
     "formats": ({"errors", "model", "files"}, True),
     "curation": ({"model"}, True),
-    "stats": ({"errors", "model"}, True),
+    "stats": ({"errors", "model", "curation"}, True),
     "tables": ({"errors", "model", "files"}, False),
     "script": ({"errors", "model", "tables", "files"}, False),
     "realizer": ({"errors", "model", "script", "files"}, False),

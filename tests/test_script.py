@@ -12,6 +12,7 @@ from lexgram.script import (
     COMPONENT,
     GROUP,
     LITERAL,
+    MAX_FLATS,
     SYMBOL,
     Action,
     ExtractionScript,
@@ -22,7 +23,9 @@ from lexgram.script import (
 )
 from lexgram.expansion import classify_substructure
 from lexgram.model import Origin
-from lexgram.tables import parse_structure_label
+from lexgram import script as script_module
+from lexgram.lexicon import check_script_bindings
+from lexgram.tables import parse_structure_label, parse_table
 
 
 def _one_rule(text: str):
@@ -296,3 +299,26 @@ def test_fixture_script_parses_with_expected_rule_count():
     assert len(script.rules) == 16
     wildcard = [r for r in script.rules if r.tables is None]
     assert len(wildcard) == 1 and wildcard[0].feature_id == "N0 V Adv W"
+
+
+# A template stands for the product of its groups' sizes in flat templates.
+# compile checks placeholders on the parts and alternatives, so it builds
+# none, and the script parser refuses a template of more than MAX_FLATS.
+def test_a_template_at_the_flat_limit_parses_and_compile_leaves_it_unflattened():
+    k = MAX_FLATS.bit_length() - 1
+    assert 2 ** k == MAX_FLATS
+    script = parse_script(f'* : "F" => paraphrase "{" ".join(["(a + @<ENT>C1@)"] * k)}"\n')
+    (template,) = script.rules[0].templates
+    assert [kind for kind, _ in template.parts] == [GROUP] * k
+    check_script_bindings(parse_table("<ENT>C1\tF\nnuit\t+\n", "T"), script)
+    assert "flats" not in vars(template)
+
+
+def test_a_template_above_the_flat_limit_is_refused_before_any_flat_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(script_module, "expand_alternation", built.append)
+    groups = " ".join(["(a + b)"] * (MAX_FLATS.bit_length() - 1))
+    with pytest.raises(ScriptSyntaxError) as err:
+        parse_script(f'T : "F" => paraphrase "de", "{groups} (c + d + E)"\n', source="big.lgs")
+    assert str(err.value) == f"big.lgs:1: template '{groups} (c + d + E)' has 3,072 flat forms, more than 1,024"
+    assert built == []

@@ -1,14 +1,27 @@
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
+from lexgram.cli import main
 from lexgram.errors import LexgramError, SchemaViolation
 from lexgram.expansion import run_pipeline
-from lexgram.formats import export_records, parse_records
+from lexgram.formats import (
+    RECORD_COLUMNS,
+    RECORD_STATUSES,
+    export_lexicon,
+    export_records,
+    parse_records,
+)
 from lexgram.model import Origin
 from lexgram.stats import StatsReport, compute_stats, percentage, recompute_stats, render_stats
 
@@ -137,12 +150,11 @@ def test_recompute_stats_matches_the_pipeline_report(twin):
         recompute_stats(result.entries, rows[:kept] + rows[kept + 1:])
 
 
-@pytest.mark.parametrize("case, message", [
-    ("kept-elsewhere", "the records keep 'nowhere#1', the lexicon does not hold it"),
-    ("survivor-elsewhere", "the records keep 'nowhere#1', the lexicon does not hold it"),
-    ("removed-but-held", "as a duplicate, the lexicon holds it"),
-], ids=["kept-elsewhere", "survivor-elsewhere", "removed-but-held"])
-def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case, message):
+_UNIMPLIED = "record sidecar does not match the lexicon: entry {!r} has a row the lexicon does not imply"
+
+
+@pytest.mark.parametrize("case", ["kept-elsewhere", "survivor-elsewhere", "removed-but-held"])
+def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case):
     result = run_pipeline(compile_corpus().entries, load_fixture_script(), rules=load_fixture_morpho())
     rows = list(result.records)
     kept = next(i for i, row in enumerate(rows) if row.status == "kept")
@@ -153,21 +165,69 @@ def test_recompute_stats_checks_the_record_ids_against_the_lexicon(case, message
         rows[duplicate] = rows[duplicate].replace(duplicate_of="nowhere#1")
     else:
         rows[duplicate] = rows[duplicate].replace(entry_id=result.entries[0].entry_id)
-    with pytest.raises(SchemaViolation, match="^record sidecar does not match the lexicon: .*" + message):
+    edited = rows[kept] if case == "kept-elsewhere" else rows[duplicate]
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(_UNIMPLIED.format(edited.entry_id))}$"):
         recompute_stats(result.entries, rows)
 
 
-# A survivor that another row removes: the sidecar contradicts itself,
-# which its check against the lexicon cannot show, as the lexicon rightly
-# lacks the removed entry.
+# A survivor that another row removes: the sidecar contradicts itself, and
+# the removed entry's row names another survivor than the lexicon does.
 def test_recompute_stats_refuses_a_survivor_removed_as_a_duplicate():
     result = run_pipeline(compile_corpus().entries, load_fixture_script(), rules=load_fixture_morpho())
     rows = list(result.records)
     first, second = [i for i, row in enumerate(rows) if row.status == "duplicate"][:2]
     rows[second] = rows[second].replace(duplicate_of=rows[first].entry_id)
-    message = (
-        f"record sidecar removes {rows[first].entry_id!r} as a duplicate and keeps it as the survivor "
-        f"of {rows[second].entry_id!r}"
-    )
-    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(_UNIMPLIED.format(rows[second].entry_id))}$"):
         recompute_stats(result.entries, rows)
+
+
+def test_recompute_stats_names_both_files_and_an_entry_without_a_row():
+    result = run_pipeline(compile_corpus().entries, load_fixture_script(), rules=load_fixture_morpho())
+    survivor = next(entry for entry in result.entries if entry.cross_refs)
+    rows = [row for row in result.records if row.entry_id != survivor.cross_refs[0]]
+    # file names are any text, braces included
+    message = f"r{{}}.tsv does not match x{{0}}.lgx: entry {survivor.cross_refs[0]!r} has no row"
+    with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+        recompute_stats(result.entries, rows, "x{0}.lgx", "r{}.tsv")
+
+
+# One field of one row of extend's sidecar, edited: to the same column's
+# value in another row, to any pass or status, or to a drawn text.  stats
+# then prints extend's report, where the row is still the one the lexicon
+# implies, or refuses the sidecar naming the row's entry (or, for an edited
+# id, the id it now reads).
+_FIXTURE_BASE = compile_corpus()
+_FIXTURE_RUN = run_pipeline(_FIXTURE_BASE.entries, load_fixture_script(), rules=load_fixture_morpho())
+_FIXTURE_LEXICON = export_lexicon(_FIXTURE_BASE.replace(entries=_FIXTURE_RUN.entries))
+_FIXTURE_HEADER, *_FIXTURE_ROWS = written(export_records, _FIXTURE_RUN.records).rstrip("\n").split("\n")
+
+
+@given(st.data())
+def test_stats_prints_the_report_or_names_the_edited_row(data):
+    fields = data.draw(st.sampled_from(_FIXTURE_ROWS)).split("\t")
+    line = _FIXTURE_ROWS.index("\t".join(fields))
+    column = data.draw(st.integers(0, len(RECORD_COLUMNS) - 1))
+    if RECORD_COLUMNS[column] == "pass":
+        values = st.sampled_from([origin.value for origin in Origin])
+    elif RECORD_COLUMNS[column] == "status":
+        values = st.sampled_from(RECORD_STATUSES)
+    else:
+        others = sorted({row.split("\t")[column] for row in _FIXTURE_ROWS})
+        values = st.sampled_from(others) | st.text(st.sampled_from("aEé <>#12"), max_size=8)
+    entry_id = fields[0]
+    fields[column] = data.draw(values)
+    rows = [*_FIXTURE_ROWS[:line], "\t".join(fields), *_FIXTURE_ROWS[line + 1:]]
+    with tempfile.TemporaryDirectory() as directory:
+        lexicon, records = Path(directory) / "full.lgx", Path(directory) / "records.tsv"
+        lexicon.write_text(_FIXTURE_LEXICON, encoding="utf-8")
+        records.write_text("\n".join([_FIXTURE_HEADER, *rows]) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["stats", str(lexicon), "--records", str(records)])
+    if code == 0:
+        assert out.getvalue() == render_stats(_FIXTURE_RUN.stats)
+        return
+    named = {entry_id, fields[0]}
+    assert code == 1 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"lexgram: error: {records} does not match {lexicon}: entry ")
+    assert any(f"entry {name!r} has " in err.getvalue() for name in named), err.getvalue()
