@@ -5,7 +5,7 @@ Batch subcommands over the lexicon artifacts:
     compile   tables + class matrix + script -> base lexicon
     extend    base lexicon -> extended lexicon (+ record sidecar, stats)
     validate  lexicon -> review queue
-    stats     lexicon + record sidecar -> recomputed statistics
+    stats     lexicon -> its statistics (checks an optional record sidecar)
     export    lexicon -> text or XML on stdout or file
     import    lexicon -> schema check, optional format conversion
 
@@ -46,7 +46,7 @@ from .lexicon import generate_base
 from .model import check_table_id
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, load_morpho_rules, load_symbols
 from .script import parse_script
-from .stats import recompute_stats, render_stats
+from .stats import lexicon_stats, recompute_stats, render_stats
 from .tables import load_class_matrix, load_table, resolve_features, validate_table
 
 
@@ -131,8 +131,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     doc = load_lexicon(args.lexicon)
-    rows = parse_file(args.records, parse_records)
-    report = recompute_stats(doc.entries, rows, args.lexicon, args.records)
+    if args.records is None:
+        report = lexicon_stats(doc.entries)
+    else:
+        report = recompute_stats(doc.entries, parse_file(args.records, parse_records), args.lexicon, args.records)
     sys.stdout.write(render_stats(report))
     return _finished(args, 0)
 
@@ -198,9 +200,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the review queue here (default: stdout)")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("stats", help="recompute statistics from the record sidecar")
+    p = sub.add_parser("stats", help="count a lexicon: the report extend printed")
     p.add_argument("lexicon")
-    p.add_argument("--records", required=True, help="record sidecar from extend")
+    p.add_argument("--records", help="check this record sidecar from extend against the lexicon first")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("export", help="re-serialize a lexicon")

@@ -16,9 +16,10 @@ their parent's arguments and binary features.
 from __future__ import annotations
 
 from .curation import Dedup
-from .errors import InternalInvariantError, LexgramError, RealizationError, UnknownSlotSymbol
+from .errors import LexgramError, RealizationError, UnknownSlotSymbol
 from .model import (
     EMPTY_CELLS,
+    ENTRY_ID,
     PASS_ORDER,
     PASS_TAGS,
     Fields,
@@ -31,7 +32,7 @@ from .model import (
 )
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template
-from .stats import StatsReport, compute_stats, tally
+from .stats import StatsReport, lexicon_stats
 from .tables import parse_structure_label
 
 # =============================================================================
@@ -250,13 +251,17 @@ def run_pipeline(
     in generation order.  Records: one per variant in generation order,
     then one per base entry removed as a duplicate, so the records account
     for every removal.  A row's status and duplicate-of are set at the end,
-    from the final survivor of its key.
+    from the final survivor of its key.  The report is the output's
+    :func:`~lexgram.stats.lexicon_stats`.
     """
     seen: set[str] = set()
     for entry in entries:
         if not entry.is_base or entry.cross_refs:  # a base entry with cross-refs has been deduplicated
             what = "holds cross-refs" if entry.is_base else "is generated"
             raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} {what})")
+        match = ENTRY_ID.fullmatch(entry.entry_id)
+        if match is None or match[3] or match[1] != entry.table_id:  # ids rank entries and name removals
+            raise LexgramError(f"entry id {entry.entry_id!r} in the input lexicon is not a base id of its table")
         if entry.entry_id in seen:  # records name entries by id
             raise LexgramError(f"duplicate entry id {entry.entry_id!r} in the input lexicon")
         seen.add(entry.entry_id)
@@ -291,11 +296,4 @@ def run_pipeline(
     removed_bases = {entry.entry_id: entry for entry in entries if entry.entry_id in kept_for}
     records.extend(record_row(removed_bases[i], kept) for i, kept in kept_for.items() if i in removed_bases)
 
-    added, removed, _ = tally(records)
-    stats = compute_stats(len(entries), added, duplicates_removed=removed)
-    if stats.final != len(survivors):  # the count identity; a mismatch is a bug
-        raise InternalInvariantError(
-            f"stats identity violated: report says {stats.final} final entries, "
-            f"the pipeline output holds {len(survivors)}"
-        )
-    return PipelineResult(survivors, records, stats)
+    return PipelineResult(survivors, records, lexicon_stats(survivors))

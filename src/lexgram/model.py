@@ -13,6 +13,7 @@ review.  A record row is one line of the expansion record sidecar.
 from __future__ import annotations
 
 import enum
+import operator
 import re
 from types import MappingProxyType
 from typing import Mapping
@@ -117,12 +118,20 @@ class Fields:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # _values, the fields' values in order, is read by one getter per
+        # class; attrgetter of a single name returns the bare value.
+        names = cls.__match_args__
+        if len(names) == 1:
+            get = operator.attrgetter(*names)
+            cls._values = property(lambda self: (get(self),))
+        elif names:
+            cls._values = property(operator.attrgetter(*names))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     __hash__ = None
@@ -143,7 +152,7 @@ class Fields:
     def __reduce__(self):
         # copies and pickles are rebuilt through the constructor, which a
         # read-only slotted class needs
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
 
 class FrozenFields(Fields):
@@ -153,7 +162,7 @@ class FrozenFields(Fields):
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections import Counter
+from typing import Mapping
 
 from .curation import canonical_key
 from .errors import LexgramError, SchemaViolation
@@ -57,58 +58,47 @@ def compute_stats(initial: int, added: Mapping[Origin, int], duplicates_removed:
     return StatsReport(initial, per_pass, duplicates_removed, final)
 
 
-def tally(rows: Iterable[RecordRow]) -> tuple[dict[Origin, int], int, int]:
-    """Count record rows: the entries added by each of the six passes, the
-    entries removed as duplicates, and the base entries among those removed.
-    The one counting rule behind ``extend``'s report and ``stats``'s, so
-    both print the same lines."""
-    added = dict.fromkeys(PASS_ORDER, 0)
-    duplicates_removed = removed_bases = 0
-    for row in rows:
-        if row.status == "duplicate":
-            duplicates_removed += 1
-        if row.kind is Origin.BASE:
-            removed_bases += 1
-        else:
-            added[row.kind] += 1
-    return added, duplicates_removed, removed_bases
+def lexicon_stats(entries: list[LexEntry]) -> StatsReport:
+    """The report of a lexicon, counted from it alone: the one counting rule
+    behind ``extend``'s report and ``stats``'s.  An entry counts toward its
+    ``provenance.kind``, a cross-ref (an entry id, as the readers and
+    ``run_pipeline`` ensure) as removed and toward its id's tag; a base
+    entry or id counts toward the initial size."""
+    kinds = Counter(entry.provenance.kind for entry in entries)
+    tags = Counter(ENTRY_ID.fullmatch(ref)[3] for entry in entries for ref in entry.cross_refs)
+    added = {origin: kinds[origin] + tags[PASS_TAGS[origin]] for origin in PASS_ORDER}
+    return compute_stats(kinds[Origin.BASE] + tags[None], added, tags.total())
 
 
 def recompute_stats(
     entries: list[LexEntry], rows: list[RecordRow], lexicon: str = "the lexicon", records: str = "record sidecar",
 ) -> StatsReport:
-    """Rebuild an extension run's report from the extended lexicon and its
-    record sidecar, named *lexicon* and *records* in a refusal.
+    """The report of an extended lexicon (:func:`lexicon_stats`), once its
+    record sidecar is checked against it; *lexicon* and *records* name the
+    two in a refusal.
 
     Every row must be the row the lexicon implies, or the sidecar is an
     input error (SchemaViolation) naming the entry: a ``kept`` row is the
     :func:`~lexgram.model.record_row` of its entry, a ``duplicate`` row is
     of a cross-ref (:func:`_removed_by`), and every variant entry and
-    cross-ref has one row.  The rows are counted by :func:`tally`, a
-    ``base`` row (a removed base entry) towards the initial size too.
+    cross-ref has one row.
     """
     variants = {entry.entry_id: entry for entry in entries if not entry.is_base}
     survivors = {ref: entry for entry in entries for ref in entry.cross_refs}
-    initial = len(entries) - len(variants)
     where = f"{records} does not match {lexicon}: entry "
-
-    def checked() -> Iterator[RecordRow]:
-        # each row takes its entry out of a table, so a second row finds none
-        for row in rows:
-            if row.status == "kept":
-                entry = variants.pop(row.entry_id, None)
-                implied = entry is not None and record_row(entry) == row
-            else:
-                implied = _removed_by(survivors.pop(row.entry_id, None), row)
-            if not implied:
-                raise SchemaViolation(f"{where}{row.entry_id!r} has a row the lexicon does not imply")
-            yield row
-
-    added, duplicates_removed, removed_bases = tally(checked())
+    # each row takes its entry out of a table, so a second row finds none
+    for row in rows:
+        if row.status == "kept":
+            entry = variants.pop(row.entry_id, None)
+            implied = entry is not None and record_row(entry) == row
+        else:
+            implied = _removed_by(survivors.pop(row.entry_id, None), row)
+        if not implied:
+            raise SchemaViolation(f"{where}{row.entry_id!r} has a row the lexicon does not imply")
     left = next(iter(variants), None) or next(iter(survivors), None)
     if left is not None:
         raise SchemaViolation(f"{where}{left!r} has no row")
-    return compute_stats(initial + removed_bases, added, duplicates_removed)
+    return lexicon_stats(entries)
 
 
 def _removed_by(survivor: LexEntry | None, row: RecordRow) -> bool:

@@ -426,23 +426,30 @@ def test_validate_defaults_to_stdout(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("record\tkind\tentry\tdetail")
 
 
-def test_stats_recomputes_from_sidecar(tmp_path, capsys):
+# stats counts the lexicon alone, and with --records checks the sidecar
+# against it first; either way it prints what extend printed, in each format,
+# for all passes, a pass subset, and a lexicon extend adds nothing to (its
+# script has no rule), which stays a base lexicon with every pass at +0.
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+@pytest.mark.parametrize("passes", [None, "del,para", "no rule"])
+def test_stats_prints_the_report_of_extend_with_or_without_the_sidecar(tmp_path, capsys, fmt, passes):
     base = _compile(tmp_path)
+    extra = ("--format", fmt)
+    if passes == "no rule":
+        save_lexicon(load_lexicon(base).replace(script_source="# no rule\n"), base)
+    elif passes is not None:
+        extra += ("--passes", passes)
     capsys.readouterr()
-    _, out, records = _extend(tmp_path, base)
+    code, out, records = _extend(tmp_path, base, extra)
+    assert code == 0
     extend_stdout = capsys.readouterr().out
-    assert main(["stats", str(out), "--records", str(records)]) == 0
-    assert capsys.readouterr().out == extend_stdout
-
-
-def test_stats_reprints_the_report_of_a_pass_subset(tmp_path, capsys):
-    base = _compile(tmp_path)
-    capsys.readouterr()
-    _, out, records = _extend(tmp_path, base, extra=("--passes", "para,trans"))
-    extend_stdout = capsys.readouterr().out
-    assert "all other structures" in extend_stdout
-    assert main(["stats", str(out), "--records", str(records)]) == 0
-    assert capsys.readouterr().out == extend_stdout
+    zeros = {None: 0, "del,para": 4, "no rule": 7}[passes]  # passes left out, and the total
+    assert extend_stdout.count("+0  (+0%)") == zeros
+    if passes == "no rule":
+        assert all(entry.is_base and not entry.cross_refs for entry in load_lexicon(out).entries)
+    for sidecar in ((), ("--records", str(records))):
+        assert main(["stats", str(out), *sidecar]) == 0
+        assert capsys.readouterr() == (extend_stdout, "")
 
 
 def test_extend_and_stats_accept_an_empty_lexicon(tmp_path, capsys):

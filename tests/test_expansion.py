@@ -15,9 +15,9 @@ from lexgram.errors import LexgramError
 from lexgram.expansion import ALL_PASSES, build_plan, expand_entry, parse_passes, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import generate_base
-from lexgram.model import EMPTY_CELLS, Origin, RecordRow, parse_entry_id
+from lexgram.model import EMPTY_CELLS, PASS_ORDER, Origin, RecordRow, parse_entry_id
 from lexgram.script import parse_script
-from lexgram.stats import compute_stats, tally
+from lexgram.stats import compute_stats
 from lexgram.tables import parse_table
 
 
@@ -193,10 +193,27 @@ def test_run_pipeline_refuses_input_holding_cross_refs():
 
 
 def test_run_pipeline_refuses_repeated_ids():
-    # The records, and so the report counted from them, name entries by id.
+    # The records, and the cross-refs the report is counted from, name entries by id.
     entries = compile_corpus().entries
     with pytest.raises(LexgramError, match="duplicate entry id 'ADVMP#1'"):
         run_pipeline(entries + [entries[0]], load_fixture_script(), rules=load_fixture_morpho())
+
+
+# An id ranks its entry in dedup and names it once it is removed, so an input
+# entry's id must be a base id of its own table: ``T#row``.  Ids that are not
+# would raise from the rank (two entries of one surface), or be filed under a
+# pass on removal.
+@pytest.mark.parametrize("first, second", [
+    pytest.param("x", "y", id="not-an-id"),
+    pytest.param("ADVMP#1#del#1", "ADVMP#2", id="variant-id"),
+    pytest.param("PC#1", "ADVMP#2", id="other-table"),
+])
+def test_run_pipeline_refuses_an_id_that_is_not_a_base_id_of_its_table(first, second):
+    entry = compile_corpus().entries[0]  # ADVMP#1
+    entries = [entry.replace(entry_id=first), entry.replace(entry_id=second)]  # one table, one surface
+    message = f"entry id {first!r} in the input lexicon is not a base id of its table"
+    with pytest.raises(LexgramError, match=f"^{re.escape(message)}$"):
+        run_pipeline(entries, load_fixture_script(), rules=load_fixture_morpho())
 
 
 def test_run_pipeline_single_pass_still_dedups():
@@ -245,7 +262,9 @@ def _expand_then_dedup(entries, script, morpho):
     by_id = {parent.entry_id: parent for parent in parents}
     records = [record(variant) for variant in variants]
     records += [record(by_id[removed_id]) for removed_id in kept_for if removed_id in by_id]
-    added, removed, _ = tally(records)
+    per_kind = collections.Counter(row.kind for row in records)
+    removed = sum(row.status == "duplicate" for row in records)
+    added = {origin: per_kind[origin] for origin in PASS_ORDER}
     return survivors, records, compute_stats(len(entries), added, duplicates_removed=removed)
 
 

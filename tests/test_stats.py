@@ -5,12 +5,14 @@ import copy
 import io
 import re
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import corpusgen
 from conftest import compile_corpus, load_fixture_morpho, load_fixture_script, written
 from lexgram.cli import main
 from lexgram.errors import LexgramError, SchemaViolation
@@ -20,10 +22,12 @@ from lexgram.formats import (
     RECORD_STATUSES,
     export_lexicon,
     export_records,
+    import_lexicon,
     parse_records,
 )
-from lexgram.model import Origin
-from lexgram.stats import StatsReport, compute_stats, percentage, recompute_stats, render_stats
+from lexgram.model import PASS_ORDER, Origin
+from lexgram.script import parse_script
+from lexgram.stats import StatsReport, compute_stats, lexicon_stats, percentage, recompute_stats, render_stats
 
 FULL_SCALE = {
     Origin.PARAPHRASE_DIRECT: 2084,
@@ -148,6 +152,31 @@ def test_recompute_stats_matches_the_pipeline_report(twin):
     kept = next(i for i, row in enumerate(rows) if row.status == "kept")
     with pytest.raises(SchemaViolation, match="record sidecar does not match the lexicon"):
         recompute_stats(result.entries, rows[:kept] + rows[kept + 1:])
+
+
+# The report is counted from the lexicon alone.  It must be the count of the
+# sidecar's rows (each variant toward its pass, each duplicate as removed),
+# and the same from extend's output read back in either format, with and
+# without its sidecar written, read back and checked against it.
+@given(
+    st.integers(0, 9999),
+    st.sets(st.sampled_from(PASS_ORDER), min_size=1).map(frozenset),
+    st.sampled_from(["text", "xml"]),
+)
+def test_the_lexicon_and_its_sidecar_count_to_the_pipeline_report(seed, passes, fmt):
+    with tempfile.TemporaryDirectory() as directory:
+        files = corpusgen.generate(seed)
+        for name, content in files.items():
+            (Path(directory) / name).write_text(content, encoding="utf-8")
+        doc = compile_corpus(Path(directory), tuple(sorted(name[:-4] for name in files if name.endswith(".lgt"))))
+    script = parse_script(doc.script_source, source="<embedded script>")
+    result = run_pipeline(doc.entries, script, passes, rules=load_fixture_morpho())
+    rows = parse_records(written(export_records, result.records))
+    kinds, removed = Counter(row.kind for row in rows), sum(row.status == "duplicate" for row in rows)
+    assert result.stats == compute_stats(len(doc.entries), {origin: kinds[origin] for origin in PASS_ORDER}, removed)
+    reloaded = import_lexicon(export_lexicon(doc.replace(entries=result.entries), fmt)).entries
+    assert lexicon_stats(reloaded) == result.stats
+    assert recompute_stats(reloaded, rows) == result.stats
 
 
 _UNIMPLIED = "record sidecar does not match the lexicon: entry {!r} has a row the lexicon does not imply"
