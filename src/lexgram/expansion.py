@@ -19,7 +19,6 @@ from .curation import Dedup
 from .errors import LexgramError, RealizationError, UnknownSlotSymbol
 from .model import (
     EMPTY_CELLS,
-    ENTRY_ID,
     PASS_ORDER,
     PASS_TAGS,
     Fields,
@@ -28,7 +27,9 @@ from .model import (
     Origin,
     Provenance,
     RecordRow,
+    check_entry_id,
     record_row,
+    variant_id,
 )
 from .realizer import DEFAULT_RULES, DEFAULT_SYMBOLS, MorphoRules, realize
 from .script import Action, ExtractionScript, Template
@@ -97,13 +98,12 @@ class PlanStep(FrozenFields):
     what every variant of the rule shares is worked out here, once."""
 
     __slots__ = __match_args__ = (
-        "origin", "tag", "feature_id", "flats", "label", "kept_slots", "construction_ids", "internal_structures",
+        "origin", "feature_id", "flats", "label", "kept_slots", "construction_ids", "internal_structures",
     )
 
     def __init__(
         self,
         origin: Origin,
-        tag: str,                     # the pass tag of the variant ids
         feature_id: str,
         flats: tuple[Template, ...],  # the rule's templates, alternation flattened
         label: str,                   # the parent's other-structure label
@@ -112,7 +112,6 @@ class PlanStep(FrozenFields):
         internal_structures: tuple[str, ...],  # each variant's: a substructure's label
     ):
         object.__setattr__(self, "origin", origin)
-        object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "feature_id", feature_id)
         object.__setattr__(self, "flats", flats)
         object.__setattr__(self, "label", label)
@@ -140,7 +139,7 @@ def build_plan(
         substructure = origin in _SUBSTRUCTURES
         flats = tuple(flat for template in rule.templates for flat in template.flats)
         steps.append(PlanStep(
-            origin, PASS_TAGS[origin], rule.feature_id, flats, label,
+            origin, rule.feature_id, flats, label,
             kept_slots=parse_structure_label(rule.label) if substructure else (),
             construction_ids=(rule.feature_id,) if origin is Origin.PARAPHRASE_CONSTRUCTION else (),
             internal_structures=(label,) if substructure else (),
@@ -165,11 +164,10 @@ def expand_entry(
     """
     if not entry.is_base:
         raise LexgramError(f"cannot expand generated entry {entry.entry_id!r}")
-    id_prefix = f"{entry.entry_id}#"  # a base id is TABLE#row
     variants: list[LexEntry] = []
     paraphrases, other_structures, intensified = [], [], []
     structures = list(entry.internal_structures)
-    ordinals: dict[str, int] = {}  # pass tag -> variants so far
+    ordinals: dict[Origin, int] = {}  # pass -> variants so far
     for step in plan:
         if not entry.binary_features.get(step.feature_id, False):
             continue
@@ -192,19 +190,11 @@ def expand_entry(
                 intensified.append(surface)
             else:
                 other_structures.append((step.label, surface))
-            ordinal = ordinals[step.tag] = ordinals.get(step.tag, 0) + 1
+            ordinal = ordinals[origin] = ordinals.get(origin, 0) + 1
             variants.append(LexEntry(
-                entry_id=f"{id_prefix}{step.tag}#{ordinal}",
-                table_id=entry.table_id,
-                category=entry.category,
-                surface=surface,
-                components=components,
-                aux=EMPTY_CELLS,
-                arguments=entry.arguments,
-                construction_ids=step.construction_ids,
-                internal_structures=step.internal_structures,
-                binary_features=entry.binary_features,
-                provenance=Provenance(origin, entry.entry_id, step.feature_id, flat.text),
+                variant_id(entry.entry_id, origin, ordinal), entry.table_id, entry.category, surface, components,
+                EMPTY_CELLS, (), (), (), entry.arguments, step.construction_ids, step.internal_structures,
+                entry.binary_features, Provenance(origin, entry.entry_id, step.feature_id, flat.text),
             ))
     if not variants:
         return entry, variants
@@ -259,9 +249,10 @@ def run_pipeline(
         if not entry.is_base or entry.cross_refs:  # a base entry with cross-refs has been deduplicated
             what = "holds cross-refs" if entry.is_base else "is generated"
             raise LexgramError(f"input lexicon is already extended ({entry.entry_id!r} {what})")
-        match = ENTRY_ID.fullmatch(entry.entry_id)
-        if match is None or match[3] or match[1] != entry.table_id:  # ids rank entries and name removals
-            raise LexgramError(f"entry id {entry.entry_id!r} in the input lexicon is not a base id of its table")
+        try:  # ids rank entries and name removals
+            check_entry_id(entry)
+        except ValueError:
+            raise LexgramError(f"entry id {entry.entry_id!r} in the input lexicon is not a base id of its table") from None
         if entry.entry_id in seen:  # records name entries by id
             raise LexgramError(f"duplicate entry id {entry.entry_id!r} in the input lexicon")
         seen.add(entry.entry_id)

@@ -26,8 +26,6 @@ from .files import parse_file, writing
 from .model import (
     EMPTY_CELLS,
     EMPTY_TOKEN,
-    ENTRY_ID,
-    PASS_TAGS,
     ArgumentSpec,
     Fields,
     LexEntry,
@@ -36,7 +34,8 @@ from .model import (
     RecordRow,
     Selection,
     SurfaceForm,
-    parse_entry_id,
+    check_entry_id,
+    split_entry_id,
 )
 
 # The header digest is taken with CPython's own SHA-256: importing hashlib
@@ -79,21 +78,17 @@ class LexiconDocument(Fields):
 
 
 def _check_entry_ids(entries: list[LexEntry]) -> None:
-    """Every id parses, names its entry's table and pass, and is unique.
-    Every cross-ref is an entry id and none of the other ids and cross-refs:
-    an entry removed as a duplicate is in no lexicon and has one survivor."""
+    """Every id says its entry's table, pass and parent
+    (:func:`~lexgram.model.check_entry_id`) and is unique.  Every cross-ref
+    is an entry id and none of the other ids and cross-refs: an entry
+    removed as a duplicate is in no lexicon and has one survivor."""
     holder: dict[str, str] = {}  # each id and cross-ref -> the id of the entry holding it
     for entry in entries:
         entry_id = entry.entry_id
         try:
-            table_id, _, tag, _ = parse_entry_id(entry_id)
+            check_entry_id(entry)
         except ValueError as err:
             raise SchemaViolation(str(err)) from None
-        if table_id != entry.table_id or tag != PASS_TAGS.get(entry.provenance.kind):
-            raise SchemaViolation(
-                f"entry id {entry_id!r} does not match its table {entry.table_id!r} "
-                f"and provenance {entry.provenance.kind.value!r}"
-            )
         if entry_id in holder:
             other = holder[entry_id]
             raise SchemaViolation(
@@ -103,11 +98,13 @@ def _check_entry_ids(entries: list[LexEntry]) -> None:
         holder[entry_id] = entry_id
         for ref in entry.cross_refs:
             other = holder.get(ref)
-            if other is not None or ENTRY_ID.fullmatch(ref) is None:
-                fault = "is not an entry id" if other is None else f"is a cross-ref of entry {other!r} too"
-                if other == ref:
-                    fault = "names an entry of the lexicon"
+            if other is not None:
+                fault = "names an entry of the lexicon" if other == ref else f"is a cross-ref of entry {other!r} too"
                 raise SchemaViolation(f"entry {entry_id!r}: cross-ref {ref!r} {fault}")
+            try:
+                split_entry_id(ref)
+            except ValueError:
+                raise SchemaViolation(f"entry {entry_id!r}: cross-ref {ref!r} is not an entry id") from None
             holder[ref] = entry_id
 
 
@@ -352,6 +349,7 @@ _ORIGINS = {origin.value: origin for origin in Origin}
 _SELECTIONS = {selection.value: selection for selection in Selection}
 _FEATURE_VALUES = {"+": True, "-": False}
 _SECTIONS = frozenset((SECTION_LEXICAL, SECTION_ARGUMENTS, SECTION_CONSTRUCTIONS))
+_REQUIRED = ("entry", "table", "category", "provenance", "surface")  # the lines every entry block holds
 
 # What a line does that the text reader memoizes, and the code of each
 # keyword whose lines hold one name.
@@ -457,13 +455,10 @@ def _read_entries(lines: Iterable[str], words: Callable[[str, str], str]) -> lis
                 if not in_block:
                     continue
                 if entry_id is None or table_id is None or category is None or provenance is None or surface is None:
-                    missing = [
-                        name for name, value in (
-                            ("entry", entry_id), ("table", table_id), ("category", category),
-                            ("provenance", provenance), ("surface", surface),
-                        ) if value is None
-                    ]
-                    raise SchemaViolation(f"entry block missing {', '.join(missing)}")
+                    values = entry_id, table_id, category, provenance, surface
+                    missing = ", ".join(name for name, value in zip(_REQUIRED, values) if value is None)
+                    where = "entry block" if entry_id is None else f"entry {entry_id!r}: block"
+                    raise SchemaViolation(f"{where} missing {missing}")
                 entries.append(_entry(
                     bases, share, entry_id, table_id, category, surface, components, aux, tuple(paraphrases),
                     tuple(other_structures), tuple(intensified), tuple(arguments), tuple(constructions),

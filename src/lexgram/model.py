@@ -63,29 +63,44 @@ PASS_TAGS = {
 }
 
 
-def entry_id(table_id: str, row_index: int, tag: str | None = None, ordinal: int | None = None) -> str:
-    """Deterministic entry id: ``TABLE#row`` or ``TABLE#row#tag#ordinal``."""
-    if row_index < 1:
-        raise ValueError("row_index is 1-based")
-    if (tag is None) != (ordinal is None):
-        raise ValueError("variant tag and ordinal go together")
-    if tag is None:
-        return f"{table_id}#{row_index}"
-    return f"{table_id}#{row_index}#{tag}#{ordinal}"
+def entry_id(table_id: str, row: int) -> str:
+    """A base entry's id: its table's id and its 1-based row."""
+    return f"{table_id}#{row}"
 
 
-# The grammar of the ids entry_id makes: a row or an ordinal has no leading zero.
+def variant_id(parent_id: str, kind: Origin, ordinal: int) -> str:
+    """A variant's id: its parent's, a base id of the variant's table, then
+    its pass's tag and its 1-based ordinal in that pass."""
+    return f"{parent_id}#{PASS_TAGS[kind]}#{ordinal}"
+
+
+# The grammar of the ids the two make: a table id holds no '#', and a row
+# or an ordinal has no leading zero.
 ENTRY_ID = re.compile(r"([^#]+)#([1-9][0-9]*)(?:#(" + "|".join(PASS_TAGS.values()) + r")#([1-9][0-9]*))?")
 
 
-def parse_entry_id(text: str) -> tuple[str, int, str | None, int | None]:
-    """Split an id made by :func:`entry_id` into table, row, tag and ordinal
-    (tag and ordinal are None for a base entry); raises ValueError."""
+def split_entry_id(text: str) -> tuple[str, str | None, str | None]:
+    """What an entry id says of its entry: its table, its pass's tag and its
+    parent (tag and parent None for a base entry).  Raises ValueError for a
+    string that is no entry id."""
     match = ENTRY_ID.fullmatch(text)
     if match is None:
         raise ValueError(f"malformed entry id {text!r} (expected TABLE#row or TABLE#row#tag#ordinal)")
-    table_id, row, tag, ordinal = match.groups()
-    return table_id, int(row), tag, None if ordinal is None else int(ordinal)
+    tag = match[3]
+    return match[1], tag, tag and text[:match.end(2)]
+
+
+def check_entry_id(entry: LexEntry) -> None:
+    """Refuse, with a ValueError, an id that does not say its entry's table,
+    pass and parent: the one rule for the ids of every lexicon."""
+    table_id, tag, parent = split_entry_id(entry.entry_id)
+    kind, parent_id = entry.provenance.kind, entry.provenance.parent
+    if table_id != entry.table_id or tag != PASS_TAGS.get(kind):
+        raise ValueError(
+            f"entry id {entry.entry_id!r} does not match its table {entry.table_id!r} and provenance {kind.value!r}"
+        )
+    if parent != parent_id:
+        raise ValueError(f"entry id {entry.entry_id!r} does not spell its parent {parent_id!r}")
 
 
 def check_table_id(table_id: str) -> None:
@@ -270,10 +285,10 @@ class LexEntry(Fields):
     def sort_rank(self) -> tuple:
         """Duplicate-resolution rank: base before generated, then table,
         row, pass and ordinal.  Lower wins."""
-        _, row, _, ordinal = parse_entry_id(self.entry_id)
+        match = ENTRY_ID.fullmatch(self.entry_id)  # as split_entry_id parses it
         if self.is_base:
-            return (0, self.table_id, row, -1, 0)
-        return (1, self.table_id, row, PASS_ORDER.index(self.provenance.kind), ordinal)
+            return (0, self.table_id, int(match[2]), -1, 0)
+        return (1, self.table_id, int(match[2]), PASS_ORDER.index(self.provenance.kind), int(match[4]))
 
 
 class IssueKind(enum.Enum):

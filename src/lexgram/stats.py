@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .curation import canonical_key
 from .errors import LexgramError, SchemaViolation
-from .model import ENTRY_ID, PASS_ORDER, PASS_TAGS, FrozenFields, LexEntry, Origin, RecordRow, record_row
+from .model import PASS_ORDER, PASS_TAGS, FrozenFields, LexEntry, Origin, RecordRow, record_row, split_entry_id
 
 
 class StatsReport(FrozenFields):
@@ -65,7 +65,7 @@ def lexicon_stats(entries: list[LexEntry]) -> StatsReport:
     ``run_pipeline`` ensure) as removed and toward its id's tag; a base
     entry or id counts toward the initial size."""
     kinds = Counter(entry.provenance.kind for entry in entries)
-    tags = Counter(ENTRY_ID.fullmatch(ref)[3] for entry in entries for ref in entry.cross_refs)
+    tags = Counter(split_entry_id(ref)[1] for entry in entries for ref in entry.cross_refs)
     added = {origin: kinds[origin] + tags[PASS_TAGS[origin]] for origin in PASS_ORDER}
     return compute_stats(kinds[Origin.BASE] + tags[None], added, tags.total())
 
@@ -107,14 +107,13 @@ def _removed_by(survivor: LexEntry | None, row: RecordRow) -> bool:
     ``base`` row's is a base id, with no parent, feature or template)."""
     if survivor is None or row.status != "duplicate" or row.duplicate_of != survivor.entry_id:
         return False
-    surface, match = row.surface, ENTRY_ID.fullmatch(row.entry_id)
-    if match is None or match[3] != PASS_TAGS.get(row.kind) or not surface.strip():  # an empty key never merges
+    # the row's id is a cross-ref of the survivor, so an entry id; an empty key never merges
+    surface, (_, tag, parent) = row.surface, split_entry_id(row.entry_id)
+    if tag != PASS_TAGS.get(row.kind) or parent != (row.parent_id or None) or not surface.strip():
         return False
     if surface != survivor.surface.rendered and canonical_key(surface) != canonical_key(survivor.surface):
         return False
-    if row.kind is Origin.BASE:
-        return not (row.parent_id or row.feature_id or row.template)
-    return row.parent_id == row.entry_id[:match.end(2)]
+    return row.kind is not Origin.BASE or not (row.feature_id or row.template)
 
 
 # =============================================================================

@@ -976,6 +976,55 @@ def test_import_refuses_a_cross_ref_dedup_never_makes(tmp_path, capsys, fmt, ref
     assert capsys.readouterr().err == f"lexgram: error: {path}: {message}\n"
 
 
+# A variant's id is its parent's id, its pass's tag and its ordinal: in the
+# fixture's full.lgx, ADVMP#1#para#1 is a direct paraphrase of ADVMP#1.  Its
+# parent edited to an entry of another table, or of another row of its
+# table, is refused by every command that reads the lexicon, in either
+# format, with or without the sidecar.
+@pytest.mark.parametrize("fmt", ["text", "xml"])
+@pytest.mark.parametrize("parent", ["PC#2", "ADVMP#2"])
+@pytest.mark.parametrize("command, with_records", [
+    ("import", False), ("validate", False), ("stats", False), ("stats", True),
+])
+def test_a_variant_whose_id_does_not_spell_its_parent_is_refused(tmp_path, capsys, fmt, parent, command, with_records):
+    _, out, records = _extend(tmp_path, _compile(tmp_path))
+    if fmt == "xml":
+        path = tmp_path / "full.lgx.xml"
+        assert main(["export", str(out), "-o", str(path)]) == 0
+        old = '<provenance kind="paraphrase-direct" parent="ADVMP#1" feature="Adj-ment = au niveau Adj"'
+        new = old.replace('"ADVMP#1"', f'"{parent}"')
+    else:
+        path = out
+        old = "\nprovenance\tparaphrase-direct\tADVMP#1\tAdj-ment = au niveau Adj\t"
+        new = old.replace("\tADVMP#1\t", f"\t{parent}\t")
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, str(path), *(["--records", str(records)] if with_records else [])]) == 1
+    message = f"entry id 'ADVMP#1#para#1' does not spell its parent {parent!r}"
+    assert capsys.readouterr().err == f"lexgram: error: {path}: {message}\n"
+
+
+# A text block that lacks a required line is refused naming its entry,
+# once the block's entry line has been read.
+@pytest.mark.parametrize("line, message", [
+    pytest.param(
+        "surface\tau niveau linguistique\tà le niveau linguistique\n",
+        "entry 'ADVMP#1#para#1': block missing surface", id="surface",
+    ),
+    pytest.param("entry\tADVMP#1#para#1\n", "entry block missing entry", id="entry"),
+])
+def test_import_names_the_entry_of_a_block_missing_a_line(tmp_path, capsys, line, message):
+    _, out, _ = _extend(tmp_path, _compile(tmp_path))
+    text = out.read_text(encoding="utf-8")
+    assert text.count(f"\n{line}") == 1
+    out.write_text(text.replace(f"\n{line}", "\n"), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["import", str(out)]) == 1
+    assert capsys.readouterr().err == f"lexgram: error: {out}: {message}\n"
+
+
 def _rename_entry(tmp_path, old, new):
     base = _compile(tmp_path)
     text = base.read_text(encoding="utf-8")

@@ -15,7 +15,7 @@ from lexgram.errors import LexgramError
 from lexgram.expansion import ALL_PASSES, build_plan, expand_entry, parse_passes, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, export_records
 from lexgram.lexicon import generate_base
-from lexgram.model import EMPTY_CELLS, PASS_ORDER, Origin, RecordRow, parse_entry_id
+from lexgram.model import EMPTY_CELLS, PASS_ORDER, Origin, RecordRow, entry_id
 from lexgram.script import parse_script
 from lexgram.stats import compute_stats
 from lexgram.tables import parse_table
@@ -271,8 +271,8 @@ def _expand_then_dedup(entries, script, morpho):
 def _further_down(entry):
     """*entry* moved 100 rows down its table: it repeats the surfaces of the
     entry and of its variants, and ranks after both."""
-    table_id, row, _, _ = parse_entry_id(entry.entry_id)
-    return entry.replace(entry_id=f"{table_id}#{row + 100}")
+    table_id, row = entry.entry_id.split("#")
+    return entry.replace(entry_id=entry_id(table_id, int(row) + 100))
 
 
 _SCRIPT, _MORPHO = load_fixture_script(), load_fixture_morpho()

@@ -55,6 +55,7 @@ from lexgram.model import (
     Selection,
     SurfaceForm,
     entry_id,
+    variant_id,
 )
 from lexgram.script import parse_script
 
@@ -128,8 +129,9 @@ _XML_ANY_TEXT = st.text(st.sampled_from(_XML_SAFE + "\r\x00\x0b\x0c\x1f\ud800\uf
 @st.composite
 def _documents(draw, text, token=None, name=None):
     """Documents whose fields are drawn from *text*, surface tokens from
-    *token* and optional provenance fields and table ids from *name*
-    (both *text* unless given)."""
+    *token* and optional provenance fields and the header's table ids from
+    *name* (both *text* unless given).  A variant's parent is the base id
+    its own id spells, so it holds the drawn table id."""
     token = text if token is None else token
     name = text if name is None else name
     surfaces = st.builds(SurfaceForm, st.lists(token, max_size=3).map(tuple), text)
@@ -138,10 +140,8 @@ def _documents(draw, text, token=None, name=None):
     for row in range(1, draw(st.integers(0, 4)) + 1):
         table_id = draw(text).replace("#", "") or "T"
         kind = draw(st.sampled_from(Origin))
-        if kind is Origin.BASE:
-            eid, parent = entry_id(table_id, row), None
-        else:
-            eid, parent = entry_id(table_id, row, PASS_TAGS[kind], 1), draw(name)
+        base = entry_id(table_id, row)
+        eid, parent = (base, None) if kind is Origin.BASE else (variant_id(base, kind, 1), base)
         entries.append(LexEntry(
             entry_id=eid,
             table_id=table_id,
@@ -158,7 +158,7 @@ def _documents(draw, text, token=None, name=None):
             binary_features=draw(st.dictionaries(text, st.booleans(), max_size=3)),
             provenance=Provenance(kind, parent, draw(st.none() | name), draw(st.none() | name)),
             # ids of removed entries: of the entry's table and row, and of no entry
-            cross_refs=tuple(entry_id(table_id, row, "int", n) for n in range(2, 2 + draw(st.integers(0, 2)))),
+            cross_refs=tuple(variant_id(base, Origin.INTENSIFICATION, n) for n in range(2, 2 + draw(st.integers(0, 2)))),
         ))
     return LexiconDocument(
         entries, tuple(draw(st.lists(name, max_size=3))), draw(text), generator=draw(text),
@@ -607,19 +607,21 @@ def test_xml_rejects_missing_attributes_and_bad_values(old, new, message):
 _ESCAPED = '&<>"\t\n\r'
 
 
-def _escaped_names_document(name: str, parent: str = "P#1") -> LexiconDocument:
+def _escaped_names_document(name: str, row: int = 1) -> LexiconDocument:
     """Two entries with *name* in every name's place: feature id, component
     slot, aux column, other-structure label, category, table id, provenance
-    feature and template, construction id and internal-structure label."""
+    feature and template, construction id and internal-structure label.
+    The first is the base entry of *row*, the second a variant of it."""
     surface = SurfaceForm(("a", "b"), "a b")
+    base = entry_id(name, row)
     entries = [
         LexEntry(
-            entry_id(name, 1, *tag), name, name, surface, {name: "x"}, {name: ""}, (), ((name, surface),), (),
+            eid, name, name, surface, {name: "x"}, {name: ""}, (), ((name, surface),), (),
             (ArgumentSpec(name, Selection.ANY),), (name,), (name,), {name: value}, provenance, (),
         )
-        for tag, value, provenance in (
-            ((), True, Provenance(Origin.BASE)),
-            ((PASS_TAGS[Origin.DELETION], 1), False, Provenance(Origin.DELETION, parent, name, name)),
+        for eid, value, provenance in (
+            (base, True, Provenance(Origin.BASE)),
+            (variant_id(base, Origin.DELETION, 1), False, Provenance(Origin.DELETION, base, name, name)),
         )
     ]
     return LexiconDocument(entries, (name,), "* : \"f\" => construction")
@@ -638,7 +640,7 @@ def test_xml_name_caches_live_for_one_export(monkeypatch):
     escape = formats._xml_attr
     monkeypatch.setattr(formats, "_xml_attr", lambda text: escaped.append(text) or escape(text))
     # The first and last documents share every name but not every value.
-    docs = [_escaped_names_document(_ESCAPED), _escaped_names_document("f"), _escaped_names_document(_ESCAPED, "Q#2")]
+    docs = [_escaped_names_document(_ESCAPED), _escaped_names_document("f"), _escaped_names_document(_ESCAPED, 2)]
     for doc in docs:
         escaped.clear()
         assert export_lexicon(doc, "xml") == xml_reference.export_xml(doc).replace("\r", "&#13;")
@@ -1155,7 +1157,8 @@ def _families(draw, documents):
     """*documents* whose entries are, as drawn, base entries or variants of
     an earlier base entry that take, where drawn, one of the surfaces of
     its lexical information, its features in some order, its arguments
-    and some of its component texts."""
+    and some of its component texts.  A variant is of its parent's table,
+    and its ordinal the first that makes its id no other id or cross-ref."""
     doc = draw(documents)
     bases, entries = [], []
     for row, entry in enumerate(doc.entries, 1):
@@ -1177,9 +1180,12 @@ def _families(draw, documents):
             entry = entry.replace(components={
                 slot: text for slot, text in parent.components.items() if draw(st.booleans())
             })
+        ordinal, taken = 1, {*parent.cross_refs, *(other.entry_id for other in entries)}
+        while variant_id(parent.entry_id, kind, ordinal) in taken:
+            ordinal += 1
         p = entry.provenance
         entries.append(entry.replace(
-            entry_id=entry_id(entry.table_id, row, PASS_TAGS[kind], 1),
+            entry_id=variant_id(parent.entry_id, kind, ordinal), table_id=parent.table_id,
             provenance=Provenance(kind, parent.entry_id, p.feature_id, p.template),
         ))
     return doc.replace(entries=entries)
@@ -1326,7 +1332,7 @@ def test_text_import_transient_memory_does_not_grow_with_the_document(tmp_path):
 def _own_texts(doc: LexiconDocument) -> LexiconDocument:
     """*doc* with long texts no other entry holds on every entry: its
     surface, component and aux texts, a cross-ref and, on every second one,
-    the provenance of a variant of the entry before it."""
+    the provenance of a variant, whose parent is the base id its id spells."""
     entries = []
     for i, entry in enumerate(doc.entries, 1):
         own = f"{i:0100}"
@@ -1337,9 +1343,10 @@ def _own_texts(doc: LexiconDocument) -> LexiconDocument:
             cross_refs=(f"{own}#1",),
         )
         if i % 2 == 0:
+            parent = entry_id(entry.table_id, i)
             entry = entry.replace(
-                entry_id=entry_id(entry.table_id, i, PASS_TAGS[Origin.DELETION], 1),
-                provenance=Provenance(Origin.DELETION, entries[-1].entry_id, "f", own),
+                entry_id=variant_id(parent, Origin.DELETION, 1),
+                provenance=Provenance(Origin.DELETION, parent, "f", own),
             )
         entries.append(entry)
     return doc.replace(entries=entries)

@@ -14,27 +14,17 @@ from lexgram.errors import LexgramError
 from lexgram.expansion import build_plan, expand_entry, run_pipeline
 from lexgram.formats import LexiconDocument, export_lexicon, import_text, import_xml
 from lexgram.lexicon import check_script_bindings, derive_arguments, generate_base, structure_template
-from lexgram.model import PASS_ORDER, LexEntry, Origin, Provenance, Selection, entry_id, parse_entry_id
+from lexgram.model import (
+    PASS_ORDER, PASS_TAGS, LexEntry, Origin, Provenance, Selection, SurfaceForm, check_entry_id, entry_id,
+    split_entry_id, variant_id,
+)
 from lexgram.script import parse_script
 from lexgram.tables import parse_table
 
 
 def test_entry_id_formats():
     assert entry_id("PCA", 3) == "PCA#3"
-    assert entry_id("PCA", 3, "perm", 1) == "PCA#3#perm#1"
-
-
-def test_parse_entry_id_inverts_entry_id():
-    assert parse_entry_id("PCA#3") == ("PCA", 3, None, None)
-    assert parse_entry_id("PCA#3#perm#12") == ("PCA", 3, "perm", 12)
-    assert parse_entry_id(entry_id("PCA", 2, "int", 1)) == ("PCA", 2, "int", 1)
-
-
-@pytest.mark.parametrize("text", ["weird", "PCA", "PCA#", "PCA#0", "PCA#x", "#3", "PCA#3#perm",
-                                  "PCA#3#shuffle#1", "PCA#3#perm#0", "PCA#03", "PCA#3 ", "A#B#1"])
-def test_parse_entry_id_rejects_malformed_ids(text):
-    with pytest.raises(ValueError):
-        parse_entry_id(text)
+    assert variant_id("PCA#3", Origin.PERMUTATION, 1) == "PCA#3#perm#1"
 
 
 _ENTRY_ID_RE = re.compile(r"([^#]+)#([1-9][0-9]*)(?:#(para|parac|del|perm|trans|int)#([1-9][0-9]*))?")
@@ -58,19 +48,62 @@ _ID_FIELDS = st.sampled_from((
 )) | st.text(st.sampled_from("019٣A#"), max_size=3)
 
 
-@example("T#٣")
-@example("T#１")
-@example("T#1#del#²")
-@example("T#07")
-@example("#1")
-@example("T#1#PARA#1")
-@given(st.lists(_ID_FIELDS, min_size=1, max_size=5).map("#".join))
-def test_parse_entry_id_matches_the_regex_form(text):
+# The id rule against the regular expression: an id says the table and tag
+# the regular expression reads and, for a variant, its prefix up to the row
+# as its parent.  An entry's id is accepted exactly when the regular
+# expression matches it with the entry's table and pass's tag and, for a
+# variant, with the entry's parent as that prefix, and an accepted entry
+# ranks by the row and ordinal the regular expression reads.  The entry's
+# table and parent are the id's own unless drawn.
+@example("PCA#3#perm#12", Origin.PERMUTATION, None, None)
+@example("ADVMP#1#para#1", Origin.PARAPHRASE_DIRECT, None, "PC#2")
+@example("ADVMP#1#para#1", Origin.PARAPHRASE_DIRECT, None, "ADVMP#2")
+@example("ADVMP#1#para#1", Origin.PARAPHRASE_DIRECT, "PC", None)
+@example("PCA#3", Origin.DELETION, None, None)
+@example("T#٣", Origin.BASE, None, None)
+@example("T#１", Origin.BASE, None, None)
+@example("T#1#del#²", Origin.DELETION, None, None)
+@example("T#07", Origin.BASE, None, None)
+@example("#1", Origin.BASE, None, None)
+@example("T#1#PARA#1", Origin.PARAPHRASE_DIRECT, None, None)
+@example("PCA#3#shuffle#1", Origin.DELETION, None, None)
+@example("PCA#3 ", Origin.BASE, None, None)
+@example("A#B#1", Origin.BASE, None, None)
+@given(
+    st.lists(_ID_FIELDS, min_size=1, max_size=5).map("#".join),
+    st.sampled_from(Origin),
+    st.none() | _ID_FIELDS,
+    st.none() | st.lists(_ID_FIELDS, min_size=1, max_size=3).map("#".join),
+)
+def test_the_id_rule_is_the_regex_form(text, kind, table_id, parent):
+    fields = text.split("#")
+    table_id = fields[0] if table_id is None else table_id
+    if kind is Origin.BASE:
+        parent = None
+    elif parent is None:
+        parent = "#".join(fields[:2])
+    m = _ENTRY_ID_RE.fullmatch(text)
     try:
-        parsed = parse_entry_id(text)
+        said = split_entry_id(text)
     except ValueError:
-        parsed = None
-    assert parsed == _regex_parse_entry_id(text)
+        assert m is None
+    else:
+        assert said == (m[1], m[3], m[3] and text[:m.end(2)])
+    entry = LexEntry(text, table_id, "adverb", SurfaceForm((), ""), {}, {}, provenance=Provenance(kind, parent))
+    try:
+        check_entry_id(entry)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == (
+        m is not None and m[1] == table_id and m[3] == PASS_TAGS.get(kind)
+        and (kind is Origin.BASE or text[:m.end(2)] == parent)
+    )
+    if accepted:
+        _, _, row, _, ordinal = entry.sort_rank()
+        _, regex_row, _, regex_ordinal = _regex_parse_entry_id(text)
+        assert (row, ordinal) == (regex_row, regex_ordinal or 0)
 
 
 def test_provenance_guards_parent_consistency():

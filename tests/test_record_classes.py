@@ -58,7 +58,7 @@ CLASSES = [
     (ScriptRule, ("F", frozenset({"T"}), Action.PARAPHRASE, None, (_TEMPLATE,), 3), 5, 4, FROZEN, False),
     (ExtractionScript, ((_RULE,),), 0, (), FROZEN, False),
     (MorphoRules, ((("de", "le", "du"),), (), frozenset("ae"), frozenset()), 3, frozenset({"heure"}), FROZEN, False),
-    (PlanStep, (Origin.DELETION, "del", "F", (_TEMPLATE,), "L", ("C1",), ("c",), ("s",)), 4, "M", FROZEN, True),
+    (PlanStep, (Origin.DELETION, "F", (_TEMPLATE,), "L", ("C1",), ("c",), ("s",)), 3, "M", FROZEN, True),
     (PipelineResult, ([], [], _STATS), 0, [None], MUTABLE, False),
     (DuplicateRecord, ("T#1", ("T#2",), "nuit"), 1, ("T#3",), FROZEN, False),
     (StatsReport, (1, (), 0, 1), 0, 2, FROZEN, False),

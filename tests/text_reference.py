@@ -122,7 +122,8 @@ def _parse_entry_block(block: list[str]) -> LexEntry:
 
     missing = [k for k, v in values.items() if v is None]
     if missing:
-        raise SchemaViolation(f"entry block missing {', '.join(missing)}")
+        where = "entry block" if values["entry"] is None else f"entry {values['entry']!r}: block"
+        raise SchemaViolation(f"{where} missing {', '.join(missing)}")
     return LexEntry(
         entry_id=values["entry"],
         table_id=values["table"],
